@@ -8,7 +8,7 @@ from .distributions import (CostCurve, CostDistribution, IronedCurve,
                             two_price_lottery, DEFAULT_GRID)
 from .exante import (ExAnteSolution, IncrementTable, discretize,
                      greedy_submodular, lagrangian_quantiles, solve_additive,
-                     solve_ex_ante, solve_symmetric)
+                     solve_ex_ante, solve_symmetric, solver_kind)
 from .mechanism import (MarketSize, PriceMenu, RunOutcome, bang_per_buck_order,
                         build_oblivious, choose_epsilon, derandomize_additive,
                         fractional_knapsack_value, integral_knapsack_value,

@@ -15,41 +15,21 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, parse_config
 from .distributions import UndefinedVirtualCostError
-from .exante import greedy_submodular, solve_additive, solve_symmetric
+from .exante import solve_ex_ante, solver_kind
 from .mechanism import market_size, menu_from_solution
 from .simulate import (Instance, approximation_report, bounds_csv_lines,
                        bounds_table, correlation_gap_experiment,
                        gap_csv_lines, report_csv_lines)
-from .values import AdditiveValue, SymmetricValue
+from .values import AdditiveValue
 
 SOLUTION_COLUMNS = "agent,quantile,price_lo,price_hi,prob_lo,expected_spend"
 
 
-def _solve_from_config(cfg: ExperimentConfig):
-    kind = cfg.solver_kind
-    if kind == "auto":
-        if isinstance(cfg.value, AdditiveValue):
-            kind = "additive"
-        elif isinstance(cfg.value, SymmetricValue) and len(set(cfg.dists)) == 1:
-            kind = "symmetric"
-        else:
-            kind = "greedy"
-    if kind == "additive":
-        if not isinstance(cfg.value, AdditiveValue):
-            raise ConfigError("additive solver needs an additive value function")
-        return kind, solve_additive(cfg.dists, cfg.value.as_array(), cfg.budget,
-                                    grid_size=cfg.grid)
-    if kind == "symmetric":
-        if not isinstance(cfg.value, SymmetricValue) or len(set(cfg.dists)) != 1:
-            raise ConfigError("symmetric solver needs a symmetric value function "
-                              "and one common distribution")
-        return kind, solve_symmetric(cfg.dists[0], cfg.value, cfg.budget,
-                                     grid_size=cfg.grid)
-    return kind, greedy_submodular(cfg.dists, cfg.value, cfg.budget, m=cfg.m,
-                                   samples=cfg.marginal_samples, seed=cfg.seed,
-                                   noisy=cfg.noisy,
-                                   appendix_schedule=cfg.appendix_schedule,
-                                   grid_size=cfg.grid)
+def _solver_opts(cfg: ExperimentConfig) -> dict:
+    """The [solver] section as solve_ex_ante keywords."""
+    return dict(kind=cfg.solver_kind, grid_size=cfg.grid, m=cfg.m,
+                samples=cfg.marginal_samples, noisy=cfg.noisy,
+                appendix_schedule=cfg.appendix_schedule)
 
 
 def solution_record(sol) -> str:
@@ -70,12 +50,13 @@ def _write(out_dir: str, name: str, text: str) -> str:
 
 
 def cmd_solve(cfg: ExperimentConfig) -> int:
-    kind, sol = _solve_from_config(cfg)
+    sol = solve_ex_ante(cfg.dists, cfg.value, cfg.budget, seed=cfg.seed,
+                        **_solver_opts(cfg))
     menu = menu_from_solution(sol)
     k = market_size(menu, cfg.budget).k
     path = _write(cfg.out, "solution.csv", solution_record(sol))
-    print(f"solver={kind} n={cfg.n} objective={sol.objective:.12g} "
-          f"spend={sol.expected_spend:.12g} k={k:.12g}")
+    print(f"solver={sol.solver_meta['solver']} n={cfg.n} "
+          f"objective={sol.objective:.12g} spend={sol.expected_spend:.12g} k={k:.12g}")
     print(f"wrote {path}")
     return 0
 
@@ -85,7 +66,7 @@ def _variant_for(cfg: ExperimentConfig) -> str:
         if not isinstance(cfg.value, AdditiveValue):
             raise ConfigError("sequential mechanism requires an additive value function")
         return "additive-sequential"
-    if isinstance(cfg.value, SymmetricValue) and len(set(cfg.dists)) == 1:
+    if solver_kind(cfg.dists, cfg.value, cfg.solver_kind) == "symmetric":
         return "symmetric-oblivious"
     return "submodular-oblivious"
 
@@ -97,7 +78,7 @@ def cmd_simulate(cfg: ExperimentConfig, echo: bool = False) -> int:
     eps = None if cfg.epsilon == "auto" else cfg.epsilon
     report = approximation_report(instance, variant, trials=cfg.trials,
                                   seed=cfg.seed, epsilon=eps,
-                                  n_orders=cfg.n_orders, grid_size=cfg.grid)
+                                  n_orders=cfg.n_orders, **_solver_opts(cfg))
     path = _write(cfg.out, "report.csv", "\n".join(report_csv_lines([report])) + "\n")
     print(f"variant={variant} ratio={report.ratio:.6g} "
           f"bound={report.theoretical_bound:.6g} k={report.k:.6g}")

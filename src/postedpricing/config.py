@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 from .distributions import (PiecewiseLinearCDF, TruncatedExponential, Uniform,
                             empirical_from_sample)
+from .exante import solver_kind
+from .simulate import MECHANISM_ORDERS
 from .values import AdditiveValue, CoverageValue, SymmetricValue
 
 
@@ -73,10 +75,10 @@ def parse_distribution(text: str):
             return TruncatedExponential(rate, lo, hi)
         if name == "pwcdf":
             try:
-                pts = ast.literal_eval(args)
-            except (SyntaxError, ValueError) as exc:
+                pts = tuple((float(c), float(F)) for c, F in ast.literal_eval(args))
+            except (SyntaxError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad pwcdf breakpoint list: {exc}") from None
-            return PiecewiseLinearCDF(tuple((float(c), float(F)) for c, F in pts))
+            return PiecewiseLinearCDF(pts)
         if name == "empirical":
             path = args.strip().strip("'\"")
             if not os.path.isfile(path):
@@ -154,19 +156,17 @@ def parse_value(text: str, n: int):
                 raise ConfigError(f"bad constant value: {exc}") from None
             return AdditiveValue(tuple([v] * n))
         try:
-            vals = ast.literal_eval(args)
-        except (SyntaxError, ValueError) as exc:
+            vals = tuple(float(v) for v in ast.literal_eval(args))
+        except (SyntaxError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad additive value list: {exc}") from None
-        vals = tuple(float(v) for v in vals)
         if len(vals) != n:
             raise ConfigError(f"value list has {len(vals)} entries for {n} agents")
         return AdditiveValue(vals)
     if name == "symmetric":
         try:
-            g = ast.literal_eval(args)
-        except (SyntaxError, ValueError) as exc:
+            g = tuple(float(x) for x in ast.literal_eval(args))
+        except (SyntaxError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad symmetric value table: {exc}") from None
-        g = tuple(float(x) for x in g)
         if len(g) != n + 1:
             raise ConfigError(f"symmetric table needs n+1 = {n + 1} entries, got {len(g)}")
         try:
@@ -250,8 +250,10 @@ def parse_config(path: str) -> ExperimentConfig:
 
     cfg = ExperimentConfig(dists=dists, value=value, budget=budget)
     cfg.solver_kind = _get(cp, "solver", "kind", cfg.solver_kind).strip().lower()
-    if cfg.solver_kind not in ("auto", "additive", "symmetric", "greedy"):
-        raise ConfigError(f"unknown solver kind {cfg.solver_kind!r}")
+    try:
+        solver_kind(dists, value, cfg.solver_kind)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     try:
         cfg.grid = int(_get(cp, "solver", "grid", str(cfg.grid)))
         m_text = _get(cp, "solver", "m")
@@ -267,11 +269,14 @@ def parse_config(path: str) -> ExperimentConfig:
     cfg.appendix_schedule = _bool(_get(cp, "solver", "appendix_schedule", "false"),
                                   "appendix_schedule")
     cfg.mechanism_kind = _get(cp, "mechanism", "kind", cfg.mechanism_kind).strip().lower()
-    if cfg.mechanism_kind not in ("sequential", "oblivious", "exante"):
-        raise ConfigError(f"unknown mechanism kind {cfg.mechanism_kind!r}")
-    cfg.order = _get(cp, "mechanism", "order", cfg.order).strip().lower()
-    if cfg.order not in ("bang-per-buck", "fixed", "uniform-random", "worst-of-sampled"):
-        raise ConfigError(f"unknown order policy {cfg.order!r}")
+    if cfg.mechanism_kind not in MECHANISM_ORDERS:
+        raise ConfigError(f"unknown mechanism kind {cfg.mechanism_kind!r}; expected "
+                          + " or ".join(MECHANISM_ORDERS))
+    policy = MECHANISM_ORDERS[cfg.mechanism_kind]
+    cfg.order = _get(cp, "mechanism", "order", policy).strip().lower()
+    if cfg.order != policy:
+        raise ConfigError(f"the {cfg.mechanism_kind} mechanism runs in {policy} order, "
+                          f"not {cfg.order!r}")
     eps_text = _get(cp, "mechanism", "epsilon", "auto").strip().lower()
     if eps_text == "auto":
         cfg.epsilon = "auto"

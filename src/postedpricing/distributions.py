@@ -248,9 +248,6 @@ class CostCurve:
     regular: bool
     dist: CostDistribution
 
-    def spend_at(self, q):
-        return _maybe_scalar(q, np.interp(q, self.quantiles, self.spend))
-
 
 @dataclass(frozen=True, eq=False)
 class IronedCurve:

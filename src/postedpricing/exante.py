@@ -10,7 +10,9 @@ Three routes, by value-function shape:
   * submodular -- a reduction to cardinality-constrained greedy over equal
                   spend increments of each agent's cost curve.
 
-Solvers are pure functions of their inputs and seed.
+solver_kind picks the route for an instance and solve_ex_ante runs it; every
+caller that solves by shape goes through that pair.  Solvers are pure
+functions of their inputs and seed.
 """
 
 from __future__ import annotations
@@ -69,6 +71,19 @@ def _lottery_menu(hulls, dists, quantiles):
                  for h, d, q in zip(hulls, dists, quantiles))
 
 
+def _lagrangian_segments(hulls, values, lam: float):
+    """Per agent, the number of hull segments whose marginal cost is at most
+    v_i / lam (none for agents of zero value), and the expected spend at
+    those quantiles summed in agent order."""
+    counts = []
+    spend = 0.0
+    for h, v in zip(hulls, values):
+        count = 0 if v <= 0.0 else int(np.searchsorted(h.slopes, v / lam, side="right"))
+        counts.append(count)
+        spend += float(h.hull[count])
+    return counts, spend
+
+
 def lagrangian_quantiles(dists, values, lam: float,
                          grid_size: int = DEFAULT_GRID) -> np.ndarray:
     """Per-agent largest quantile whose marginal (ironed) cost is <= v_i / lam.
@@ -81,24 +96,8 @@ def lagrangian_quantiles(dists, values, lam: float,
     hulls = _hulls(dists, grid_size)
     if lam == 0.0:
         return np.ones(len(hulls))
-    out = np.empty(len(hulls))
-    for i, h in enumerate(hulls):
-        if values[i] <= 0.0:
-            out[i] = 0.0
-            continue
-        count = int(np.searchsorted(h.slopes, values[i] / lam, side="right"))
-        out[i] = h.quantiles[count]
-    return out
-
-
-def _spend_for_lambda(hulls, values, lam):
-    total = 0.0
-    for h, v in zip(hulls, values):
-        if v <= 0.0:
-            continue
-        count = int(np.searchsorted(h.slopes, v / lam, side="right"))
-        total += float(h.hull[count])
-    return total
+    counts, _ = _lagrangian_segments(hulls, values, lam)
+    return np.array([h.quantiles[c] for h, c in zip(hulls, counts)])
 
 
 def solve_additive(dists, values, budget: float,
@@ -132,7 +131,7 @@ def solve_additive(dists, values, budget: float,
     # grow an upper bracket, then bisect: spend is nonincreasing in lambda
     lam_hi = 1.0
     for _ in range(400):
-        if _spend_for_lambda(hulls, values, lam_hi) <= budget:
+        if _lagrangian_segments(hulls, values, lam_hi)[1] <= budget:
             break
         lam_hi *= 4.0
     else:
@@ -142,20 +141,14 @@ def solve_additive(dists, values, budget: float,
         mid = 0.5 * (lam_lo + lam_hi)
         if mid in (lam_lo, lam_hi):
             break
-        if _spend_for_lambda(hulls, values, mid) > budget:
+        if _lagrangian_segments(hulls, values, mid)[1] > budget:
             lam_lo = mid
         else:
             lam_hi = mid
 
-    seg = np.empty(n, dtype=int)
-    pos = np.empty(n)
-    spend_i = np.empty(n)
-    for i, h in enumerate(hulls):
-        count = 0 if values[i] <= 0 else int(
-            np.searchsorted(h.slopes, values[i] / lam_hi, side="right"))
-        seg[i] = count
-        pos[i] = grid[count]
-        spend_i[i] = h.hull[count]
+    seg = np.array(_lagrangian_segments(hulls, values, lam_hi)[0])
+    pos = grid[seg]
+    spend_i = np.array([h.hull[c] for h, c in zip(hulls, seg)])
 
     # water-fill the pivotal agents until the budget binds
     run_ends = [h.slope_run_ends for h in hulls]
@@ -357,12 +350,44 @@ def greedy_submodular(dists, vf: ValueFunction, budget: float, m: int | None = N
                           solver_meta=meta)
 
 
-def solve_ex_ante(dists, vf: ValueFunction, budget: float, **kwargs) -> ExAnteSolution:
-    """Dispatch to the solver matching the value function shape."""
-    if isinstance(vf, AdditiveValue):
-        grid = kwargs.get("grid_size", DEFAULT_GRID)
-        return solve_additive(dists, vf.as_array(), budget, grid_size=grid)
-    if isinstance(vf, SymmetricValue) and len(set(dists)) == 1:
-        return solve_symmetric(dists[0], vf, budget,
-                               grid_size=kwargs.get("grid_size", DEFAULT_GRID))
-    return greedy_submodular(dists, vf, budget, **kwargs)
+SOLVER_KINDS = ("auto", "additive", "symmetric", "greedy")
+
+
+def solver_kind(dists, vf: ValueFunction, kind: str = "auto") -> str:
+    """The ex ante solver for an instance: 'additive', 'symmetric' or 'greedy'.
+
+    'auto' picks by value-function shape: the Lagrangian solve for additive
+    values, the common-quantile solve for symmetric values over one shared
+    prior, and greedy otherwise.  An explicit kind that does not fit the
+    instance raises ValueError; greedy fits every instance.
+    """
+    additive = isinstance(vf, AdditiveValue)
+    symmetric = isinstance(vf, SymmetricValue) and len(set(dists)) == 1
+    if kind == "auto":
+        return "additive" if additive else "symmetric" if symmetric else "greedy"
+    if kind not in SOLVER_KINDS:
+        raise ValueError(f"unknown solver kind {kind!r}; expected one of "
+                         + ", ".join(SOLVER_KINDS))
+    if kind == "additive" and not additive:
+        raise ValueError("additive solver needs an additive value function")
+    if kind == "symmetric" and not symmetric:
+        raise ValueError("symmetric solver needs a symmetric value function "
+                         "and one common distribution")
+    return kind
+
+
+def solve_ex_ante(dists, vf: ValueFunction, budget: float, kind: str = "auto",
+                  grid_size: int = DEFAULT_GRID, **greedy_opts) -> ExAnteSolution:
+    """Solve with the solver solver_kind picks; record it in solver_meta['solver'].
+
+    greedy_opts (m, samples, seed, noisy, ...) reach greedy_submodular only.
+    """
+    kind = solver_kind(dists, vf, kind)
+    if kind == "additive":
+        sol = solve_additive(dists, vf.as_array(), budget, grid_size=grid_size)
+    elif kind == "symmetric":
+        sol = solve_symmetric(dists[0], vf, budget, grid_size=grid_size)
+    else:
+        sol = greedy_submodular(dists, vf, budget, grid_size=grid_size, **greedy_opts)
+    sol.solver_meta["solver"] = kind
+    return sol

@@ -79,9 +79,6 @@ class RunOutcome:
     total_spend: float
     value: float
 
-    def csv_row(self, run_id: int) -> str:
-        return f"{run_id},{self.value:.12g},{self.total_spend:.12g},{len(self.selected)}"
-
 
 @dataclass(frozen=True)
 class MarketSize:
@@ -236,16 +233,17 @@ def choose_epsilon(k: float, grid_points: int = 10_000) -> float:
 
 
 def build_oblivious(dists, vf: ValueFunction, budget: float, epsilon: float,
-                    **solver_kwargs) -> PriceMenu:
+                    **solve_opts) -> PriceMenu:
     """Solve the ex ante problem at budget (1 - epsilon) B for any-order use.
 
-    The returned menu carries the shrink and a warning flag when the realized
+    solve_opts (kind, grid_size, greedy options) go to solve_ex_ante.  The
+    returned menu carries the shrink and a warning flag when the realized
     market size is too small for the guarantee to apply (the mechanism still
     runs).
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 1/2)")
-    sol = solve_ex_ante(dists, vf, (1.0 - epsilon) * budget, **solver_kwargs)
+    sol = solve_ex_ante(dists, vf, (1.0 - epsilon) * budget, **solve_opts)
     menu = menu_from_solution(sol, ordering_policy="external", epsilon=epsilon)
     k = market_size(menu, budget).k
     if k <= 2.0 / epsilon:

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DEFAULT_GRID
-from .exante import ExAnteSolution, greedy_submodular, solve_additive, \
-    solve_symmetric
+from .exante import ExAnteSolution, solve_ex_ante, solver_kind
 from .mechanism import (PriceMenu, bang_per_buck_order, build_oblivious,
                         choose_epsilon, market_size, menu_from_solution,
                         oblivious_guarantee, select_within_budget,
@@ -26,6 +25,8 @@ from .values import (AdditiveValue, SymmetricValue, ValueFunction,
 
 DEFAULT_TRIALS = 100_000
 ORDER_POLICY_NAMES = ("bang-per-buck", "fixed", "uniform-random", "worst-of-sampled")
+# the order policy approximation_report runs each mechanism kind under
+MECHANISM_ORDERS = {"sequential": "bang-per-buck", "oblivious": "worst-of-sampled"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,31 +295,27 @@ def monte_carlo_value(menu: PriceMenu, instance: Instance,
 # ---------------------------------------------------------------------------
 
 def ex_ante_bound(instance: Instance, solution: ExAnteSolution = None,
-                  closed_form: float | None = None,
-                  grid_size: int = DEFAULT_GRID, **greedy_kwargs) -> BoundInfo:
+                  closed_form: float | None = None, kind: str = "auto",
+                  grid_size: int = DEFAULT_GRID, **greedy_opts) -> BoundInfo:
     """Benchmark value no ex ante budget-feasible mechanism can beat.
 
-    Exact for additive and symmetric objectives; for general submodular ones
-    a greedy solution inflated by (1 - 1/e)^-2 is reported and flagged as a
-    bound of a bound, unless a closed form is supplied.
+    Exact when the additive or symmetric solver applies (see solver_kind);
+    under greedy the solution is inflated by (1 - 1/e)^-2 and flagged as a
+    bound of a bound, unless a closed form is supplied.  A given solution
+    must come from the solve_ex_ante call with the same arguments.
     """
     if closed_form is not None:
         return BoundInfo(value=float(closed_form), exact=True)
     if instance.budget <= 0:
         return BoundInfo(value=0.0, exact=True)
-    vf = instance.value
-    if isinstance(vf, AdditiveValue):
-        sol = solution or solve_additive(instance.dists, vf.as_array(),
-                                         instance.budget, grid_size=grid_size)
-        return BoundInfo(value=sol.objective, exact=True)
-    if isinstance(vf, SymmetricValue) and len(set(instance.dists)) == 1:
-        sol = solution or solve_symmetric(instance.dists[0], vf, instance.budget,
-                                          grid_size=grid_size)
-        return BoundInfo(value=sol.objective, exact=True)
-    sol = solution or greedy_submodular(instance.dists, vf, instance.budget,
-                                        grid_size=grid_size, **greedy_kwargs)
+    kind = solver_kind(instance.dists, instance.value, kind)
+    if solution is None:
+        solution = solve_ex_ante(instance.dists, instance.value, instance.budget,
+                                 kind=kind, grid_size=grid_size, **greedy_opts)
+    if kind != "greedy":
+        return BoundInfo(value=solution.objective, exact=True)
     factor = (1.0 - 1.0 / math.e) ** 2
-    return BoundInfo(value=sol.objective / factor, exact=False)
+    return BoundInfo(value=solution.objective / factor, exact=False)
 
 
 def overflow_probability(menu: PriceMenu, budget: float, k: float,
@@ -401,47 +398,47 @@ def approximation_report(instance: Instance, variant: str,
                          epsilon: float | None = None, n_orders: int = 20,
                          grid_size: int = DEFAULT_GRID,
                          closed_form_bound: float | None = None,
-                         **solver_kwargs) -> ExperimentReport:
-    """Run one mechanism variant and compare it to its ex ante benchmark."""
+                         kind: str = "auto", **greedy_opts) -> ExperimentReport:
+    """Run one mechanism variant and compare it to its ex ante benchmark.
+
+    Every solve goes through solve_ex_ante with kind, grid_size, seed and
+    greedy_opts.  symmetric-oblivious needs the symmetric solver.  With
+    submodular-oblivious and no epsilon, the shrink is sized from the
+    full-budget solve, which then also gives the benchmark.
+    """
     if variant not in REPORT_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     vf = instance.value
     budget = instance.budget
+    kind = solver_kind(instance.dists, vf, kind)
+    if variant == "additive-sequential" and not isinstance(vf, AdditiveValue):
+        raise ValueError("additive-sequential requires an additive objective")
+    if variant == "symmetric-oblivious" and kind != "symmetric":
+        raise ValueError("symmetric-oblivious requires a symmetric objective "
+                         "and a common cost distribution")
+    opts = dict(kind=kind, grid_size=grid_size, seed=seed, **greedy_opts)
+    sequential = variant == "additive-sequential"
+    policy = MECHANISM_ORDERS["sequential" if sequential else "oblivious"]
     eps_used = None
 
-    if variant == "additive-sequential":
-        if not isinstance(vf, AdditiveValue):
-            raise ValueError("additive-sequential requires an additive objective")
-        sol = solve_additive(instance.dists, vf.as_array(), budget, grid_size=grid_size)
-        menu = menu_from_solution(sol, ordering_policy="bang-per-buck")
-        policy = "bang-per-buck"
-        bound_info = BoundInfo(value=sol.objective, exact=True)
-        k = market_size(menu, budget).k
-        theoretical = sequential_guarantee(k)
-    elif variant == "symmetric-oblivious":
-        if not (isinstance(vf, SymmetricValue) and len(set(instance.dists)) == 1):
-            raise ValueError("symmetric-oblivious requires a symmetric objective "
-                             "and a common cost distribution")
-        sol = solve_symmetric(instance.dists[0], vf, budget, grid_size=grid_size)
-        menu = menu_from_solution(sol, ordering_policy="external")
-        policy = "worst-of-sampled"
-        bound_info = BoundInfo(value=sol.objective, exact=True)
-        k = market_size(menu, budget).k
+    if variant == "submodular-oblivious":
+        sol = None
+        if epsilon is None:
+            sol = solve_ex_ante(instance.dists, vf, budget, **opts)
+            epsilon = choose_epsilon(market_size(menu_from_solution(sol), budget).k)
+        menu = build_oblivious(instance.dists, vf, budget, epsilon, **opts)
+        eps_used = epsilon
+    else:
+        sol = solve_ex_ante(instance.dists, vf, budget, **opts)
+        menu = menu_from_solution(
+            sol, ordering_policy="bang-per-buck" if sequential else "external")
+
+    bound_info = ex_ante_bound(instance, solution=sol, closed_form=closed_form_bound,
+                               **opts)
+    k = market_size(menu, budget).k
+    if eps_used is None:
         theoretical = sequential_guarantee(k)
     else:
-        if epsilon is None:
-            provisional = greedy_submodular(instance.dists, vf, budget,
-                                            grid_size=grid_size, seed=seed,
-                                            **solver_kwargs)
-            pk = market_size(menu_from_solution(provisional), budget).k
-            epsilon = choose_epsilon(pk)
-        menu = build_oblivious(instance.dists, vf, budget, epsilon,
-                               grid_size=grid_size, seed=seed, **solver_kwargs)
-        policy = "worst-of-sampled"
-        eps_used = epsilon
-        bound_info = ex_ante_bound(instance, closed_form=closed_form_bound,
-                                   grid_size=grid_size, seed=seed, **solver_kwargs)
-        k = market_size(menu, budget).k
         theoretical = (1.0 - 1.0 / math.e) * oblivious_guarantee(k, epsilon)
 
     mc = monte_carlo_value(menu, instance, order_policy=policy, trials=trials,

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import _lower_hull_vertices
+
 
 def _as_rng(seed):
     if isinstance(seed, np.random.Generator):
@@ -247,16 +249,7 @@ def concave_hull_sizes(v: SymmetricValue) -> SizeHull:
         raise TypeError("size hulls are defined for symmetric value functions")
     xs = np.arange(v.n + 1, dtype=float)
     ys = np.asarray(v.g, dtype=float)
-    hull = []
-    for i in range(len(xs)):
-        while len(hull) >= 2:
-            i0, i1 = hull[-2], hull[-1]
-            cross = (xs[i1] - xs[i0]) * (ys[i] - ys[i0]) - (ys[i1] - ys[i0]) * (xs[i] - xs[i0])
-            if cross >= 0.0:  # keep only right turns for the upper hull
-                hull.pop()
-            else:
-                break
-        hull.append(i)
+    hull = _lower_hull_vertices(xs, -ys)  # the upper hull, mirrored
     return SizeHull(xs=xs[hull].copy(), ys=ys[hull].copy())
 
 

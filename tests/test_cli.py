@@ -241,3 +241,49 @@ def test_cmd_simulate_ratio_beats_bound(tmp_path):
     cols = dict(zip(header.split(","), row.split(",")))
     rel = float(cols["mechanism_stderr"]) / float(cols["ex_ante_upper_bound"])
     assert float(cols["ratio"]) >= float(cols["theoretical_bound"]) - 3 * rel
+
+
+def test_mechanism_kind_exante_rejected(tmp_path):
+    path = _write_config(tmp_path, EXAMPLE1.format(out=tmp_path).replace(
+        "kind = sequential", "kind = exante"))
+    assert main(["simulate", "--config", path]) == 2
+
+
+@pytest.mark.parametrize("kind,order", [
+    ("sequential", "fixed"), ("sequential", "worst-of-sampled"),
+    ("oblivious", "bang-per-buck"), ("oblivious", "uniform-random")])
+def test_order_must_be_the_mechanism_policy(tmp_path, kind, order):
+    path = _write_config(tmp_path, EXAMPLE1.format(out=tmp_path)
+                         .replace("kind = sequential", f"kind = {kind}")
+                         .replace("order = bang-per-buck", f"order = {order}"))
+    assert main(["simulate", "--config", path]) == 2
+
+
+def test_absent_order_defaults_to_mechanism_policy(tmp_path):
+    path = _write_config(tmp_path, EXAMPLE1.format(out=tmp_path)
+                         .replace("kind = sequential", "kind = oblivious")
+                         .replace("order = bang-per-buck\n", ""))
+    cfg = parse_config(path)
+    assert cfg.order == "worst-of-sampled"
+    text = serialize_config(cfg)
+    assert serialize_config(parse_config(_write_config(tmp_path, text, "rt.ini"))) == text
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "report"])
+def test_solver_kind_mismatch_exits_2(tmp_path, command):
+    path = _write_config(tmp_path, EXAMPLE1.format(out=tmp_path).replace(
+        "kind = additive", "kind = symmetric"))
+    assert main([command, "--config", path]) == 2
+
+
+@pytest.mark.parametrize("distributions,value", [
+    ("2 * uniform(0, 1)", "additive(5)"),
+    ("2 * uniform(0, 1)", "symmetric(3)"),
+    ("pwcdf(5)", "additive(constant=1)"),
+    ("2 * uniform(0, 1)", 'additive([1, "a"])')])
+def test_malformed_literal_exits_2(tmp_path, distributions, value):
+    path = _write_config(tmp_path, "[instance]\n"
+                         f"distributions = {distributions}\n"
+                         f"value = {value}\n"
+                         "budget = 1\n")
+    assert main(["solve", "--config", path]) == 2

@@ -54,6 +54,18 @@ def test_cli_output_matches_golden(case, argv, name, tmp_path):
     assert (tmp_path / name).read_bytes() == expected
 
 
+@pytest.mark.parametrize("case,solver", [
+    ("coverage-greedy", "marginal_samples = 500"),
+    ("additive-regular", "kind = greedy\nm = 20")])
+def test_simulate_honours_solver_section(case, solver, tmp_path):
+    config = tmp_path / "config.ini"
+    config.write_text((GOLDEN / case / "config.ini").read_text()
+                      + f"\n[solver]\n{solver}\n")
+    assert _run_case(case, ("simulate", "--config", str(config)), tmp_path) == 0
+    expected = (GOLDEN / case / "report.csv").read_bytes()
+    assert (tmp_path / "report.csv").read_bytes() != expected
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(GOLDEN.parents[1] / "src"))
     for case, argv, name in CASES:
