@@ -110,49 +110,63 @@ def menu_from_solution(sol: ExAnteSolution, ordering_policy: str = "external",
 # Execution
 # ---------------------------------------------------------------------------
 
-def bang_per_buck_order(values, prices, quantiles=None) -> tuple:
+def bang_per_buck_order(values, prices, quantiles=None):
     """Agents sorted by value over price, descending; ties by agent index.
 
-    Agents with zero acceptance probability go last (they are never offered).
+    Agents with zero acceptance probability go last, in index order (they are
+    never offered).  One row of n prices gives a tuple; a (trials, n) batch
+    of prices (with per-agent or per-row quantiles) gives a (trials, n) array
+    holding each row's order.
     """
     values = np.asarray(values, dtype=float)
     prices = np.asarray(prices, dtype=float)
-    if quantiles is None:
-        quantiles = np.ones_like(prices)
-    active, inactive = [], []
-    for i, (v, p, q) in enumerate(zip(values, prices, np.asarray(quantiles))):
-        if q <= 0:
-            inactive.append(i)
-            continue
-        if p <= 0:
-            raise ValueError("zero price offered to an agent with positive quantile")
-        active.append(i)
-    active.sort(key=lambda i: (-values[i] / prices[i], i))
-    return tuple(active + inactive)
+    active = np.empty(prices.shape, dtype=bool)
+    active[...] = True if quantiles is None else np.asarray(quantiles) > 0
+    if (active & (prices <= 0)).any():
+        raise ValueError("zero price offered to an agent with positive quantile")
+    ratio = np.divide(-values, prices, out=np.zeros(prices.shape), where=active)
+    order = np.lexsort((ratio, ~active))  # stable: ties keep index order
+    return tuple(order.tolist()) if order.ndim == 1 else order
 
 
 def select_within_budget(prices, accepts, order, budget: float):
     """Walk agents in order; offer while the price fits the remaining spend.
 
-    Returns (selected_mask, offered_mask, spent).  Skipped (over-budget)
-    agents are discarded permanently.  The accumulated spend is only updated
-    when it stays at most the budget, so the bound is exact in floats.
+    prices (NaN marks agents that are never offered) and accepts are one row
+    of n agents or a (trials, n) batch.  order is one sequence of agent
+    indices shared by every row, or a (trials, n) array with one order per
+    row.  Returns (selected_mask, offered_mask, spent) with one entry per row;
+    a 1-D call returns n-vectors and a float spend.
+
+    Skipped (over-budget) agents are discarded permanently.  The walk steps
+    through the order positions, vectorised across rows; each row adds its
+    own prices in its own order and keeps a sum only when it stays at most
+    the budget, so the bound is exact in floats.
     """
-    n = len(prices)
-    selected = np.zeros(n, dtype=bool)
-    offered = np.zeros(n, dtype=bool)
-    spent = 0.0
-    for i in order:
-        p = prices[i]
-        if p != p:  # NaN marks agents that are never offered
-            continue
+    prices = np.asarray(prices, dtype=float)
+    single = prices.ndim == 1
+    prices = np.atleast_2d(prices)
+    accepts = np.atleast_2d(np.asarray(accepts, dtype=bool))
+    order = np.asarray(order, dtype=np.intp)
+    at = (slice(None), order) if order.ndim == 1 \
+        else (np.arange(len(prices))[:, None], order)
+    # position-major copies: row j holds every trial's j-th agent in its order
+    pos_prices = np.ascontiguousarray(prices[at].T)
+    pos_accepts = np.ascontiguousarray(accepts[at].T)
+    spent = np.zeros(len(prices))
+    pos_offered = np.empty(pos_prices.shape, dtype=bool)
+    pos_selected = np.empty(pos_prices.shape, dtype=bool)
+    for p, acc, off, sel in zip(pos_prices, pos_accepts, pos_offered, pos_selected):
         new_spent = spent + p
-        if new_spent > budget:
-            continue
-        offered[i] = True
-        if accepts[i]:
-            selected[i] = True
-            spent = new_spent
+        np.less_equal(new_spent, budget, out=off)  # False for NaN: never offered
+        np.logical_and(off, acc, out=sel)
+        np.copyto(spent, new_spent, where=sel)
+    selected = np.zeros(prices.shape, dtype=bool)
+    offered = np.zeros(prices.shape, dtype=bool)
+    selected[at] = pos_selected.T
+    offered[at] = pos_offered.T
+    if single:
+        return selected[0], offered[0], float(spent[0])
     return selected, offered, spent
 
 
@@ -196,9 +210,7 @@ def run(menu: PriceMenu, value_fn: ValueFunction, costs, budget: float,
             if active[i]:
                 prices[i] = menu.lotteries[i].realize(rng.random())
 
-    accepts = np.zeros(n, dtype=bool)
-    mask = active & ~np.isnan(prices)
-    accepts[mask] = costs[mask] <= prices[mask]
+    accepts = costs <= prices  # False where the price is NaN (never offered)
     selected, offered, spent = select_within_budget(prices, accepts, order, budget)
 
     payments = np.where(selected, prices, 0.0)

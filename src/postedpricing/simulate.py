@@ -2,9 +2,9 @@
 
 Trials are independent; cost draws, lottery realizations, and order sampling
 use streams derived from one master seed, so results are reproducible and
-trials could run concurrently.  Symmetric instances with one common
-deterministic price use an exact vectorized kernel; everything else walks the
-arrival order per trial.
+trials could run concurrently.  Every order policy runs the one budgeted walk,
+mechanism.select_within_budget, on batches of trials at a time: the walk
+steps through the order positions and is vectorised across the trials.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ from .values import (AdditiveValue, SymmetricValue, ValueFunction,
                      concave_closure_symmetric)
 
 DEFAULT_TRIALS = 100_000
+# Trials per batch.  It fixes which random draws each trial gets, so it is
+# part of the determinism promise, not a tuning knob.
+TRIAL_CHUNK = 20_000
 ORDER_POLICY_NAMES = ("bang-per-buck", "fixed", "uniform-random", "worst-of-sampled")
 # the order policy approximation_report runs each mechanism kind under
 MECHANISM_ORDERS = {"sequential": "bang-per-buck", "oblivious": "worst-of-sampled"}
@@ -129,153 +132,81 @@ def _realize_prices(menu, rng, trials):
     return prices
 
 
-def _values_of_masks(vf, masks):
-    if isinstance(vf, AdditiveValue):
-        return masks @ vf.as_array()
-    if isinstance(vf, SymmetricValue):
-        return np.asarray(vf.g)[masks.sum(axis=1)]
-    return np.array([vf.evaluate(np.flatnonzero(row)) for row in masks])
-
-
-def _equal_price_kernel(price, accepts, order, budget, vf):
-    """Exact selection when every offered price is the same number.
-
-    With one common price, an agent blocked by the budget blocks all later
-    accepters too, so the cumulative spend along the order decides selection.
-    The cumulative sums reproduce the sequential walk's float arithmetic.
-    """
-    acc = accepts[:, order]
-    spends = np.cumsum(np.where(acc, price, 0.0), axis=1)
-    sel = acc & (spends <= budget)
-    spend_tot = np.max(np.where(sel, spends, 0.0), axis=1)
-    masks = np.zeros_like(accepts)
-    masks[:, order] = sel
-    return _values_of_masks(vf, masks), spend_tot
-
-
-def _walk_trials(prices, accepts, orders, budget, vf):
-    """Per-trial sequential walks; orders is one permutation or one per trial."""
-    trials = len(prices)
-    values = np.empty(trials)
-    spends = np.empty(trials)
-    static = isinstance(orders, tuple)
-    for t in range(trials):
-        order = orders if static else orders[t]
-        sel, _, spent = select_within_budget(prices[t], accepts[t], order, budget)
-        values[t] = vf.evaluate(np.flatnonzero(sel))
-        spends[t] = spent
-    return values, spends
-
-
 def _candidate_orders(n, rng, n_orders):
     return [tuple(rng.permutation(n)) for _ in range(n_orders)]
 
 
-def _heuristic_orders(prices_row, instance):
-    n = instance.n
-    filled = np.where(np.isnan(prices_row), 0.0, prices_row)
-    desc_price = tuple(sorted(range(n), key=lambda i: (-filled[i], i)))
+def _heuristic_orders(prices, instance):
+    """Per-trial descending-price and ascending bang-per-buck orders.
+
+    Never-offered (NaN) prices count as 0; ties keep index order.  Each
+    order is a (trials, n) array.
+    """
+    filled = np.where(np.isnan(prices), 0.0, prices)
+    desc_price = np.argsort(-filled, axis=1, kind="stable")
     if isinstance(instance.value, AdditiveValue):
-        v = instance.value.as_array()
-        asc_bpb = tuple(sorted(range(n), key=lambda i: (
-            v[i] / filled[i] if filled[i] > 0 else math.inf, i)))
+        key = np.divide(instance.value.as_array(), filled,
+                        out=np.full(filled.shape, np.inf), where=filled > 0)
     else:
-        asc_bpb = tuple(sorted(range(n), key=lambda i: (filled[i], i)))
-    return [desc_price, asc_bpb]
+        key = filled
+    return [desc_price, np.argsort(key, axis=1, kind="stable")]
 
 
 def simulate_runs(menu: PriceMenu, instance: Instance, order_policy: str = "bang-per-buck",
-                  trials: int = DEFAULT_TRIALS, seed=None, n_orders: int = 20,
-                  chunk: int = 20_000):
+                  trials: int = DEFAULT_TRIALS, seed=None, n_orders: int = 20):
     """Realized mechanism values and spends over independent cost draws.
 
-    order_policy 'worst-of-sampled' evaluates n_orders sampled permutations
-    plus descending-price and ascending bang-per-buck heuristics on each
-    trial and keeps the minimum value, as an adversarial-order proxy.
+    Trials run in batches of TRIAL_CHUNK, one select_within_budget walk per
+    batch and order.  order_policy 'worst-of-sampled' evaluates n_orders
+    sampled permutations plus descending-price and ascending bang-per-buck
+    heuristics on each trial and keeps the minimum value (the first on
+    ties), as an adversarial-order proxy.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     if order_policy not in ORDER_POLICY_NAMES:
         raise ValueError(f"unknown order policy {order_policy!r}")
+    vf = instance.value
+    if order_policy == "bang-per-buck" and not isinstance(vf, AdditiveValue):
+        raise ValueError("bang-per-buck ordering requires additive values")
     ss = np.random.SeedSequence(seed)
     cost_rng, lot_rng, order_rng = (np.random.default_rng(c) for c in ss.spawn(3))
-    vf = instance.value
     n = instance.n
     budget = instance.budget
-
-    static_bpb_order = None
-    if order_policy == "bang-per-buck":
-        if not isinstance(vf, AdditiveValue):
-            raise ValueError("bang-per-buck ordering requires additive values")
-        if not menu.has_lotteries:
-            det = np.array([lot.price_lo for lot in menu.lotteries])
-            static_bpb_order = bang_per_buck_order(vf.as_array(), np.where(
-                menu.quantiles > 0, det, 1.0), menu.quantiles)
-    fixed_order = tuple(menu.order) if menu.order is not None else tuple(range(n))
+    active = menu.quantiles > 0
+    fixed_order = menu.order if menu.order is not None else tuple(range(n))
     sampled_orders = _candidate_orders(n, order_rng, n_orders) \
         if order_policy == "worst-of-sampled" else None
 
     values_out = np.empty(trials)
     spends_out = np.empty(trials)
-    done = 0
-    while done < trials:
-        t = min(chunk, trials - done)
+    for done in range(0, trials, TRIAL_CHUNK):
+        t = min(TRIAL_CHUNK, trials - done)
         costs = _draw_costs(instance.dists, cost_rng, t)
         prices = _realize_prices(menu, lot_rng, t)
-        accepts = np.zeros((t, n), dtype=bool)
-        mask = ~np.isnan(prices)
-        accepts[mask] = costs[mask] <= prices[mask]
+        accepts = costs <= prices  # False where the price is NaN (never offered)
 
-        active = menu.quantiles > 0
-        uniform_price = (not menu.has_lotteries and active.any()
-                         and np.unique(prices[0][active]).size == 1)
+        def walk(order):
+            selected, _, spent = select_within_budget(prices, accepts, order, budget)
+            return vf._evaluate_rows(selected), spent
 
         if order_policy == "bang-per-buck":
-            if static_bpb_order is not None:
-                if uniform_price:
-                    v, s = _equal_price_kernel(float(prices[0][active][0]), accepts,
-                                               static_bpb_order, budget, vf)
-                else:
-                    v, s = _walk_trials(prices, accepts, static_bpb_order, budget, vf)
-            else:
-                orders = [bang_per_buck_order(vf.as_array(),
-                                              np.where(active, prices[r], 1.0),
-                                              menu.quantiles) for r in range(t)]
-                v, s = _walk_trials(prices, accepts, orders, budget, vf)
+            v, s = walk(bang_per_buck_order(vf.as_array(), np.where(active, prices, 1.0),
+                                            menu.quantiles))
         elif order_policy == "fixed":
-            if uniform_price:
-                v, s = _equal_price_kernel(float(prices[0][active][0]), accepts,
-                                           fixed_order, budget, vf)
-            else:
-                v, s = _walk_trials(prices, accepts, fixed_order, budget, vf)
+            v, s = walk(fixed_order)
         elif order_policy == "uniform-random":
-            orders = [tuple(order_rng.permutation(n)) for _ in range(t)]
-            v, s = _walk_trials(prices, accepts, orders, budget, vf)
+            v, s = walk(np.array([order_rng.permutation(n) for _ in range(t)]))
         else:  # worst-of-sampled
             v = np.full(t, np.inf)
             s = np.zeros(t)
-            static_heuristics = [] if menu.has_lotteries \
-                else _heuristic_orders(prices[0], instance)
-            for order in list(sampled_orders) + static_heuristics:
-                if uniform_price:
-                    cv, cs = _equal_price_kernel(float(prices[0][active][0]), accepts,
-                                                 order, budget, vf)
-                else:
-                    cv, cs = _walk_trials(prices, accepts, order, budget, vf)
+            for order in sampled_orders + _heuristic_orders(prices, instance):
+                cv, cs = walk(order)
                 better = cv < v
                 v[better] = cv[better]
                 s[better] = cs[better]
-            if menu.has_lotteries:
-                for r in range(t):
-                    for order in _heuristic_orders(prices[r], instance):
-                        sel, _, spent = select_within_budget(prices[r], accepts[r],
-                                                             order, budget)
-                        val = vf.evaluate(np.flatnonzero(sel))
-                        if val < v[r]:
-                            v[r], s[r] = val, spent
         values_out[done:done + t] = v
         spends_out[done:done + t] = s
-        done += t
     return values_out, spends_out
 
 

@@ -119,6 +119,13 @@ class AdditiveValue(ValueFunction):
         q = _check_quantiles(q, self.n)
         return float(np.dot(self.as_array(), q)), 0.0
 
+    def _evaluate_rows(self, rows):
+        # agent by agent in index order, as a left-to-right sum
+        total = np.zeros(len(rows))
+        for v, col in zip(self.values, np.ascontiguousarray(np.transpose(rows))):
+            total += np.where(col, v, 0.0)
+        return total
+
 
 @dataclass(frozen=True)
 class SymmetricValue(ValueFunction):
@@ -146,6 +153,9 @@ class SymmetricValue(ValueFunction):
 
     def evaluate(self, subset) -> float:
         return self.g[len(set(subset))]
+
+    def _evaluate_rows(self, rows):
+        return np.asarray(self.g)[np.count_nonzero(rows, axis=1)]
 
     def size_distribution(self, q) -> np.ndarray:
         """Exact distribution of |S| under independent inclusion (DP)."""

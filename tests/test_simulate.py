@@ -3,19 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from postedpricing import (AdditiveValue, Instance, PiecewiseLinearCDF,
-                           PriceLottery, PriceMenu, SymmetricValue, Uniform,
-                           approximation_report, bounds_table, build_oblivious,
-                           correlation_gap_experiment, degenerate_lottery,
-                           ex_ante_bound, ironed_curve, market_size,
-                           menu_from_solution, monte_carlo_value,
-                           overflow_probability,
+from postedpricing import (AdditiveValue, CoverageValue, Instance, OracleValue,
+                           PiecewiseLinearCDF, PriceMenu, SymmetricValue, Uniform,
+                           approximation_report, bang_per_buck_order, bounds_table,
+                           build_oblivious, correlation_gap_experiment,
+                           degenerate_lottery, ex_ante_bound, ironed_curve,
+                           market_size, menu_from_solution, monte_carlo_value,
+                           overflow_probability, select_within_budget,
                            simulate_runs, solve_additive, solve_symmetric,
                            two_price_lottery)
 from postedpricing.simulate import (bounds_csv_lines, gap_csv_lines,
                                     report_csv_lines)
 
-from oracles import binom_tail_gt, mechanism_expectation
+from oracles import binom_tail_gt, mechanism_expectation, reference_walk
 
 U01 = Uniform(0, 1)
 
@@ -75,21 +75,72 @@ def test_simulate_runs_deterministic_given_seed():
 
 
 def test_vectorized_and_walk_paths_agree():
-    # same instance through the equal-price kernel and the per-trial walk
-    inst = _uniform_instance(6, 1.5)
-    sol = solve_additive(inst.dists, [1.0] * 6, 1.5)
-    menu_fast = menu_from_solution(sol, "fixed-sequence")
-    v_fast, s_fast = simulate_runs(menu_fast, inst, "fixed", trials=3000, seed=5)
-    # perturb one price by zero through a distinct lottery object to break
-    # the uniform-price detection while keeping the same offers
-    lots = list(menu_fast.lotteries)
-    p = lots[0].price_lo
-    lots[0] = PriceLottery(p, p + 1e-15, 1.0, lots[0].q_lo, lots[0].q_hi)
-    menu_slow = PriceMenu(lotteries=tuple(lots), quantiles=menu_fast.quantiles,
-                          ordering_policy="fixed-sequence")
-    v_slow, s_slow = simulate_runs(menu_slow, inst, "fixed", trials=3000, seed=5)
-    assert np.array_equal(v_fast, v_slow)
-    assert np.array_equal(s_fast, s_slow)
+    # the batched walk against the independent reference walk, row by row
+    rng = np.random.default_rng(21)
+    trials, n, budget = 300, 7, 1.5
+    # dyadic prices add exactly, so some rows land the spend on the budget
+    prices = rng.choice([0.25, 0.5, 0.75], size=(trials, n))
+    prices[rng.random((trials, n)) < 0.15] = np.nan  # never offered
+    accepts = rng.random((trials, n)) < 0.6
+    shared = tuple(int(i) for i in rng.permutation(n))
+    per_trial = np.array([rng.permutation(n) for _ in range(trials)])
+    for order in (shared, per_trial):
+        selected, offered, spent = select_within_budget(prices, accepts, order, budget)
+        assert selected.shape == offered.shape == (trials, n)
+        assert np.array_equal(selected, offered & accepts)
+        assert np.all(spent <= budget) and np.any(spent == budget)
+        for r in range(trials):
+            row_order = order if order is shared else order[r]
+            ref_selected, ref_spent = reference_walk(prices[r], accepts[r], row_order,
+                                                     budget)
+            assert np.flatnonzero(selected[r]).tolist() == sorted(ref_selected)
+            assert spent[r] == ref_spent
+            sel, off, one_spent = select_within_budget(prices[r], accepts[r], row_order,
+                                                       budget)
+            assert np.array_equal(sel, selected[r]) and np.array_equal(off, offered[r])
+            assert one_spent == spent[r]
+
+
+def _reference_bang_per_buck(values, prices, quantiles):
+    active = [i for i in range(len(values)) if quantiles[i] > 0]
+    inactive = [i for i in range(len(values)) if quantiles[i] <= 0]
+    return tuple(sorted(active, key=lambda i: (-values[i] / prices[i], i)) + inactive)
+
+
+def test_bang_per_buck_order_rows_match_single_rows():
+    rng = np.random.default_rng(22)
+    trials, n = 200, 8
+    values = np.array([1.0, 2.0, 0.0, 1.0, 2.0, 0.0, 3.0, 1.5])
+    prices = rng.choice([0.5, 1.0, 2.0], size=(trials, n))  # many ratio ties
+    per_agent = np.array([0.5, 0.0, 0.5, 0.5, 0.0, 0.5, 0.5, 0.5])
+    per_row = np.where(rng.random((trials, n)) < 0.2, 0.0, 0.5)
+    for quantiles in (per_agent, per_row):
+        inactive_prices = np.where(np.broadcast_to(quantiles, prices.shape) > 0,
+                                   prices, np.nan)  # never offered, never priced
+        rows = bang_per_buck_order(values, inactive_prices, quantiles)
+        assert rows.shape == (trials, n)
+        for r in range(trials):
+            q = np.broadcast_to(quantiles, prices.shape)[r]
+            single = bang_per_buck_order(values, inactive_prices[r], q)
+            assert tuple(rows[r].tolist()) == single
+            assert single == _reference_bang_per_buck(values, prices[r], q)
+
+
+@pytest.mark.parametrize("vf", [
+    AdditiveValue((0.1, 0.7, 1.3, 0.2, 2.9, 0.3, 1e-3, 5.5)),
+    SymmetricValue((0.0, 1.0, 1.7, 2.2, 2.5, 2.7, 2.8, 2.85, 2.9)),
+    CoverageValue((0.3, 1.1, 0.7, 2.0, 0.1),
+                  ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1,), (), (0, 2, 4))),
+    OracleValue(8, lambda s: math.sqrt(sum(i + 1 for i in s)))],
+    ids=["additive", "symmetric", "coverage", "oracle"])
+def test_evaluate_rows_matches_evaluate(vf):
+    rows = np.random.default_rng(23).random((300, vf.n)) < 0.5
+    got = vf._evaluate_rows(rows)
+    want = np.array([vf.evaluate(np.flatnonzero(row)) for row in rows])
+    if isinstance(vf, SymmetricValue):
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_ex_ante_bound_examples():
