@@ -19,7 +19,7 @@ from .exante import solve_ex_ante, solver_kind
 from .mechanism import market_size, menu_from_solution
 from .simulate import (Instance, approximation_report, bounds_csv_lines,
                        bounds_table, correlation_gap_experiment,
-                       gap_csv_lines, report_csv_lines)
+                       gap_csv_lines, oblivious_menu, report_csv_lines)
 from .values import AdditiveValue
 
 SOLUTION_COLUMNS = "agent,quantile,price_lo,price_hi,prob_lo,expected_spend"
@@ -32,9 +32,20 @@ def _solver_opts(cfg: ExperimentConfig) -> dict:
                 appendix_schedule=cfg.appendix_schedule)
 
 
-def solution_record(sol) -> str:
+def _instance(cfg: ExperimentConfig) -> Instance:
+    return Instance(dists=cfg.dists, value=cfg.value, budget=cfg.budget,
+                    label=f"config-n{cfg.n}")
+
+
+def _epsilon(cfg: ExperimentConfig):
+    """The [mechanism] epsilon, None for an automatic shrink."""
+    return None if cfg.epsilon == "auto" else cfg.epsilon
+
+
+def solution_record(menu) -> str:
+    """One CSV row per agent of a solution or menu (quantiles and lotteries)."""
     lines = [SOLUTION_COLUMNS]
-    for i, (q, lot) in enumerate(zip(sol.quantiles, sol.lotteries)):
+    for i, (q, lot) in enumerate(zip(menu.quantiles, menu.lotteries)):
         spend = lot.expected_spend
         lines.append(f"{i},{q:.12g},{lot.price_lo:.12g},{lot.price_hi:.12g},"
                      f"{lot.prob_lo:.12g},{spend:.12g}")
@@ -50,13 +61,20 @@ def _write(out_dir: str, name: str, text: str) -> str:
 
 
 def cmd_solve(cfg: ExperimentConfig) -> int:
-    sol = solve_ex_ante(cfg.dists, cfg.value, cfg.budget, seed=cfg.seed,
-                        **_solver_opts(cfg))
-    menu = menu_from_solution(sol)
+    """Write the menu that simulate runs: the shrunk-budget one for oblivious
+    pricing with a non-symmetric solver, else the full-budget solution."""
+    opts = dict(seed=cfg.seed, **_solver_opts(cfg))
+    if cfg.mechanism_kind == "oblivious" and _variant_for(cfg) == "submodular-oblivious":
+        menu, eps, _ = oblivious_menu(_instance(cfg), _epsilon(cfg), **opts)
+        summary = f"epsilon={eps:.12g}"
+    else:
+        sol = solve_ex_ante(cfg.dists, cfg.value, cfg.budget, **opts)
+        menu = menu_from_solution(sol)
+        summary = f"objective={sol.objective:.12g} spend={sol.expected_spend:.12g}"
     k = market_size(menu, cfg.budget).k
-    path = _write(cfg.out, "solution.csv", solution_record(sol))
-    print(f"solver={sol.solver_meta['solver']} n={cfg.n} "
-          f"objective={sol.objective:.12g} spend={sol.expected_spend:.12g} k={k:.12g}")
+    path = _write(cfg.out, "solution.csv", solution_record(menu))
+    print(f"solver={solver_kind(cfg.dists, cfg.value, cfg.solver_kind)} n={cfg.n} "
+          f"{summary} k={k:.12g}")
     print(f"wrote {path}")
     return 0
 
@@ -73,11 +91,8 @@ def _variant_for(cfg: ExperimentConfig) -> str:
 
 def cmd_simulate(cfg: ExperimentConfig, echo: bool = False) -> int:
     variant = _variant_for(cfg)
-    instance = Instance(dists=cfg.dists, value=cfg.value, budget=cfg.budget,
-                        label=f"config-n{cfg.n}")
-    eps = None if cfg.epsilon == "auto" else cfg.epsilon
-    report = approximation_report(instance, variant, trials=cfg.trials,
-                                  seed=cfg.seed, epsilon=eps,
+    report = approximation_report(_instance(cfg), variant, trials=cfg.trials,
+                                  seed=cfg.seed, epsilon=_epsilon(cfg),
                                   n_orders=cfg.n_orders, **_solver_opts(cfg))
     path = _write(cfg.out, "report.csv", "\n".join(report_csv_lines([report])) + "\n")
     print(f"variant={variant} ratio={report.ratio:.6g} "

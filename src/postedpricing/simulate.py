@@ -324,6 +324,23 @@ def bounds_table(k_values) -> list:
 REPORT_VARIANTS = ("additive-sequential", "symmetric-oblivious", "submodular-oblivious")
 
 
+def oblivious_menu(instance: Instance, epsilon: float | None = None, **solve_opts):
+    """The shrunk-budget menu the submodular-oblivious variant runs.
+
+    With epsilon None the shrink is the best one (choose_epsilon) at the
+    market size of the full-budget solve.  Returns (menu, epsilon, full
+    solve), the last None when epsilon was given; solve_opts go to every
+    solve_ex_ante call.
+    """
+    full = None
+    if epsilon is None:
+        full = solve_ex_ante(instance.dists, instance.value, instance.budget, **solve_opts)
+        epsilon = choose_epsilon(market_size(menu_from_solution(full), instance.budget).k)
+    menu = build_oblivious(instance.dists, instance.value, instance.budget, epsilon,
+                           **solve_opts)
+    return menu, epsilon, full
+
+
 def approximation_report(instance: Instance, variant: str,
                          trials: int = DEFAULT_TRIALS, seed: int = 0,
                          epsilon: float | None = None, n_orders: int = 20,
@@ -353,12 +370,7 @@ def approximation_report(instance: Instance, variant: str,
     eps_used = None
 
     if variant == "submodular-oblivious":
-        sol = None
-        if epsilon is None:
-            sol = solve_ex_ante(instance.dists, vf, budget, **opts)
-            epsilon = choose_epsilon(market_size(menu_from_solution(sol), budget).k)
-        menu = build_oblivious(instance.dists, vf, budget, epsilon, **opts)
-        eps_used = epsilon
+        menu, eps_used, sol = oblivious_menu(instance, epsilon, **opts)
     else:
         sol = solve_ex_ante(instance.dists, vf, budget, **opts)
         menu = menu_from_solution(
@@ -370,7 +382,7 @@ def approximation_report(instance: Instance, variant: str,
     if eps_used is None:
         theoretical = sequential_guarantee(k)
     else:
-        theoretical = (1.0 - 1.0 / math.e) * oblivious_guarantee(k, epsilon)
+        theoretical = (1.0 - 1.0 / math.e) * oblivious_guarantee(k, eps_used)
 
     mc = monte_carlo_value(menu, instance, order_policy=policy, trials=trials,
                            seed=seed, n_orders=n_orders)

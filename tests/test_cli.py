@@ -287,3 +287,23 @@ def test_malformed_literal_exits_2(tmp_path, distributions, value):
                          f"value = {value}\n"
                          "budget = 1\n")
     assert main(["solve", "--config", path]) == 2
+
+
+def test_solve_writes_the_oblivious_menu(tmp_path):
+    from postedpricing import build_oblivious
+
+    texts = set()
+    for eps in (0.1, 0.3):
+        out = tmp_path / f"eps{eps}"
+        path = _write_config(tmp_path, EXAMPLE1.format(out=out)
+                             .replace("kind = sequential", "kind = oblivious")
+                             .replace("order = bang-per-buck",
+                                      f"order = worst-of-sampled\nepsilon = {eps}"))
+        assert main(["solve", "--config", path]) == 0
+        text = (out / "solution.csv").read_text()
+        cfg = parse_config(path)
+        menu = build_oblivious(cfg.dists, cfg.value, cfg.budget, eps, kind="additive")
+        assert text == solution_record(menu)
+        texts.add(text)
+    assert len(texts) == 2
+
