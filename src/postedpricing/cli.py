@@ -16,7 +16,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, parse_config
 from .distributions import UndefinedVirtualCostError
 from .exante import solve_ex_ante, solver_kind
-from .mechanism import market_size, menu_from_solution
+from .mechanism import SmallMarketError, market_size, menu_from_solution
 from .simulate import (Instance, approximation_report, bounds_csv_lines,
                        bounds_table, correlation_gap_experiment,
                        gap_csv_lines, oblivious_menu, report_csv_lines)
@@ -187,6 +187,12 @@ def main(argv=None) -> int:
         return cmd_simulate(cfg, echo=True)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except SmallMarketError as exc:
+        # only an automatic shrink gets here: bounds skips markets this small
+        print(f"config error: [mechanism] epsilon = auto needs a market size above 4, "
+              f"but the full-budget solve gives k = {exc.k:.6g}; set epsilon to a "
+              f"number in (0, 1/2)", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, UndefinedVirtualCostError,
             FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -235,10 +235,19 @@ def oblivious_guarantee(k: float, eps: float) -> float:
     return (1.0 - eps) * (1.0 - math.exp(-eps * eps * (1.0 - eps) * k / 12.0))
 
 
+class SmallMarketError(ValueError):
+    """No budget shrink exists: the market size k is at most 4."""
+
+    def __init__(self, k: float):
+        super().__init__(f"no valid shrink exists for markets of size at most 4 "
+                         f"(k = {k:.6g})")
+        self.k = k
+
+
 def choose_epsilon(k: float, grid_points: int = 10_000) -> float:
     """Budget shrink maximizing the order-oblivious guarantee at market size k."""
     if k <= 4.0:
-        raise ValueError("no valid shrink exists for markets of size at most 4")
+        raise SmallMarketError(k)
     eps = np.linspace(2.0 / k, 0.5, grid_points + 2)[1:-1]
     vals = (1.0 - eps) * (1.0 - np.exp(-eps ** 2 * (1.0 - eps) * k / 12.0))
     return float(eps[int(np.argmax(vals))])

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from postedpricing import AdditiveValue, SymmetricValue, Uniform
@@ -307,3 +309,14 @@ def test_solve_writes_the_oblivious_menu(tmp_path):
         texts.add(text)
     assert len(texts) == 2
 
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_auto_epsilon_on_small_market_is_config_error(tmp_path, capsys, command):
+    golden = Path(__file__).resolve().parent / "golden" / "coverage-greedy"
+    text = (golden / "config.ini").read_text()
+    assert "budget = 5" in text and "coverage(coverage.txt)" in text
+    path = _write_config(tmp_path, text.replace("budget = 5", "budget = 4").replace(
+        "coverage(coverage.txt)", f"coverage({golden / 'coverage.txt'})"))
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "[mechanism] epsilon" in err and "k = " in err
