@@ -114,9 +114,9 @@ def bang_per_buck_order(values, prices, quantiles=None):
     """Agents sorted by value over price, descending; ties by agent index.
 
     Agents with zero acceptance probability go last, in index order (they are
-    never offered).  One row of n prices gives a tuple; a (trials, n) batch
-    of prices (with per-agent or per-row quantiles) gives a (trials, n) array
-    holding each row's order.
+    never offered, and their prices, NaN say, are not read).  One row of n
+    prices gives a tuple; a (trials, n) batch of prices (with per-agent or
+    per-row quantiles) gives a (trials, n) array holding each row's order.
     """
     values = np.asarray(values, dtype=float)
     prices = np.asarray(prices, dtype=float)
@@ -160,7 +160,7 @@ def select_within_budget(prices, accepts, order, budget: float):
         new_spent = spent + p
         np.less_equal(new_spent, budget, out=off)  # False for NaN: never offered
         np.logical_and(off, acc, out=sel)
-        np.copyto(spent, new_spent, where=sel)
+        spent = np.where(sel, new_spent, spent)
     selected = np.zeros(prices.shape, dtype=bool)
     offered = np.zeros(prices.shape, dtype=bool)
     selected[at] = pos_selected.T
@@ -201,8 +201,7 @@ def run(menu: PriceMenu, value_fn: ValueFunction, costs, budget: float,
         for i in range(n):  # realize everything upfront, then sort
             if active[i]:
                 prices[i] = menu.lotteries[i].realize(rng.random())
-        order = bang_per_buck_order(value_fn.as_array(), np.where(active, prices, 1.0),
-                                    menu.quantiles)
+        order = bang_per_buck_order(value_fn.as_array(), prices, menu.quantiles)
     else:
         if sorted(order) != list(range(n)):
             raise ValueError("order must be a permutation of all agents")

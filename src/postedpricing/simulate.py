@@ -132,10 +132,6 @@ def _realize_prices(menu, rng, trials):
     return prices
 
 
-def _candidate_orders(n, rng, n_orders):
-    return [tuple(rng.permutation(n)) for _ in range(n_orders)]
-
-
 def _heuristic_orders(prices, instance):
     """Per-trial descending-price and ascending bang-per-buck orders.
 
@@ -173,9 +169,8 @@ def simulate_runs(menu: PriceMenu, instance: Instance, order_policy: str = "bang
     cost_rng, lot_rng, order_rng = (np.random.default_rng(c) for c in ss.spawn(3))
     n = instance.n
     budget = instance.budget
-    active = menu.quantiles > 0
     fixed_order = menu.order if menu.order is not None else tuple(range(n))
-    sampled_orders = _candidate_orders(n, order_rng, n_orders) \
+    sampled_orders = [order_rng.permutation(n) for _ in range(n_orders)] \
         if order_policy == "worst-of-sampled" else None
 
     values_out = np.empty(trials)
@@ -191,8 +186,7 @@ def simulate_runs(menu: PriceMenu, instance: Instance, order_policy: str = "bang
             return vf._evaluate_rows(selected), spent
 
         if order_policy == "bang-per-buck":
-            v, s = walk(bang_per_buck_order(vf.as_array(), np.where(active, prices, 1.0),
-                                            menu.quantiles))
+            v, s = walk(bang_per_buck_order(vf.as_array(), prices, menu.quantiles))
         elif order_policy == "fixed":
             v, s = walk(fixed_order)
         elif order_policy == "uniform-random":
