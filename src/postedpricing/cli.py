@@ -15,11 +15,11 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, parse_config
 from .distributions import UndefinedVirtualCostError
-from .exante import solve_ex_ante, solver_kind
-from .mechanism import SmallMarketError, market_size, menu_from_solution
+from .exante import solver_kind
+from .mechanism import SmallMarketError, market_size, mechanism_menu
 from .simulate import (Instance, approximation_report, bounds_csv_lines,
                        bounds_table, correlation_gap_experiment,
-                       gap_csv_lines, oblivious_menu, report_csv_lines)
+                       gap_csv_lines, report_csv_lines)
 from .values import AdditiveValue
 
 SOLUTION_COLUMNS = "agent,quantile,price_lo,price_hi,prob_lo,expected_spend"
@@ -30,11 +30,6 @@ def _solver_opts(cfg: ExperimentConfig) -> dict:
     return dict(kind=cfg.solver_kind, grid_size=cfg.grid, m=cfg.m,
                 samples=cfg.marginal_samples, noisy=cfg.noisy,
                 appendix_schedule=cfg.appendix_schedule)
-
-
-def _instance(cfg: ExperimentConfig) -> Instance:
-    return Instance(dists=cfg.dists, value=cfg.value, budget=cfg.budget,
-                    label=f"config-n{cfg.n}")
 
 
 def _epsilon(cfg: ExperimentConfig):
@@ -61,16 +56,11 @@ def _write(out_dir: str, name: str, text: str) -> str:
 
 
 def cmd_solve(cfg: ExperimentConfig) -> int:
-    """Write the menu that simulate runs: the shrunk-budget one for oblivious
-    pricing with a non-symmetric solver, else the full-budget solution."""
-    opts = dict(seed=cfg.seed, **_solver_opts(cfg))
-    if cfg.mechanism_kind == "oblivious" and _variant_for(cfg) == "submodular-oblivious":
-        menu, eps, _ = oblivious_menu(_instance(cfg), _epsilon(cfg), **opts)
-        summary = f"epsilon={eps:.12g}"
-    else:
-        sol = solve_ex_ante(cfg.dists, cfg.value, cfg.budget, **opts)
-        menu = menu_from_solution(sol)
-        summary = f"objective={sol.objective:.12g} spend={sol.expected_spend:.12g}"
+    """Write the menu that simulate runs (see mechanism_menu)."""
+    menu, eps, sol = mechanism_menu(cfg.dists, cfg.value, cfg.budget, cfg.mechanism_kind,
+                                    _epsilon(cfg), seed=cfg.seed, **_solver_opts(cfg))
+    summary = (f"epsilon={eps:.12g}" if eps is not None else
+               f"objective={sol.objective:.12g} spend={sol.expected_spend:.12g}")
     k = market_size(menu, cfg.budget).k
     path = _write(cfg.out, "solution.csv", solution_record(menu))
     print(f"solver={solver_kind(cfg.dists, cfg.value, cfg.solver_kind)} n={cfg.n} "
@@ -91,7 +81,9 @@ def _variant_for(cfg: ExperimentConfig) -> str:
 
 def cmd_simulate(cfg: ExperimentConfig, echo: bool = False) -> int:
     variant = _variant_for(cfg)
-    report = approximation_report(_instance(cfg), variant, trials=cfg.trials,
+    instance = Instance(dists=cfg.dists, value=cfg.value, budget=cfg.budget,
+                        label=f"config-n{cfg.n}")
+    report = approximation_report(instance, variant, trials=cfg.trials,
                                   seed=cfg.seed, epsilon=_epsilon(cfg),
                                   n_orders=cfg.n_orders, **_solver_opts(cfg))
     path = _write(cfg.out, "report.csv", "\n".join(report_csv_lines([report])) + "\n")
@@ -173,6 +165,8 @@ def main(argv=None) -> int:
             return cmd_gap(args.k, args.n_factor, args.out)
         cfg = parse_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed must be non-negative")
             cfg.seed = args.seed
         if args.out is not None:
             cfg.out = args.out

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .distributions import (PiecewiseLinearCDF, TruncatedExponential, Uniform,
                             empirical_from_sample)
 from .exante import solver_kind
-from .simulate import MECHANISM_ORDERS
+from .mechanism import MECHANISM_ORDERS
 from .values import AdditiveValue, CoverageValue, SymmetricValue
 
 
@@ -292,6 +292,14 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError("trials must be positive")
     if cfg.grid < 2:
         raise ConfigError("grid must be at least 2")
+    if cfg.m is not None and cfg.m < cfg.n:
+        raise ConfigError(f"[solver] m = {cfg.m} is below the agent count n = {cfg.n}")
+    if cfg.marginal_samples < 1:
+        raise ConfigError("[solver] marginal_samples must be positive")
+    if cfg.n_orders < 0:
+        raise ConfigError("[mechanism] n_orders must be non-negative")
+    if cfg.seed < 0:
+        raise ConfigError("[harness] seed must be non-negative")
     return cfg
 
 

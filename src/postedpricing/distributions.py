@@ -22,7 +22,6 @@ import numpy as np
 
 DEFAULT_GRID = 10_001   # uniform quantile grid, step 1e-4
 CONTACT_TOL = 1e-9      # hull-vs-curve contact detection
-SOLVER_TOL = 1e-6       # equality tolerance for solver-facing checks
 
 
 class UndefinedVirtualCostError(ValueError):
@@ -365,7 +364,9 @@ def iron(curve: CostCurve) -> IronedCurve:
                        intervals=tuple(intervals), dist=curve.dist)
 
 
-@lru_cache(maxsize=None)
+# An entry holds four arrays of grid_size floats (320 kB at the default grid);
+# 128 entries (40 MB) bound the cache yet keep a market of <= 128 priors warm.
+@lru_cache(maxsize=128)
 def ironed_curve(dist: CostDistribution, grid_size: int = DEFAULT_GRID) -> IronedCurve:
     """Cached build_cost_curve + iron; distributions hash by value."""
     return iron(build_cost_curve(dist, grid_size))

@@ -3,7 +3,8 @@
 A menu offers every agent a (possibly degenerate) price lottery; agents are
 processed in some order, each offered her realized price while it fits the
 remaining budget, and paid that price on acceptance.  The realized spend can
-never exceed the budget.
+never exceed the budget.  A menu names the order it runs in, and
+mechanism_menu builds the menu each mechanism kind runs.
 
 run() is pure given (inputs, seed); menus are immutable, so many runs may
 execute concurrently with independent seeds.
@@ -18,30 +19,34 @@ import numpy as np
 
 from .distributions import (DEFAULT_GRID, PriceLottery, ironed_curve,
                             two_price_lottery)
-from .exante import ExAnteSolution, solve_ex_ante
+from .exante import ExAnteSolution, solve_ex_ante, solver_kind
 from .values import AdditiveValue, ValueFunction
 
-ORDER_POLICIES = ("fixed-sequence", "bang-per-buck", "external")
+# by realized value per price, by index, one permutation per trial, or the
+# worst of sampled and heuristic orders per trial (an adversarial-order proxy)
+ORDER_POLICIES = ("bang-per-buck", "fixed", "uniform-random", "worst-of-sampled")
+# the order policy each mechanism kind runs in
+MECHANISM_ORDERS = {"sequential": "bang-per-buck", "oblivious": "worst-of-sampled"}
 
 
 @dataclass(frozen=True, eq=False)
 class PriceMenu:
-    """Per-agent price lotteries plus an ordering policy.
+    """Per-agent price lotteries plus the order policy they run in.
 
     quantiles[i] is the overall acceptance probability of agent i's lottery;
-    agents with quantile 0 are never offered.  epsilon records the budget
-    shrink used when the menu was built for order-oblivious execution.
+    agents with quantile 0 are never offered.  ordering_policy names an
+    ORDER_POLICIES entry, or "external" when callers always name the order.
+    epsilon records the budget shrink used for order-oblivious execution.
     """
 
     lotteries: tuple
     quantiles: np.ndarray
     ordering_policy: str = "external"
-    order: tuple | None = None
     epsilon: float | None = None
     market_warning: bool = False
 
     def __post_init__(self):
-        if self.ordering_policy not in ORDER_POLICIES:
+        if self.ordering_policy not in ORDER_POLICIES + ("external",):
             raise ValueError(f"unknown ordering policy {self.ordering_policy!r}")
         q = np.asarray(self.quantiles, dtype=float)
         if len(self.lotteries) != len(q):
@@ -51,8 +56,6 @@ class PriceMenu:
                 raise ValueError("prices must be positive wherever the quantile is positive")
         q.flags.writeable = False
         object.__setattr__(self, "quantiles", q)
-        if self.ordering_policy == "fixed-sequence" and self.order is None:
-            object.__setattr__(self, "order", tuple(range(len(q))))
 
     @property
     def n(self) -> int:
@@ -99,11 +102,9 @@ def market_size(menu: PriceMenu, budget: float) -> MarketSize:
 
 
 def menu_from_solution(sol: ExAnteSolution, ordering_policy: str = "external",
-                       order=None, epsilon: float | None = None) -> PriceMenu:
+                       epsilon: float | None = None) -> PriceMenu:
     return PriceMenu(lotteries=sol.lotteries, quantiles=np.array(sol.quantiles),
-                     ordering_policy=ordering_policy,
-                     order=None if order is None else tuple(order),
-                     epsilon=epsilon)
+                     ordering_policy=ordering_policy, epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +175,11 @@ def run(menu: PriceMenu, value_fn: ValueFunction, costs, budget: float,
         order=None, rng=None) -> RunOutcome:
     """Execute the posted pricing on one cost draw.
 
-    Lotteries are realized with the supplied RNG: at arrival time for fixed
-    and external orders, and upfront when the bang-per-buck policy needs the
-    realized prices to sort by.  Zero-quantile agents are skipped entirely.
+    Agents arrive in the given order, else in the menu's own: index order for
+    a "fixed" menu, realized bang-per-buck order for a "bang-per-buck" one;
+    other menus need an order.  Lotteries are realized with the supplied RNG:
+    at arrival time, or upfront when bang-per-buck order needs the realized
+    prices to sort by.  Zero-quantile agents are skipped entirely.
     """
     costs = np.asarray(costs, dtype=float)
     n = menu.n
@@ -187,15 +190,15 @@ def run(menu: PriceMenu, value_fn: ValueFunction, costs, budget: float,
 
     active = menu.quantiles > 0
     prices = np.full(n, np.nan)
-    policy = menu.ordering_policy
     if order is not None:
         order = tuple(order)
-    elif policy == "fixed-sequence":
-        order = menu.order
-    elif policy == "external":
-        raise ValueError("externally ordered menus need an explicit order")
+    elif menu.ordering_policy == "fixed":
+        order = tuple(range(n))
+    elif menu.ordering_policy != "bang-per-buck":
+        raise ValueError(f"a {menu.ordering_policy!r} menu needs an explicit order "
+                         f"here; simulate_runs runs every order policy")
 
-    if policy == "bang-per-buck" and order is None:
+    if order is None:
         if not isinstance(value_fn, AdditiveValue):
             raise ValueError("bang-per-buck ordering requires additive values")
         for i in range(n):  # realize everything upfront, then sort
@@ -257,18 +260,41 @@ def build_oblivious(dists, vf: ValueFunction, budget: float, epsilon: float,
     """Solve the ex ante problem at budget (1 - epsilon) B for any-order use.
 
     solve_opts (kind, grid_size, greedy options) go to solve_ex_ante.  The
-    returned menu carries the shrink and a warning flag when the realized
-    market size is too small for the guarantee to apply (the mechanism still
-    runs).
+    returned menu runs in worst-of-sampled order and carries the shrink and a
+    warning flag when the realized market size is too small for the guarantee
+    to apply (the mechanism still runs).
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 1/2)")
     sol = solve_ex_ante(dists, vf, (1.0 - epsilon) * budget, **solve_opts)
-    menu = menu_from_solution(sol, ordering_policy="external", epsilon=epsilon)
+    menu = menu_from_solution(sol, ordering_policy="worst-of-sampled", epsilon=epsilon)
     k = market_size(menu, budget).k
     if k <= 2.0 / epsilon:
         menu = replace(menu, market_warning=True)
     return menu
+
+
+def mechanism_menu(dists, vf: ValueFunction, budget: float, mechanism: str,
+                   epsilon: float | None = None, **solve_opts):
+    """The menu a mechanism kind runs, labelled with MECHANISM_ORDERS[mechanism].
+
+    Oblivious pricing under any solver but the symmetric one runs
+    build_oblivious's (1 - epsilon) B menu, with epsilon None the best shrink
+    at the market size of the full-budget solve; every other case runs the
+    full-budget solve.  Returns (menu, epsilon or None, full-budget solve or
+    None); solve_opts go to every solve_ex_ante call.
+    """
+    if mechanism not in MECHANISM_ORDERS:
+        raise ValueError(f"unknown mechanism kind {mechanism!r}")
+    solve_opts["kind"] = solver_kind(dists, vf, solve_opts.get("kind", "auto"))
+    if mechanism == "sequential" or solve_opts["kind"] == "symmetric":
+        sol = solve_ex_ante(dists, vf, budget, **solve_opts)
+        return menu_from_solution(sol, MECHANISM_ORDERS[mechanism]), None, sol
+    full = None
+    if epsilon is None:
+        full = solve_ex_ante(dists, vf, budget, **solve_opts)
+        epsilon = choose_epsilon(market_size(menu_from_solution(full), budget).k)
+    return build_oblivious(dists, vf, budget, epsilon, **solve_opts), epsilon, full
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +392,7 @@ def reduce_lottery_pairs(menu: PriceMenu, dists, values,
         randomized = [i for i in randomized
                       if q[i] > 0 and not lots[i].degenerate]
 
-    return PriceMenu(lotteries=tuple(lots), quantiles=q,
-                     ordering_policy=menu.ordering_policy, order=menu.order,
-                     epsilon=menu.epsilon, market_warning=menu.market_warning)
+    return replace(menu, lotteries=tuple(lots), quantiles=q)
 
 
 def derandomize_additive(menu: PriceMenu, dists, values, budget: float,
@@ -411,6 +435,4 @@ def derandomize_additive(menu: PriceMenu, dists, values, budget: float,
         lots[i] = PriceLottery(price_lo=best_price, price_hi=best_price,
                                prob_lo=1.0, q_lo=best_q, q_hi=best_q)
 
-    return PriceMenu(lotteries=tuple(lots), quantiles=q,
-                     ordering_policy=reduced.ordering_policy, order=reduced.order,
-                     epsilon=reduced.epsilon, market_warning=reduced.market_warning)
+    return replace(reduced, lotteries=tuple(lots), quantiles=q)

@@ -2,7 +2,9 @@
 
 Trials are independent; cost draws, lottery realizations, and order sampling
 use streams derived from one master seed, so results are reproducible and
-trials could run concurrently.  Every order policy runs the one budgeted walk,
+trials could run concurrently.  A menu runs in the order policy it is
+labelled with unless the caller names another.  Every policy runs the one
+budgeted walk,
 mechanism.select_within_budget, on batches of trials at a time: the walk
 steps through the order positions and is vectorised across the trials.
 """
@@ -16,10 +18,10 @@ import numpy as np
 
 from .distributions import DEFAULT_GRID
 from .exante import ExAnteSolution, solve_ex_ante, solver_kind
-from .mechanism import (PriceMenu, bang_per_buck_order, build_oblivious,
-                        choose_epsilon, market_size, menu_from_solution,
-                        oblivious_guarantee, select_within_budget,
-                        sequential_guarantee)
+from .mechanism import (ORDER_POLICIES, PriceMenu, bang_per_buck_order,
+                        choose_epsilon, market_size,
+                        mechanism_menu, oblivious_guarantee,
+                        select_within_budget, sequential_guarantee)
 from .values import (AdditiveValue, SymmetricValue, ValueFunction,
                      concave_closure_symmetric)
 
@@ -27,9 +29,6 @@ DEFAULT_TRIALS = 100_000
 # Trials per batch.  It fixes which random draws each trial gets, so it is
 # part of the determinism promise, not a tuning knob.
 TRIAL_CHUNK = 20_000
-ORDER_POLICY_NAMES = ("bang-per-buck", "fixed", "uniform-random", "worst-of-sampled")
-# the order policy approximation_report runs each mechanism kind under
-MECHANISM_ORDERS = {"sequential": "bang-per-buck", "oblivious": "worst-of-sampled"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,8 +113,7 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 
 def _draw_costs(dists, rng, trials):
-    cols = [np.asarray(d.inverse_cdf(rng.random(trials))) for d in dists]
-    return np.column_stack(cols)
+    return np.column_stack([d.sample(rng, trials) for d in dists])
 
 
 def _realize_prices(menu, rng, trials):
@@ -148,20 +146,22 @@ def _heuristic_orders(prices, instance):
     return [desc_price, np.argsort(key, axis=1, kind="stable")]
 
 
-def simulate_runs(menu: PriceMenu, instance: Instance, order_policy: str = "bang-per-buck",
+def simulate_runs(menu: PriceMenu, instance: Instance, order_policy: str | None = None,
                   trials: int = DEFAULT_TRIALS, seed=None, n_orders: int = 20):
     """Realized mechanism values and spends over independent cost draws.
 
-    Trials run in batches of TRIAL_CHUNK, one select_within_budget walk per
-    batch and order.  order_policy 'worst-of-sampled' evaluates n_orders
-    sampled permutations plus descending-price and ascending bang-per-buck
-    heuristics on each trial and keeps the minimum value (the first on
-    ties), as an adversarial-order proxy.
+    order_policy None runs the menu's own.  Trials run in batches of
+    TRIAL_CHUNK, one select_within_budget walk per batch and order.
+    'worst-of-sampled' evaluates n_orders sampled permutations plus
+    descending-price and ascending bang-per-buck heuristics on each trial and
+    keeps the minimum value (the first on ties), as an adversarial-order proxy.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if order_policy not in ORDER_POLICY_NAMES:
-        raise ValueError(f"unknown order policy {order_policy!r}")
+    order_policy = order_policy or menu.ordering_policy
+    if order_policy not in ORDER_POLICIES:  # an external menu needs one named
+        raise ValueError(f"cannot run in order {order_policy!r}; expected one of "
+                         f"{', '.join(ORDER_POLICIES)}")
     vf = instance.value
     if order_policy == "bang-per-buck" and not isinstance(vf, AdditiveValue):
         raise ValueError("bang-per-buck ordering requires additive values")
@@ -169,7 +169,6 @@ def simulate_runs(menu: PriceMenu, instance: Instance, order_policy: str = "bang
     cost_rng, lot_rng, order_rng = (np.random.default_rng(c) for c in ss.spawn(3))
     n = instance.n
     budget = instance.budget
-    fixed_order = menu.order if menu.order is not None else tuple(range(n))
     sampled_orders = [order_rng.permutation(n) for _ in range(n_orders)] \
         if order_policy == "worst-of-sampled" else None
 
@@ -188,7 +187,7 @@ def simulate_runs(menu: PriceMenu, instance: Instance, order_policy: str = "bang
         if order_policy == "bang-per-buck":
             v, s = walk(bang_per_buck_order(vf.as_array(), prices, menu.quantiles))
         elif order_policy == "fixed":
-            v, s = walk(fixed_order)
+            v, s = walk(range(n))
         elif order_policy == "uniform-random":
             v, s = walk(np.array([order_rng.permutation(n) for _ in range(t)]))
         else:  # worst-of-sampled
@@ -205,10 +204,10 @@ def simulate_runs(menu: PriceMenu, instance: Instance, order_policy: str = "bang
 
 
 def monte_carlo_value(menu: PriceMenu, instance: Instance,
-                      order_policy: str = "bang-per-buck",
+                      order_policy: str | None = None,
                       trials: int = DEFAULT_TRIALS, seed=None,
                       n_orders: int = 20) -> MCResult:
-    """Mean realized mechanism value with its standard error."""
+    """Mean realized mechanism value with its standard error (see simulate_runs)."""
     values, _ = simulate_runs(menu, instance, order_policy, trials, seed, n_orders)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("nan")
@@ -318,23 +317,6 @@ def bounds_table(k_values) -> list:
 REPORT_VARIANTS = ("additive-sequential", "symmetric-oblivious", "submodular-oblivious")
 
 
-def oblivious_menu(instance: Instance, epsilon: float | None = None, **solve_opts):
-    """The shrunk-budget menu the submodular-oblivious variant runs.
-
-    With epsilon None the shrink is the best one (choose_epsilon) at the
-    market size of the full-budget solve.  Returns (menu, epsilon, full
-    solve), the last None when epsilon was given; solve_opts go to every
-    solve_ex_ante call.
-    """
-    full = None
-    if epsilon is None:
-        full = solve_ex_ante(instance.dists, instance.value, instance.budget, **solve_opts)
-        epsilon = choose_epsilon(market_size(menu_from_solution(full), instance.budget).k)
-    menu = build_oblivious(instance.dists, instance.value, instance.budget, epsilon,
-                           **solve_opts)
-    return menu, epsilon, full
-
-
 def approximation_report(instance: Instance, variant: str,
                          trials: int = DEFAULT_TRIALS, seed: int = 0,
                          epsilon: float | None = None, n_orders: int = 20,
@@ -343,10 +325,9 @@ def approximation_report(instance: Instance, variant: str,
                          kind: str = "auto", **greedy_opts) -> ExperimentReport:
     """Run one mechanism variant and compare it to its ex ante benchmark.
 
-    Every solve goes through solve_ex_ante with kind, grid_size, seed and
-    greedy_opts.  symmetric-oblivious needs the symmetric solver.  With
-    submodular-oblivious and no epsilon, the shrink is sized from the
-    full-budget solve, which then also gives the benchmark.
+    The menu comes from mechanism_menu, with kind, grid_size, seed and
+    greedy_opts.  With submodular-oblivious and no epsilon, the shrink is
+    sized from the full-budget solve, which then also gives the benchmark.
     """
     if variant not in REPORT_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -355,20 +336,14 @@ def approximation_report(instance: Instance, variant: str,
     kind = solver_kind(instance.dists, vf, kind)
     if variant == "additive-sequential" and not isinstance(vf, AdditiveValue):
         raise ValueError("additive-sequential requires an additive objective")
-    if variant == "symmetric-oblivious" and kind != "symmetric":
-        raise ValueError("symmetric-oblivious requires a symmetric objective "
-                         "and a common cost distribution")
+    oblivious = variant != "additive-sequential"
+    if oblivious and (variant == "symmetric-oblivious") != (kind == "symmetric"):
+        raise ValueError("symmetric-oblivious needs the symmetric solver (symmetric "
+                         "values, one cost distribution); submodular-oblivious any other")
     opts = dict(kind=kind, grid_size=grid_size, seed=seed, **greedy_opts)
-    sequential = variant == "additive-sequential"
-    policy = MECHANISM_ORDERS["sequential" if sequential else "oblivious"]
-    eps_used = None
-
-    if variant == "submodular-oblivious":
-        menu, eps_used, sol = oblivious_menu(instance, epsilon, **opts)
-    else:
-        sol = solve_ex_ante(instance.dists, vf, budget, **opts)
-        menu = menu_from_solution(
-            sol, ordering_policy="bang-per-buck" if sequential else "external")
+    menu, eps_used, sol = mechanism_menu(instance.dists, vf, budget,
+                                         "oblivious" if oblivious else "sequential",
+                                         epsilon, **opts)
 
     bound_info = ex_ante_bound(instance, solution=sol, closed_form=closed_form_bound,
                                **opts)
@@ -378,8 +353,8 @@ def approximation_report(instance: Instance, variant: str,
     else:
         theoretical = (1.0 - 1.0 / math.e) * oblivious_guarantee(k, eps_used)
 
-    mc = monte_carlo_value(menu, instance, order_policy=policy, trials=trials,
-                           seed=seed, n_orders=n_orders)
+    mc = monte_carlo_value(menu, instance, trials=trials, seed=seed,
+                           n_orders=n_orders)
     denom = bound_info.value
     ratio = mc.mean / denom if denom > 0 else (1.0 if mc.mean == 0 else math.inf)
     return ExperimentReport(label=instance.label, variant=variant, trials=trials,

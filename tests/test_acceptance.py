@@ -306,7 +306,7 @@ def test_c10_ex_post_feasibility_fuzz():
             policy = "uniform-random"
         else:
             sol = pp.solve_ex_ante(dists, vf, budget, seed=config, samples=500)
-            menu = pp.menu_from_solution(sol, "fixed-sequence")
+            menu = pp.menu_from_solution(sol, "fixed")
             policy = "uniform-random"
         inst = pp.Instance(dists=dists, value=vf, budget=budget)
         trials = 4000

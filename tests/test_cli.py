@@ -291,6 +291,22 @@ def test_malformed_literal_exits_2(tmp_path, distributions, value):
     assert main(["solve", "--config", path]) == 2
 
 
+@pytest.mark.parametrize("edits,args,key", [
+    ({"kind = additive": "kind = additive\nm = 2"}, (), "[solver] m"),
+    ({"kind = additive": "kind = additive\nmarginal_samples = 0"}, (),
+     "[solver] marginal_samples"),
+    ({"seed = 7": "seed = -1"}, (), "[harness] seed"),
+    ({"order = bang-per-buck": "order = bang-per-buck\nn_orders = -3"}, (),
+     "[mechanism] n_orders"),
+    ({}, ("--seed", "-1"), "--seed")])
+def test_out_of_range_option_exits_2(tmp_path, capsys, edits, args, key):
+    text = EXAMPLE1.format(out=tmp_path)
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    assert main(["simulate", "--config", _write_config(tmp_path, text), *args]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_solve_writes_the_oblivious_menu(tmp_path):
     from postedpricing import build_oblivious
 

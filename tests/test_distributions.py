@@ -217,6 +217,14 @@ def test_build_cost_curve_rejects_tiny_grid():
         build_cost_curve(Uniform(0, 1), 1)
 
 
+def test_ironed_curve_cache_is_bounded():
+    maxsize = ironed_curve.cache_info().maxsize
+    assert maxsize is not None
+    for i in range(maxsize + 8):
+        ironed_curve(Uniform(0.0, 1.0 + i / 1024), 11)
+    assert ironed_curve.cache_info().currsize <= maxsize
+
+
 def test_piecewise_validation():
     with pytest.raises(ValueError):
         PiecewiseLinearCDF(((0.0, 0.1), (1.0, 1.0)))  # F(lo) != 0

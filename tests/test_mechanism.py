@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from postedpricing import (AdditiveValue, PiecewiseLinearCDF, PriceLottery,
-                           PriceMenu, Uniform,
+                           PriceMenu, SymmetricValue, Uniform,
                            bang_per_buck_order, build_oblivious,
                            choose_epsilon, degenerate_lottery,
                            derandomize_additive, fractional_knapsack_value,
                            integral_knapsack_value, ironed_curve, market_size,
+                           mechanism_menu, menu_from_solution,
                            oblivious_guarantee,
                            reduce_lottery_pairs, run, select_within_budget,
                            sequential_guarantee, solve_additive,
@@ -19,7 +20,7 @@ from oracles import lp_vertex_fractional, mechanism_expectation
 U01 = Uniform(0, 1)
 
 
-def _menu_from_prices(prices, quantiles=None, policy="fixed-sequence"):
+def _menu_from_prices(prices, quantiles=None, policy="fixed"):
     quantiles = [1.0] * len(prices) if quantiles is None else quantiles
     lots = tuple(PriceLottery(p, p, 1.0, q, q) for p, q in zip(prices, quantiles))
     return PriceMenu(lotteries=lots, quantiles=np.asarray(quantiles, float),
@@ -66,7 +67,7 @@ def test_run_lottery_distribution_matches_enumeration():
     lottery = two_price_lottery(ic, d, 0.5 * (a + b))
     lots = (degenerate_lottery(U01, 0.6), lottery, degenerate_lottery(U01, 0.4))
     quant = np.array([0.6, lottery.quantile, 0.4])
-    menu = PriceMenu(lotteries=lots, quantiles=quant, ordering_policy="fixed-sequence")
+    menu = PriceMenu(lotteries=lots, quantiles=quant, ordering_policy="fixed")
     vf = AdditiveValue((1.0, 2.0, 1.5))
     budget = 1.0
     order = (0, 1, 2)
@@ -88,7 +89,7 @@ def test_run_budget_never_exceeded_with_lotteries():
     a, b = ic.intervals[0]
     lot = two_price_lottery(ic, d, 0.5 * (a + b))
     menu = PriceMenu(lotteries=(lot,) * 3, quantiles=np.full(3, lot.quantile),
-                     ordering_policy="fixed-sequence")
+                     ordering_policy="fixed")
     vf = AdditiveValue((1.0, 1.0, 1.0))
     rng = np.random.default_rng(0)
     for _ in range(500):
@@ -326,6 +327,40 @@ def test_run_requires_order_for_external_menus():
     menu = _menu_from_prices([0.5], policy="external")
     with pytest.raises(ValueError):
         run(menu, AdditiveValue((1.0,)), [0.1], 1.0, rng=0)
+
+
+def test_run_fixed_menu_walks_index_order():
+    menu = _menu_from_prices([0.5, 0.25], policy="fixed")
+    vf = AdditiveValue((1.0, 1.0))
+    # agent 0 comes first and spends the budget; bang-per-buck would pick 1
+    out = run(menu, vf, [0.0, 0.0], 0.5, rng=0)
+    assert out.selected == (0,) and out.offers_made == (0,)
+
+
+@pytest.mark.parametrize("policy", ["uniform-random", "worst-of-sampled"])
+def test_run_needs_an_order_for_sampled_policies(policy):
+    menu = _menu_from_prices([0.5], policy=policy)
+    with pytest.raises(ValueError, match="simulate_runs"):
+        run(menu, AdditiveValue((1.0,)), [0.1], 1.0, rng=0)
+    assert run(menu, AdditiveValue((1.0,)), [0.1], 1.0, order=(0,), rng=0).selected == (0,)
+
+
+def test_mechanism_menu_labels_the_mechanism_order():
+    additive = AdditiveValue((1.0,) * 16)
+    menu, eps, sol = mechanism_menu([U01] * 16, additive, 4.0, "sequential")
+    assert menu.ordering_policy == "bang-per-buck" and eps is None
+    assert sol.quantiles == pytest.approx(menu.quantiles)
+    menu, eps, sol = mechanism_menu([U01] * 16, additive, 4.0, "oblivious", epsilon=0.2)
+    assert menu.ordering_policy == "worst-of-sampled"
+    assert eps == menu.epsilon == 0.2 and sol is None
+    menu, eps, sol = mechanism_menu([U01] * 16, additive, 4.0, "oblivious")
+    assert eps == choose_epsilon(market_size(menu_from_solution(sol), 4.0).k)
+    symmetric = SymmetricValue(tuple(float(min(s, 6)) for s in range(9)))
+    menu, eps, sol = mechanism_menu([U01] * 8, symmetric, 2.0, "oblivious", epsilon=0.2)
+    assert menu.ordering_policy == "worst-of-sampled" and eps is None
+    assert menu.epsilon is None and sol is not None
+    with pytest.raises(ValueError):
+        mechanism_menu([U01] * 16, additive, 4.0, "exante")
 
 
 def test_guarantee_formulas():

@@ -27,7 +27,7 @@ def _uniform_instance(n, budget):
 
 def test_monte_carlo_zero_quantiles():
     menu = PriceMenu(lotteries=(degenerate_lottery(U01, 0.0),) * 2,
-                     quantiles=np.zeros(2), ordering_policy="fixed-sequence")
+                     quantiles=np.zeros(2), ordering_policy="fixed")
     inst = _uniform_instance(2, 1.0)
     mc = monte_carlo_value(menu, inst, order_policy="fixed", trials=500, seed=0)
     assert mc.mean == 0.0 and mc.stderr == 0.0
@@ -35,7 +35,7 @@ def test_monte_carlo_zero_quantiles():
 
 def test_monte_carlo_single_agent_bernoulli():
     menu = PriceMenu(lotteries=(degenerate_lottery(U01, 0.5),),
-                     quantiles=np.array([0.5]), ordering_policy="fixed-sequence")
+                     quantiles=np.array([0.5]), ordering_policy="fixed")
     inst = _uniform_instance(1, 1.0)
     mc = monte_carlo_value(menu, inst, order_policy="fixed", trials=40_000, seed=1)
     assert abs(mc.mean - 0.5) <= 3 * mc.stderr
@@ -48,7 +48,7 @@ def test_monte_carlo_matches_enumeration_small_instance():
     lots = (degenerate_lottery(U01, 0.7), lot, degenerate_lottery(U01, 0.3))
     quant = np.array([0.7, lot.quantile, 0.3])
     menu = PriceMenu(lotteries=lots, quantiles=quant,
-                     ordering_policy="fixed-sequence")
+                     ordering_policy="fixed")
     vf = AdditiveValue((1.0, 0.8, 1.2))
     inst = Instance(dists=(U01, d, U01), value=vf, budget=1.1)
     exact = mechanism_expectation(lots, quant > 0, vf, (0, 1, 2), 1.1)
@@ -58,7 +58,7 @@ def test_monte_carlo_matches_enumeration_small_instance():
 
 def test_simulate_runs_trials_validated():
     menu = PriceMenu(lotteries=(degenerate_lottery(U01, 0.5),),
-                     quantiles=np.array([0.5]), ordering_policy="fixed-sequence")
+                     quantiles=np.array([0.5]), ordering_policy="fixed")
     with pytest.raises(ValueError):
         simulate_runs(menu, _uniform_instance(1, 1.0), "fixed", trials=0)
     with pytest.raises(ValueError):
@@ -72,6 +72,29 @@ def test_simulate_runs_deterministic_given_seed():
     a1, s1 = simulate_runs(menu, inst, "bang-per-buck", trials=2000, seed=7)
     a2, s2 = simulate_runs(menu, inst, "bang-per-buck", trials=2000, seed=7)
     assert np.array_equal(a1, a2) and np.array_equal(s1, s2)
+
+
+def test_monte_carlo_runs_the_menu_policy():
+    # index order offers the three value-1 agents first; bang-per-buck order
+    # offers the best value per price first
+    inst = Instance(dists=(U01,) * 3 + (Uniform(0, 3),) * 3,
+                    value=AdditiveValue((1.0,) * 3 + (3.0,) * 3), budget=2.0)
+    sol = solve_additive(inst.dists, inst.value.as_array(), inst.budget)
+    menu = menu_from_solution(sol, "fixed")
+
+    def mean(policy):
+        return monte_carlo_value(menu, inst, order_policy=policy, trials=20_000,
+                                 seed=1).mean
+
+    assert mean(None) == mean("fixed")
+    assert mean(None) != mean("bang-per-buck")
+
+
+def test_simulate_runs_external_menu_needs_a_policy():
+    menu = PriceMenu(lotteries=(degenerate_lottery(U01, 0.5),),
+                     quantiles=np.array([0.5]))
+    with pytest.raises(ValueError, match="external"):
+        simulate_runs(menu, _uniform_instance(1, 1.0), trials=10)
 
 
 def test_vectorized_and_walk_paths_agree():
@@ -260,6 +283,13 @@ def test_report_submodular_oblivious_runs():
     assert not rep.bound_exact
     assert rep.epsilon == 0.25
     assert 0.0 <= rep.ratio <= 1.0
+
+
+def test_report_submodular_oblivious_rejects_the_symmetric_solver():
+    inst = Instance(dists=(U01,) * 8, value=SymmetricValue((0.0,) + (1.0,) * 8),
+                    budget=2.0)
+    with pytest.raises(ValueError, match="symmetric-oblivious"):
+        approximation_report(inst, "submodular-oblivious", trials=10, seed=0)
 
 
 def test_report_variant_pairing_enforced():
