@@ -20,7 +20,6 @@ from .mechanism import SmallMarketError, market_size, mechanism_menu
 from .simulate import (Instance, approximation_report, bounds_csv_lines,
                        bounds_table, correlation_gap_experiment,
                        gap_csv_lines, report_csv_lines)
-from .values import AdditiveValue
 
 SOLUTION_COLUMNS = "agent,quantile,price_lo,price_hi,prob_lo,expected_spend"
 
@@ -69,25 +68,14 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _variant_for(cfg: ExperimentConfig) -> str:
-    if cfg.mechanism_kind == "sequential":
-        if not isinstance(cfg.value, AdditiveValue):
-            raise ConfigError("sequential mechanism requires an additive value function")
-        return "additive-sequential"
-    if solver_kind(cfg.dists, cfg.value, cfg.solver_kind) == "symmetric":
-        return "symmetric-oblivious"
-    return "submodular-oblivious"
-
-
 def cmd_simulate(cfg: ExperimentConfig, echo: bool = False) -> int:
-    variant = _variant_for(cfg)
     instance = Instance(dists=cfg.dists, value=cfg.value, budget=cfg.budget,
                         label=f"config-n{cfg.n}")
-    report = approximation_report(instance, variant, trials=cfg.trials,
+    report = approximation_report(instance, cfg.mechanism_kind, trials=cfg.trials,
                                   seed=cfg.seed, epsilon=_epsilon(cfg),
                                   n_orders=cfg.n_orders, **_solver_opts(cfg))
     path = _write(cfg.out, "report.csv", "\n".join(report_csv_lines([report])) + "\n")
-    print(f"variant={variant} ratio={report.ratio:.6g} "
+    print(f"variant={report.variant} ratio={report.ratio:.6g} "
           f"bound={report.theoretical_bound:.6g} k={report.k:.6g}")
     if echo:
         for line in report_csv_lines([report]):

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 from .distributions import (PiecewiseLinearCDF, TruncatedExponential, Uniform,
                             empirical_from_sample)
-from .exante import solver_kind
-from .mechanism import MECHANISM_ORDERS
+from .mechanism import MECHANISM_ORDERS, mechanism_variant
 from .values import AdditiveValue, CoverageValue, SymmetricValue
 
 
@@ -250,8 +249,9 @@ def parse_config(path: str) -> ExperimentConfig:
 
     cfg = ExperimentConfig(dists=dists, value=value, budget=budget)
     cfg.solver_kind = _get(cp, "solver", "kind", cfg.solver_kind).strip().lower()
+    cfg.mechanism_kind = _get(cp, "mechanism", "kind", cfg.mechanism_kind).strip().lower()
     try:
-        solver_kind(dists, value, cfg.solver_kind)
+        mechanism_variant(dists, value, cfg.mechanism_kind, cfg.solver_kind)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     try:
@@ -268,10 +268,6 @@ def parse_config(path: str) -> ExperimentConfig:
     cfg.noisy = _bool(_get(cp, "solver", "noisy", "false"), "noisy")
     cfg.appendix_schedule = _bool(_get(cp, "solver", "appendix_schedule", "false"),
                                   "appendix_schedule")
-    cfg.mechanism_kind = _get(cp, "mechanism", "kind", cfg.mechanism_kind).strip().lower()
-    if cfg.mechanism_kind not in MECHANISM_ORDERS:
-        raise ConfigError(f"unknown mechanism kind {cfg.mechanism_kind!r}; expected "
-                          + " or ".join(MECHANISM_ORDERS))
     policy = MECHANISM_ORDERS[cfg.mechanism_kind]
     cfg.order = _get(cp, "mechanism", "order", policy).strip().lower()
     if cfg.order != policy:

@@ -3,8 +3,9 @@
 A menu offers every agent a (possibly degenerate) price lottery; agents are
 processed in some order, each offered her realized price while it fits the
 remaining budget, and paid that price on acceptance.  The realized spend can
-never exceed the budget.  A menu names the order it runs in, and
-mechanism_menu builds the menu each mechanism kind runs.
+never exceed the budget.  A menu names the order it runs in.
+mechanism_variant is the one decision of what a mechanism kind runs on an
+instance, and mechanism_menu builds that menu.
 
 run() is pure given (inputs, seed); menus are immutable, so many runs may
 execute concurrently with independent seeds.
@@ -274,20 +275,39 @@ def build_oblivious(dists, vf: ValueFunction, budget: float, epsilon: float,
     return menu
 
 
+def mechanism_variant(dists, vf: ValueFunction, mechanism: str,
+                      kind: str = "auto") -> str:
+    """The report variant a mechanism kind runs on an instance.
+
+    'sequential' gives 'additive-sequential' (additive values only).
+    'oblivious' gives 'symmetric-oblivious' under the symmetric solver (see
+    solver_kind), which runs the full-budget menu, else 'submodular-oblivious',
+    which runs the (1 - epsilon) B menu.  An unknown kind, or one that does
+    not fit the instance, raises ValueError.
+    """
+    if mechanism not in MECHANISM_ORDERS:
+        raise ValueError(f"unknown mechanism kind {mechanism!r}; expected "
+                         + " or ".join(MECHANISM_ORDERS))
+    kind = solver_kind(dists, vf, kind)
+    if mechanism == "sequential":
+        if not isinstance(vf, AdditiveValue):
+            raise ValueError("sequential mechanism requires an additive value function")
+        return "additive-sequential"
+    return "symmetric-oblivious" if kind == "symmetric" else "submodular-oblivious"
+
+
 def mechanism_menu(dists, vf: ValueFunction, budget: float, mechanism: str,
                    epsilon: float | None = None, **solve_opts):
     """The menu a mechanism kind runs, labelled with MECHANISM_ORDERS[mechanism].
 
-    Oblivious pricing under any solver but the symmetric one runs
+    A submodular-oblivious variant (see mechanism_variant) runs
     build_oblivious's (1 - epsilon) B menu, with epsilon None the best shrink
-    at the market size of the full-budget solve; every other case runs the
+    at the market size of the full-budget solve; every other variant runs the
     full-budget solve.  Returns (menu, epsilon or None, full-budget solve or
     None); solve_opts go to every solve_ex_ante call.
     """
-    if mechanism not in MECHANISM_ORDERS:
-        raise ValueError(f"unknown mechanism kind {mechanism!r}")
-    solve_opts["kind"] = solver_kind(dists, vf, solve_opts.get("kind", "auto"))
-    if mechanism == "sequential" or solve_opts["kind"] == "symmetric":
+    variant = mechanism_variant(dists, vf, mechanism, solve_opts.get("kind", "auto"))
+    if variant != "submodular-oblivious":
         sol = solve_ex_ante(dists, vf, budget, **solve_opts)
         return menu_from_solution(sol, MECHANISM_ORDERS[mechanism]), None, sol
     full = None

@@ -19,8 +19,8 @@ import numpy as np
 from .distributions import DEFAULT_GRID
 from .exante import ExAnteSolution, solve_ex_ante, solver_kind
 from .mechanism import (ORDER_POLICIES, PriceMenu, bang_per_buck_order,
-                        choose_epsilon, market_size,
-                        mechanism_menu, oblivious_guarantee,
+                        choose_epsilon, market_size, mechanism_menu,
+                        mechanism_variant, oblivious_guarantee,
                         select_within_budget, sequential_guarantee)
 from .values import (AdditiveValue, SymmetricValue, ValueFunction,
                      concave_closure_symmetric)
@@ -314,35 +314,26 @@ def bounds_table(k_values) -> list:
 # Full experiment reports
 # ---------------------------------------------------------------------------
 
-REPORT_VARIANTS = ("additive-sequential", "symmetric-oblivious", "submodular-oblivious")
-
-
-def approximation_report(instance: Instance, variant: str,
+def approximation_report(instance: Instance, mechanism: str,
                          trials: int = DEFAULT_TRIALS, seed: int = 0,
                          epsilon: float | None = None, n_orders: int = 20,
                          grid_size: int = DEFAULT_GRID,
                          closed_form_bound: float | None = None,
                          kind: str = "auto", **greedy_opts) -> ExperimentReport:
-    """Run one mechanism variant and compare it to its ex ante benchmark.
+    """Run a mechanism kind and compare it to its ex ante benchmark.
 
-    The menu comes from mechanism_menu, with kind, grid_size, seed and
-    greedy_opts.  With submodular-oblivious and no epsilon, the shrink is
-    sized from the full-budget solve, which then also gives the benchmark.
+    mechanism is 'sequential' or 'oblivious'; the report's variant is
+    mechanism_variant's label for it.  The menu comes from mechanism_menu,
+    with kind, grid_size, seed and greedy_opts.  With submodular-oblivious
+    and no epsilon, the shrink is sized from the full-budget solve, which
+    then also gives the benchmark.
     """
-    if variant not in REPORT_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     vf = instance.value
     budget = instance.budget
     kind = solver_kind(instance.dists, vf, kind)
-    if variant == "additive-sequential" and not isinstance(vf, AdditiveValue):
-        raise ValueError("additive-sequential requires an additive objective")
-    oblivious = variant != "additive-sequential"
-    if oblivious and (variant == "symmetric-oblivious") != (kind == "symmetric"):
-        raise ValueError("symmetric-oblivious needs the symmetric solver (symmetric "
-                         "values, one cost distribution); submodular-oblivious any other")
+    variant = mechanism_variant(instance.dists, vf, mechanism, kind)
     opts = dict(kind=kind, grid_size=grid_size, seed=seed, **greedy_opts)
-    menu, eps_used, sol = mechanism_menu(instance.dists, vf, budget,
-                                         "oblivious" if oblivious else "sequential",
+    menu, eps_used, sol = mechanism_menu(instance.dists, vf, budget, mechanism,
                                          epsilon, **opts)
 
     bound_info = ex_ante_bound(instance, solution=sol, closed_form=closed_form_bound,

@@ -86,7 +86,7 @@ def test_c03_sequential_ratio_beats_bound():
     details = []
     ks = []
     for i, inst in enumerate(_sequential_instances()):
-        rep = pp.approximation_report(inst, "additive-sequential",
+        rep = pp.approximation_report(inst, "sequential",
                                       trials=100_000, seed=900 + i)
         rel = rep.mechanism_stderr / rep.ex_ante_upper_bound
         good = rep.ratio >= rep.theoretical_bound - 3 * rel

@@ -207,6 +207,22 @@ def test_mismatched_sequential_value_is_config_error(tmp_path):
     assert main(["simulate", "--config", path]) == 2
 
 
+def test_sequential_on_symmetric_values_rejected_by_solve_and_simulate(tmp_path, capsys):
+    path = _write_config(tmp_path, "[instance]\n"
+                         "distributions = 8 * uniform(0, 1)\n"
+                         "value = symmetric([0, 1, 2, 3, 4, 4, 4, 4, 4])\n"
+                         "budget = 2\n\n"
+                         "[mechanism]\n"
+                         "kind = sequential\n\n"
+                         f"[harness]\nout = {tmp_path / 'out'}\n")
+    errors = []
+    for command in ("solve", "simulate"):
+        assert main([command, "--config", path]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "sequential mechanism requires an additive value function" in errors[0]
+
+
 def test_cmd_solve_three_agent_matches_oracle(tmp_path, capsys):
     from oracles import grid_oracle_additive
     from postedpricing import PiecewiseLinearCDF

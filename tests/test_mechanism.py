@@ -9,7 +9,7 @@ from postedpricing import (AdditiveValue, PiecewiseLinearCDF, PriceLottery,
                            choose_epsilon, degenerate_lottery,
                            derandomize_additive, fractional_knapsack_value,
                            integral_knapsack_value, ironed_curve, market_size,
-                           mechanism_menu, menu_from_solution,
+                           mechanism_menu, mechanism_variant, menu_from_solution,
                            oblivious_guarantee,
                            reduce_lottery_pairs, run, select_within_budget,
                            sequential_guarantee, solve_additive,
@@ -361,6 +361,22 @@ def test_mechanism_menu_labels_the_mechanism_order():
     assert menu.epsilon is None and sol is not None
     with pytest.raises(ValueError):
         mechanism_menu([U01] * 16, additive, 4.0, "exante")
+
+
+def test_mechanism_variant_names_what_each_kind_runs():
+    additive = AdditiveValue((1.0,) * 8)
+    symmetric = SymmetricValue(tuple(float(min(s, 6)) for s in range(9)))
+    mixed = [U01] * 4 + [Uniform(0, 2)] * 4  # no shared prior: greedy
+    assert mechanism_variant([U01] * 8, additive, "sequential") == "additive-sequential"
+    assert mechanism_variant([U01] * 8, symmetric, "oblivious") == "symmetric-oblivious"
+    assert mechanism_variant([U01] * 8, additive, "oblivious") == "submodular-oblivious"
+    assert mechanism_variant(mixed, symmetric, "oblivious") == "submodular-oblivious"
+    assert mechanism_variant([U01] * 8, symmetric, "oblivious",
+                             kind="greedy") == "submodular-oblivious"
+    with pytest.raises(ValueError, match="sequential or oblivious"):
+        mechanism_variant([U01] * 8, additive, "exante")
+    with pytest.raises(ValueError, match="additive value function"):
+        mechanism_variant([U01] * 8, symmetric, "sequential")
 
 
 def test_guarantee_formulas():

@@ -247,14 +247,14 @@ def test_report_deterministic_instance_ratio_one():
     d = Uniform(0.099999, 0.1)
     n = 3
     inst = Instance(dists=(d,) * n, value=AdditiveValue((1.0,) * n), budget=1.0)
-    rep = approximation_report(inst, "additive-sequential", trials=400, seed=0)
+    rep = approximation_report(inst, "sequential", trials=400, seed=0)
     assert rep.ratio == pytest.approx(1.0, abs=1e-9)
     assert rep.mechanism_stderr == 0.0
 
 
 def test_report_sequential_beats_bound():
     inst = _uniform_instance(16, 4.0)
-    rep = approximation_report(inst, "additive-sequential", trials=30_000, seed=4)
+    rep = approximation_report(inst, "sequential", trials=30_000, seed=4)
     rel = rep.mechanism_stderr / rep.ex_ante_upper_bound
     assert rep.ratio >= rep.theoretical_bound - 3 * rel
     assert rep.k == pytest.approx(8.0, abs=1e-6)
@@ -265,8 +265,8 @@ def test_report_symmetric_oblivious_beats_bound():
     g = tuple(float(min(s, 6)) for s in range(9))
     inst = Instance(dists=(U01,) * 8, value=SymmetricValue(g), budget=2.0,
                     label="sym8")
-    rep = approximation_report(inst, "symmetric-oblivious", trials=8000, seed=5,
-                               n_orders=20)
+    rep = approximation_report(inst, "oblivious", trials=8000, seed=5, n_orders=20)
+    assert rep.variant == "symmetric-oblivious"
     rel = rep.mechanism_stderr / rep.ex_ante_upper_bound
     assert rep.ratio >= rep.theoretical_bound - 3 * rel
     assert rep.bound_exact
@@ -278,29 +278,20 @@ def test_report_submodular_oblivious_runs():
     vf = CoverageValue((1.0, 1.0, 1.0, 1.0),
                        ((0, 1), (1, 2), (2, 3), (0, 3)))
     inst = Instance(dists=(U01,) * 4, value=vf, budget=8.0, label="cov4")
-    rep = approximation_report(inst, "submodular-oblivious", trials=2000, seed=6,
+    rep = approximation_report(inst, "oblivious", trials=2000, seed=6,
                                epsilon=0.25, samples=2000)
+    assert rep.variant == "submodular-oblivious"
     assert not rep.bound_exact
     assert rep.epsilon == 0.25
     assert 0.0 <= rep.ratio <= 1.0
 
 
-def test_report_submodular_oblivious_rejects_the_symmetric_solver():
-    inst = Instance(dists=(U01,) * 8, value=SymmetricValue((0.0,) + (1.0,) * 8),
-                    budget=2.0)
-    with pytest.raises(ValueError, match="symmetric-oblivious"):
-        approximation_report(inst, "submodular-oblivious", trials=10, seed=0)
-
-
 def test_report_variant_pairing_enforced():
     inst = Instance(dists=(U01,) * 2, value=SymmetricValue((0.0, 1.0, 1.0)),
                     budget=0.5)
-    with pytest.raises(ValueError):
-        approximation_report(inst, "additive-sequential", trials=10, seed=0)
-    with pytest.raises(ValueError):
-        approximation_report(_uniform_instance(2, 0.5), "symmetric-oblivious",
-                             trials=10, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="additive"):
+        approximation_report(inst, "sequential", trials=10, seed=0)
+    with pytest.raises(ValueError, match="sequential or oblivious"):
         approximation_report(inst, "bogus", trials=10, seed=0)
 
 
@@ -313,14 +304,14 @@ def test_csv_lines_format():
     glines = gap_csv_lines(gaps)
     assert glines[0].startswith("k,n,")
     inst = _uniform_instance(2, 0.5)
-    rep = approximation_report(inst, "additive-sequential", trials=50, seed=1)
+    rep = approximation_report(inst, "sequential", trials=50, seed=1)
     rlines = report_csv_lines([rep])
     assert len(rlines) == 2 and rlines[1].count(",") == rlines[0].count(",")
 
 
 def test_stderr_unavailable_for_single_trial():
     inst = _uniform_instance(2, 0.5)
-    rep = approximation_report(inst, "additive-sequential", trials=1, seed=1)
+    rep = approximation_report(inst, "sequential", trials=1, seed=1)
     assert math.isnan(rep.mechanism_stderr)
     line = report_csv_lines([rep])[1]
     assert ",NA," in line
