@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, parse_config
-from .distributions import UndefinedVirtualCostError
 from .exante import solver_kind
 from .mechanism import SmallMarketError, market_size, mechanism_menu
 from .simulate import (Instance, approximation_report, bounds_csv_lines,
@@ -176,8 +175,8 @@ def main(argv=None) -> int:
               f"but the full-budget solve gives k = {exc.k:.6g}; set epsilon to a "
               f"number in (0, 1/2)", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, UndefinedVirtualCostError,
-            FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (ValueError, RuntimeError, FloatingPointError,
+            np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -12,7 +12,9 @@ Grammar (see README for the full reference):
     [harness]     trials, seed, out
 
 Unknown sections or keys are rejected so typos cannot silently change an
-experiment.  Referenced files (empirical samples, coverage tables) must
+experiment, and so is a key the configured run never reads (a greedy-only
+solver key under another solver, epsilon outside submodular-oblivious
+pricing, n_orders for the sequential mechanism).  Referenced files (empirical samples, coverage tables) must
 exist at load time.
 """
 
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 
 from .distributions import (PiecewiseLinearCDF, TruncatedExponential, Uniform,
                             empirical_from_sample)
+from .exante import solver_kind
 from .mechanism import MECHANISM_ORDERS, mechanism_variant
 from .values import AdditiveValue, CoverageValue, SymmetricValue
 
@@ -40,6 +43,8 @@ _ALLOWED_KEYS = {
     "mechanism": {"kind", "order", "epsilon", "n_orders"},
     "harness": {"trials", "seed", "out"},
 }
+
+_GREEDY_KEYS = ("m", "marginal_samples", "noisy", "appendix_schedule")
 
 _CALL_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z0-9_-]*)\s*\((.*)\)\s*$", re.S)
 
@@ -204,6 +209,23 @@ class ExperimentConfig:
         return len(self.dists)
 
 
+def _unread_keys(cfg: ExperimentConfig) -> dict:
+    """The optional (section, key) pairs the configured run never reads, with why."""
+    solver = solver_kind(cfg.dists, cfg.value, cfg.solver_kind)
+    variant = mechanism_variant(cfg.dists, cfg.value, cfg.mechanism_kind, solver)
+    unread = {}
+    if solver != "greedy":
+        for key in _GREEDY_KEYS:
+            unread["solver", key] = f"only the greedy solver reads it; this run uses {solver}"
+    if variant != "submodular-oblivious":
+        unread["mechanism", "epsilon"] = ("only submodular-oblivious pricing shrinks the "
+                                          f"budget; this run is {variant}")
+    if cfg.mechanism_kind == "sequential":
+        unread["mechanism", "n_orders"] = ("only worst-of-sampled order reads it; the "
+                                           "sequential mechanism runs in bang-per-buck order")
+    return unread
+
+
 def _get(cp, section, key, default=None):
     if cp.has_option(section, key):
         return cp.get(section, key)
@@ -296,6 +318,9 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError("[mechanism] n_orders must be non-negative")
     if cfg.seed < 0:
         raise ConfigError("[harness] seed must be non-negative")
+    for (section, key), why in _unread_keys(cfg).items():
+        if cp.has_option(section, key):
+            raise ConfigError(f"[{section}] {key} has no effect here: {why}")
     return cfg
 
 
@@ -332,26 +357,21 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         raise ConfigError("cannot serialize coverage values (file-backed)")
 
     eps = cfg.epsilon if isinstance(cfg.epsilon, str) else f"{cfg.epsilon:.12g}"
-    m_line = f"m = {cfg.m}\n" if cfg.m is not None else ""
-    return (
-        "[instance]\n"
-        f"distributions = {'; '.join(terms)}\n"
-        f"value = {value_text}\n"
-        f"budget = {cfg.budget:.12g}\n\n"
-        "[solver]\n"
-        f"kind = {cfg.solver_kind}\n"
-        f"grid = {cfg.grid}\n"
-        f"{m_line}"
-        f"marginal_samples = {cfg.marginal_samples}\n"
-        f"noisy = {str(cfg.noisy).lower()}\n"
-        f"appendix_schedule = {str(cfg.appendix_schedule).lower()}\n\n"
-        "[mechanism]\n"
-        f"kind = {cfg.mechanism_kind}\n"
-        f"order = {cfg.order}\n"
-        f"epsilon = {eps}\n"
-        f"n_orders = {cfg.n_orders}\n\n"
-        "[harness]\n"
-        f"trials = {cfg.trials}\n"
-        f"seed = {cfg.seed}\n"
-        f"out = {cfg.out}\n"
-    )
+    sections = {
+        "instance": (("distributions", "; ".join(terms)), ("value", value_text),
+                     ("budget", f"{cfg.budget:.12g}")),
+        "solver": (("kind", cfg.solver_kind), ("grid", cfg.grid), ("m", cfg.m),
+                   ("marginal_samples", cfg.marginal_samples),
+                   ("noisy", str(cfg.noisy).lower()),
+                   ("appendix_schedule", str(cfg.appendix_schedule).lower())),
+        "mechanism": (("kind", cfg.mechanism_kind), ("order", cfg.order),
+                      ("epsilon", eps), ("n_orders", cfg.n_orders)),
+        "harness": (("trials", cfg.trials), ("seed", cfg.seed), ("out", cfg.out)),
+    }
+    unread = _unread_keys(cfg)  # written back, they would be rejected
+    blocks = []
+    for section, items in sections.items():
+        lines = [f"[{section}]"] + [f"{key} = {text}" for key, text in items
+                                    if text is not None and (section, key) not in unread]
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)

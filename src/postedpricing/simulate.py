@@ -7,6 +7,8 @@ labelled with unless the caller names another.  Every policy runs the one
 budgeted walk,
 mechanism.select_within_budget, on batches of trials at a time: the walk
 steps through the order positions and is vectorised across the trials.
+approximation_report runs a mechanism kind ('sequential' or 'oblivious') and
+labels its row with mechanism.mechanism_variant.
 """
 
 from __future__ import annotations
@@ -219,17 +221,15 @@ def monte_carlo_value(menu: PriceMenu, instance: Instance,
 # ---------------------------------------------------------------------------
 
 def ex_ante_bound(instance: Instance, solution: ExAnteSolution = None,
-                  closed_form: float | None = None, kind: str = "auto",
-                  grid_size: int = DEFAULT_GRID, **greedy_opts) -> BoundInfo:
+                  kind: str = "auto", grid_size: int = DEFAULT_GRID,
+                  **greedy_opts) -> BoundInfo:
     """Benchmark value no ex ante budget-feasible mechanism can beat.
 
     Exact when the additive or symmetric solver applies (see solver_kind);
     under greedy the solution is inflated by (1 - 1/e)^-2 and flagged as a
-    bound of a bound, unless a closed form is supplied.  A given solution
-    must come from the solve_ex_ante call with the same arguments.
+    bound of a bound.  A given solution must come from the solve_ex_ante call
+    with the same arguments.
     """
-    if closed_form is not None:
-        return BoundInfo(value=float(closed_form), exact=True)
     if instance.budget <= 0:
         return BoundInfo(value=0.0, exact=True)
     kind = solver_kind(instance.dists, instance.value, kind)
@@ -318,7 +318,6 @@ def approximation_report(instance: Instance, mechanism: str,
                          trials: int = DEFAULT_TRIALS, seed: int = 0,
                          epsilon: float | None = None, n_orders: int = 20,
                          grid_size: int = DEFAULT_GRID,
-                         closed_form_bound: float | None = None,
                          kind: str = "auto", **greedy_opts) -> ExperimentReport:
     """Run a mechanism kind and compare it to its ex ante benchmark.
 
@@ -336,8 +335,7 @@ def approximation_report(instance: Instance, mechanism: str,
     menu, eps_used, sol = mechanism_menu(instance.dists, vf, budget, mechanism,
                                          epsilon, **opts)
 
-    bound_info = ex_ante_bound(instance, solution=sol, closed_form=closed_form_bound,
-                               **opts)
+    bound_info = ex_ante_bound(instance, solution=sol, **opts)
     k = market_size(menu, budget).k
     if eps_used is None:
         theoretical = sequential_guarantee(k)

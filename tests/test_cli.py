@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -321,6 +322,46 @@ def test_out_of_range_option_exits_2(tmp_path, capsys, edits, args, key):
         text = text.replace(old, new)
     assert main(["simulate", "--config", _write_config(tmp_path, text), *args]) == 2
     assert key in capsys.readouterr().err
+
+
+SYMMETRIC_OBLIVIOUS_EDITS = {
+    "kind = additive": "kind = symmetric",
+    "value = additive(constant=1)": "value = symmetric([0, 1, 2, 3, 4, 5" + ", 6" * 11 + "])",
+    "kind = sequential": "kind = oblivious",
+    "order = bang-per-buck": "order = worst-of-sampled\nepsilon = 0.1"}
+
+
+@pytest.mark.parametrize("edits,key", [
+    ({"order = bang-per-buck": "order = bang-per-buck\nepsilon = 0.3"},
+     "[mechanism] epsilon"),
+    (SYMMETRIC_OBLIVIOUS_EDITS, "[mechanism] epsilon"),
+    ({"order = bang-per-buck": "order = bang-per-buck\nn_orders = 5"},
+     "[mechanism] n_orders"),
+    ({"kind = additive": "kind = additive\nm = 50"}, "[solver] m"),
+    ({"kind = additive": "kind = additive\nmarginal_samples = 7"},
+     "[solver] marginal_samples"),
+    ({"kind = additive": "kind = additive\nnoisy = true"}, "[solver] noisy"),
+    ({"kind = additive": "kind = additive\nappendix_schedule = true"},
+     "[solver] appendix_schedule")],
+    ids=["epsilon-sequential", "epsilon-symmetric-oblivious", "n_orders", "m",
+         "marginal_samples", "noisy", "appendix_schedule"])
+def test_key_the_run_never_reads_exits_2(tmp_path, capsys, edits, key):
+    text = EXAMPLE1.format(out=tmp_path)
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    assert main(["simulate", "--config", _write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} has no effect" in err
+
+
+def test_readme_configs_parse(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        text = re.sub(r"^out = .*$", f"out = {tmp_path / 'out'}", block, flags=re.M)
+        cfg = parse_config(_write_config(tmp_path, text, f"readme{i}.ini"))
+        assert cfg.out == str(tmp_path / "out")
 
 
 def test_solve_writes_the_oblivious_menu(tmp_path):
