@@ -13,9 +13,9 @@ from .mechanism import (MarketSize, PriceMenu, RunOutcome, bang_per_buck_order,
                         build_oblivious, choose_epsilon, derandomize_additive,
                         fractional_knapsack_value, integral_knapsack_value,
                         market_size, mechanism_menu, mechanism_variant,
-                        menu_from_solution,
-                        oblivious_guarantee, reduce_lottery_pairs, run,
-                        select_within_budget, sequential_guarantee)
+                        menu_from_solution, oblivious_guarantee,
+                        reduce_lottery_pairs, run, select_within_budget,
+                        sequential_guarantee)
 from .simulate import (BoundsRow, ExperimentReport, GapResult, Instance,
                        MCResult, OverflowEstimate, approximation_report,
                        bounds_table, correlation_gap_experiment, ex_ante_bound,

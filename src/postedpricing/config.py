@@ -14,8 +14,8 @@ Grammar (see README for the full reference):
 Unknown sections or keys are rejected so typos cannot silently change an
 experiment, and so is a key the configured run never reads (a greedy-only
 solver key under another solver, epsilon outside submodular-oblivious
-pricing, n_orders for the sequential mechanism).  Referenced files (empirical samples, coverage tables) must
-exist at load time.
+pricing, n_orders for the sequential mechanism).  Referenced files
+(empirical samples, coverage tables) must exist at load time.
 """
 
 from __future__ import annotations
