@@ -413,9 +413,6 @@ class PriceLottery:
     def max_price(self) -> float:
         return self.price_lo if self.degenerate else max(self.price_lo, self.price_hi)
 
-    def realize(self, u: float) -> float:
-        return self.price_lo if u < self.prob_lo else self.price_hi
-
 
 def degenerate_lottery(dist: CostDistribution, q: float) -> PriceLottery:
     p = float(dist.inverse_cdf(q))

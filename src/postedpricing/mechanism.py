@@ -5,7 +5,9 @@ processed in some order, each offered her realized price while it fits the
 remaining budget, and paid that price on acceptance.  The realized spend can
 never exceed the budget.  A menu names the order it runs in.
 mechanism_variant is the one decision of what a mechanism kind runs on an
-instance, and mechanism_menu builds that menu.
+instance, and mechanism_menu builds that menu.  realize_prices is the one
+lottery realization and policy_orders the one map from an order policy to
+orders; run() and simulate.simulate_runs both execute through them.
 
 run() is pure given (inputs, seed); menus are immutable, so many runs may
 execute concurrently with independent seeds.
@@ -172,47 +174,89 @@ def select_within_budget(prices, accepts, order, budget: float):
     return selected, offered, spent
 
 
+def realize_prices(menu: PriceMenu, rng, trials: int) -> np.ndarray:
+    """A (trials, n) batch of realized menu prices; NaN marks never-offered agents.
+
+    Each agent with a non-degenerate lottery takes one rng.random(trials)
+    draw, in index order, and gets its low price where the draw is below
+    prob_lo; every other agent draws nothing.
+    """
+    prices = np.full((trials, menu.n), np.nan)
+    for i, (lot, q) in enumerate(zip(menu.lotteries, menu.quantiles)):
+        if q <= 0:
+            continue
+        if lot.degenerate:
+            prices[:, i] = lot.price_lo
+        else:
+            u = rng.random(trials)
+            prices[:, i] = np.where(u < lot.prob_lo, lot.price_lo, lot.price_hi)
+    return prices
+
+
+def policy_orders(policy: str, menu: PriceMenu, vf: ValueFunction, prices,
+                  rng=None, sampled=()) -> list:
+    """The orders a policy walks on a (trials, n) batch of realized prices.
+
+    One order for 'bang-per-buck', 'fixed' and 'uniform-random' (whose
+    per-row permutations rng draws); for 'worst-of-sampled', the sampled
+    orders, then each row's descending-price and ascending bang-per-buck
+    orders (never-offered prices count as 0, ties keep index order).  An
+    order is 1-D (shared by every row) or (trials, n).  Without lotteries
+    every row holds the same prices, so per-row orders come from row 0.
+    """
+    if policy not in ORDER_POLICIES:  # an external menu needs one named
+        raise ValueError(f"cannot run in order {policy!r}; expected one of "
+                         f"{', '.join(ORDER_POLICIES)}")
+    additive = isinstance(vf, AdditiveValue)
+    if policy == "bang-per-buck" and not additive:
+        raise ValueError("bang-per-buck ordering requires additive values")
+    trials, n = prices.shape
+    if policy == "fixed":
+        return [np.arange(n)]
+    if policy == "uniform-random":
+        return [np.array([rng.permutation(n) for _ in range(trials)])]
+    shared = not menu.has_lotteries
+    if shared:
+        prices = prices[:1]
+    if policy == "bang-per-buck":
+        orders = [bang_per_buck_order(vf.as_array(), prices, menu.quantiles)]
+    else:
+        filled = np.where(np.isnan(prices), 0.0, prices)
+        key = filled
+        if additive:
+            key = np.divide(vf.as_array(), filled, out=np.full(filled.shape, np.inf),
+                            where=filled > 0)
+        orders = [np.argsort(-filled, axis=1, kind="stable"),
+                  np.argsort(key, axis=1, kind="stable")]
+    return list(sampled) + [o[0] if shared else o for o in orders]
+
+
 def run(menu: PriceMenu, value_fn: ValueFunction, costs, budget: float,
         order=None, rng=None) -> RunOutcome:
-    """Execute the posted pricing on one cost draw.
+    """Execute the posted pricing on one cost draw: one trial of simulate_runs.
 
-    Agents arrive in the given order, else in the menu's own: index order for
+    realize_prices draws the lotteries from rng.  Agents are offered in the
+    given order, else in the menu's own (see policy_orders): index order for
     a "fixed" menu, realized bang-per-buck order for a "bang-per-buck" one;
-    other menus need an order.  Lotteries are realized with the supplied RNG:
-    at arrival time, or upfront when bang-per-buck order needs the realized
-    prices to sort by.  Zero-quantile agents are skipped entirely.
+    other menus need an order.  Zero-quantile agents are never offered.
     """
     costs = np.asarray(costs, dtype=float)
-    n = menu.n
-    if costs.shape != (n,):
+    if costs.shape != (menu.n,):
         raise ValueError("one cost per agent required")
-    if rng is None or not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-
-    active = menu.quantiles > 0
-    prices = np.full(n, np.nan)
     if order is not None:
         order = tuple(order)
-    elif menu.ordering_policy == "fixed":
-        order = tuple(range(n))
-    elif menu.ordering_policy != "bang-per-buck":
+        if sorted(order) != list(range(menu.n)):
+            raise ValueError("order must be a permutation of all agents")
+    elif menu.ordering_policy not in ("bang-per-buck", "fixed"):
         raise ValueError(f"a {menu.ordering_policy!r} menu needs an explicit order "
                          f"here; simulate_runs runs every order policy")
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
 
+    prices = realize_prices(menu, rng, 1)
     if order is None:
-        if not isinstance(value_fn, AdditiveValue):
-            raise ValueError("bang-per-buck ordering requires additive values")
-        for i in range(n):  # realize everything upfront, then sort
-            if active[i]:
-                prices[i] = menu.lotteries[i].realize(rng.random())
-        order = bang_per_buck_order(value_fn.as_array(), prices, menu.quantiles)
-    else:
-        if sorted(order) != list(range(n)):
-            raise ValueError("order must be a permutation of all agents")
-        for i in order:
-            if active[i]:
-                prices[i] = menu.lotteries[i].realize(rng.random())
-
+        (order,) = policy_orders(menu.ordering_policy, menu, value_fn, prices)
+    prices = prices[0]
     accepts = costs <= prices  # False where the price is NaN (never offered)
     selected, offered, spent = select_within_budget(prices, accepts, order, budget)
 

@@ -3,10 +3,11 @@
 Trials are independent; cost draws, lottery realizations, and order sampling
 use streams derived from one master seed, so results are reproducible and
 trials could run concurrently.  A menu runs in the order policy it is
-labelled with unless the caller names another.  Every policy runs the one
-budgeted walk,
-mechanism.select_within_budget, on batches of trials at a time: the walk
-steps through the order positions and is vectorised across the trials.
+labelled with unless the caller names another.  Each batch of trials gets
+its prices from mechanism.realize_prices and its orders from
+mechanism.policy_orders, and walks every order with the one budgeted walk,
+mechanism.select_within_budget, which steps through the order positions
+vectorised across the trials.  mechanism.run is one trial of this path.
 approximation_report runs a mechanism kind ('sequential' or 'oblivious') and
 labels its row with mechanism.mechanism_variant.
 """
@@ -20,12 +21,11 @@ import numpy as np
 
 from .distributions import DEFAULT_GRID
 from .exante import ExAnteSolution, solve_ex_ante, solver_kind
-from .mechanism import (ORDER_POLICIES, PriceMenu, bang_per_buck_order,
-                        choose_epsilon, market_size, mechanism_menu,
-                        mechanism_variant, oblivious_guarantee,
-                        select_within_budget, sequential_guarantee)
-from .values import (AdditiveValue, SymmetricValue, ValueFunction,
-                     concave_closure_symmetric)
+from .mechanism import (PriceMenu, choose_epsilon, market_size, mechanism_menu,
+                        mechanism_variant, oblivious_guarantee, policy_orders,
+                        realize_prices, select_within_budget,
+                        sequential_guarantee)
+from .values import SymmetricValue, ValueFunction, concave_closure_symmetric
 
 DEFAULT_TRIALS = 100_000
 # Trials per batch.  It fixes which random draws each trial gets, so it is
@@ -118,88 +118,43 @@ def _draw_costs(dists, rng, trials):
     return np.column_stack([d.sample(rng, trials) for d in dists])
 
 
-def _realize_prices(menu, rng, trials):
-    n = menu.n
-    prices = np.full((trials, n), np.nan)
-    for i, (lot, q) in enumerate(zip(menu.lotteries, menu.quantiles)):
-        if q <= 0:
-            continue
-        if lot.degenerate:
-            prices[:, i] = lot.price_lo
-        else:
-            u = rng.random(trials)
-            prices[:, i] = np.where(u < lot.prob_lo, lot.price_lo, lot.price_hi)
-    return prices
-
-
-def _heuristic_orders(prices, instance):
-    """Per-trial descending-price and ascending bang-per-buck orders.
-
-    Never-offered (NaN) prices count as 0; ties keep index order.  Each
-    order is a (trials, n) array.
-    """
-    filled = np.where(np.isnan(prices), 0.0, prices)
-    desc_price = np.argsort(-filled, axis=1, kind="stable")
-    if isinstance(instance.value, AdditiveValue):
-        key = np.divide(instance.value.as_array(), filled,
-                        out=np.full(filled.shape, np.inf), where=filled > 0)
-    else:
-        key = filled
-    return [desc_price, np.argsort(key, axis=1, kind="stable")]
-
-
 def simulate_runs(menu: PriceMenu, instance: Instance, order_policy: str | None = None,
                   trials: int = DEFAULT_TRIALS, seed=None, n_orders: int = 20):
     """Realized mechanism values and spends over independent cost draws.
 
     order_policy None runs the menu's own.  Trials run in batches of
-    TRIAL_CHUNK, one select_within_budget walk per batch and order.
-    'worst-of-sampled' evaluates n_orders sampled permutations plus
-    descending-price and ascending bang-per-buck heuristics on each trial and
-    keeps the minimum value (the first on ties), as an adversarial-order proxy.
+    TRIAL_CHUNK; each batch walks every order policy_orders gives once, and
+    each trial keeps its lowest value (the first on ties).  So
+    'worst-of-sampled' keeps the worst of n_orders sampled permutations and
+    the two per-trial heuristics, as an adversarial-order proxy.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if n_orders < 0:
+        raise ValueError("n_orders must be non-negative")
     order_policy = order_policy or menu.ordering_policy
-    if order_policy not in ORDER_POLICIES:  # an external menu needs one named
-        raise ValueError(f"cannot run in order {order_policy!r}; expected one of "
-                         f"{', '.join(ORDER_POLICIES)}")
-    vf = instance.value
-    if order_policy == "bang-per-buck" and not isinstance(vf, AdditiveValue):
-        raise ValueError("bang-per-buck ordering requires additive values")
     ss = np.random.SeedSequence(seed)
     cost_rng, lot_rng, order_rng = (np.random.default_rng(c) for c in ss.spawn(3))
-    n = instance.n
-    budget = instance.budget
-    sampled_orders = [order_rng.permutation(n) for _ in range(n_orders)] \
-        if order_policy == "worst-of-sampled" else None
+    vf = instance.value
+    sampled = [order_rng.permutation(instance.n) for _ in range(n_orders)] \
+        if order_policy == "worst-of-sampled" else ()
 
     values_out = np.empty(trials)
     spends_out = np.empty(trials)
     for done in range(0, trials, TRIAL_CHUNK):
         t = min(TRIAL_CHUNK, trials - done)
         costs = _draw_costs(instance.dists, cost_rng, t)
-        prices = _realize_prices(menu, lot_rng, t)
+        prices = realize_prices(menu, lot_rng, t)
         accepts = costs <= prices  # False where the price is NaN (never offered)
-
-        def walk(order):
-            selected, _, spent = select_within_budget(prices, accepts, order, budget)
-            return vf._evaluate_rows(selected), spent
-
-        if order_policy == "bang-per-buck":
-            v, s = walk(bang_per_buck_order(vf.as_array(), prices, menu.quantiles))
-        elif order_policy == "fixed":
-            v, s = walk(range(n))
-        elif order_policy == "uniform-random":
-            v, s = walk(np.array([order_rng.permutation(n) for _ in range(t)]))
-        else:  # worst-of-sampled
-            v = np.full(t, np.inf)
-            s = np.zeros(t)
-            for order in sampled_orders + _heuristic_orders(prices, instance):
-                cv, cs = walk(order)
-                better = cv < v
-                v[better] = cv[better]
-                s[better] = cs[better]
+        v = np.full(t, np.inf)
+        s = np.zeros(t)
+        for order in policy_orders(order_policy, menu, vf, prices, order_rng, sampled):
+            selected, _, spent = select_within_budget(prices, accepts, order,
+                                                      instance.budget)
+            cv = vf._evaluate_rows(selected)
+            better = cv < v
+            v[better] = cv[better]
+            s[better] = spent[better]
         values_out[done:done + t] = v
         spends_out[done:done + t] = s
     return values_out, spends_out
@@ -250,9 +205,10 @@ def overflow_probability(menu: PriceMenu, budget: float, k: float,
     acceptance probability; the analytic ceiling uses the menu's recorded
     budget shrink when present.
     """
+    if trials < 1:
+        raise ValueError("trials must be positive")
     rng = np.random.default_rng(seed)
     threshold = (1.0 - 1.0 / k) * budget
-    n = menu.n
     total = np.zeros(trials)
     for i, (lot, q) in enumerate(zip(menu.lotteries, menu.quantiles)):
         if q <= 0:

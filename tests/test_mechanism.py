@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from postedpricing import (AdditiveValue, PiecewiseLinearCDF, PriceLottery,
-                           PriceMenu, SymmetricValue, Uniform,
+from postedpricing import (AdditiveValue, Instance, PiecewiseLinearCDF,
+                           PriceLottery, PriceMenu, SymmetricValue, Uniform,
                            bang_per_buck_order, build_oblivious,
                            choose_epsilon, degenerate_lottery,
                            derandomize_additive, fractional_knapsack_value,
@@ -12,7 +12,7 @@ from postedpricing import (AdditiveValue, PiecewiseLinearCDF, PriceLottery,
                            mechanism_menu, mechanism_variant, menu_from_solution,
                            oblivious_guarantee,
                            reduce_lottery_pairs, run, select_within_budget,
-                           sequential_guarantee, solve_additive,
+                           sequential_guarantee, simulate_runs, solve_additive,
                            two_price_lottery)
 
 from oracles import lp_vertex_fractional, mechanism_expectation
@@ -96,6 +96,31 @@ def test_run_budget_never_exceeded_with_lotteries():
         costs = d.inverse_cdf(rng.random(3))
         out = run(menu, vf, costs, 1.3, rng=rng)
         assert out.total_spend <= 1.3
+
+
+@pytest.mark.parametrize("policy", ["fixed", "bang-per-buck"])
+def test_run_matches_simulate_runs_single_trial(policy):
+    # run() is one trial of simulate_runs: rebuilt from the documented
+    # streams (costs from child 0, lotteries from child 1), it gives the
+    # same outcome; the degenerate agent comes first, so a lottery draw
+    # spent on it would shift the lottery agent's price
+    d = PiecewiseLinearCDF(((0.0, 0.0), (0.2, 0.5), (0.8, 0.6), (1.0, 1.0)))
+    ic = ironed_curve(d)
+    lottery = two_price_lottery(ic, d, 0.5 * sum(ic.intervals[0]))
+    lots = (degenerate_lottery(U01, 0.6), lottery, degenerate_lottery(U01, 0.0))
+    menu = PriceMenu(lotteries=lots, quantiles=np.array([0.6, lottery.quantile, 0.0]),
+                     ordering_policy=policy)
+    inst = Instance(dists=(U01, d, U01), value=AdditiveValue((1.0, 2.0, 1.5)),
+                    budget=1.0)
+    for seed in range(20):
+        cost_seq, lot_seq, _ = np.random.SeedSequence(seed).spawn(3)
+        cost_rng = np.random.default_rng(cost_seq)
+        costs = [float(di.sample(cost_rng, 1)[0]) for di in inst.dists]
+        out = run(menu, inst.value, costs, inst.budget,
+                  rng=np.random.default_rng(lot_seq))
+        values, spends = simulate_runs(menu, inst, trials=1, seed=seed)
+        assert out.value == pytest.approx(values[0], rel=1e-12, abs=0.0)
+        assert out.total_spend == spends[0]
 
 
 def test_bang_per_buck_order_examples():

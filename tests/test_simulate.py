@@ -65,6 +65,16 @@ def test_simulate_runs_trials_validated():
         simulate_runs(menu, _uniform_instance(1, 1.0), "nope", trials=10)
 
 
+def test_negative_n_orders_rejected():
+    menu = PriceMenu(lotteries=(degenerate_lottery(U01, 0.5),),
+                     quantiles=np.array([0.5]), ordering_policy="worst-of-sampled")
+    inst = _uniform_instance(1, 1.0)
+    with pytest.raises(ValueError, match="n_orders"):
+        simulate_runs(menu, inst, trials=10, n_orders=-3)
+    with pytest.raises(ValueError, match="n_orders"):
+        monte_carlo_value(menu, inst, trials=10, n_orders=-3)
+
+
 def test_simulate_runs_deterministic_given_seed():
     inst = _uniform_instance(4, 1.0)
     sol = solve_additive(inst.dists, [1.0] * 4, 1.0)
@@ -206,6 +216,14 @@ def test_overflow_zero_when_everything_fits():
     # two prices of 0.3 always fit under (1 - 1/k) * 1.0 = 0.9
     est = overflow_probability(menu, 1.0, 10.0, trials=2000, seed=0)
     assert est.p_hat == 0.0
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_overflow_trials_validated(trials):
+    menu = PriceMenu(lotteries=(degenerate_lottery(U01, 0.3),) * 2,
+                     quantiles=np.full(2, 0.3))
+    with pytest.raises(ValueError, match="trials must be positive"):
+        overflow_probability(menu, 1.0, 10.0, trials=trials, seed=0)
 
 
 def test_overflow_matches_exact_binomial():

@@ -2,14 +2,20 @@
 
 perfbench/tracing.py wraps solvers, kernels and CLI entry points by module
 and name from outside the package; a rename in the package would make
-`Tracer.install` fail.  This test installs and uninstalls it on the package.
+`Tracer.install` fail, and a call that moves out of a wrapped name's reach
+would leave its counters at 0.  These tests install and uninstall it on the
+package.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import postedpricing.cli  # noqa: F401  (the tracer patches every loaded module)
-from postedpricing import AdditiveValue, Uniform, distributions, exante
+from postedpricing import (AdditiveValue, Instance, PiecewiseLinearCDF, PriceMenu,
+                           Uniform, degenerate_lottery, distributions, exante,
+                           ironed_curve, simulate, two_price_lottery)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -34,3 +40,25 @@ def test_tracer_installs_and_uninstalls_on_the_package():
     assert exante.solve_additive is original
     assert callable(distributions.ironed_curve.cache_info)
     assert callable(distributions.ironed_curve.cache_clear)
+
+
+def test_tracer_counts_the_walks_of_simulate_runs():
+    # perfbench's per-trial walk metrics read these counters
+    d = PiecewiseLinearCDF(((0.0, 0.0), (0.2, 0.5), (0.8, 0.6), (1.0, 1.0)))
+    lottery = two_price_lottery(ironed_curve(d), d, 0.55)
+    lots = (degenerate_lottery(Uniform(0, 1), 0.6), lottery)
+    inst = Instance(dists=(Uniform(0, 1), d), value=AdditiveValue((1.0, 2.0)),
+                    budget=1.0)
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for policy in ("bang-per-buck", "worst-of-sampled"):
+            menu = PriceMenu(lotteries=lots, quantiles=np.array([0.6, lottery.quantile]),
+                             ordering_policy=policy)
+            simulate.simulate_runs(menu, inst, trials=50, seed=0, n_orders=3)
+    finally:
+        tracer.uninstall()
+    assert [s[0] for s in tracer.spans].count("simulate.simulate_runs") == 2
+    assert tracer.calls["mechanism.select_within_budget"] > 0
+    assert tracer.calls["mechanism.bang_per_buck_order"] > 0
