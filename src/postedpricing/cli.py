@@ -8,6 +8,7 @@ every subcommand produces byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -90,6 +91,9 @@ def _parse_k_list(text: str):
         raise ConfigError(f"bad k list: {exc}") from None
     if not ks:
         raise ConfigError("empty k list")
+    for k in ks:
+        if not 0.0 < k < math.inf:
+            raise ConfigError(f"--k takes positive finite sizes, got {k:g}")
     return ks
 
 
@@ -103,10 +107,14 @@ def cmd_bounds(k_text: str, out_dir: str) -> int:
 
 
 def cmd_gap(k_text: str, n_factor: int, out_dir: str) -> int:
-    rows = []
-    for k in _parse_k_list(k_text):
-        k = int(k)
-        rows.append(correlation_gap_experiment(k, max(k * n_factor, k + 1)))
+    ks = _parse_k_list(k_text)
+    for k in ks:
+        if k != int(k):
+            raise ConfigError(f"--k takes whole cap sizes for gap, got {k:g}")
+    if n_factor < 1:
+        raise ConfigError(f"--n-factor must be at least 1, got {n_factor}")
+    rows = [correlation_gap_experiment(int(k), max(int(k) * n_factor, int(k) + 1))
+            for k in ks]
     path = _write(out_dir, "gap.csv", "\n".join(gap_csv_lines(rows)) + "\n")
     for line in gap_csv_lines(rows):
         print(line)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import ast
 import configparser
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -117,6 +118,14 @@ def parse_distributions(text: str):
     return tuple(dists)
 
 
+def _construct(cls, *args):
+    """cls(*args), with the class's own validation error as a ConfigError."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def parse_coverage_file(path: str) -> CoverageValue:
     """One line per agent listing covered element:weight pairs."""
     if not os.path.isfile(path):
@@ -144,8 +153,8 @@ def parse_coverage_file(path: str) -> CoverageValue:
             covers.append(cov)
     names = sorted(weights)
     index = {nm: i for i, nm in enumerate(names)}
-    return CoverageValue(weights=tuple(weights[nm] for nm in names),
-                         covers=tuple(tuple(index[nm] for nm in cov) for cov in covers))
+    return _construct(CoverageValue, tuple(weights[nm] for nm in names),
+                      tuple(tuple(index[nm] for nm in cov) for cov in covers))
 
 
 def parse_value(text: str, n: int):
@@ -158,14 +167,14 @@ def parse_value(text: str, n: int):
                 v = float(m.group(1))
             except ValueError as exc:
                 raise ConfigError(f"bad constant value: {exc}") from None
-            return AdditiveValue(tuple([v] * n))
+            return _construct(AdditiveValue, tuple([v] * n))
         try:
             vals = tuple(float(v) for v in ast.literal_eval(args))
         except (SyntaxError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad additive value list: {exc}") from None
         if len(vals) != n:
             raise ConfigError(f"value list has {len(vals)} entries for {n} agents")
-        return AdditiveValue(vals)
+        return _construct(AdditiveValue, vals)
     if name == "symmetric":
         try:
             g = tuple(float(x) for x in ast.literal_eval(args))
@@ -173,10 +182,7 @@ def parse_value(text: str, n: int):
             raise ConfigError(f"bad symmetric value table: {exc}") from None
         if len(g) != n + 1:
             raise ConfigError(f"symmetric table needs n+1 = {n + 1} entries, got {len(g)}")
-        try:
-            return SymmetricValue(g)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return _construct(SymmetricValue, g)
     if name == "coverage":
         vf = parse_coverage_file(args.strip().strip("'\""))
         if vf.n != n:
@@ -265,8 +271,8 @@ def parse_config(path: str) -> ExperimentConfig:
         budget = float(cp.get("instance", "budget"))
     except ValueError as exc:
         raise ConfigError(f"bad budget: {exc}") from None
-    if budget <= 0:
-        raise ConfigError("budget must be positive")
+    if not 0.0 < budget < math.inf:
+        raise ConfigError(f"budget must be a positive finite number, got {budget:g}")
     value = parse_value(cp.get("instance", "value"), len(dists))
 
     cfg = ExperimentConfig(dists=dists, value=value, budget=budget)

@@ -11,8 +11,11 @@ Three routes, by value-function shape:
                   spend increments of each agent's cost curve.
 
 solver_kind picks the route for an instance and solve_ex_ante runs it; every
-caller that solves by shape goes through that pair.  Solvers are pure
-functions of their inputs and seed.
+caller that solves by shape goes through that pair.  Greedy asks the value
+function for its step gains (ValueFunction.marginal_gains), so whether they
+are exact or sampled is the value function's choice.  All three solvers
+return through one constructor that sums the hull spend in agent order and
+builds the lotteries.  Solvers are pure functions of their inputs and seed.
 """
 
 from __future__ import annotations
@@ -40,10 +43,6 @@ class ExAnteSolution:
     objective_stderr: float
     solver_meta: dict
 
-    @property
-    def n(self) -> int:
-        return len(self.quantiles)
-
 
 @dataclass(frozen=True, eq=False)
 class IncrementTable:
@@ -58,17 +57,22 @@ class IncrementTable:
     deltas: np.ndarray
     exact_deltas: np.ndarray
     cumulative: np.ndarray
-    step_spend: float
-    noisy: bool
 
 
 def _hulls(dists, grid_size):
     return [ironed_curve(d, grid_size) for d in dists]
 
 
-def _lottery_menu(hulls, dists, quantiles):
-    return tuple(two_price_lottery(h, d, float(q))
-                 for h, d, q in zip(hulls, dists, quantiles))
+def _solution(hulls, dists, quantiles, objective, stderr, meta) -> ExAnteSolution:
+    """The solution at these quantiles: hull spend summed in agent order, the
+    realizing lotteries, and the quantiles frozen."""
+    spend = float(sum(h.hull_at(q) for h, q in zip(hulls, quantiles)))
+    lotteries = tuple(two_price_lottery(h, d, float(q))
+                      for h, d, q in zip(hulls, dists, quantiles))
+    quantiles.flags.writeable = False
+    return ExAnteSolution(quantiles=quantiles, lotteries=lotteries,
+                          expected_spend=spend, objective=float(objective),
+                          objective_stderr=float(stderr), solver_meta=meta)
 
 
 def _lagrangian_segments(hulls, values, lam: float):
@@ -125,8 +129,8 @@ def solve_additive(dists, values, budget: float,
     full_spend = sum(h.total_spend for h in hulls)
     if full_spend <= budget + _BIND_TOL * max(1.0, budget):
         q = np.ones(n)
-        meta = {"lambda": 0.0, "budget": budget}
-        return _finish_solution(hulls, dists, values, q, meta)
+        return _solution(hulls, dists, q, np.dot(values, q), 0.0,
+                         {"lambda": 0.0, "budget": budget})
 
     # grow an upper bracket, then bisect: spend is nonincreasing in lambda
     lam_hi = 1.0
@@ -191,19 +195,9 @@ def solve_additive(dists, values, budget: float,
     else:
         raise RuntimeError("budget water-fill failed to converge")
 
-    meta = {"lambda": float(lam_hi), "budget": budget}
-    return _finish_solution(hulls, dists, values, pos, meta)
-
-
-def _finish_solution(hulls, dists, values, quantiles, meta):
-    quantiles = np.clip(np.asarray(quantiles, dtype=float), 0.0, 1.0)
-    spend = float(sum(h.hull_at(q) for h, q in zip(hulls, quantiles)))
-    objective = float(np.dot(values, quantiles))
-    lotteries = _lottery_menu(hulls, dists, quantiles)
-    quantiles.flags.writeable = False
-    return ExAnteSolution(quantiles=quantiles, lotteries=lotteries,
-                          expected_spend=spend, objective=objective,
-                          objective_stderr=0.0, solver_meta=meta)
+    q = np.clip(pos, 0.0, 1.0)
+    return _solution(hulls, dists, q, np.dot(values, q), 0.0,
+                     {"lambda": float(lam_hi), "budget": budget})
 
 
 def solve_symmetric(dist, g, budget: float, grid_size: int = DEFAULT_GRID) -> ExAnteSolution:
@@ -218,15 +212,9 @@ def solve_symmetric(dist, g, budget: float, grid_size: int = DEFAULT_GRID) -> Ex
     n = vf.n
     h = ironed_curve(dist, grid_size)
     q = h.inverse_spend(budget / n)
-    hull_sizes = concave_hull_sizes(vf)
-    objective = float(hull_sizes(n * q))
-    quantiles = np.full(n, q)
-    lot = two_price_lottery(h, dist, q)
-    quantiles.flags.writeable = False
-    return ExAnteSolution(quantiles=quantiles, lotteries=tuple([lot] * n),
-                          expected_spend=float(n * h.hull_at(q)),
-                          objective=objective, objective_stderr=0.0,
-                          solver_meta={"q": float(q), "budget": budget})
+    objective = concave_hull_sizes(vf)(n * q)
+    return _solution([h] * n, [dist] * n, np.full(n, q), objective, 0.0,
+                     {"q": float(q), "budget": budget})
 
 
 def discretize(dists, budget: float, m: int, noisy: bool = False, seed=None,
@@ -260,21 +248,20 @@ def discretize(dists, budget: float, m: int, noisy: bool = False, seed=None,
     cumulative = np.cumsum(deltas, axis=1)
     for arr in (deltas, exact, cumulative):
         arr.flags.writeable = False
-    return IncrementTable(deltas=deltas, exact_deltas=exact,
-                          cumulative=cumulative, step_spend=step, noisy=noisy)
+    return IncrementTable(deltas=deltas, exact_deltas=exact, cumulative=cumulative)
 
 
 def greedy_submodular(dists, vf: ValueFunction, budget: float, m: int | None = None,
-                      marginal_mode: str = "auto", samples: int = 10_000,
-                      seed=None, noisy: bool = False,
+                      samples: int = 10_000, seed=None, noisy: bool = False,
                       appendix_schedule: bool = False,
                       grid_size: int = DEFAULT_GRID) -> ExAnteSolution:
     """Greedy over equal-spend quantile increments for submodular objectives.
 
-    Each of the m steps adds the increment with the largest marginal value
-    (exact for additive/symmetric objectives, sampled otherwise), breaking
-    ties by lowest agent index.  Within one agent, increments are taken in
-    order since they shrink along the convex hull.
+    Each of the m steps scores every agent's next increment with one
+    vf.marginal_gains call (the value function decides whether its gains are
+    exact or sampled) and adds the largest, breaking ties by lowest agent
+    index.  Within one agent, increments are taken in order since they shrink
+    along the convex hull.
     """
     n = len(dists)
     if vf.n != n:
@@ -285,12 +272,6 @@ def greedy_submodular(dists, vf: ValueFunction, budget: float, m: int | None = N
         m = n * n
     if m < n:
         raise ValueError("need at least one increment per agent (m >= n)")
-    if marginal_mode == "auto":
-        marginal_mode = "exact" if isinstance(vf, (AdditiveValue, SymmetricValue)) else "sampled"
-    if marginal_mode not in ("exact", "sampled"):
-        raise ValueError("marginal_mode must be 'exact' or 'sampled'")
-    if marginal_mode == "exact" and not isinstance(vf, (AdditiveValue, SymmetricValue)):
-        raise ValueError("exact marginals are only available for additive/symmetric objectives")
     if appendix_schedule:
         # worst-case sample schedule with accuracy parameter 1/n
         samples = int(math.ceil(10.0 * n ** 4 * (1.0 + math.log(max(n, 2)))))
@@ -302,52 +283,27 @@ def greedy_submodular(dists, vf: ValueFunction, budget: float, m: int | None = N
     hulls = _hulls(dists, grid_size)
     marg_rng = np.random.default_rng(marg_ss)
 
+    # a zero column past the last increment ends an agent's run
+    deltas = np.column_stack((table.deltas, np.zeros(n)))
     q = np.zeros(n)
     next_j = np.zeros(n, dtype=int)
     selection = []
-    values_arr = vf.as_array() if isinstance(vf, AdditiveValue) else None
     for _ in range(m):
-        best_i, best_gain = -1, 0.0
-        base_value = vf.multilinear(q)[0] if (marginal_mode == "exact"
-                                              and values_arr is None) else None
-        for i in range(n):
-            j = next_j[i]
-            if j >= m:
-                continue
-            d = float(table.deltas[i, j])
-            if d <= 0.0:
-                continue
-            if marginal_mode == "exact":
-                if values_arr is not None:
-                    gain = values_arr[i] * d
-                else:
-                    q_new = q.copy()
-                    q_new[i] = min(q_new[i] + d, 1.0)
-                    gain = vf.multilinear(q_new)[0] - base_value
-            else:
-                gain = vf.marginal_estimate(q, i, d, samples=samples, seed=marg_rng)
-            if gain > best_gain:
-                best_i, best_gain = i, gain
-        if best_i < 0 or best_gain <= 0.0:
+        gains = vf.marginal_gains(q, deltas[np.arange(n), next_j],
+                                  samples=samples, seed=marg_rng)
+        best = int(np.argmax(gains))
+        if gains[best] <= 0.0:
             break
-        j = next_j[best_i]
-        q[best_i] = min(q[best_i] + float(table.deltas[best_i, j]), 1.0)
-        next_j[best_i] += 1
-        selection.append((best_i, int(j)))
+        j = next_j[best]
+        q[best] = min(q[best] + float(deltas[best, j]), 1.0)
+        next_j[best] += 1
+        selection.append((best, int(j)))
 
-    if isinstance(vf, (AdditiveValue, SymmetricValue)):
-        objective, obj_stderr = vf.multilinear(q)
-    else:
-        objective, obj_stderr = vf.multilinear(q, samples=samples,
-                                               seed=np.random.default_rng(obj_ss))
-    spend = float(sum(h.hull_at(qi) for h, qi in zip(hulls, q)))
-    lotteries = _lottery_menu(hulls, dists, q)
-    q.flags.writeable = False
-    meta = {"m": m, "marginal_mode": marginal_mode, "samples": samples,
-            "noisy": noisy, "selection_order": tuple(selection), "budget": budget}
-    return ExAnteSolution(quantiles=q, lotteries=lotteries, expected_spend=spend,
-                          objective=float(objective), objective_stderr=float(obj_stderr),
-                          solver_meta=meta)
+    objective, stderr = vf.multilinear(q, samples=samples,
+                                       seed=np.random.default_rng(obj_ss))
+    meta = {"m": m, "samples": samples, "noisy": noisy,
+            "selection_order": tuple(selection), "budget": budget}
+    return _solution(hulls, dists, q, objective, stderr, meta)
 
 
 SOLVER_KINDS = ("auto", "additive", "symmetric", "greedy")

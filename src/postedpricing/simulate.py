@@ -230,7 +230,7 @@ def overflow_probability(menu: PriceMenu, budget: float, k: float,
     return OverflowEstimate(p_hat=p_hat, stderr=stderr, ceiling=ceiling)
 
 
-def correlation_gap_experiment(k: int, n: int, trials: int = 0, seed=None) -> GapResult:
+def correlation_gap_experiment(k: int, n: int) -> GapResult:
     """Independent vs. correlated value of the capped cardinality objective.
 
     Unit values capped at k selections, common price B/k, common marginal

@@ -4,7 +4,8 @@ Four oracle flavors: additive (a value per agent), symmetric (value depends
 only on how many agents are selected), coverage (weighted set cover), and
 black-box callbacks.  The independent-inclusion extension (expected value of
 a random set with independent marginals) is exact for additive and symmetric
-functions and Monte Carlo sampled otherwise.
+functions and Monte Carlo sampled otherwise; so is marginal_gains, the gain in
+that extension from raising each agent's marginal on its own.
 
 Value functions are immutable; sampling takes explicit seeds so concurrent
 callers never share RNG state.
@@ -82,6 +83,18 @@ class ValueFunction:
             return 0.0
         return float(self._row_marginals(base[flips], i).sum() / samples)
 
+    def marginal_gains(self, q, dq, samples: int = 10_000, seed=None) -> np.ndarray:
+        """V(q + dq[i] * e_i) - V(q) for every agent i; 0 where dq[i] is 0.
+
+        Sampled here: one marginal_estimate per raised agent, in index order,
+        on one generator, so an agent with dq[i] == 0 takes no draw.
+        """
+        rng = _as_rng(seed)
+        gains = np.zeros(self.n)
+        for i in np.flatnonzero(dq):
+            gains[i] = self.marginal_estimate(q, i, dq[i], samples=samples, seed=rng)
+        return gains
+
     def _row_marginals(self, rows: np.ndarray, i: int) -> np.ndarray:
         out = np.empty(len(rows))
         for r, row in enumerate(rows):
@@ -97,8 +110,8 @@ class AdditiveValue(ValueFunction):
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", vals)
-        if any(v < 0 for v in vals):
-            raise ValueError("agent values must be nonnegative")
+        if not all(0.0 <= v < math.inf for v in vals):
+            raise ValueError("agent values must be finite and nonnegative")
 
     @property
     def n(self):
@@ -118,6 +131,9 @@ class AdditiveValue(ValueFunction):
     def multilinear(self, q, samples: int = 10_000, seed=None):
         q = _check_quantiles(q, self.n)
         return float(np.dot(self.as_array(), q)), 0.0
+
+    def marginal_gains(self, q, dq, samples: int = 10_000, seed=None):
+        return self.as_array() * np.asarray(dq, dtype=float)
 
     def _evaluate_rows(self, rows):
         # agent by agent in index order, as a left-to-right sum
@@ -172,6 +188,16 @@ class SymmetricValue(ValueFunction):
         dist = self.size_distribution(q)
         return float(np.dot(dist, np.asarray(self.g))), 0.0
 
+    def marginal_gains(self, q, dq, samples: int = 10_000, seed=None):
+        q = _check_quantiles(q, self.n)
+        base = self.multilinear(q)[0]
+        gains = np.zeros(self.n)
+        for i in np.flatnonzero(dq):
+            raised = q.copy()
+            raised[i] = min(q[i] + dq[i], 1.0)
+            gains[i] = self.multilinear(raised)[0] - base
+        return gains
+
 
 @dataclass(frozen=True)
 class CoverageValue(ValueFunction):
@@ -185,8 +211,8 @@ class CoverageValue(ValueFunction):
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "covers",
                            tuple(tuple(sorted(set(c))) for c in self.covers))
-        if any(x < 0 for x in w):
-            raise ValueError("element weights must be nonnegative")
+        if not all(0.0 <= x < math.inf for x in w):
+            raise ValueError("element weights must be finite and nonnegative")
         for cov in self.covers:
             if cov and (min(cov) < 0 or max(cov) >= len(w)):
                 raise ValueError("covered element index out of range")

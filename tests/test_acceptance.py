@@ -175,8 +175,7 @@ def test_c07_greedy_near_optimal_on_reduced_coverage():
         dists = [pp.Uniform(0.0, float(rng.uniform(0.5, 1.5))) for _ in range(n)]
         full = sum(pp.ironed_curve(d).total_spend for d in dists)
         budget = float(rng.uniform(0.3, 0.9) * full)
-        sol = pp.greedy_submodular(dists, vf, budget, m=m,
-                                   marginal_mode="sampled", samples=10_000,
+        sol = pp.greedy_submodular(dists, vf, budget, m=m, samples=10_000,
                                    seed=trial)
         achieved = brute_multilinear(vf, sol.quantiles)
         table = pp.discretize(dists, budget, m)

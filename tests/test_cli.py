@@ -107,9 +107,10 @@ def test_parse_config_rejects_unknown_section(tmp_path):
         parse_config(path)
 
 
-def test_parse_config_rejects_zero_budget(tmp_path):
+@pytest.mark.parametrize("budget", ["0", "nan", "inf"])
+def test_parse_config_rejects_zero_budget(tmp_path, budget):
     path = _write_config(tmp_path, EXAMPLE1.format(out=tmp_path)
-                         .replace("budget = 4", "budget = 0"))
+                         .replace("budget = 4", f"budget = {budget}"))
     with pytest.raises(ConfigError):
         parse_config(path)
 
@@ -188,6 +189,22 @@ def test_cmd_gap(tmp_path):
     for line in lines[1:]:
         parts = line.split(",")
         assert float(parts[4]) >= float(parts[5])  # ratio above its bound
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["bounds", "--k", "0"], "--k"),
+    (["bounds", "--k", "-5"], "--k"),
+    (["bounds", "--k", "nan"], "--k"),
+    (["gap", "--k", "0"], "--k"),
+    (["gap", "--k", "-3"], "--k"),
+    (["gap", "--k", "1.5"], "--k"),
+    (["gap", "--k", "inf"], "--k"),
+    (["gap", "--k", "2", "--n-factor", "0"], "--n-factor"),
+    (["gap", "--k", "2", "--n-factor", "-1"], "--n-factor")])
+def test_bounds_and_gap_reject_bad_sizes(tmp_path, capsys, args, flag):
+    assert main([*args, "--out", str(tmp_path / "o")]) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_solution_record_shape():
@@ -299,7 +316,11 @@ def test_solver_kind_mismatch_exits_2(tmp_path, command):
     ("2 * uniform(0, 1)", "additive(5)"),
     ("2 * uniform(0, 1)", "symmetric(3)"),
     ("pwcdf(5)", "additive(constant=1)"),
-    ("2 * uniform(0, 1)", 'additive([1, "a"])')])
+    ("2 * uniform(0, 1)", 'additive([1, "a"])'),
+    ("2 * uniform(0, 1)", "additive(constant=-1)"),
+    ("4 * uniform(0, 1)", "additive([1, -1, 1, 1])"),
+    ("2 * uniform(0, 1)", "additive(constant=nan)"),
+    ("2 * uniform(0, 1)", "additive(constant=inf)")])
 def test_malformed_literal_exits_2(tmp_path, distributions, value):
     path = _write_config(tmp_path, "[instance]\n"
                          f"distributions = {distributions}\n"
@@ -393,3 +414,13 @@ def test_auto_epsilon_on_small_market_is_config_error(tmp_path, capsys, command)
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "[mechanism] epsilon" in err and "k = " in err
+
+
+def test_negative_coverage_weight_exits_2(tmp_path, capsys):
+    golden = Path(__file__).resolve().parent / "golden" / "coverage-greedy"
+    cov = tmp_path / "coverage.txt"
+    cov.write_text((golden / "coverage.txt").read_text().replace("a:1", "a:-1"))
+    text = (golden / "config.ini").read_text()
+    path = _write_config(tmp_path, text.replace("coverage(coverage.txt)", f"coverage({cov})"))
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "element weights" in capsys.readouterr().err

@@ -180,10 +180,25 @@ def test_greedy_selection_order_within_agent():
         seen[agent] = j + 1
 
 
+def test_greedy_exact_additive_pinned():
+    sol = greedy_submodular([U01, Uniform(0, 1.4), Uniform(0.1, 0.9)],
+                            AdditiveValue((1.0, 0.7, 1.2)), 0.8, m=9)
+    assert sol.solver_meta["selection_order"] == (
+        (2, 0), (0, 0), (1, 0), (2, 1), (2, 2), (0, 1), (2, 3), (0, 2), (2, 4))
+    assert sol.objective == 1.5153473494371743
+
+
+def test_greedy_exact_symmetric_over_distinct_priors_pinned():
+    sol = greedy_submodular([U01, Uniform(0, 0.7), Uniform(0.1, 1.2)],
+                            SymmetricValue((0.0, 1.0, 1.7, 2.0)), 1.0, m=9)
+    assert sol.solver_meta["selection_order"] == (
+        (1, 0), (0, 0), (2, 0), (1, 1), (1, 2), (0, 1), (1, 3), (2, 1), (1, 4))
+    assert sol.objective == 1.4594789545008666
+
+
 def test_greedy_sampled_coverage_positive():
     vf = CoverageValue((1.0, 1.0, 1.0), ((0,), (1,), (0, 2)))
-    sol = greedy_submodular([U01] * 3, vf, 0.75, m=9, marginal_mode="sampled",
-                            samples=4000, seed=5)
+    sol = greedy_submodular([U01] * 3, vf, 0.75, m=9, samples=4000, seed=5)
     assert sol.expected_spend <= 0.75 + 1e-6
     exact = brute_multilinear(vf, sol.quantiles)
     assert exact > 0.5
@@ -236,8 +251,8 @@ def test_greedy_noisy_increments_still_feasible():
 
 def test_greedy_appendix_sample_schedule_runs():
     vf = CoverageValue((1.0, 0.5), ((0,), (0, 1)))
-    sol = greedy_submodular([U01, U01], vf, 0.9, m=4, marginal_mode="sampled",
-                            appendix_schedule=True, seed=2)
+    sol = greedy_submodular([U01, U01], vf, 0.9, m=4, appendix_schedule=True,
+                            seed=2)
     assert sol.solver_meta["samples"] >= 10 * 2 ** 4
     assert sol.expected_spend <= 0.9 + 1e-6
 

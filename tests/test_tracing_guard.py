@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 
 import postedpricing.cli  # noqa: F401  (the tracer patches every loaded module)
-from postedpricing import (AdditiveValue, Instance, PiecewiseLinearCDF, PriceMenu,
-                           Uniform, degenerate_lottery, distributions, exante,
-                           ironed_curve, simulate, two_price_lottery)
+from postedpricing import (AdditiveValue, CoverageValue, Instance, PiecewiseLinearCDF,
+                           PriceMenu, SymmetricValue, Uniform, degenerate_lottery,
+                           distributions, exante, ironed_curve, simulate,
+                           two_price_lottery)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -62,3 +63,22 @@ def test_tracer_counts_the_walks_of_simulate_runs():
     assert [s[0] for s in tracer.spans].count("simulate.simulate_runs") == 2
     assert tracer.calls["mechanism.select_within_budget"] > 0
     assert tracer.calls["mechanism.bang_per_buck_order"] > 0
+
+
+def test_tracer_spans_greedy_and_its_value_calls():
+    # oblivious-cli lists these spans in its expected_spans
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        exante.greedy_submodular([Uniform(0, 1)] * 3,
+                                 CoverageValue((1.0, 0.5), ((0,), (0, 1), (1,))),
+                                 0.6, m=9, samples=200, seed=1)
+        exante.greedy_submodular([Uniform(0, 1), Uniform(0, 2)],
+                                 SymmetricValue((0.0, 1.0, 1.5)), 0.5, m=4)
+    finally:
+        tracer.uninstall()
+    for name in ("exante.greedy_submodular", "exante.discretize",
+                 "values.marginal_estimate", "values.multilinear"):
+        assert tracer.calls[name] > 0, name
+    assert tracer.calls["exante.greedy_submodular"] == 2

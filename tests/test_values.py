@@ -58,6 +58,35 @@ def test_multilinear_zero_marginals():
         assert est == 0.0
 
 
+def test_marginal_gains_additive_is_values_times_raise():
+    v = AdditiveValue((2.0, 0.3, 4.0))
+    dq = np.array([0.25, 0.0, 0.1])
+    assert np.array_equal(v.marginal_gains(np.array([0.5, 0.2, 0.0]), dq),
+                          np.array([2.0 * 0.25, 0.0, 4.0 * 0.1]))
+
+
+def test_marginal_gains_symmetric_is_the_exact_difference():
+    v = SymmetricValue((0.0, 1.0, 1.7, 2.0))
+    q = np.array([0.3, 0.9, 0.5])
+    dq = np.array([0.2, 0.0, 0.6])
+    base = v.multilinear(q)[0]
+    expected = [v.multilinear([0.5, 0.9, 0.5])[0] - base, 0.0,
+                v.multilinear([0.3, 0.9, 1.0])[0] - base]  # capped at 1
+    assert v.marginal_gains(q, dq).tolist() == expected
+
+
+def test_marginal_gains_sampled_draws_only_for_raised_agents():
+    v = CoverageValue((1.0, 0.5, 2.0), ((0,), (0, 1), (1, 2)))
+    q = np.array([0.2, 0.5, 0.1])
+    dq = np.array([0.3, 0.0, 0.4])
+    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    gains = v.marginal_gains(q, dq, samples=500, seed=rng)
+    expected = [v.marginal_estimate(q, 0, 0.3, samples=500, seed=twin), 0.0,
+                v.marginal_estimate(q, 2, 0.4, samples=500, seed=twin)]
+    assert gains.tolist() == expected
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_multilinear_requires_samples_for_sampled_variants():
     v = CoverageValue((1.0,), ((0,), (0,)))
     with pytest.raises(ValueError):
