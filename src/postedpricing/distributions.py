@@ -253,7 +253,8 @@ class IronedCurve:
     """Lower convex hull of a cost curve with its ironed intervals.
 
     `slopes` holds the hull slope of each grid segment (the marginal cost of
-    acceptance probability); convexity makes the array nondecreasing.
+    acceptance probability); convexity makes the array nondecreasing, so
+    `slopes.searchsorted(slopes[k], side="right")` ends the run through k.
     `intervals` lists maximal (a, b) quantile pairs where the hull lies
     strictly below the curve.
     """
@@ -300,11 +301,6 @@ class IronedCurve:
                 return (a, b)
         return None
 
-    @property
-    def slope_run_ends(self) -> np.ndarray:
-        """For each segment, the first later segment with a larger slope."""
-        return np.searchsorted(self.slopes, self.slopes, side="right")
-
 
 def build_cost_curve(dist: CostDistribution, grid_size: int = DEFAULT_GRID) -> CostCurve:
     """Tabulate q * F^{-1}(q) on a uniform grid and flag discrete convexity."""
@@ -323,6 +319,9 @@ def build_cost_curve(dist: CostDistribution, grid_size: int = DEFAULT_GRID) -> C
 
 def _lower_hull_vertices(x: np.ndarray, y: np.ndarray) -> list:
     """Indices of the lower convex hull of points sorted by x (monotone chain)."""
+    # Python floats do the same IEEE double arithmetic as float64 scalars, so
+    # the vertices are the same; indexing a list is several times cheaper.
+    x, y = x.tolist(), y.tolist()
     hull = []
     for i in range(len(x)):
         while len(hull) >= 2:
@@ -346,30 +345,31 @@ def iron(curve: CostCurve) -> IronedCurve:
     slopes = np.maximum.accumulate(slopes)  # enforce convexity against jitter
     scale = max(1.0, float(P[-1]))
     below = hull < P - CONTACT_TOL * scale
-    intervals = []
-    i = 0
-    n = len(q)
-    while i < n:
-        if below[i]:
-            j = i
-            while j + 1 < n and below[j + 1]:
-                j += 1
-            # the grid endpoints always touch, so i-1 and j+1 are in range
-            intervals.append((float(q[i - 1]), float(q[j + 1])))
-            i = j + 1
-        i += 1
+    # a run of below-points opens after a +1 step and closes at the point
+    # after a -1 step; the grid endpoints always touch, so every run does both
+    step = np.diff(below.astype(np.int8))
+    opens = q[np.flatnonzero(step == 1)].tolist()
+    closes = q[np.flatnonzero(step == -1) + 1].tolist()
     hull.flags.writeable = False
     slopes.flags.writeable = False
     return IronedCurve(quantiles=q, curve=P, hull=hull, slopes=slopes,
-                       intervals=tuple(intervals), dist=curve.dist)
+                       intervals=tuple(zip(opens, closes)), dist=curve.dist)
 
 
 # An entry holds four arrays of grid_size floats (320 kB at the default grid);
 # 128 entries (40 MB) bound the cache yet keep a market of <= 128 priors warm.
 @lru_cache(maxsize=128)
-def ironed_curve(dist: CostDistribution, grid_size: int = DEFAULT_GRID) -> IronedCurve:
-    """Cached build_cost_curve + iron; distributions hash by value."""
+def _ironed(dist: CostDistribution, grid_size: int) -> IronedCurve:
     return iron(build_cost_curve(dist, grid_size))
+
+
+def ironed_curve(dist: CostDistribution, grid_size: int = DEFAULT_GRID) -> IronedCurve:
+    """Cached build_cost_curve + iron; distributions hash by value.  A default,
+    positional or keyword grid_size reaches the same cache entry."""
+    return _ironed(dist, grid_size)
+
+
+ironed_curve.cache_info, ironed_curve.cache_clear = _ironed.cache_info, _ironed.cache_clear
 
 
 # ---------------------------------------------------------------------------

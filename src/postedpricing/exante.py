@@ -82,7 +82,7 @@ def _lagrangian_segments(hulls, values, lam: float):
     counts = []
     spend = 0.0
     for h, v in zip(hulls, values):
-        count = 0 if v <= 0.0 else int(np.searchsorted(h.slopes, v / lam, side="right"))
+        count = 0 if v <= 0.0 else int(h.slopes.searchsorted(v / lam, side="right"))
         counts.append(count)
         spend += float(h.hull[count])
     return counts, spend
@@ -115,9 +115,9 @@ def solve_additive(dists, values, budget: float,
     ironed interval and is realized by a two-price lottery.
     """
     values = np.asarray(values, dtype=float)
-    if budget <= 0:
+    if not budget > 0:
         raise ValueError("budget must be positive")
-    if np.any(values < 0):
+    if not np.all(values >= 0):
         raise ValueError("agent values must be nonnegative")
     hulls = _hulls(dists, grid_size)
     n = len(hulls)
@@ -155,7 +155,6 @@ def solve_additive(dists, values, budget: float,
     spend_i = np.array([h.hull[c] for h, c in zip(hulls, seg)])
 
     # water-fill the pivotal agents until the budget binds
-    run_ends = [h.slope_run_ends for h in hulls]
     scale = max(1.0, budget)
     for _ in range(200_000):
         remaining = budget - spend_i.sum()
@@ -167,24 +166,25 @@ def solve_additive(dists, values, budget: float,
         ratios = np.array([hulls[i].slopes[seg[i]] / values[i] for i in active])
         r_star = ratios.min()
         group = [i for i, r in zip(active, ratios) if r <= r_star + 1e-12 * (1.0 + r_star)]
+        # each pivotal agent's run of equal slopes ends where a larger one starts
+        ends = {i: int(hulls[i].slopes.searchsorted(hulls[i].slopes[seg[i]], side="right"))
+                for i in group}
         advanced_free = False
         for i in list(group):
             if hulls[i].slopes[seg[i]] == 0.0:
-                end = int(run_ends[i][seg[i]])
-                seg[i] = end
-                pos[i] = grid[end]
+                seg[i] = ends[i]
+                pos[i] = grid[ends[i]]
                 advanced_free = True
                 group.remove(i)
         if advanced_free and not group:
             continue
-        caps = np.array([hulls[i].hull[run_ends[i][seg[i]]] - spend_i[i] for i in group])
+        caps = np.array([hulls[i].hull[ends[i]] - spend_i[i] for i in group])
         share = remaining / len(group)
         step = min(share, caps.min())
         if step <= 0:
             break
         for i in group:
-            h = hulls[i]
-            end = int(run_ends[i][seg[i]])
+            h, end = hulls[i], ends[i]
             spend_i[i] += step
             if spend_i[i] >= h.hull[end] - 1e-15 * scale:
                 spend_i[i] = float(h.hull[end])
@@ -207,7 +207,7 @@ def solve_symmetric(dist, g, budget: float, grid_size: int = DEFAULT_GRID) -> Ex
     the objective is the size hull evaluated at the expected set size n * q.
     """
     vf = g if isinstance(g, SymmetricValue) else SymmetricValue(tuple(g))
-    if budget < 0:
+    if not budget >= 0:  # NaN fails too
         raise ValueError("budget must be nonnegative")
     n = vf.n
     h = ironed_curve(dist, grid_size)
@@ -228,7 +228,7 @@ def discretize(dists, budget: float, m: int, noisy: bool = False, seed=None,
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    if budget < 0:
+    if not budget >= 0:  # NaN fails too
         raise ValueError("budget must be nonnegative")
     n = len(dists)
     rng = np.random.default_rng(seed)
@@ -266,7 +266,7 @@ def greedy_submodular(dists, vf: ValueFunction, budget: float, m: int | None = N
     n = len(dists)
     if vf.n != n:
         raise ValueError("value function and distribution count disagree")
-    if budget < 0:
+    if not budget >= 0:  # NaN fails too
         raise ValueError("budget must be nonnegative")
     if m is None:
         m = n * n

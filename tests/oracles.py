@@ -186,3 +186,58 @@ def finite_difference_virtual_cost(dist, c, h=1e-6):
     """c + F(c)/f(c) with the density from a centered difference of the CDF."""
     f = (dist.cdf(c + h) - dist.cdf(c - h)) / (2.0 * h)
     return c + dist.cdf(c) / f
+
+
+def irregular_priors(seed, n):
+    """n distinct priors whose cost curves need ironing: even agents truncated
+    exponential, odd agents a CDF with 3 kinks and a nearly flat middle piece
+    (exactly flat for every other one)."""
+    from postedpricing import PiecewiseLinearCDF, TruncatedExponential
+
+    rng = np.random.default_rng(seed)
+    priors = []
+    for i in range(n):
+        lo = float(rng.uniform(0.0, 0.2))
+        hi = lo + float(rng.uniform(0.8, 1.6))
+        if i % 2 == 0:
+            priors.append(TruncatedExponential(float(rng.uniform(0.5, 3.0)), lo, hi))
+            continue
+        c1, c2, c3 = (float(c) for c in lo + (hi - lo) * np.sort(rng.uniform(0.1, 0.9, 3)))
+        f1 = float(rng.uniform(0.35, 0.55))
+        f2 = f1 if i % 4 == 1 else f1 + float(rng.uniform(0.02, 0.08))
+        f3 = f2 + float(rng.uniform(0.15, 0.3))
+        priors.append(PiecewiseLinearCDF(((lo, 0.0), (c1, f1), (c2, f2), (c3, f3), (hi, 1.0))))
+    return priors
+
+
+def monotone_chain_scalars(x, y):
+    """Lower convex hull vertex indices of points sorted by x: the monotone
+    chain run over numpy float64 scalars, one array index at a time."""
+    hull = []
+    for i in range(len(x)):
+        while len(hull) >= 2:
+            i0, i1 = hull[-2], hull[-1]
+            cross = (x[i1] - x[i0]) * (y[i] - y[i0]) - (y[i1] - y[i0]) * (x[i] - x[i0])
+            if cross <= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    return hull
+
+
+def ironed_intervals_scan(q, below):
+    """Maximal runs of `below` as (q[start - 1], q[end + 1]) pairs, found by
+    walking the grid one point at a time."""
+    intervals = []
+    i = 0
+    n = len(q)
+    while i < n:
+        if below[i]:
+            j = i
+            while j + 1 < n and below[j + 1]:
+                j += 1
+            intervals.append((float(q[i - 1]), float(q[j + 1])))
+            i = j + 1
+        i += 1
+    return tuple(intervals)

@@ -7,8 +7,12 @@ from postedpricing import (PiecewiseLinearCDF, TruncatedExponential,
                            UndefinedVirtualCostError, Uniform,
                            build_cost_curve, empirical_from_sample, iron,
                            ironed_curve, two_price_lottery)
+from postedpricing.distributions import (CONTACT_TOL, DEFAULT_GRID, CostCurve,
+                                         _lower_hull_vertices)
 
-from oracles import chord_hull_lower, finite_difference_virtual_cost
+from oracles import (chord_hull_lower, finite_difference_virtual_cost,
+                     ironed_intervals_scan, irregular_priors,
+                     monotone_chain_scalars)
 
 
 def test_uniform_cdf_identity():
@@ -223,6 +227,59 @@ def test_ironed_curve_cache_is_bounded():
     for i in range(maxsize + 8):
         ironed_curve(Uniform(0.0, 1.0 + i / 1024), 11)
     assert ironed_curve.cache_info().currsize <= maxsize
+
+
+def test_ironed_curve_call_forms_share_one_cache_entry():
+    d = Uniform(0.0, 1.0 + 1 / 3)
+    misses = ironed_curve.cache_info().misses
+    ic = ironed_curve(d)
+    assert ironed_curve(d, DEFAULT_GRID) is ic
+    assert ironed_curve(d, grid_size=DEFAULT_GRID) is ic
+    assert ironed_curve.cache_info().misses == misses + 1
+
+
+IRREGULAR = irregular_priors(7, 64)
+
+
+def test_hull_chain_matches_scalar_chain_on_random_tables():
+    rng = np.random.default_rng(5)
+    for _ in range(5000):
+        n = int(rng.integers(2, 40))
+        x = np.arange(n, dtype=float) if rng.random() < 0.5 else np.sort(rng.random(n))
+        # small integer heights make exactly collinear triples common
+        y = rng.integers(0, 4, n).astype(float) if rng.random() < 0.5 else rng.normal(size=n)
+        assert _lower_hull_vertices(x, y) == monotone_chain_scalars(x, y)
+
+
+def test_hull_chain_matches_scalar_chain_on_irregular_priors():
+    for d in IRREGULAR:
+        curve = build_cost_curve(d)
+        assert (_lower_hull_vertices(curve.quantiles, curve.spend)
+                == monotone_chain_scalars(curve.quantiles, curve.spend))
+
+
+def _interval_at_grid_index_1():
+    # concave from the left end, so the hull leaves the curve at index 1
+    q = np.linspace(0.0, 1.0, 11)
+    return CostCurve(quantiles=q, spend=np.sqrt(q) * (q < 0.55) + q * q * (q >= 0.55),
+                     regular=False, dist=None)
+
+
+@pytest.mark.parametrize("curve", [*IRREGULAR, _interval_at_grid_index_1()],
+                         ids=[*(f"prior{k}" for k in range(len(IRREGULAR))), "index1"])
+def test_iron_intervals_match_scan(curve):
+    if not isinstance(curve, CostCurve):
+        curve = build_cost_curve(curve)
+    ic = iron(curve)
+    P = curve.spend
+    below = ic.hull < P - CONTACT_TOL * max(1.0, float(P[-1]))
+    assert ic.intervals == ironed_intervals_scan(curve.quantiles, below)
+    assert all(type(a) is float and type(b) is float for a, b in ic.intervals)
+
+
+def test_iron_interval_can_start_at_grid_index_1():
+    ic = iron(_interval_at_grid_index_1())
+    assert ic.intervals[0][0] == 0.0
 
 
 def test_piecewise_validation():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from postedpricing import (AdditiveValue, CoverageValue, PiecewiseLinearCDF,
                            lagrangian_quantiles, solve_additive,
                            solve_ex_ante, solve_symmetric)
 
-from oracles import brute_multilinear, grid_oracle_additive
+from oracles import brute_multilinear, grid_oracle_additive, irregular_priors
 
 U01 = Uniform(0, 1)
 
@@ -48,6 +50,50 @@ def test_solve_additive_rejects_nonpositive_budget():
         solve_additive([U01], [1.0], 0.0)
     with pytest.raises(ValueError):
         solve_additive([U01], [1.0], -1.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("solve, name", [
+    (lambda: solve_additive([U01] * 2, [1.0, 1.0], NAN), "budget"),
+    (lambda: solve_additive([U01] * 2, [1.0, NAN], 0.5), "values"),
+    (lambda: solve_symmetric(U01, (0.0, 1.0, 2.0), NAN), "budget"),
+    (lambda: discretize([U01] * 2, NAN, 4), "budget"),
+    (lambda: greedy_submodular([U01] * 2, AdditiveValue((1.0, 1.0)), NAN), "budget"),
+], ids=["additive-budget", "additive-value", "symmetric", "discretize", "greedy"])
+def test_nan_input_is_rejected_by_name(solve, name):
+    with pytest.raises(ValueError, match=name):
+        solve()
+
+
+# (budget share of full spend, sha256 of quantiles.tobytes(), expected_spend
+# and solver_meta["lambda"] as float.hex(), lottery agents), recorded with the
+# monotone chain over numpy scalars and run ends tabulated for every segment
+PINNED_IRREGULAR_SOLVES = [
+    (0.1, "52e9708684896b7c550cd328c0be7a12390e2c651056b44142589adaae651cf5",
+     "0x1.fcde6f92cd889p+1", "0x1.0079367bcc179p+1", 0),
+    (0.2, "72c8ba241f0c5f542ad911b08bd7781975a324c0c82e3fb89df7d33282ef9d2f",
+     "0x1.fcde6f92cd7e8p+2", "0x1.7634cf7c725c9p+0", 2),
+    (0.65, "870caf61a90786410b86e03a46559395043002bf4fbc767527de3b3296ff693d",
+     "0x1.9d74baa746f92p+4", "0x1.0253ac713edf6p-1", 2),
+]
+
+
+@pytest.mark.parametrize("share, quantiles_sha256, spend_hex, lambda_hex, lotteries",
+                         PINNED_IRREGULAR_SOLVES)
+def test_solve_additive_bits_pinned_on_irregular_market(share, quantiles_sha256,
+                                                        spend_hex, lambda_hex, lotteries):
+    # 16 irregular priors, each held by two agents of equal value, so the
+    # water-fill splits ties and can stop inside an ironed interval
+    dists = irregular_priors(2015, 16) * 2
+    values = np.tile(np.random.default_rng(2015).uniform(0.5, 2.0, 16).round(2), 2)
+    budget = share * sum(ironed_curve(d).total_spend for d in dists)
+    sol = solve_additive(dists, values, budget)
+    assert hashlib.sha256(sol.quantiles.tobytes()).hexdigest() == quantiles_sha256
+    assert sol.expected_spend.hex() == spend_hex
+    assert sol.solver_meta["lambda"].hex() == lambda_hex
+    assert sum(not lot.degenerate for lot in sol.lotteries) == lotteries
 
 
 @pytest.mark.parametrize("seed", range(6))
