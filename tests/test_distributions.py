@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -265,11 +266,12 @@ def _interval_at_grid_index_1():
                      regular=False, dist=None)
 
 
-@pytest.mark.parametrize("curve", [*IRREGULAR, _interval_at_grid_index_1()],
+@pytest.mark.parametrize("make_curve",
+                         [*(functools.partial(build_cost_curve, d) for d in IRREGULAR),
+                          _interval_at_grid_index_1],
                          ids=[*(f"prior{k}" for k in range(len(IRREGULAR))), "index1"])
-def test_iron_intervals_match_scan(curve):
-    if not isinstance(curve, CostCurve):
-        curve = build_cost_curve(curve)
+def test_iron_intervals_match_scan(make_curve):
+    curve = make_curve()
     ic = iron(curve)
     P = curve.spend
     below = ic.hull < P - CONTACT_TOL * max(1.0, float(P[-1]))

@@ -81,7 +81,8 @@ PINNED_IRREGULAR_SOLVES = [
 
 
 @pytest.mark.parametrize("share, quantiles_sha256, spend_hex, lambda_hex, lotteries",
-                         PINNED_IRREGULAR_SOLVES)
+                         PINNED_IRREGULAR_SOLVES,
+                         ids=[f"share{case[0]}" for case in PINNED_IRREGULAR_SOLVES])
 def test_solve_additive_bits_pinned_on_irregular_market(share, quantiles_sha256,
                                                         spend_hex, lambda_hex, lotteries):
     # 16 irregular priors, each held by two agents of equal value, so the
