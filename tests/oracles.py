@@ -2,7 +2,10 @@
 
 Everything here is deliberately implemented by a different route than the
 library code it checks (enumeration, chord minimization, exact rational
-binomials), so agreement is evidence rather than tautology.
+binomials), so agreement is evidence rather than tautology.  Where a faster
+route must give bit-identical results, the slower one it replaced is kept
+here as the reference.  `irregular_priors` builds a market the ironing and
+solver tests share.
 """
 
 import math
