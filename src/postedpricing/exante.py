@@ -13,9 +13,11 @@ Three routes, by value-function shape:
 solver_kind picks the route for an instance and solve_ex_ante runs it; every
 caller that solves by shape goes through that pair.  Greedy asks the value
 function for its step gains (ValueFunction.marginal_gains), so whether they
-are exact or sampled is the value function's choice.  All three solvers
-return through one constructor that sums the hull spend in agent order and
-builds the lotteries.  Solvers are pure functions of their inputs and seed.
+are exact or sampled is the value function's choice; sampled gains take
+`samples` draws per greedy step, shared by every candidate of the step.  All
+three solvers return through one constructor that sums the hull spend in
+agent order and builds the lotteries.  Solvers are pure functions of their
+inputs and seed.
 """
 
 from __future__ import annotations
@@ -259,7 +261,8 @@ def greedy_submodular(dists, vf: ValueFunction, budget: float, m: int | None = N
 
     Each of the m steps scores every agent's next increment with one
     vf.marginal_gains call (the value function decides whether its gains are
-    exact or sampled) and adds the largest, breaking ties by lowest agent
+    exact or sampled; sampled gains take `samples` draws per step, shared by
+    every candidate) and adds the largest, breaking ties by lowest agent
     index.  Within one agent, increments are taken in order since they shrink
     along the convex hull.
     """

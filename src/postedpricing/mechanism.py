@@ -214,7 +214,8 @@ def policy_orders(policy: str, menu: PriceMenu, vf: ValueFunction, prices,
     if policy == "fixed":
         return [np.arange(n)]
     if policy == "uniform-random":
-        return [np.array([rng.permutation(n) for _ in range(trials)])]
+        # the rank order of n i.i.d. uniforms is a uniform permutation
+        return [np.argsort(rng.random((trials, n)), axis=1, kind="stable")]
     shared = not menu.has_lotteries
     if shared:
         prices = prices[:1]

@@ -70,29 +70,43 @@ class ValueFunction:
     def _evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
         return np.array([self.evaluate(np.flatnonzero(r)) for r in rows], dtype=float)
 
-    def marginal_estimate(self, q, i: int, dq: float, samples: int = 10_000, seed=None) -> float:
-        """Sampled estimate of V(q + dq * e_i) - V(q), coupled across draws."""
+    def marginal_estimate(self, q, agents, dq, samples: int = 10_000, seed=None) -> np.ndarray:
+        """Sampled V(q + dq[k] * e_agents[k]) - V(q) for each k.
+
+        Every estimate comes from one common (samples, n) uniform draw U:
+        the base set of a row is {j : U[j] < q[j]}, and agent i joins it where
+        q[i] <= U[i] < q[i] + dq[k].  The draw is shared by the candidates,
+        so their differences have less variance than independent draws give.
+        """
         q = _check_quantiles(q, self.n)
         if samples <= 0:
             raise ValueError("samples must be positive")
+        agents = np.asarray(agents, dtype=int)
         rng = _as_rng(seed)
         U = rng.random((samples, self.n))
         base = U < q
-        flips = (~base[:, i]) & (U[:, i] < q[i] + dq)
-        if not np.any(flips):
-            return 0.0
-        return float(self._row_marginals(base[flips], i).sum() / samples)
+        # column k: the rows where agents[k] is out of the base set but in
+        # the raised one
+        flips = (~base[:, agents]) & (U[:, agents] < q[agents] + dq)
+        out = np.zeros(len(agents))
+        for k in np.flatnonzero(flips.any(axis=0)):
+            rows = base[np.flatnonzero(flips[:, k])]  # faster than a bool mask
+            out[k] = self._row_marginals(rows, agents[k]).sum() / samples
+        return out
 
     def marginal_gains(self, q, dq, samples: int = 10_000, seed=None) -> np.ndarray:
         """V(q + dq[i] * e_i) - V(q) for every agent i; 0 where dq[i] is 0.
 
-        Sampled here: one marginal_estimate per raised agent, in index order,
-        on one generator, so an agent with dq[i] == 0 takes no draw.
+        Sampled here: one marginal_estimate over the raised agents, so a step
+        takes one (samples, n) draw shared by every candidate, and none when
+        nothing is raised.
         """
-        rng = _as_rng(seed)
+        dq = np.asarray(dq, dtype=float)
         gains = np.zeros(self.n)
-        for i in np.flatnonzero(dq):
-            gains[i] = self.marginal_estimate(q, i, dq[i], samples=samples, seed=rng)
+        raised = np.flatnonzero(dq)
+        if len(raised):
+            gains[raised] = self.marginal_estimate(q, raised, dq[raised],
+                                                   samples=samples, seed=seed)
         return gains
 
     def _row_marginals(self, rows: np.ndarray, i: int) -> np.ndarray:
@@ -216,16 +230,20 @@ class CoverageValue(ValueFunction):
         for cov in self.covers:
             if cov and (min(cov) < 0 or max(cov) >= len(w)):
                 raise ValueError("covered element index out of range")
+        # not a field, so equality, hash and repr ignore it
+        A = np.zeros((self.n, len(w)))
+        for i, cov in enumerate(self.covers):
+            A[i, list(cov)] = 1.0
+        A.flags.writeable = False
+        object.__setattr__(self, "_incidence", A)
 
     @property
     def n(self):
         return len(self.covers)
 
     def _matrix(self):
-        A = np.zeros((self.n, len(self.weights)), dtype=bool)
-        for i, cov in enumerate(self.covers):
-            A[i, list(cov)] = True
-        return A
+        """The (n, universe) element-incidence matrix as read-only 0/1 floats."""
+        return self._incidence
 
     def evaluate(self, subset) -> float:
         covered = set()
@@ -234,19 +252,16 @@ class CoverageValue(ValueFunction):
         return float(sum(self.weights[e] for e in covered))
 
     def _evaluate_rows(self, rows):
-        A = self._matrix().astype(float)
-        w = np.asarray(self.weights)
-        covered = (rows.astype(float) @ A) > 0
-        return covered @ w
+        covered = (rows.astype(float) @ self._matrix()) > 0
+        return covered @ np.asarray(self.weights)
 
     def _row_marginals(self, rows, i):
         A = self._matrix()
-        w = np.asarray(self.weights)
         others = rows.copy()
         others[:, i] = False
-        covered = (others.astype(float) @ A.astype(float)) > 0
-        gain = (~covered) & A[i]
-        return gain @ w
+        covered = (others.astype(float) @ A) > 0
+        gain = (~covered) & (A[i] > 0)
+        return gain @ np.asarray(self.weights)
 
 
 @dataclass(frozen=True, eq=False)

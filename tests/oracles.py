@@ -244,3 +244,24 @@ def ironed_intervals_scan(q, below):
             i = j + 1
         i += 1
     return tuple(intervals)
+
+
+def marginal_estimate_per_candidate(vf, q, i, dq, samples, rng):
+    """Sampled V(q + dq * e_i) - V(q) from a fresh (samples, n) uniform draw of
+    its own: the estimator before candidates shared one draw per step."""
+    q = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
+    U = rng.random((samples, vf.n))
+    base = U < q
+    flips = (~base[:, i]) & (U[:, i] < q[i] + dq)
+    if not np.any(flips):
+        return 0.0
+    return float(vf._row_marginals(base[flips], i).sum() / samples)
+
+
+def marginal_gains_per_candidate(vf, q, dq, samples, rng):
+    """One marginal_estimate_per_candidate per raised agent, in index order,
+    on one generator; 0 where dq[i] is 0."""
+    gains = np.zeros(vf.n)
+    for i in np.flatnonzero(dq):
+        gains[i] = marginal_estimate_per_candidate(vf, q, i, dq[i], samples, rng)
+    return gains

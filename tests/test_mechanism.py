@@ -15,6 +15,8 @@ from postedpricing import (AdditiveValue, Instance, PiecewiseLinearCDF,
                            sequential_guarantee, simulate_runs, solve_additive,
                            two_price_lottery)
 
+from postedpricing.mechanism import policy_orders
+
 from oracles import lp_vertex_fractional, mechanism_expectation
 
 U01 = Uniform(0, 1)
@@ -368,6 +370,22 @@ def test_run_needs_an_order_for_sampled_policies(policy):
     with pytest.raises(ValueError, match="simulate_runs"):
         run(menu, AdditiveValue((1.0,)), [0.1], 1.0, rng=0)
     assert run(menu, AdditiveValue((1.0,)), [0.1], 1.0, order=(0,), rng=0).selected == (0,)
+
+
+def test_uniform_random_orders_are_uniform_permutations():
+    n, trials = 6, 60_000
+    menu = _menu_from_prices([0.5] * n, policy="uniform-random")
+    vf = AdditiveValue((1.0,) * n)
+    prices = np.full((trials, n), 0.5)
+    (orders,) = policy_orders("uniform-random", menu, vf, prices, np.random.default_rng(3))
+    assert orders.shape == (trials, n)
+    assert np.array_equal(np.sort(orders, axis=1), np.tile(np.arange(n), (trials, 1)))
+    (again,) = policy_orders("uniform-random", menu, vf, prices, np.random.default_rng(3))
+    assert np.array_equal(orders, again)
+    # each agent comes first with probability 1/n: within 5 binomial sds
+    sd = math.sqrt(trials * (1 / n) * (1 - 1 / n))
+    leads = np.bincount(orders[:, 0], minlength=n)
+    assert np.all(np.abs(leads - trials / n) <= 5 * sd)
 
 
 def test_mechanism_menu_labels_the_mechanism_order():

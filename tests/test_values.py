@@ -5,7 +5,7 @@ from postedpricing import (AdditiveValue, CoverageValue, OracleValue,
                            SymmetricValue, check_submodular,
                            concave_closure_symmetric, concave_hull_sizes)
 
-from oracles import brute_multilinear
+from oracles import brute_multilinear, marginal_estimate_per_candidate
 
 
 def test_additive_evaluate():
@@ -75,16 +75,95 @@ def test_marginal_gains_symmetric_is_the_exact_difference():
     assert v.marginal_gains(q, dq).tolist() == expected
 
 
-def test_marginal_gains_sampled_draws_only_for_raised_agents():
+def test_marginal_gains_sampled_share_one_draw_per_step():
     v = CoverageValue((1.0, 0.5, 2.0), ((0,), (0, 1), (1, 2)))
     q = np.array([0.2, 0.5, 0.1])
     dq = np.array([0.3, 0.0, 0.4])
-    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    rng = np.random.default_rng(8)
     gains = v.marginal_gains(q, dq, samples=500, seed=rng)
-    expected = [v.marginal_estimate(q, 0, 0.3, samples=500, seed=twin), 0.0,
-                v.marginal_estimate(q, 2, 0.4, samples=500, seed=twin)]
+    # every raised entry is the per-candidate estimate on a generator in the
+    # starting state, so all of them read the same draw
+    expected = [marginal_estimate_per_candidate(v, q, 0, 0.3, 500, np.random.default_rng(8)),
+                0.0,
+                marginal_estimate_per_candidate(v, q, 2, 0.4, 500, np.random.default_rng(8))]
     assert gains.tolist() == expected
+    twin = np.random.default_rng(8)
+    twin.random((500, 3))
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_marginal_gains_draws_nothing_when_nothing_is_raised():
+    v = CoverageValue((1.0, 0.5), ((0,), (0, 1)))
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    assert v.marginal_gains(np.array([0.2, 0.5]), np.zeros(2), seed=rng).tolist() == [0.0, 0.0]
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_coupled_marginal_estimate_matches_per_candidate_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n, universe = int(rng.integers(1, 9)), int(rng.integers(1, 12))
+    weights = tuple(float(w) for w in rng.uniform(0.0, 2.0, universe))
+    covers = tuple(tuple(int(e) for e in rng.choice(universe, size=rng.integers(0, universe + 1),
+                                                    replace=False))
+                   for _ in range(n))
+    vf = CoverageValue(weights, covers) if seed % 4 else \
+        OracleValue(n, CoverageValue(weights, covers).evaluate)
+    q = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.8)
+    dq = rng.uniform(0.0, 0.5, n)
+    agents = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+    samples = int(rng.integers(1, 300))
+    got = vf.marginal_estimate(q, agents, dq[agents], samples=samples,
+                               seed=np.random.default_rng(seed))
+    expected = [marginal_estimate_per_candidate(vf, q, i, dq[i], samples,
+                                                np.random.default_rng(seed))
+                for i in agents]
+    assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_coupled_gains_are_unbiased(seed):
+    rng = np.random.default_rng(100 + seed)
+    n = 4
+    weights = tuple(float(w) for w in rng.uniform(0.2, 2.0, 5))
+    covers = tuple(tuple(int(e) for e in rng.choice(5, size=rng.integers(1, 5),
+                                                    replace=False))
+                   for _ in range(n))
+    v = CoverageValue(weights, covers)
+    q = rng.uniform(0.0, 0.8, n)
+    dq = rng.uniform(0.05, 0.2, n)
+    samples = 20_000
+    gains = v.marginal_gains(q, dq, samples=samples, seed=seed)
+    # the gain is a mean over rows of (flip indicator) * (row marginal)
+    U = np.random.default_rng(seed).random((samples, n))
+    base = U < q
+    for i in range(n):
+        per_row = np.zeros(samples)
+        flips = ~base[:, i] & (U[:, i] < q[i] + dq[i])
+        per_row[flips] = v._row_marginals(base[flips], i)
+        assert gains[i] == pytest.approx(per_row.mean(), rel=1e-12, abs=1e-15)
+        stderr = per_row.std(ddof=1) / np.sqrt(samples)
+        raised = q.copy()
+        raised[i] += dq[i]
+        exact = brute_multilinear(v, raised) - brute_multilinear(v, q)
+        assert stderr > 0
+        assert abs(gains[i] - exact) <= 4 * stderr
+
+
+def test_coverage_matrix_is_built_once_and_read_only():
+    a = CoverageValue((1.0, 0.5, 2.0), ((0,), (0, 1), (1, 2)))
+    b = CoverageValue([1, 0.5, 2], [[0], [1, 0], [2, 1]])
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "CoverageValue(weights=(1.0, 0.5, 2.0), covers=((0,), (0, 1), (1, 2)))"
+    A = a._matrix()
+    assert A is a._matrix()
+    assert not A.flags.writeable
+    assert A.tolist() == [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
+    a.multilinear([0.5, 0.5, 0.5], samples=10, seed=0)
+    assert a._matrix() is A
+    with pytest.raises(ValueError):
+        A[0, 0] = 0.0
 
 
 def test_multilinear_requires_samples_for_sampled_variants():
