@@ -75,8 +75,8 @@ class ValueFunction:
 
         Every estimate comes from one common (samples, n) uniform draw U:
         the base set of a row is {j : U[j] < q[j]}, and agent i joins it where
-        q[i] <= U[i] < q[i] + dq[k].  The draw is shared by the candidates,
-        so their differences have less variance than independent draws give.
+        q[i] <= U[i] < q[i] + dq[k].  Each entry is unbiased on its own; the
+        candidates share the draw to save its cost, not to correlate them.
         """
         q = _check_quantiles(q, self.n)
         if samples <= 0:

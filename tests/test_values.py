@@ -5,7 +5,8 @@ from postedpricing import (AdditiveValue, CoverageValue, OracleValue,
                            SymmetricValue, check_submodular,
                            concave_closure_symmetric, concave_hull_sizes)
 
-from oracles import brute_multilinear, marginal_estimate_per_candidate
+from oracles import (brute_multilinear, marginal_estimate_per_candidate,
+                     marginal_gains_per_candidate)
 
 
 def test_additive_evaluate():
@@ -90,6 +91,10 @@ def test_marginal_gains_sampled_share_one_draw_per_step():
     twin = np.random.default_rng(8)
     twin.random((500, 3))
     assert rng.bit_generator.state == twin.bit_generator.state
+    # with one raised agent, the shared draw is that agent's own
+    one = np.array([0.0, 0.25, 0.0])
+    assert (v.marginal_gains(q, one, samples=500, seed=np.random.default_rng(9)).tolist()
+            == marginal_gains_per_candidate(v, q, one, 500, np.random.default_rng(9)).tolist())
 
 
 def test_marginal_gains_draws_nothing_when_nothing_is_raised():
