@@ -1,14 +1,14 @@
 """Posted-price mechanisms for budget-feasible procurement under cost priors."""
 
-from .distributions import (CostCurve, CostDistribution, IronedCurve,
+from .distributions import (CostDistribution, IronedCurve,
                             PiecewiseLinearCDF, PriceLottery,
                             TruncatedExponential, UndefinedVirtualCostError,
-                            Uniform, build_cost_curve, degenerate_lottery,
+                            Uniform, degenerate_lottery,
                             empirical_from_sample, iron, ironed_curve,
                             two_price_lottery, DEFAULT_GRID)
 from .exante import (ExAnteSolution, IncrementTable, discretize,
-                     greedy_submodular, lagrangian_quantiles, solve_additive,
-                     solve_ex_ante, solve_symmetric, solver_kind)
+                     greedy_submodular, solve_additive, solve_ex_ante,
+                     solve_symmetric, solver_kind)
 from .mechanism import (MarketSize, PriceMenu, RunOutcome, bang_per_buck_order,
                         build_oblivious, choose_epsilon, derandomize_additive,
                         fractional_knapsack_value, integral_knapsack_value,

@@ -47,10 +47,13 @@ def solution_record(menu) -> str:
 
 
 def _write(out_dir: str, name: str, text: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
     return path
 
 
@@ -154,6 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out == "":
+            raise ConfigError("--out must name a directory")
         if args.command == "bounds":
             return cmd_bounds(args.k, args.out)
         if args.command == "gap":

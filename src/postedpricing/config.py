@@ -27,10 +27,12 @@ import os
 import re
 from dataclasses import dataclass
 
-from .distributions import (PiecewiseLinearCDF, TruncatedExponential, Uniform,
+from .distributions import (DEFAULT_GRID, PiecewiseLinearCDF,
+                            TruncatedExponential, Uniform,
                             empirical_from_sample)
 from .exante import solver_kind
 from .mechanism import MECHANISM_ORDERS, mechanism_variant
+from .simulate import DEFAULT_TRIALS
 from .values import AdditiveValue, CoverageValue, SymmetricValue
 
 
@@ -197,7 +199,7 @@ class ExperimentConfig:
     value: object
     budget: float
     solver_kind: str = "auto"
-    grid: int = 10_001
+    grid: int = DEFAULT_GRID
     m: int | None = None
     marginal_samples: int = 10_000
     noisy: bool = False
@@ -206,7 +208,7 @@ class ExperimentConfig:
     order: str = "bang-per-buck"
     epsilon: str | float = "auto"
     n_orders: int = 20
-    trials: int = 100_000
+    trials: int = DEFAULT_TRIALS
     seed: int = 0
     out: str = "out"
 
@@ -312,6 +314,8 @@ def parse_config(path: str) -> ExperimentConfig:
         if not 0.0 < cfg.epsilon < 0.5:
             raise ConfigError("epsilon must lie in (0, 1/2)")
     cfg.out = _get(cp, "harness", "out", cfg.out)
+    if not cfg.out:
+        raise ConfigError("[harness] out must name a directory")
     if cfg.trials < 1:
         raise ConfigError("trials must be positive")
     if cfg.grid < 2:

@@ -239,16 +239,6 @@ def empirical_from_sample(sample) -> PiecewiseLinearCDF:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class CostCurve:
-    """Expected-payment curve q -> q * F^{-1}(q) on a uniform quantile grid."""
-
-    quantiles: np.ndarray
-    spend: np.ndarray
-    regular: bool
-    dist: CostDistribution
-
-
-@dataclass(frozen=True, eq=False)
 class IronedCurve:
     """Lower convex hull of a cost curve with its ironed intervals.
 
@@ -264,7 +254,6 @@ class IronedCurve:
     hull: np.ndarray
     slopes: np.ndarray
     intervals: tuple
-    dist: CostDistribution
 
     def hull_at(self, q):
         return _maybe_scalar(q, np.interp(q, self.quantiles, self.hull))
@@ -302,21 +291,6 @@ class IronedCurve:
         return None
 
 
-def build_cost_curve(dist: CostDistribution, grid_size: int = DEFAULT_GRID) -> CostCurve:
-    """Tabulate q * F^{-1}(q) on a uniform grid and flag discrete convexity."""
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
-    q = np.linspace(0.0, 1.0, grid_size)
-    spend = q * np.asarray(dist.inverse_cdf(q), dtype=float)
-    spend[0] = 0.0
-    scale = max(1.0, float(spend[-1]))
-    second = spend[2:] - 2.0 * spend[1:-1] + spend[:-2]
-    regular = bool(np.all(second >= -CONTACT_TOL * scale))
-    q.flags.writeable = False
-    spend.flags.writeable = False
-    return CostCurve(quantiles=q, spend=spend, regular=regular, dist=dist)
-
-
 def _lower_hull_vertices(x: np.ndarray, y: np.ndarray) -> list:
     """Indices of the lower convex hull of points sorted by x (monotone chain)."""
     # Python floats do the same IEEE double arithmetic as float64 scalars, so
@@ -335,9 +309,9 @@ def _lower_hull_vertices(x: np.ndarray, y: np.ndarray) -> list:
     return hull
 
 
-def iron(curve: CostCurve) -> IronedCurve:
-    """Lower convex hull of the curve grid with ironed-interval bookkeeping."""
-    q, P = curve.quantiles, curve.spend
+def iron(q: np.ndarray, P: np.ndarray) -> IronedCurve:
+    """Lower convex hull of the cost curve P tabulated at grid quantiles q,
+    with ironed-interval bookkeeping."""
     verts = _lower_hull_vertices(q, P)
     hull = np.interp(q, q[verts], P[verts])
     hull = np.minimum(hull, P)  # guard interpolation round-off
@@ -353,19 +327,28 @@ def iron(curve: CostCurve) -> IronedCurve:
     hull.flags.writeable = False
     slopes.flags.writeable = False
     return IronedCurve(quantiles=q, curve=P, hull=hull, slopes=slopes,
-                       intervals=tuple(zip(opens, closes)), dist=curve.dist)
+                       intervals=tuple(zip(opens, closes)))
 
 
 # An entry holds four arrays of grid_size floats (320 kB at the default grid);
 # 128 entries (40 MB) bound the cache yet keep a market of <= 128 priors warm.
 @lru_cache(maxsize=128)
 def _ironed(dist: CostDistribution, grid_size: int) -> IronedCurve:
-    return iron(build_cost_curve(dist, grid_size))
+    if grid_size < 2:
+        raise ValueError("grid_size must be at least 2")
+    q = np.linspace(0.0, 1.0, grid_size)
+    spend = q * np.asarray(dist.inverse_cdf(q), dtype=float)
+    spend[0] = 0.0
+    q.flags.writeable = False
+    spend.flags.writeable = False
+    return iron(q, spend)
 
 
 def ironed_curve(dist: CostDistribution, grid_size: int = DEFAULT_GRID) -> IronedCurve:
-    """Cached build_cost_curve + iron; distributions hash by value.  A default,
-    positional or keyword grid_size reaches the same cache entry."""
+    """The cost curve q * F^{-1}(q) on a uniform grid of grid_size quantiles,
+    ironed; cached, and distributions hash by value.  A default, positional or
+    keyword grid_size reaches the same cache entry.  A regular prior is one
+    with no ironed intervals."""
     return _ironed(dist, grid_size)
 
 

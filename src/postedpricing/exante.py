@@ -90,22 +90,6 @@ def _lagrangian_segments(hulls, values, lam: float):
     return counts, spend
 
 
-def lagrangian_quantiles(dists, values, lam: float,
-                         grid_size: int = DEFAULT_GRID) -> np.ndarray:
-    """Per-agent largest quantile whose marginal (ironed) cost is <= v_i / lam.
-
-    lam = 0 selects everyone at the top of the support.
-    """
-    if lam < 0:
-        raise ValueError("multiplier must be nonnegative")
-    values = np.asarray(values, dtype=float)
-    hulls = _hulls(dists, grid_size)
-    if lam == 0.0:
-        return np.ones(len(hulls))
-    counts, _ = _lagrangian_segments(hulls, values, lam)
-    return np.array([h.quantiles[c] for h, c in zip(hulls, counts)])
-
-
 def solve_additive(dists, values, budget: float,
                    grid_size: int = DEFAULT_GRID) -> ExAnteSolution:
     """Spend-optimal quantiles for per-agent values under an expected budget.

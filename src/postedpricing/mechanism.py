@@ -119,7 +119,7 @@ def bang_per_buck_order(values, prices, quantiles=None):
 
     Agents with zero acceptance probability go last, in index order (they are
     never offered, and their prices, NaN say, are not read).  One row of n
-    prices gives a tuple; a (trials, n) batch of prices (with per-agent or
+    prices gives one order; a (trials, n) batch of prices (with per-agent or
     per-row quantiles) gives a (trials, n) array holding each row's order.
     """
     values = np.asarray(values, dtype=float)
@@ -129,18 +129,17 @@ def bang_per_buck_order(values, prices, quantiles=None):
     if (active & (prices <= 0)).any():
         raise ValueError("zero price offered to an agent with positive quantile")
     ratio = np.divide(-values, prices, out=np.zeros(prices.shape), where=active)
-    order = np.lexsort((ratio, ~active))  # stable: ties keep index order
-    return tuple(order.tolist()) if order.ndim == 1 else order
+    return np.lexsort((ratio, ~active))  # stable: ties keep index order
 
 
 def select_within_budget(prices, accepts, order, budget: float):
     """Walk agents in order; offer while the price fits the remaining spend.
 
-    prices (NaN marks agents that are never offered) and accepts are one row
-    of n agents or a (trials, n) batch.  order is one sequence of agent
-    indices shared by every row, or a (trials, n) array with one order per
-    row.  Returns (selected_mask, offered_mask, spent) with one entry per row;
-    a 1-D call returns n-vectors and a float spend.
+    prices (NaN marks agents that are never offered) and accepts are
+    (trials, n) batches.  order is one sequence of agent indices shared by
+    every row, or a (trials, n) array with one order per row.  Returns
+    (offered, spent): the (trials, n) mask of agents offered their price and
+    each row's spend.  A row hires offered & accepts.
 
     Skipped (over-budget) agents are discarded permanently.  The walk steps
     through the order positions, vectorised across rows; each row adds its
@@ -148,9 +147,7 @@ def select_within_budget(prices, accepts, order, budget: float):
     the budget, so the bound is exact in floats.
     """
     prices = np.asarray(prices, dtype=float)
-    single = prices.ndim == 1
-    prices = np.atleast_2d(prices)
-    accepts = np.atleast_2d(np.asarray(accepts, dtype=bool))
+    accepts = np.asarray(accepts, dtype=bool)
     order = np.asarray(order, dtype=np.intp)
     at = (slice(None), order) if order.ndim == 1 \
         else (np.arange(len(prices))[:, None], order)
@@ -159,19 +156,13 @@ def select_within_budget(prices, accepts, order, budget: float):
     pos_accepts = np.ascontiguousarray(accepts[at].T)
     spent = np.zeros(len(prices))
     pos_offered = np.empty(pos_prices.shape, dtype=bool)
-    pos_selected = np.empty(pos_prices.shape, dtype=bool)
-    for p, acc, off, sel in zip(pos_prices, pos_accepts, pos_offered, pos_selected):
+    for p, acc, off in zip(pos_prices, pos_accepts, pos_offered):
         new_spent = spent + p
         np.less_equal(new_spent, budget, out=off)  # False for NaN: never offered
-        np.logical_and(off, acc, out=sel)
-        spent = np.where(sel, new_spent, spent)
-    selected = np.zeros(prices.shape, dtype=bool)
+        spent = np.where(off & acc, new_spent, spent)
     offered = np.zeros(prices.shape, dtype=bool)
-    selected[at] = pos_selected.T
     offered[at] = pos_offered.T
-    if single:
-        return selected[0], offered[0], float(spent[0])
-    return selected, offered, spent
+    return offered, spent
 
 
 def realize_prices(menu: PriceMenu, rng, trials: int) -> np.ndarray:
@@ -257,16 +248,16 @@ def run(menu: PriceMenu, value_fn: ValueFunction, costs, budget: float,
     prices = realize_prices(menu, rng, 1)
     if order is None:
         (order,) = policy_orders(menu.ordering_policy, menu, value_fn, prices)
-    prices = prices[0]
     accepts = costs <= prices  # False where the price is NaN (never offered)
-    selected, offered, spent = select_within_budget(prices, accepts, order, budget)
+    offered, spent = select_within_budget(prices, accepts, order, budget)
+    prices, offered, hired = prices[0], offered[0], offered[0] & accepts[0]
 
-    payments = np.where(selected, prices, 0.0)
-    sel = tuple(int(i) for i in np.flatnonzero(selected))
+    payments = np.where(hired, prices, 0.0)
+    sel = tuple(int(i) for i in np.flatnonzero(hired))
     return RunOutcome(selected=sel,
                       offers_made=tuple(int(i) for i in np.flatnonzero(offered)),
                       payments=payments, realized_prices=prices,
-                      total_spend=spent, value=value_fn.evaluate(sel))
+                      total_spend=float(spent[0]), value=value_fn.evaluate(sel))
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +283,15 @@ class SmallMarketError(ValueError):
         self.k = k
 
 
-def choose_epsilon(k: float, grid_points: int = 10_000) -> float:
+# interior points of (2/k, 1/2) that choose_epsilon searches
+_EPSILON_GRID_POINTS = 10_000
+
+
+def choose_epsilon(k: float) -> float:
     """Budget shrink maximizing the order-oblivious guarantee at market size k."""
     if k <= 4.0:
         raise SmallMarketError(k)
-    eps = np.linspace(2.0 / k, 0.5, grid_points + 2)[1:-1]
+    eps = np.linspace(2.0 / k, 0.5, _EPSILON_GRID_POINTS + 2)[1:-1]
     vals = (1.0 - eps) * (1.0 - np.exp(-eps ** 2 * (1.0 - eps) * k / 12.0))
     return float(eps[int(np.argmax(vals))])
 
@@ -473,6 +468,8 @@ def derandomize_additive(menu: PriceMenu, dists, values, budget: float,
     values = np.asarray(values, dtype=float)
     if len(values) != menu.n:
         raise ValueError("one value per agent required")
+    if samples < 1:
+        raise ValueError("samples must be positive")
     reduced = reduce_lottery_pairs(menu, dists, values, grid_size=grid_size)
     randomized = list(reduced.randomized_agents)
     q = np.array(reduced.quantiles, dtype=float)

@@ -149,9 +149,9 @@ def simulate_runs(menu: PriceMenu, instance: Instance, order_policy: str | None 
         v = np.full(t, np.inf)
         s = np.zeros(t)
         for order in policy_orders(order_policy, menu, vf, prices, order_rng, sampled):
-            selected, _, spent = select_within_budget(prices, accepts, order,
-                                                      instance.budget)
-            cv = vf._evaluate_rows(selected)
+            offered, spent = select_within_budget(prices, accepts, order,
+                                                  instance.budget)
+            cv = vf._evaluate_rows(offered & accepts)
             better = cv < v
             v[better] = cv[better]
             s[better] = spent[better]

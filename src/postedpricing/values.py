@@ -56,9 +56,6 @@ class ValueFunction:
         Returns (estimate, stderr); stderr is 0 for exact paths.
         """
         q = _check_quantiles(q, self.n)
-        return self._multilinear_sampled(q, samples, seed)
-
-    def _multilinear_sampled(self, q, samples, seed):
         if samples <= 0:
             raise ValueError("this value function requires samples > 0")
         rng = _as_rng(seed)
@@ -230,6 +227,7 @@ class CoverageValue(ValueFunction):
         for cov in self.covers:
             if cov and (min(cov) < 0 or max(cov) >= len(w)):
                 raise ValueError("covered element index out of range")
+        # the (n, universe) element-incidence matrix as read-only 0/1 floats;
         # not a field, so equality, hash and repr ignore it
         A = np.zeros((self.n, len(w)))
         for i, cov in enumerate(self.covers):
@@ -241,10 +239,6 @@ class CoverageValue(ValueFunction):
     def n(self):
         return len(self.covers)
 
-    def _matrix(self):
-        """The (n, universe) element-incidence matrix as read-only 0/1 floats."""
-        return self._incidence
-
     def evaluate(self, subset) -> float:
         covered = set()
         for i in set(subset):
@@ -252,11 +246,11 @@ class CoverageValue(ValueFunction):
         return float(sum(self.weights[e] for e in covered))
 
     def _evaluate_rows(self, rows):
-        covered = (rows.astype(float) @ self._matrix()) > 0
+        covered = (rows.astype(float) @ self._incidence) > 0
         return covered @ np.asarray(self.weights)
 
     def _row_marginals(self, rows, i):
-        A = self._matrix()
+        A = self._incidence
         others = rows.copy()
         others[:, i] = False
         covered = (others.astype(float) @ A) > 0

@@ -55,11 +55,11 @@ def chord_hull_upper(x, y):
 
 def grid_oracle_additive(dists, values, budget, grid_n=200):
     """Maximize sum v_i q_i over a coarse quantile grid s.t. sum q F^{-1}(q) <= B."""
-    from postedpricing import build_cost_curve
+    from postedpricing import ironed_curve
 
-    curves = [build_cost_curve(d, grid_n) for d in dists]
+    curves = [ironed_curve(d, grid_n) for d in dists]
     q = curves[0].quantiles
-    spends = [c.spend for c in curves]
+    spends = [c.curve for c in curves]
     values = np.asarray(values, dtype=float)
     n = len(dists)
     if n == 1:
@@ -140,6 +140,36 @@ def reference_walk(prices, accepts, order, budget):
             selected.append(i)
             spent = spent + p
     return selected, spent
+
+
+def select_within_budget_masks(prices, accepts, order, budget):
+    """The budgeted walk as it was before it returned only what it offered:
+    (selected, offered, spent) for one row of n agents or a (trials, n)
+    batch, with a 1-D call giving n-vectors and a float spend."""
+    prices = np.asarray(prices, dtype=float)
+    single = prices.ndim == 1
+    prices = np.atleast_2d(prices)
+    accepts = np.atleast_2d(np.asarray(accepts, dtype=bool))
+    order = np.asarray(order, dtype=np.intp)
+    at = (slice(None), order) if order.ndim == 1 \
+        else (np.arange(len(prices))[:, None], order)
+    pos_prices = np.ascontiguousarray(prices[at].T)
+    pos_accepts = np.ascontiguousarray(accepts[at].T)
+    spent = np.zeros(len(prices))
+    pos_offered = np.empty(pos_prices.shape, dtype=bool)
+    pos_selected = np.empty(pos_prices.shape, dtype=bool)
+    for p, acc, off, sel in zip(pos_prices, pos_accepts, pos_offered, pos_selected):
+        new_spent = spent + p
+        np.less_equal(new_spent, budget, out=off)
+        np.logical_and(off, acc, out=sel)
+        spent = np.where(sel, new_spent, spent)
+    selected = np.zeros(prices.shape, dtype=bool)
+    offered = np.zeros(prices.shape, dtype=bool)
+    selected[at] = pos_selected.T
+    offered[at] = pos_offered.T
+    if single:
+        return selected[0], offered[0], float(spent[0])
+    return selected, offered, spent
 
 
 def mechanism_expectation(lotteries, quantilemask, vf, order, budget):

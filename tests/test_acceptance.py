@@ -206,7 +206,7 @@ def test_c08_ironing_property_suite():
             d = pp.PiecewiseLinearCDF(tuple(zip(map(float, cs), map(float, Fs))))
         except ValueError:
             continue
-        if pp.build_cost_curve(d).regular:
+        if not pp.ironed_curve(d).intervals:
             continue
         checked += 1
         ic = pp.ironed_curve(d)

@@ -207,6 +207,34 @@ def test_bounds_and_gap_reject_bad_sizes(tmp_path, capsys, args, flag):
     assert not (tmp_path / "o").exists()
 
 
+def test_empty_out_exits_2_before_solving(tmp_path, capsys, monkeypatch):
+    import postedpricing.cli as cli
+
+    monkeypatch.setattr(cli, "mechanism_menu", None)  # a solve would fail loudly
+    path = _write_config(tmp_path, EXAMPLE1.format(out=""))
+    assert main(["solve", "--config", path]) == 2
+    assert "[harness] out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "bounds", "gap"])
+def test_empty_out_flag_exits_2(tmp_path, capsys, command):
+    args = ["--config", _write_config(tmp_path, EXAMPLE1.format(out=tmp_path))] \
+        if command in ("solve", "simulate") else ["--k", "5"]
+    assert main([command, *args, "--out", ""]) == 2
+    assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "bounds"])
+def test_out_that_is_a_file_exits_2(tmp_path, capsys, command):
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    args = ["--config", _write_config(tmp_path, EXAMPLE1.format(out=tmp_path))] \
+        if command in ("solve", "simulate") else ["--k", "5"]
+    assert main([command, *args, "--out", str(afile)]) == 2
+    assert str(afile) in capsys.readouterr().err
+    assert afile.read_text() == "keep"
+
+
 def test_solution_record_shape():
     from postedpricing import solve_additive
 

@@ -6,9 +6,9 @@ import pytest
 
 from postedpricing import (PiecewiseLinearCDF, TruncatedExponential,
                            UndefinedVirtualCostError, Uniform,
-                           build_cost_curve, empirical_from_sample, iron,
-                           ironed_curve, two_price_lottery)
-from postedpricing.distributions import (CONTACT_TOL, DEFAULT_GRID, CostCurve,
+                           empirical_from_sample, iron, ironed_curve,
+                           two_price_lottery)
+from postedpricing.distributions import (CONTACT_TOL, DEFAULT_GRID,
                                          _lower_hull_vertices)
 
 from oracles import (chord_hull_lower, finite_difference_virtual_cost,
@@ -88,18 +88,18 @@ def test_empirical_sample_interpolated_cdf():
 
 
 def test_cost_curve_uniform_is_square():
-    curve = build_cost_curve(Uniform(0, 1), 101)
-    assert np.allclose(curve.spend, curve.quantiles ** 2)
-    assert curve.regular
-    assert curve.spend[0] == 0.0
+    ic = ironed_curve(Uniform(0, 1), 101)
+    assert np.allclose(ic.curve, ic.quantiles ** 2)
+    assert not ic.intervals
+    assert ic.curve[0] == 0.0
 
 
 def test_cost_curve_bimodal_flagged_irregular():
     # density high-low-high: the spend curve dips below its chords
     d = PiecewiseLinearCDF(((0.0, 0.0), (0.2, 0.45), (0.8, 0.55), (1.0, 1.0)))
-    curve = build_cost_curve(d)
-    assert not curve.regular
-    second = curve.spend[2:] - 2 * curve.spend[1:-1] + curve.spend[:-2]
+    ic = ironed_curve(d)
+    assert ic.intervals
+    second = ic.curve[2:] - 2 * ic.curve[1:-1] + ic.curve[:-2]
     assert second.min() < 0
 
 
@@ -119,9 +119,8 @@ def test_iron_endpoints_pinned():
 
 def test_iron_matches_chord_oracle():
     d = PiecewiseLinearCDF(((0.0, 0.0), (0.2, 0.5), (0.8, 0.6), (1.0, 1.0)))
-    curve = build_cost_curve(d, 201)
-    ic = iron(curve)
-    oracle = chord_hull_lower(curve.quantiles, curve.spend)
+    ic = ironed_curve(d, 201)
+    oracle = chord_hull_lower(ic.quantiles, ic.curve)
     assert np.allclose(ic.hull, oracle, atol=1e-9)
 
 
@@ -131,11 +130,10 @@ def test_iron_single_dip_gives_one_interval():
     ic = ironed_curve(d, 201)
     assert len(ic.intervals) == 1
     a, b = ic.intervals[0]
-    curve = build_cost_curve(d, 201)
-    oracle = chord_hull_lower(curve.quantiles, curve.spend)
-    below = np.flatnonzero(oracle < curve.spend - 1e-9)
-    assert a <= curve.quantiles[below[0]] <= b
-    assert a <= curve.quantiles[below[-1]] <= b
+    oracle = chord_hull_lower(ic.quantiles, ic.curve)
+    below = np.flatnonzero(oracle < ic.curve - 1e-9)
+    assert a <= ic.quantiles[below[0]] <= b
+    assert a <= ic.quantiles[below[-1]] <= b
 
 
 def test_lottery_regular_is_degenerate():
@@ -175,7 +173,7 @@ def _random_piecewise(rng, force_irregular=False):
         if len(np.unique(cs)) != len(cs):
             continue
         d = PiecewiseLinearCDF(tuple(zip(map(float, cs), map(float, Fs))))
-        if not force_irregular or not build_cost_curve(d).regular:
+        if not force_irregular or ironed_curve(d).intervals:
             return d
     raise AssertionError("could not generate a distribution")
 
@@ -217,9 +215,9 @@ def test_property_lottery_monte_carlo(seed):
     assert abs(payments.mean() - ic.hull_at(q)) <= 3 * se_pay
 
 
-def test_build_cost_curve_rejects_tiny_grid():
+def test_ironed_curve_rejects_tiny_grid():
     with pytest.raises(ValueError):
-        build_cost_curve(Uniform(0, 1), 1)
+        ironed_curve(Uniform(0, 1), 1)
 
 
 def test_ironed_curve_cache_is_bounded():
@@ -254,33 +252,36 @@ def test_hull_chain_matches_scalar_chain_on_random_tables():
 
 def test_hull_chain_matches_scalar_chain_on_irregular_priors():
     for d in IRREGULAR:
-        curve = build_cost_curve(d)
-        assert (_lower_hull_vertices(curve.quantiles, curve.spend)
-                == monotone_chain_scalars(curve.quantiles, curve.spend))
+        ic = ironed_curve(d)
+        assert (_lower_hull_vertices(ic.quantiles, ic.curve)
+                == monotone_chain_scalars(ic.quantiles, ic.curve))
+
+
+def _tabulated_curve(d):
+    ic = ironed_curve(d)
+    return ic.quantiles, ic.curve
 
 
 def _interval_at_grid_index_1():
     # concave from the left end, so the hull leaves the curve at index 1
     q = np.linspace(0.0, 1.0, 11)
-    return CostCurve(quantiles=q, spend=np.sqrt(q) * (q < 0.55) + q * q * (q >= 0.55),
-                     regular=False, dist=None)
+    return q, np.sqrt(q) * (q < 0.55) + q * q * (q >= 0.55)
 
 
 @pytest.mark.parametrize("make_curve",
-                         [*(functools.partial(build_cost_curve, d) for d in IRREGULAR),
+                         [*(functools.partial(_tabulated_curve, d) for d in IRREGULAR),
                           _interval_at_grid_index_1],
                          ids=[*(f"prior{k}" for k in range(len(IRREGULAR))), "index1"])
 def test_iron_intervals_match_scan(make_curve):
-    curve = make_curve()
-    ic = iron(curve)
-    P = curve.spend
+    q, P = make_curve()
+    ic = iron(q, P)
     below = ic.hull < P - CONTACT_TOL * max(1.0, float(P[-1]))
-    assert ic.intervals == ironed_intervals_scan(curve.quantiles, below)
+    assert ic.intervals == ironed_intervals_scan(q, below)
     assert all(type(a) is float and type(b) is float for a, b in ic.intervals)
 
 
 def test_iron_interval_can_start_at_grid_index_1():
-    ic = iron(_interval_at_grid_index_1())
+    ic = iron(*_interval_at_grid_index_1())
     assert ic.intervals[0][0] == 0.0
 
 

@@ -6,27 +6,11 @@ import pytest
 from postedpricing import (AdditiveValue, CoverageValue, PiecewiseLinearCDF,
                            SymmetricValue, TruncatedExponential, Uniform,
                            discretize, greedy_submodular, ironed_curve,
-                           lagrangian_quantiles, solve_additive,
-                           solve_ex_ante, solve_symmetric)
+                           solve_additive, solve_ex_ante, solve_symmetric)
 
 from oracles import brute_multilinear, grid_oracle_additive, irregular_priors
 
 U01 = Uniform(0, 1)
-
-
-def test_lagrangian_quantiles_unit_threshold():
-    q = lagrangian_quantiles([U01], [1.0], 1.0)
-    assert q[0] == pytest.approx(0.5, abs=1e-9)
-
-
-def test_lagrangian_zero_multiplier_selects_everyone():
-    q = lagrangian_quantiles([U01, Uniform(0, 2)], [1.0, 0.5], 0.0)
-    assert np.all(q == 1.0)
-
-
-def test_lagrangian_huge_multiplier_selects_nobody():
-    q = lagrangian_quantiles([U01, Uniform(0.2, 2)], [1.0, 0.5], 1e9)
-    assert np.all(q == 0.0)
 
 
 def test_solve_additive_balanced_uniform_market():

@@ -126,14 +126,14 @@ def test_run_matches_simulate_runs_single_trial(policy):
 
 
 def test_bang_per_buck_order_examples():
-    assert bang_per_buck_order([4.0, 3.0], [2.0, 3.0]) == (0, 1)
-    assert bang_per_buck_order([1.0, 2.0], [1.0, 2.0]) == (0, 1)  # tie -> index
+    assert bang_per_buck_order([4.0, 3.0], [2.0, 3.0]).tolist() == [0, 1]
+    assert bang_per_buck_order([1.0, 2.0], [1.0, 2.0]).tolist() == [0, 1]  # tie -> index
     rng = np.random.default_rng(3)
     v = rng.uniform(0.1, 2.0, 5)
     p = rng.uniform(0.1, 2.0, 5)
     order = bang_per_buck_order(v, p)
-    expected = tuple(sorted(range(5), key=lambda i: (-v[i] / p[i], i)))
-    assert order == expected
+    expected = sorted(range(5), key=lambda i: (-v[i] / p[i], i))
+    assert order.tolist() == expected
 
 
 def test_bang_per_buck_rejects_zero_price():
@@ -143,7 +143,7 @@ def test_bang_per_buck_rejects_zero_price():
 
 def test_bang_per_buck_zero_quantile_goes_last():
     order = bang_per_buck_order([1.0, 9.0], [1.0, 0.0], [0.5, 0.0])
-    assert order == (0, 1)
+    assert order.tolist() == [0, 1]
 
 
 def test_run_bang_per_buck_policy_orders_by_ratio():
@@ -266,8 +266,9 @@ def test_selection_monotone_in_accepting_set(seed):
     budget = float(rng.uniform(0.5, 3.0))
     big = rng.random(n) < 0.7
     small = big & (rng.random(n) < 0.7)
-    sel_big, _, _ = select_within_budget(prices, big, order, budget)
-    sel_small, _, _ = select_within_budget(prices, small, order, budget)
+    off_big, _ = select_within_budget(prices[None], big[None], order, budget)
+    off_small, _ = select_within_budget(prices[None], small[None], order, budget)
+    sel_big, sel_small = off_big[0] & big, off_small[0] & small
     for i in range(n):
         if sel_big[i] and small[i]:
             assert sel_small[i]
@@ -283,8 +284,8 @@ def test_everyone_offered_when_total_fits(seed):
     accepts = rng.random(n) < 0.6
     if prices[accepts].sum() > (1 - 1 / k) * budget:
         accepts[:] = False
-    _, offered, _ = select_within_budget(prices, accepts, tuple(rng.permutation(n)),
-                                         budget)
+    offered, _ = select_within_budget(prices[None], accepts[None],
+                                      tuple(rng.permutation(n)), budget)
     assert offered.all()
 
 
@@ -339,6 +340,13 @@ def test_derandomize_rejects_mismatched_values():
     menu = _menu_from_prices([0.4])
     with pytest.raises(ValueError):
         derandomize_additive(menu, [U01], [1.0, 2.0], 1.0)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_derandomize_rejects_nonpositive_samples(samples):
+    menu, dists, _ = _two_lottery_menu()
+    with pytest.raises(ValueError, match="samples"):
+        derandomize_additive(menu, dists, [1.0, 1.3], budget=1.2, samples=samples)
 
 
 def test_menu_validation():

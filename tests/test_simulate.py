@@ -15,7 +15,8 @@ from postedpricing import (AdditiveValue, CoverageValue, Instance, OracleValue,
 from postedpricing.simulate import (bounds_csv_lines, gap_csv_lines,
                                     report_csv_lines)
 
-from oracles import binom_tail_gt, mechanism_expectation, reference_walk
+from oracles import (binom_tail_gt, mechanism_expectation, reference_walk,
+                     select_within_budget_masks)
 
 U01 = Uniform(0, 1)
 
@@ -118,20 +119,43 @@ def test_vectorized_and_walk_paths_agree():
     shared = tuple(int(i) for i in rng.permutation(n))
     per_trial = np.array([rng.permutation(n) for _ in range(trials)])
     for order in (shared, per_trial):
-        selected, offered, spent = select_within_budget(prices, accepts, order, budget)
-        assert selected.shape == offered.shape == (trials, n)
-        assert np.array_equal(selected, offered & accepts)
+        offered, spent = select_within_budget(prices, accepts, order, budget)
+        assert offered.shape == (trials, n)
         assert np.all(spent <= budget) and np.any(spent == budget)
+        selected = offered & accepts
         for r in range(trials):
             row_order = order if order is shared else order[r]
             ref_selected, ref_spent = reference_walk(prices[r], accepts[r], row_order,
                                                      budget)
             assert np.flatnonzero(selected[r]).tolist() == sorted(ref_selected)
             assert spent[r] == ref_spent
-            sel, off, one_spent = select_within_budget(prices[r], accepts[r], row_order,
-                                                       budget)
-            assert np.array_equal(sel, selected[r]) and np.array_equal(off, offered[r])
-            assert one_spent == spent[r]
+            # a one-row batch, as run() walks it
+            off, one_spent = select_within_budget(prices[r:r + 1], accepts[r:r + 1],
+                                                  row_order, budget)
+            assert np.array_equal(off[0], offered[r]) and one_spent[0] == spent[r]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_walk_matches_the_three_output_walk(seed):
+    # 50 random batches per seed: the hires are offered & accepts, bit for bit
+    rng = np.random.default_rng(300 + seed)
+    for _ in range(50):
+        trials, n = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+        if rng.random() < 0.5:
+            prices = rng.choice([0.25, 0.5, 0.75, 1.0], size=(trials, n))
+        else:
+            prices = rng.uniform(0.01, 1.0, (trials, n))
+        prices[rng.random((trials, n)) < 0.2] = np.nan  # never offered
+        accepts = rng.random((trials, n)) < rng.random()
+        budget = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 0.6 * n))
+        order = (tuple(int(i) for i in rng.permutation(n)) if rng.random() < 0.5
+                 else np.argsort(rng.random((trials, n)), axis=1))
+        offered, spent = select_within_budget(prices, accepts, order, budget)
+        ref_selected, ref_offered, ref_spent = select_within_budget_masks(
+            prices, accepts, order, budget)
+        assert offered.dtype == bool and np.array_equal(offered, ref_offered)
+        assert np.array_equal(offered & accepts, ref_selected)
+        assert spent.tobytes() == ref_spent.tobytes()
 
 
 def _reference_bang_per_buck(values, prices, quantiles):
@@ -155,8 +179,8 @@ def test_bang_per_buck_order_rows_match_single_rows():
         for r in range(trials):
             q = np.broadcast_to(quantiles, prices.shape)[r]
             single = bang_per_buck_order(values, inactive_prices[r], q)
-            assert tuple(rows[r].tolist()) == single
-            assert single == _reference_bang_per_buck(values, prices[r], q)
+            assert np.array_equal(rows[r], single)
+            assert tuple(single.tolist()) == _reference_bang_per_buck(values, prices[r], q)
 
 
 @pytest.mark.parametrize("vf", [

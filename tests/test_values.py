@@ -161,12 +161,11 @@ def test_coverage_matrix_is_built_once_and_read_only():
     b = CoverageValue([1, 0.5, 2], [[0], [1, 0], [2, 1]])
     assert a == b and hash(a) == hash(b)
     assert repr(a) == "CoverageValue(weights=(1.0, 0.5, 2.0), covers=((0,), (0, 1), (1, 2)))"
-    A = a._matrix()
-    assert A is a._matrix()
+    A = a._incidence
     assert not A.flags.writeable
     assert A.tolist() == [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
     a.multilinear([0.5, 0.5, 0.5], samples=10, seed=0)
-    assert a._matrix() is A
+    assert a._incidence is A
     with pytest.raises(ValueError):
         A[0, 0] = 0.0
 
