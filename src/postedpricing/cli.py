@@ -57,6 +57,16 @@ def _write(out_dir: str, name: str, text: str) -> str:
     return path
 
 
+def _check_out(out_dir: str) -> None:
+    """Reject an output path whose nearest existing ancestor (itself, if it
+    exists) is not a directory, before any work; creates nothing."""
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"cannot write to {out_dir}: {path} is not a directory")
+
+
 def cmd_solve(cfg: ExperimentConfig) -> int:
     """Write the menu that simulate runs (see mechanism_menu)."""
     menu, eps, sol = mechanism_menu(cfg.dists, cfg.value, cfg.budget, cfg.mechanism_kind,
@@ -159,6 +169,8 @@ def main(argv=None) -> int:
     try:
         if args.out == "":
             raise ConfigError("--out must name a directory")
+        if args.command in ("bounds", "gap"):
+            _check_out(args.out)
         if args.command == "bounds":
             return cmd_bounds(args.k, args.out)
         if args.command == "gap":
@@ -174,6 +186,7 @@ def main(argv=None) -> int:
             if args.trials < 1:
                 raise ConfigError("trials must be positive")
             cfg.trials = args.trials
+        _check_out(cfg.out)
         if args.command == "solve":
             return cmd_solve(cfg)
         if args.command == "simulate":

@@ -1,4 +1,4 @@
-"""Single-agent cost priors: CDFs, virtual costs, cost curves, and ironing.
+"""Single-agent cost priors: CDFs, cost curves, and ironing.
 
 Cost distributions live on a bounded support [support_lo, support_hi].  The
 cost curve of a distribution maps an acceptance probability q to the expected
@@ -24,10 +24,6 @@ DEFAULT_GRID = 10_001   # uniform quantile grid, step 1e-4
 CONTACT_TOL = 1e-9      # hull-vs-curve contact detection
 
 
-class UndefinedVirtualCostError(ValueError):
-    """Virtual cost c + F(c)/f(c) evaluated where the density vanishes."""
-
-
 def _maybe_scalar(x, arr):
     out = np.asarray(arr)
     return float(out) if np.isscalar(x) or getattr(x, "ndim", 1) == 0 else out
@@ -36,8 +32,8 @@ def _maybe_scalar(x, arr):
 class CostDistribution:
     """Base class for one-agent cost priors on a finite support.
 
-    Subclasses implement cdf / inverse_cdf / density; everything is
-    vectorized over numpy arrays and clamps cost arguments to the support.
+    Subclasses implement cdf / inverse_cdf; both are vectorized over numpy
+    arrays, and cdf clamps cost arguments to the support.
     """
 
     support_lo: float
@@ -48,18 +44,6 @@ class CostDistribution:
 
     def inverse_cdf(self, q):
         raise NotImplementedError
-
-    def density(self, c):
-        raise NotImplementedError
-
-    def virtual_cost(self, c):
-        """c + F(c)/f(c); raises UndefinedVirtualCostError on zero density."""
-        arr = np.clip(np.asarray(c, dtype=float), self.support_lo, self.support_hi)
-        f = np.asarray(self.density(arr))
-        if np.any(f <= 0.0):
-            raise UndefinedVirtualCostError(
-                f"virtual cost undefined at zero-density point of {self!r}")
-        return _maybe_scalar(c, arr + np.asarray(self.cdf(arr)) / f)
 
     def sample(self, rng, size=None):
         """Draw costs by inverse-transform sampling."""
@@ -96,10 +80,6 @@ class Uniform(CostDistribution):
         arr = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
         return _maybe_scalar(q, self.lo + arr * (self.hi - self.lo))
 
-    def density(self, c):
-        arr = self._clamp(c)
-        return _maybe_scalar(c, np.full_like(arr, 1.0 / (self.hi - self.lo)))
-
 
 @dataclass(frozen=True)
 class TruncatedExponential(CostDistribution):
@@ -110,9 +90,10 @@ class TruncatedExponential(CostDistribution):
     hi: float
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
-        if not math.isfinite(self.hi) or self.hi <= self.lo or self.lo < 0:
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)) \
+                or self.hi <= self.lo or self.lo < 0:
             raise ValueError("support must be finite with 0 <= lo < hi")
 
     @property
@@ -137,10 +118,6 @@ class TruncatedExponential(CostDistribution):
         out = self.lo - np.log1p(-arr * self._mass) / self.rate
         return _maybe_scalar(q, np.clip(out, self.lo, self.hi))
 
-    def density(self, c):
-        arr = self._clamp(c)
-        return _maybe_scalar(c, self.rate * np.exp(-self.rate * (arr - self.lo)) / self._mass)
-
 
 @dataclass(frozen=True)
 class PiecewiseLinearCDF(CostDistribution):
@@ -148,8 +125,8 @@ class PiecewiseLinearCDF(CostDistribution):
 
     Breakpoint costs must be strictly increasing; F must be nondecreasing
     with F = 0 at the first breakpoint and F = 1 at the last.  Plateaus
-    (repeated F values) are allowed: the density is zero there and the
-    inverse CDF returns the leftmost (cheapest) cost achieving the quantile.
+    (repeated F values) are allowed: the inverse CDF returns the leftmost
+    (cheapest) cost achieving the quantile.
     """
 
     points: tuple
@@ -161,6 +138,8 @@ class PiecewiseLinearCDF(CostDistribution):
         Fs = [F for _, F in pts]
         if len(pts) < 2:
             raise ValueError("need at least two breakpoints")
+        if not all(map(math.isfinite, cs + Fs)):
+            raise ValueError("breakpoints must be finite")
         if any(b <= a for a, b in zip(cs, cs[1:])):
             raise ValueError("breakpoint costs must be strictly increasing")
         if any(b < a for a, b in zip(Fs, Fs[1:])):
@@ -203,13 +182,6 @@ class PiecewiseLinearCDF(CostDistribution):
             out[interp] = cs[j - 1] + frac * (cs[j] - cs[j - 1])
         return _maybe_scalar(q, out.reshape(np.shape(q)))
 
-    def density(self, c):
-        cs, Fs = self._arrays()
-        arr = np.atleast_1d(self._clamp(c))
-        seg = np.clip(np.searchsorted(cs, arr, side="right") - 1, 0, len(cs) - 2)
-        slope = (Fs[seg + 1] - Fs[seg]) / (cs[seg + 1] - cs[seg])
-        return _maybe_scalar(c, slope.reshape(np.shape(c)))
-
 
 def empirical_from_sample(sample) -> PiecewiseLinearCDF:
     """Piecewise-linear interpolated CDF of an observed cost sample.
@@ -219,6 +191,8 @@ def empirical_from_sample(sample) -> PiecewiseLinearCDF:
     over [min(sample), max(sample)].
     """
     xs = np.sort(np.asarray(sample, dtype=float))
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("sample values must be finite")
     if xs.size < 2 or xs[0] == xs[-1]:
         raise ValueError("need at least two distinct sample values")
     if xs[0] < 0:
@@ -258,27 +232,17 @@ class IronedCurve:
     def hull_at(self, q):
         return _maybe_scalar(q, np.interp(q, self.quantiles, self.hull))
 
-    def curve_at(self, q):
-        return _maybe_scalar(q, np.interp(q, self.quantiles, self.curve))
-
     @property
     def total_spend(self) -> float:
         return float(self.hull[-1])
 
-    def inverse_spend(self, s: float) -> float:
-        """Largest quantile whose hull spend does not exceed s."""
-        H = self.hull
-        if s >= H[-1]:
-            return 1.0
-        if s <= H[0]:
-            s = H[0]
-        j = int(np.searchsorted(H, s, side="right")) - 1
-        if j >= len(H) - 1:
-            return 1.0
-        q0, q1 = self.quantiles[j], self.quantiles[j + 1]
-        if H[j + 1] == H[j]:
-            return float(q1)
-        return float(q0 + (s - H[j]) / (H[j + 1] - H[j]) * (q1 - q0))
+    def inverse_spend(self, s):
+        """Largest quantile whose hull spend does not exceed s, elementwise."""
+        H, q = self.hull, self.quantiles
+        arr = np.clip(np.asarray(s, dtype=float), H[0], H[-1])
+        j = np.minimum(np.searchsorted(H, arr, side="right") - 1, len(H) - 2)
+        out = q[j] + (arr - H[j]) / (H[j + 1] - H[j]) * (q[j + 1] - q[j])
+        return _maybe_scalar(s, np.where(arr >= H[-1], 1.0, out))
 
     def interval_containing(self, q: float):
         """The ironed interval (a, b) with a < q < b, or None."""

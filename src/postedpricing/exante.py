@@ -42,30 +42,14 @@ class ExAnteSolution:
     lotteries: tuple          # one PriceLottery per agent
     expected_spend: float
     objective: float
-    objective_stderr: float
     solver_meta: dict
-
-
-@dataclass(frozen=True, eq=False)
-class IncrementTable:
-    """Per-agent quantile increments of equal spend on the ironed curve.
-
-    deltas[i, j] is the j-th quantile increase of agent i costing budget/m
-    (possibly less for the increment that saturates the curve, and zero
-    afterwards).  In noisy mode deltas are shrunk within a (1 - 1/n^3)
-    bracket of exact_deltas.
-    """
-
-    deltas: np.ndarray
-    exact_deltas: np.ndarray
-    cumulative: np.ndarray
 
 
 def _hulls(dists, grid_size):
     return [ironed_curve(d, grid_size) for d in dists]
 
 
-def _solution(hulls, dists, quantiles, objective, stderr, meta) -> ExAnteSolution:
+def _solution(hulls, dists, quantiles, objective, meta) -> ExAnteSolution:
     """The solution at these quantiles: hull spend summed in agent order, the
     realizing lotteries, and the quantiles frozen."""
     spend = float(sum(h.hull_at(q) for h, q in zip(hulls, quantiles)))
@@ -74,7 +58,7 @@ def _solution(hulls, dists, quantiles, objective, stderr, meta) -> ExAnteSolutio
     quantiles.flags.writeable = False
     return ExAnteSolution(quantiles=quantiles, lotteries=lotteries,
                           expected_spend=spend, objective=float(objective),
-                          objective_stderr=float(stderr), solver_meta=meta)
+                          solver_meta=meta)
 
 
 def _lagrangian_segments(hulls, values, lam: float):
@@ -115,7 +99,7 @@ def solve_additive(dists, values, budget: float,
     full_spend = sum(h.total_spend for h in hulls)
     if full_spend <= budget + _BIND_TOL * max(1.0, budget):
         q = np.ones(n)
-        return _solution(hulls, dists, q, np.dot(values, q), 0.0,
+        return _solution(hulls, dists, q, np.dot(values, q),
                          {"lambda": 0.0, "budget": budget})
 
     # grow an upper bracket, then bisect: spend is nonincreasing in lambda
@@ -182,7 +166,7 @@ def solve_additive(dists, values, budget: float,
         raise RuntimeError("budget water-fill failed to converge")
 
     q = np.clip(pos, 0.0, 1.0)
-    return _solution(hulls, dists, q, np.dot(values, q), 0.0,
+    return _solution(hulls, dists, q, np.dot(values, q),
                      {"lambda": float(lam_hi), "budget": budget})
 
 
@@ -199,18 +183,20 @@ def solve_symmetric(dist, g, budget: float, grid_size: int = DEFAULT_GRID) -> Ex
     h = ironed_curve(dist, grid_size)
     q = h.inverse_spend(budget / n)
     objective = concave_hull_sizes(vf)(n * q)
-    return _solution([h] * n, [dist] * n, np.full(n, q), objective, 0.0,
+    return _solution([h] * n, [dist] * n, np.full(n, q), objective,
                      {"q": float(q), "budget": budget})
 
 
 def discretize(dists, budget: float, m: int, noisy: bool = False, seed=None,
-               grid_size: int = DEFAULT_GRID) -> IncrementTable:
+               grid_size: int = DEFAULT_GRID) -> np.ndarray:
     """Split each agent's ironed curve into m quantile increments of spend B/m.
 
-    Increments are found by inverting the piecewise-linear hull at the
-    cumulative spend targets j * B/m; once an agent's quantile reaches 1 the
-    remaining increments are zero.  Noisy mode shrinks each increment by an
-    independent factor in [1 - 1/n^3, 1].
+    Returns the read-only (n, m) array whose [i, j] entry is agent i's j-th
+    quantile increase, found by inverting the piecewise-linear hull at the
+    cumulative spend targets j * B/m (capped at the full spend, so the
+    increment that saturates the curve may cost less and the ones after it
+    are zero).  Noisy mode shrinks each increment by an independent factor
+    in [1 - 1/n^3, 1].
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -218,23 +204,16 @@ def discretize(dists, budget: float, m: int, noisy: bool = False, seed=None,
         raise ValueError("budget must be nonnegative")
     n = len(dists)
     rng = np.random.default_rng(seed)
-    step = budget / m
-    exact = np.zeros((n, m))
+    targets = np.arange(1, m + 1) * (budget / m)
+    deltas = np.zeros((n, m))
     for i, d in enumerate(dists):
         h = ironed_curve(d, grid_size)
-        prev = 0.0
-        for j in range(m):
-            cum = h.inverse_spend(min((j + 1) * step, h.total_spend))
-            exact[i, j] = max(cum - prev, 0.0)
-            prev = cum
+        cum = h.inverse_spend(np.minimum(targets, h.total_spend))
+        deltas[i] = np.maximum(np.diff(cum, prepend=0.0), 0.0)
     if noisy:
-        deltas = exact * (1.0 - rng.random((n, m)) / n ** 3)
-    else:
-        deltas = exact.copy()
-    cumulative = np.cumsum(deltas, axis=1)
-    for arr in (deltas, exact, cumulative):
-        arr.flags.writeable = False
-    return IncrementTable(deltas=deltas, exact_deltas=exact, cumulative=cumulative)
+        deltas *= 1.0 - rng.random((n, m)) / n ** 3
+    deltas.flags.writeable = False
+    return deltas
 
 
 def greedy_submodular(dists, vf: ValueFunction, budget: float, m: int | None = None,
@@ -265,13 +244,13 @@ def greedy_submodular(dists, vf: ValueFunction, budget: float, m: int | None = N
 
     ss = np.random.SeedSequence(seed)
     noise_ss, marg_ss, obj_ss = ss.spawn(3)
-    table = discretize(dists, budget, m, noisy=noisy,
-                       seed=np.random.default_rng(noise_ss), grid_size=grid_size)
+    increments = discretize(dists, budget, m, noisy=noisy,
+                            seed=np.random.default_rng(noise_ss), grid_size=grid_size)
     hulls = _hulls(dists, grid_size)
     marg_rng = np.random.default_rng(marg_ss)
 
     # a zero column past the last increment ends an agent's run
-    deltas = np.column_stack((table.deltas, np.zeros(n)))
+    deltas = np.column_stack((increments, np.zeros(n)))
     q = np.zeros(n)
     next_j = np.zeros(n, dtype=int)
     selection = []
@@ -286,11 +265,10 @@ def greedy_submodular(dists, vf: ValueFunction, budget: float, m: int | None = N
         next_j[best] += 1
         selection.append((best, int(j)))
 
-    objective, stderr = vf.multilinear(q, samples=samples,
-                                       seed=np.random.default_rng(obj_ss))
+    objective = vf.multilinear(q, samples=samples, seed=np.random.default_rng(obj_ss))[0]
     meta = {"m": m, "samples": samples, "noisy": noisy,
             "selection_order": tuple(selection), "budget": budget}
-    return _solution(hulls, dists, q, objective, stderr, meta)
+    return _solution(hulls, dists, q, objective, meta)
 
 
 SOLVER_KINDS = ("auto", "additive", "symmetric", "greedy")

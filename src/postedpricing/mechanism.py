@@ -381,21 +381,6 @@ def fractional_knapsack_value(values, prices, budget: float, subset) -> float:
     return float(total)
 
 
-def integral_knapsack_value(values, prices, budget: float, subset) -> float:
-    """As the fractional packing, but the first non-fitting element is dropped
-    and the packing stops."""
-    values = np.asarray(values, dtype=float)
-    prices = np.asarray(prices, dtype=float)
-    total, remaining = 0.0, budget
-    for i in _ratio_order(values, prices, set(subset)):
-        if prices[i] <= remaining:
-            total += values[i]
-            remaining -= prices[i]
-        else:
-            break
-    return float(total)
-
-
 # ---------------------------------------------------------------------------
 # Derandomization for additive values
 # ---------------------------------------------------------------------------

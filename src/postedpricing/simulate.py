@@ -201,25 +201,24 @@ def overflow_probability(menu: PriceMenu, budget: float, k: float,
                          trials: int = DEFAULT_TRIALS, seed=None) -> OverflowEstimate:
     """Chance that the spend of all would-be accepters exceeds (1 - 1/k) B.
 
-    Each agent enters the accepting set independently with her lottery's
-    acceptance probability; the analytic ceiling uses the menu's recorded
-    budget shrink when present.
+    Prices come from realize_prices; then each offered agent, in index order,
+    takes one rng.random(trials) acceptance draw against the acceptance
+    probability of her realized price (the menu quantile for a degenerate
+    lottery).  The analytic ceiling uses the menu's recorded budget shrink
+    when present.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(seed)
     threshold = (1.0 - 1.0 / k) * budget
+    prices = realize_prices(menu, rng, trials)
     total = np.zeros(trials)
     for i, (lot, q) in enumerate(zip(menu.lotteries, menu.quantiles)):
         if q <= 0:
             continue
-        if lot.degenerate:
-            total += lot.price_lo * (rng.random(trials) < q)
-        else:
-            pick_lo = rng.random(trials) < lot.prob_lo
-            price = np.where(pick_lo, lot.price_lo, lot.price_hi)
-            acc_q = np.where(pick_lo, lot.q_lo, lot.q_hi)
-            total += price * (rng.random(trials) < acc_q)
+        price = prices[:, i]
+        acc_q = q if lot.degenerate else np.where(price == lot.price_lo, lot.q_lo, lot.q_hi)
+        total += price * (rng.random(trials) < acc_q)
     hits = total > threshold
     p_hat = float(hits.mean())
     stderr = float(math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials))

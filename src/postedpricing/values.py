@@ -44,12 +44,6 @@ class ValueFunction:
     def evaluate(self, subset) -> float:
         raise NotImplementedError
 
-    def marginal(self, subset, i: int) -> float:
-        s = frozenset(subset)
-        if i in s:
-            raise ValueError("agent already in the set")
-        return self.evaluate(s | {i}) - self.evaluate(s)
-
     def multilinear(self, q, samples: int = 10_000, seed=None):
         """Expected value under independent inclusion with marginals q.
 
@@ -134,11 +128,6 @@ class AdditiveValue(ValueFunction):
     def evaluate(self, subset) -> float:
         return float(sum(self.values[i] for i in set(subset)))
 
-    def marginal(self, subset, i: int) -> float:
-        if i in set(subset):
-            raise ValueError("agent already in the set")
-        return self.values[i]
-
     def multilinear(self, q, samples: int = 10_000, seed=None):
         q = _check_quantiles(q, self.n)
         return float(np.dot(self.as_array(), q)), 0.0
@@ -159,7 +148,8 @@ class SymmetricValue(ValueFunction):
     """Value g(|S|) of any set of a given size; g(0) = 0 and g nondecreasing.
 
     Discrete concavity of g is what makes the function submodular; it is not
-    enforced at construction so that check_submodular can detect violations.
+    enforced at construction, so a non-concave g is a valid (non-submodular)
+    value function.
     """
 
     g: tuple
@@ -169,6 +159,8 @@ class SymmetricValue(ValueFunction):
         object.__setattr__(self, "g", g)
         if len(g) < 2:
             raise ValueError("g must cover sizes 0..n with n >= 1")
+        if not all(math.isfinite(x) for x in g):
+            raise ValueError("g must be finite")
         if abs(g[0]) > 0:
             raise ValueError("g(0) must be 0")
         if any(b < a - 1e-12 for a, b in zip(g, g[1:])):
@@ -310,36 +302,3 @@ def concave_closure_symmetric(v: SymmetricValue, q: float) -> float:
         raise ValueError("quantile must lie in [0, 1]")
     return concave_hull_sizes(v)(v.n * q)
 
-
-# ---------------------------------------------------------------------------
-# Exhaustive submodularity check (small n)
-# ---------------------------------------------------------------------------
-
-def _value_table(v: ValueFunction) -> np.ndarray:
-    n = v.n
-    table = np.empty(1 << n)
-    for mask in range(1 << n):
-        table[mask] = v.evaluate([i for i in range(n) if mask >> i & 1])
-    return table
-
-
-def check_submodular(v: ValueFunction, tol: float = 1e-9) -> bool:
-    """Exhaustively verify monotonicity and diminishing returns (n <= 16)."""
-    if v.n > 16:
-        raise ValueError("exhaustive check limited to n <= 16")
-    n = v.n
-    table = _value_table(v)
-    masks = np.arange(1 << n)
-    for i in range(n):
-        without = masks[(masks >> i) & 1 == 0]
-        if np.any(table[without | (1 << i)] < table[without] - tol):
-            return False
-    # pairwise characterization: v(S+i) + v(S+j) >= v(S+i+j) + v(S)
-    for i in range(n):
-        for j in range(i + 1, n):
-            free = masks[((masks >> i) & 1 == 0) & ((masks >> j) & 1 == 0)]
-            lhs = table[free | (1 << i)] + table[free | (1 << j)]
-            rhs = table[free | (1 << i) | (1 << j)] + table[free]
-            if np.any(lhs < rhs - tol):
-                return False
-    return True

@@ -295,3 +295,85 @@ def marginal_gains_per_candidate(vf, q, dq, samples, rng):
     for i in np.flatnonzero(dq):
         gains[i] = marginal_estimate_per_candidate(vf, q, i, dq[i], samples, rng)
     return gains
+
+
+def integral_knapsack_value(values, prices, budget, subset):
+    """Greedy-by-ratio packing of the subset (ratio descending, ties by index)
+    that stops at the first element that does not fit: the integral side of
+    mechanism.fractional_knapsack_value."""
+    total, remaining = 0.0, budget
+    for i in sorted(set(subset), key=lambda i: (-values[i] / prices[i], i)):
+        if prices[i] > remaining:
+            break
+        total += values[i]
+        remaining -= prices[i]
+    return float(total)
+
+
+def _value_table(v):
+    n = v.n
+    table = np.empty(1 << n)
+    for mask in range(1 << n):
+        table[mask] = v.evaluate([i for i in range(n) if mask >> i & 1])
+    return table
+
+
+def check_submodular(v, tol=1e-9):
+    """Exhaustively verify monotonicity and diminishing returns (n <= 16)."""
+    if v.n > 16:
+        raise ValueError("exhaustive check limited to n <= 16")
+    n = v.n
+    table = _value_table(v)
+    masks = np.arange(1 << n)
+    for i in range(n):
+        without = masks[(masks >> i) & 1 == 0]
+        if np.any(table[without | (1 << i)] < table[without] - tol):
+            return False
+    # pairwise characterization: v(S+i) + v(S+j) >= v(S+i+j) + v(S)
+    for i in range(n):
+        for j in range(i + 1, n):
+            free = masks[((masks >> i) & 1 == 0) & ((masks >> j) & 1 == 0)]
+            lhs = table[free | (1 << i)] + table[free | (1 << j)]
+            rhs = table[free | (1 << i) | (1 << j)] + table[free]
+            if np.any(lhs < rhs - tol):
+                return False
+    return True
+
+
+def inverse_spend_scalar(ic, s):
+    """Largest quantile whose hull spend does not exceed the float s: the
+    scalar IronedCurve.inverse_spend, with its guards for a top segment and
+    a flat one."""
+    H = ic.hull
+    if s >= H[-1]:
+        return 1.0
+    if s <= H[0]:
+        s = H[0]
+    j = int(np.searchsorted(H, s, side="right")) - 1
+    if j >= len(H) - 1:
+        return 1.0
+    q0, q1 = ic.quantiles[j], ic.quantiles[j + 1]
+    if H[j + 1] == H[j]:
+        return float(q1)
+    return float(q0 + (s - H[j]) / (H[j + 1] - H[j]) * (q1 - q0))
+
+
+def discretize_loop(dists, budget, m, noisy=False, seed=None):
+    """exante.discretize as a scalar double loop: one inverse_spend_scalar per
+    (agent, increment), each increment the difference of two inversions."""
+    from postedpricing import ironed_curve
+
+    n = len(dists)
+    rng = np.random.default_rng(seed)
+    step = budget / m
+    exact = np.zeros((n, m))
+    for i, d in enumerate(dists):
+        h = ironed_curve(d)
+        prev = 0.0
+        for j in range(m):
+            cum = inverse_spend_scalar(h, min((j + 1) * step, h.total_spend))
+            exact[i, j] = max(cum - prev, 0.0)
+            prev = cum
+    if noisy:
+        return exact * (1.0 - rng.random((n, m)) / n ** 3)
+    return exact

@@ -225,12 +225,65 @@ def test_empty_out_flag_exits_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["solve", "simulate", "bounds"])
-def test_out_that_is_a_file_exits_2(tmp_path, capsys, command):
+def test_out_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch, command):
+    import postedpricing.cli as cli
+
+    # each subcommand's work would fail loudly: the check comes before it
+    for name in ("mechanism_menu", "approximation_report", "bounds_table"):
+        monkeypatch.setattr(cli, name, None)
     afile = tmp_path / "afile"
     afile.write_text("keep")
     args = ["--config", _write_config(tmp_path, EXAMPLE1.format(out=tmp_path))] \
         if command in ("solve", "simulate") else ["--k", "5"]
     assert main([command, *args, "--out", str(afile)]) == 2
+    assert str(afile) in capsys.readouterr().err
+    assert afile.read_text() == "keep"
+
+
+NON_FINITE = """
+[instance]
+distributions = {dists}
+value = {value}
+budget = 1
+
+[mechanism]
+kind = {kind}
+
+[harness]
+out = {out}
+"""
+
+
+@pytest.mark.parametrize("dists, value, kind, sample", [
+    ("4 * texp(nan, 0, 1)", "additive(constant=1)", "sequential", None),
+    ("4 * texp(inf, 0, 1)", "additive(constant=1)", "sequential", None),
+    ("4 * texp(1, nan, 1)", "additive(constant=1)", "sequential", None),
+    ("4 * empirical({sample})", "additive(constant=1)", "sequential", "0.1\nnan\n0.5\n"),
+    ("4 * empirical({sample})", "additive(constant=1)", "sequential", "0.1\ninf\n0.5\n"),
+    ("4 * pwcdf([(0, 0), (0.5, 0.5), (1e999, 1)])", "additive(constant=1)",
+     "sequential", None),
+    ("4 * uniform(0, 1)", "symmetric([0, 1, 1.5, 2, 1e999])", "oblivious", None),
+], ids=["texp-nan-rate", "texp-inf-rate", "texp-nan-lo", "empirical-nan",
+        "empirical-inf", "pwcdf-inf", "symmetric-inf"])
+def test_non_finite_numbers_exit_2(tmp_path, capsys, dists, value, kind, sample):
+    if sample is not None:
+        (tmp_path / "sample.txt").write_text(sample)
+        dists = dists.format(sample=tmp_path / "sample.txt")
+    path = _write_config(tmp_path, NON_FINITE.format(
+        dists=dists, value=value, kind=kind, out=tmp_path / "o"))
+    assert main(["simulate", "--config", path]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_out_below_a_file_exits_2(tmp_path, capsys, monkeypatch):
+    import postedpricing.cli as cli
+
+    monkeypatch.setattr(cli, "approximation_report", None)
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    path = _write_config(tmp_path, EXAMPLE1.format(out=afile / "sub"))
+    assert main(["simulate", "--config", path]) == 2
     assert str(afile) in capsys.readouterr().err
     assert afile.read_text() == "keep"
 

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from postedpricing import (PiecewiseLinearCDF, TruncatedExponential,
-                           UndefinedVirtualCostError, Uniform,
+from postedpricing import (PiecewiseLinearCDF, SymmetricValue,
+                           TruncatedExponential, Uniform,
                            empirical_from_sample, iron, ironed_curve,
                            two_price_lottery)
 from postedpricing.distributions import (CONTACT_TOL, DEFAULT_GRID,
@@ -36,28 +36,27 @@ def test_piecewise_cdf_interpolation():
     assert d.cdf(0.75) == pytest.approx(0.9)
 
 
+# The virtual cost c + F(c)/f(c) defines a regular prior; the library decides
+# regularity from the ironed intervals, and the tests take the virtual cost
+# from a finite-difference oracle, checked here on closed forms.
+
 def test_virtual_cost_uniform_is_twice_cost():
     d = Uniform(0, 1)
-    assert d.virtual_cost(0.4) == pytest.approx(0.8)
-    assert d.virtual_cost(0.0) == pytest.approx(0.0)
+    assert finite_difference_virtual_cost(d, 0.4) == pytest.approx(0.8)
+    assert finite_difference_virtual_cost(d, 0.0) == pytest.approx(0.0)
 
 
 def test_virtual_cost_at_lower_boundary_is_boundary():
     d = Uniform(0.3, 1.3)
-    assert d.virtual_cost(0.3) == pytest.approx(0.3)
+    assert finite_difference_virtual_cost(d, 0.3) == pytest.approx(0.3)
 
 
 def test_virtual_cost_texp_matches_finite_difference():
+    # F(c)/f(c) = expm1(rate * (c - lo)) / rate for the truncated exponential
     d = TruncatedExponential(1.0, 0.0, 2.0)
     for c in (0.25, 1.0, 1.7):
-        assert d.virtual_cost(c) == pytest.approx(
+        assert c + math.expm1(c) == pytest.approx(
             finite_difference_virtual_cost(d, c), rel=1e-5)
-
-
-def test_virtual_cost_undefined_on_plateau():
-    d = PiecewiseLinearCDF(((0.0, 0.0), (0.3, 0.5), (0.6, 0.5), (1.0, 1.0)))
-    with pytest.raises(UndefinedVirtualCostError):
-        d.virtual_cost(0.45)
 
 
 @pytest.mark.parametrize("d", [
@@ -160,7 +159,7 @@ def test_lottery_midpoint_mixes_evenly():
     q = 0.5 * (a + b)
     lot = two_price_lottery(ic, d, q)
     assert lot.prob_lo == pytest.approx(0.5)
-    pa, pb = ic.curve_at(a), ic.curve_at(b)
+    pa, pb = np.interp([a, b], ic.quantiles, ic.curve)
     assert lot.expected_spend == pytest.approx(0.5 * (pa + pb), abs=1e-9)
     assert lot.quantile == pytest.approx(q, abs=1e-12)
 
@@ -190,8 +189,9 @@ def test_property_slopes_nondecreasing(seed):
 @pytest.mark.parametrize("d", [Uniform(0, 1), TruncatedExponential(2.0, 0.0, 1.5)])
 def test_property_regular_virtual_cost_monotone(d):
     cs = np.linspace(d.support_lo + 1e-9, d.support_hi, 500)
-    phi = d.virtual_cost(cs)
+    phi = finite_difference_virtual_cost(d, cs)
     assert np.all(np.diff(phi) >= -1e-9)
+    assert not ironed_curve(d).intervals
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -283,6 +283,26 @@ def test_iron_intervals_match_scan(make_curve):
 def test_iron_interval_can_start_at_grid_index_1():
     ic = iron(*_interval_at_grid_index_1())
     assert ic.intervals[0][0] == 0.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TruncatedExponential(math.nan, 0.0, 1.0),
+    lambda: TruncatedExponential(math.inf, 0.0, 1.0),
+    lambda: TruncatedExponential(1.0, math.nan, 1.0),
+    lambda: TruncatedExponential(1.0, -math.inf, 1.0),
+    lambda: PiecewiseLinearCDF(((0.0, 0.0), (math.nan, 0.5), (1.0, 1.0))),
+    lambda: PiecewiseLinearCDF(((0.0, 0.0), (0.5, math.nan), (1.0, 1.0))),
+    lambda: PiecewiseLinearCDF(((0.0, 0.0), (0.5, 0.5), (math.inf, 1.0))),
+    lambda: empirical_from_sample([0.1, math.nan, 0.5]),
+    lambda: empirical_from_sample([0.1, math.inf, 0.5]),
+    lambda: SymmetricValue((0.0, math.nan, 2.0)),
+    lambda: SymmetricValue((0.0, 1.0, math.inf)),
+], ids=["texp-nan-rate", "texp-inf-rate", "texp-nan-lo", "texp-inf-lo",
+        "pwcdf-nan-cost", "pwcdf-nan-F", "pwcdf-inf-cost", "empirical-nan",
+        "empirical-inf", "symmetric-nan", "symmetric-inf"])
+def test_constructors_reject_non_finite_numbers(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
 
 
 def test_piecewise_validation():

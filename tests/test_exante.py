@@ -8,7 +8,8 @@ from postedpricing import (AdditiveValue, CoverageValue, PiecewiseLinearCDF,
                            discretize, greedy_submodular, ironed_curve,
                            solve_additive, solve_ex_ante, solve_symmetric)
 
-from oracles import brute_multilinear, grid_oracle_additive, irregular_priors
+from oracles import (brute_multilinear, discretize_loop, grid_oracle_additive,
+                     irregular_priors)
 
 U01 = Uniform(0, 1)
 
@@ -140,40 +141,57 @@ def test_solve_symmetric_matches_scalar_grid_search():
 
 
 def test_discretize_uniform_closed_form():
-    table = discretize([U01], 1.0, 4)
+    cumulative = np.cumsum(discretize([U01], 1.0, 4), axis=1)
     expected = [np.sqrt(j / 4) for j in range(1, 5)]
-    assert np.allclose(table.cumulative[0], expected, atol=1e-5)
-    spends = np.diff(np.concatenate([[0.0], table.cumulative[0] ** 2]))
+    assert np.allclose(cumulative[0], expected, atol=1e-5)
+    spends = np.diff(np.concatenate([[0.0], cumulative[0] ** 2]))
     assert np.allclose(spends, 0.25, atol=1e-4)
 
 
 def test_discretize_single_step():
-    table = discretize([U01], 0.49, 1)
+    cumulative = np.cumsum(discretize([U01], 0.49, 1), axis=1)
     ic = ironed_curve(U01)
-    assert ic.hull_at(table.cumulative[0, 0]) == pytest.approx(0.49, abs=1e-9)
+    assert ic.hull_at(cumulative[0, 0]) == pytest.approx(0.49, abs=1e-9)
 
 
 def test_discretize_noisy_bracket():
     dists = [U01, Uniform(0, 2), TruncatedExponential(1.0, 0.0, 1.0)]
-    table = discretize(dists, 1.0, 9, noisy=True, seed=3)
+    deltas = discretize(dists, 1.0, 9, noisy=True, seed=3)
+    exact = discretize(dists, 1.0, 9, noisy=False)
     n = len(dists)
-    lo = (1 - 1 / n ** 3) * table.exact_deltas
-    assert np.all(table.deltas <= table.exact_deltas + 1e-15)
-    assert np.all(table.deltas >= lo - 1e-15)
+    lo = (1 - 1 / n ** 3) * exact
+    assert np.all(deltas <= exact + 1e-15)
+    assert np.all(deltas >= lo - 1e-15)
 
 
 def test_discretize_increments_shrink_for_regular():
-    table = discretize([U01], 0.8, 6)
-    d = table.exact_deltas[0]
+    d = discretize([U01], 0.8, 6)[0]
     positive = d[d > 0]
     assert np.all(np.diff(positive) < 1e-12)
 
 
 def test_discretize_saturation():
     # huge budget: the first increment hits quantile 1, the rest are zero
-    table = discretize([U01], 50.0, 5)
-    assert table.cumulative[0, 0] == pytest.approx(1.0)
-    assert np.all(table.exact_deltas[0, 1:] == 0.0)
+    deltas = discretize([U01], 50.0, 5)
+    assert np.cumsum(deltas, axis=1)[0, 0] == pytest.approx(1.0)
+    assert np.all(deltas[0, 1:] == 0.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_discretize_matches_scalar_loop(seed):
+    # one vectorised inversion per agent gives the scalar loop's increments
+    # bit for bit, at zero, partial and saturating budgets
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    dists = irregular_priors(100 + seed, n)
+    full = sum(ironed_curve(d).total_spend for d in dists)
+    for frac in (0.0, 0.1, 0.5, 0.9, 1.5):
+        m = int(rng.integers(n, n * n + 1))
+        budget = frac * full
+        for noisy in (False, True):
+            deltas = discretize(dists, budget, m, noisy=noisy, seed=seed)
+            assert not deltas.flags.writeable
+            assert np.array_equal(deltas, discretize_loop(dists, budget, m, noisy, seed))
 
 
 def test_greedy_additive_close_to_lagrangian():

@@ -8,7 +8,7 @@ from postedpricing import (AdditiveValue, Instance, PiecewiseLinearCDF,
                            bang_per_buck_order, build_oblivious,
                            choose_epsilon, degenerate_lottery,
                            derandomize_additive, fractional_knapsack_value,
-                           integral_knapsack_value, ironed_curve, market_size,
+                           ironed_curve, market_size,
                            mechanism_menu, mechanism_variant, menu_from_solution,
                            oblivious_guarantee,
                            reduce_lottery_pairs, run, select_within_budget,
@@ -17,7 +17,8 @@ from postedpricing import (AdditiveValue, Instance, PiecewiseLinearCDF,
 
 from postedpricing.mechanism import policy_orders
 
-from oracles import lp_vertex_fractional, mechanism_expectation
+from oracles import (integral_knapsack_value, lp_vertex_fractional,
+                     mechanism_expectation)
 
 U01 = Uniform(0, 1)
 

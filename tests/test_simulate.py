@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -261,6 +262,34 @@ def test_overflow_matches_exact_binomial():
     se = math.sqrt(max(exact * (1 - exact), 1e-12) / 50_000)
     assert abs(est.p_hat - exact) <= 4 * max(se, est.stderr)
     assert est.ceiling == pytest.approx(math.exp(-eps ** 2 * (1 - eps) * k / 12))
+
+
+def test_overflow_with_lotteries_matches_enumeration():
+    # each offered agent adds price_lo w.p. prob_lo * q_lo, price_hi w.p.
+    # (1 - prob_lo) * q_hi (one price w.p. q when degenerate), independently
+    d = PiecewiseLinearCDF(((0.0, 0.0), (0.2, 0.5), (0.8, 0.6), (1.0, 1.0)))
+    ic = ironed_curve(d)
+    a, b = ic.intervals[0]
+    lots = (two_price_lottery(ic, d, 0.3 * a + 0.7 * b), degenerate_lottery(U01, 0.5),
+            two_price_lottery(ic, d, 0.6 * a + 0.4 * b), degenerate_lottery(U01, 0.0))
+    menu = PriceMenu(lotteries=lots, quantiles=np.array([l.quantile for l in lots]))
+    assert menu.has_lotteries
+    budget, k, trials = 1.2, 4.0, 40_000
+    outcomes = []
+    for lot, q in zip(lots, menu.quantiles):
+        if q <= 0:
+            outcomes.append([(0.0, 1.0)])
+        elif lot.degenerate:
+            outcomes.append([(0.0, 1.0 - q), (lot.price_lo, q)])
+        else:
+            lo, hi = lot.prob_lo * lot.q_lo, (1.0 - lot.prob_lo) * lot.q_hi
+            outcomes.append([(0.0, 1.0 - lo - hi), (lot.price_lo, lo), (lot.price_hi, hi)])
+    exact = sum(math.prod(p for _, p in combo) for combo in product(*outcomes)
+                if sum(c for c, _ in combo) > (1 - 1 / k) * budget)
+    assert 0.05 < exact < 0.95
+    est = overflow_probability(menu, budget, k, trials=trials, seed=3)
+    se = math.sqrt(exact * (1 - exact) / trials)
+    assert abs(est.p_hat - exact) <= 4 * se
 
 
 def test_correlation_gap_full_set():

@@ -1,13 +1,16 @@
-"""The benchmark's tracer must find every package name it wraps.
+"""The benchmark must find every package name it wraps or calls.
 
 perfbench/tracing.py wraps solvers, kernels and CLI entry points by module
 and name from outside the package; a rename in the package would make
 `Tracer.install` fail, and a call that moves out of a wrapped name's reach
 would leave its counters at 0.  These tests install and uninstall it on the
-package.
+package.  perfbench/workloads.py builds its inputs through the package's
+public names; a deletion would break the benchmark's set-up, so they are
+read from its source and looked up here.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,8 @@ from postedpricing import (AdditiveValue, CoverageValue, Instance, PiecewiseLine
                            distributions, exante, ironed_curve, simulate,
                            two_price_lottery)
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -82,3 +86,14 @@ def test_tracer_spans_greedy_and_its_value_calls():
                  "values.marginal_estimate", "values.multilinear"):
         assert tracer.calls[name] > 0, name
     assert tracer.calls["exante.greedy_submodular"] == 2
+
+
+def test_workloads_call_only_names_the_package_has():
+    source = (PERFBENCH / "workloads.py").read_text()
+    names = set(re.findall(r"\bpp\.([A-Za-z_]\w*)", source))
+    assert "solve_additive" in names  # the pattern matches the module's alias
+    missing = sorted(name for name in names if not hasattr(postedpricing, name))
+    assert not missing, missing
+    for name in re.findall(r"\bcli\.([A-Za-z_]\w*)", source):
+        assert callable(getattr(postedpricing.cli, name)), name
+    assert isinstance(PriceMenu.has_lotteries, property)

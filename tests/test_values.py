@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from postedpricing import (AdditiveValue, CoverageValue, OracleValue,
-                           SymmetricValue, check_submodular,
-                           concave_closure_symmetric, concave_hull_sizes)
+                           SymmetricValue, concave_closure_symmetric,
+                           concave_hull_sizes)
 
-from oracles import (brute_multilinear, marginal_estimate_per_candidate,
+from oracles import (brute_multilinear, check_submodular,
+                     marginal_estimate_per_candidate,
                      marginal_gains_per_candidate)
 
 
@@ -26,17 +27,6 @@ def test_coverage_evaluate_union():
     assert v.evaluate({0, 1}) == 2.0
     assert v.evaluate({0}) == 1.0
     assert v.evaluate({1}) == 2.0
-
-
-def test_marginals():
-    add = AdditiveValue((2.0, 4.0))
-    assert add.marginal({0}, 1) == 4.0
-    sym = SymmetricValue((0.0, 1.0, 1.0))
-    assert sym.marginal({0}, 1) == 0.0
-    cov = CoverageValue(weights=(1.0, 1.0), covers=((0,), (0, 1)))
-    assert cov.marginal({1}, 0) == 0.0
-    with pytest.raises(ValueError):
-        add.marginal({1}, 1)
 
 
 def test_multilinear_additive_exact():
