@@ -17,11 +17,12 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, parse_config
 from .exante import solver_kind
 from .mechanism import SmallMarketError, market_size, mechanism_menu
-from .simulate import (Instance, approximation_report, bounds_csv_lines,
-                       bounds_table, correlation_gap_experiment,
-                       gap_csv_lines, report_csv_lines)
+from .simulate import (BOUNDS_COLUMNS, GAP_COLUMNS, REPORT_COLUMNS, Instance,
+                       approximation_report, bounds_table,
+                       correlation_gap_experiment, csv_text)
 
-SOLUTION_COLUMNS = "agent,quantile,price_lo,price_hi,prob_lo,expected_spend"
+SOLUTION_COLUMNS = ("agent", "quantile", "price_lo", "price_hi", "prob_lo",
+                    "expected_spend")
 
 
 def _solver_opts(cfg: ExperimentConfig) -> dict:
@@ -38,12 +39,9 @@ def _epsilon(cfg: ExperimentConfig):
 
 def solution_record(menu) -> str:
     """One CSV row per agent of a solution or menu (quantiles and lotteries)."""
-    lines = [SOLUTION_COLUMNS]
-    for i, (q, lot) in enumerate(zip(menu.quantiles, menu.lotteries)):
-        spend = lot.expected_spend
-        lines.append(f"{i},{q:.12g},{lot.price_lo:.12g},{lot.price_hi:.12g},"
-                     f"{lot.prob_lo:.12g},{spend:.12g}")
-    return "\n".join(lines) + "\n"
+    return csv_text(SOLUTION_COLUMNS,
+                    ((i, q, lot.price_lo, lot.price_hi, lot.prob_lo, lot.expected_spend)
+                     for i, (q, lot) in enumerate(zip(menu.quantiles, menu.lotteries))))
 
 
 def _write(out_dir: str, name: str, text: str) -> str:
@@ -69,9 +67,9 @@ def _check_out(out_dir: str) -> None:
 
 def cmd_solve(cfg: ExperimentConfig) -> int:
     """Write the menu that simulate runs (see mechanism_menu)."""
-    menu, eps, sol = mechanism_menu(cfg.dists, cfg.value, cfg.budget, cfg.mechanism_kind,
-                                    _epsilon(cfg), seed=cfg.seed, **_solver_opts(cfg))
-    summary = (f"epsilon={eps:.12g}" if eps is not None else
+    menu, sol = mechanism_menu(cfg.dists, cfg.value, cfg.budget, cfg.mechanism_kind,
+                               _epsilon(cfg), seed=cfg.seed, **_solver_opts(cfg))
+    summary = (f"epsilon={menu.epsilon:.12g}" if menu.epsilon is not None else
                f"objective={sol.objective:.12g} spend={sol.expected_spend:.12g}")
     k = market_size(menu, cfg.budget).k
     path = _write(cfg.out, "solution.csv", solution_record(menu))
@@ -87,12 +85,12 @@ def cmd_simulate(cfg: ExperimentConfig, echo: bool = False) -> int:
     report = approximation_report(instance, cfg.mechanism_kind, trials=cfg.trials,
                                   seed=cfg.seed, epsilon=_epsilon(cfg),
                                   n_orders=cfg.n_orders, **_solver_opts(cfg))
-    path = _write(cfg.out, "report.csv", "\n".join(report_csv_lines([report])) + "\n")
+    text = csv_text(REPORT_COLUMNS, [report])
+    path = _write(cfg.out, "report.csv", text)
     print(f"variant={report.variant} ratio={report.ratio:.6g} "
           f"bound={report.theoretical_bound:.6g} k={report.k:.6g}")
     if echo:
-        for line in report_csv_lines([report]):
-            print(line)
+        print(text, end="")
     print(f"wrote {path}")
     return 0
 
@@ -111,10 +109,9 @@ def _parse_k_list(text: str):
 
 
 def cmd_bounds(k_text: str, out_dir: str) -> int:
-    rows = bounds_table(_parse_k_list(k_text))
-    path = _write(out_dir, "bounds.csv", "\n".join(bounds_csv_lines(rows)) + "\n")
-    for line in bounds_csv_lines(rows):
-        print(line)
+    text = csv_text(BOUNDS_COLUMNS, bounds_table(_parse_k_list(k_text)))
+    path = _write(out_dir, "bounds.csv", text)
+    print(text, end="")
     print(f"wrote {path}")
     return 0
 
@@ -128,9 +125,9 @@ def cmd_gap(k_text: str, n_factor: int, out_dir: str) -> int:
         raise ConfigError(f"--n-factor must be at least 1, got {n_factor}")
     rows = [correlation_gap_experiment(int(k), max(int(k) * n_factor, int(k) + 1))
             for k in ks]
-    path = _write(out_dir, "gap.csv", "\n".join(gap_csv_lines(rows)) + "\n")
-    for line in gap_csv_lines(rows):
-        print(line)
+    text = csv_text(GAP_COLUMNS, rows)
+    path = _write(out_dir, "gap.csv", text)
+    print(text, end="")
     print(f"wrote {path}")
     return 0
 

@@ -13,8 +13,9 @@ Grammar (see README for the full reference):
 
 Unknown sections or keys are rejected so typos cannot silently change an
 experiment, and so is a key the configured run never reads (a greedy-only
-solver key under another solver, epsilon outside submodular-oblivious
-pricing, n_orders for the sequential mechanism).  Referenced files
+solver key under another solver, a sample key where greedy's gains are exact,
+marginal_samples under the appendix schedule, epsilon outside
+submodular-oblivious pricing, n_orders for the sequential mechanism).  Referenced files
 (empirical samples, coverage tables) must exist at load time.
 """
 
@@ -225,6 +226,13 @@ def _unread_keys(cfg: ExperimentConfig) -> dict:
     if solver != "greedy":
         for key in _GREEDY_KEYS:
             unread["solver", key] = f"only the greedy solver reads it; this run uses {solver}"
+    elif isinstance(cfg.value, (AdditiveValue, SymmetricValue)):
+        for key in ("marginal_samples", "appendix_schedule"):
+            unread["solver", key] = ("greedy's gains are exact for additive and "
+                                     "symmetric values, so it draws no samples")
+    elif cfg.appendix_schedule:
+        unread["solver", "marginal_samples"] = ("appendix_schedule = true sets the "
+                                                "sample count")
     if variant != "submodular-oblivious":
         unread["mechanism", "epsilon"] = ("only submodular-oblivious pricing shrinks the "
                                           f"budget; this run is {variant}")

@@ -16,8 +16,8 @@ function for its step gains (ValueFunction.marginal_gains), so whether they
 are exact or sampled is the value function's choice; sampled gains take
 `samples` draws per greedy step, shared by every candidate of the step.  All
 three solvers return through one constructor that sums the hull spend in
-agent order and builds the lotteries.  Solvers are pure functions of their
-inputs and seed.
+agent order, builds the lotteries and names the solver in
+solver_meta['solver'].  Solvers are pure functions of their inputs and seed.
 """
 
 from __future__ import annotations
@@ -49,16 +49,17 @@ def _hulls(dists, grid_size):
     return [ironed_curve(d, grid_size) for d in dists]
 
 
-def _solution(hulls, dists, quantiles, objective, meta) -> ExAnteSolution:
+def _solution(solver, hulls, dists, quantiles, objective, meta) -> ExAnteSolution:
     """The solution at these quantiles: hull spend summed in agent order, the
-    realizing lotteries, and the quantiles frozen."""
+    realizing lotteries, the quantiles frozen, and the solver's name in
+    solver_meta['solver']."""
     spend = float(sum(h.hull_at(q) for h, q in zip(hulls, quantiles)))
     lotteries = tuple(two_price_lottery(h, d, float(q))
                       for h, d, q in zip(hulls, dists, quantiles))
     quantiles.flags.writeable = False
     return ExAnteSolution(quantiles=quantiles, lotteries=lotteries,
                           expected_spend=spend, objective=float(objective),
-                          solver_meta=meta)
+                          solver_meta={"solver": solver, **meta})
 
 
 def _lagrangian_segments(hulls, values, lam: float):
@@ -99,7 +100,7 @@ def solve_additive(dists, values, budget: float,
     full_spend = sum(h.total_spend for h in hulls)
     if full_spend <= budget + _BIND_TOL * max(1.0, budget):
         q = np.ones(n)
-        return _solution(hulls, dists, q, np.dot(values, q),
+        return _solution("additive", hulls, dists, q, np.dot(values, q),
                          {"lambda": 0.0, "budget": budget})
 
     # grow an upper bracket, then bisect: spend is nonincreasing in lambda
@@ -166,7 +167,7 @@ def solve_additive(dists, values, budget: float,
         raise RuntimeError("budget water-fill failed to converge")
 
     q = np.clip(pos, 0.0, 1.0)
-    return _solution(hulls, dists, q, np.dot(values, q),
+    return _solution("additive", hulls, dists, q, np.dot(values, q),
                      {"lambda": float(lam_hi), "budget": budget})
 
 
@@ -183,7 +184,7 @@ def solve_symmetric(dist, g, budget: float, grid_size: int = DEFAULT_GRID) -> Ex
     h = ironed_curve(dist, grid_size)
     q = h.inverse_spend(budget / n)
     objective = concave_hull_sizes(vf)(n * q)
-    return _solution([h] * n, [dist] * n, np.full(n, q), objective,
+    return _solution("symmetric", [h] * n, [dist] * n, np.full(n, q), objective,
                      {"q": float(q), "budget": budget})
 
 
@@ -268,7 +269,7 @@ def greedy_submodular(dists, vf: ValueFunction, budget: float, m: int | None = N
     objective = vf.multilinear(q, samples=samples, seed=np.random.default_rng(obj_ss))[0]
     meta = {"m": m, "samples": samples, "noisy": noisy,
             "selection_order": tuple(selection), "budget": budget}
-    return _solution(hulls, dists, q, objective, meta)
+    return _solution("greedy", hulls, dists, q, objective, meta)
 
 
 SOLVER_KINDS = ("auto", "additive", "symmetric", "greedy")
@@ -299,16 +300,13 @@ def solver_kind(dists, vf: ValueFunction, kind: str = "auto") -> str:
 
 def solve_ex_ante(dists, vf: ValueFunction, budget: float, kind: str = "auto",
                   grid_size: int = DEFAULT_GRID, **greedy_opts) -> ExAnteSolution:
-    """Solve with the solver solver_kind picks; record it in solver_meta['solver'].
+    """Solve with the solver solver_kind picks (named in solver_meta['solver']).
 
     greedy_opts (m, samples, seed, noisy, ...) reach greedy_submodular only.
     """
     kind = solver_kind(dists, vf, kind)
     if kind == "additive":
-        sol = solve_additive(dists, vf.as_array(), budget, grid_size=grid_size)
-    elif kind == "symmetric":
-        sol = solve_symmetric(dists[0], vf, budget, grid_size=grid_size)
-    else:
-        sol = greedy_submodular(dists, vf, budget, grid_size=grid_size, **greedy_opts)
-    sol.solver_meta["solver"] = kind
-    return sol
+        return solve_additive(dists, vf.as_array(), budget, grid_size=grid_size)
+    if kind == "symmetric":
+        return solve_symmetric(dists[0], vf, budget, grid_size=grid_size)
+    return greedy_submodular(dists, vf, budget, grid_size=grid_size, **greedy_opts)

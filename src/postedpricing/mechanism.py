@@ -114,20 +114,18 @@ def menu_from_solution(sol: ExAnteSolution, ordering_policy: str = "external",
 # Execution
 # ---------------------------------------------------------------------------
 
-def bang_per_buck_order(values, prices, quantiles=None):
+def bang_per_buck_order(values, prices):
     """Agents sorted by value over price, descending; ties by agent index.
 
-    Agents with zero acceptance probability go last, in index order (they are
-    never offered, and their prices, NaN say, are not read).  One row of n
-    prices gives one order; a (trials, n) batch of prices (with per-agent or
-    per-row quantiles) gives a (trials, n) array holding each row's order.
+    Agents priced NaN (never offered, as realize_prices marks them) go last,
+    in index order.  One row of n prices gives one order; a (trials, n) batch
+    of prices gives a (trials, n) array holding each row's order.
     """
     values = np.asarray(values, dtype=float)
     prices = np.asarray(prices, dtype=float)
-    active = np.empty(prices.shape, dtype=bool)
-    active[...] = True if quantiles is None else np.asarray(quantiles) > 0
+    active = ~np.isnan(prices)
     if (active & (prices <= 0)).any():
-        raise ValueError("zero price offered to an agent with positive quantile")
+        raise ValueError("zero price offered to an agent")
     ratio = np.divide(-values, prices, out=np.zeros(prices.shape), where=active)
     return np.lexsort((ratio, ~active))  # stable: ties keep index order
 
@@ -211,7 +209,7 @@ def policy_orders(policy: str, menu: PriceMenu, vf: ValueFunction, prices,
     if shared:
         prices = prices[:1]
     if policy == "bang-per-buck":
-        orders = [bang_per_buck_order(vf.as_array(), prices, menu.quantiles)]
+        orders = [bang_per_buck_order(vf.as_array(), prices)]
     else:
         filled = np.where(np.isnan(prices), 0.0, prices)
         key = filled
@@ -264,14 +262,26 @@ def run(menu: PriceMenu, value_fn: ValueFunction, costs, budget: float,
 # Order-oblivious menus via budget shrinking
 # ---------------------------------------------------------------------------
 
-def sequential_guarantee(k: float) -> float:
+# Each guarantee is one numpy expression, for scalars and arrays alike.
+
+def correlation_gap_bound(k):
+    """1 - 1/sqrt(2 pi k): the correlation gap of a cardinality cap k."""
+    return 1.0 - 1.0 / np.sqrt(2.0 * np.pi * k)
+
+
+def sequential_guarantee(k):
     """Approximation factor of bang-per-buck sequential pricing in a k-large market."""
-    return (1.0 - 1.0 / math.sqrt(2.0 * math.pi * k)) * (1.0 - 1.0 / k)
+    return correlation_gap_bound(k) * (1.0 - 1.0 / k)
 
 
-def oblivious_guarantee(k: float, eps: float) -> float:
+def overflow_ceiling(k, eps):
+    """Bound on the chance that a (1 - eps) B menu's accepters overspend (1 - 1/k) B."""
+    return np.exp(-eps * eps * (1.0 - eps) * k / 12.0)
+
+
+def oblivious_guarantee(k, eps):
     """Approximation factor of the shrunken-budget menu under any order."""
-    return (1.0 - eps) * (1.0 - math.exp(-eps * eps * (1.0 - eps) * k / 12.0))
+    return (1.0 - eps) * (1.0 - overflow_ceiling(k, eps))
 
 
 class SmallMarketError(ValueError):
@@ -292,8 +302,7 @@ def choose_epsilon(k: float) -> float:
     if k <= 4.0:
         raise SmallMarketError(k)
     eps = np.linspace(2.0 / k, 0.5, _EPSILON_GRID_POINTS + 2)[1:-1]
-    vals = (1.0 - eps) * (1.0 - np.exp(-eps ** 2 * (1.0 - eps) * k / 12.0))
-    return float(eps[int(np.argmax(vals))])
+    return float(eps[int(np.argmax(oblivious_guarantee(k, eps)))])
 
 
 def build_oblivious(dists, vf: ValueFunction, budget: float, epsilon: float,
@@ -343,18 +352,18 @@ def mechanism_menu(dists, vf: ValueFunction, budget: float, mechanism: str,
     A submodular-oblivious variant (see mechanism_variant) runs
     build_oblivious's (1 - epsilon) B menu, with epsilon None the best shrink
     at the market size of the full-budget solve; every other variant runs the
-    full-budget solve.  Returns (menu, epsilon or None, full-budget solve or
-    None); solve_opts go to every solve_ex_ante call.
+    full-budget solve.  Returns (menu, full-budget solve or None); the
+    shrink used is menu.epsilon.  solve_opts go to every solve_ex_ante call.
     """
     variant = mechanism_variant(dists, vf, mechanism, solve_opts.get("kind", "auto"))
     if variant != "submodular-oblivious":
         sol = solve_ex_ante(dists, vf, budget, **solve_opts)
-        return menu_from_solution(sol, MECHANISM_ORDERS[mechanism]), None, sol
+        return menu_from_solution(sol, MECHANISM_ORDERS[mechanism]), sol
     full = None
     if epsilon is None:
         full = solve_ex_ante(dists, vf, budget, **solve_opts)
         epsilon = choose_epsilon(market_size(menu_from_solution(full), budget).k)
-    return build_oblivious(dists, vf, budget, epsilon, **solve_opts), epsilon, full
+    return build_oblivious(dists, vf, budget, epsilon, **solve_opts), full
 
 
 # ---------------------------------------------------------------------------

@@ -9,21 +9,23 @@ mechanism.policy_orders, and walks every order with the one budgeted walk,
 mechanism.select_within_budget, which steps through the order positions
 vectorised across the trials.  mechanism.run is one trial of this path.
 approximation_report runs a mechanism kind ('sequential' or 'oblivious') and
-labels its row with mechanism.mechanism_variant.
+labels its row with mechanism.mechanism_variant.  csv_text is the one CSV
+writer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .distributions import DEFAULT_GRID
 from .exante import ExAnteSolution, solve_ex_ante, solver_kind
-from .mechanism import (PriceMenu, choose_epsilon, market_size, mechanism_menu,
-                        mechanism_variant, oblivious_guarantee, policy_orders,
-                        realize_prices, select_within_budget,
+from .mechanism import (PriceMenu, SmallMarketError, choose_epsilon,
+                        correlation_gap_bound, market_size, mechanism_menu,
+                        mechanism_variant, oblivious_guarantee, overflow_ceiling,
+                        policy_orders, realize_prices, select_within_budget,
                         sequential_guarantee)
 from .values import SymmetricValue, ValueFunction, concave_closure_symmetric
 
@@ -180,18 +182,17 @@ def ex_ante_bound(instance: Instance, solution: ExAnteSolution = None,
                   **greedy_opts) -> BoundInfo:
     """Benchmark value no ex ante budget-feasible mechanism can beat.
 
-    Exact when the additive or symmetric solver applies (see solver_kind);
-    under greedy the solution is inflated by (1 - 1/e)^-2 and flagged as a
-    bound of a bound.  A given solution must come from the solve_ex_ante call
-    with the same arguments.
+    Solves the instance (with kind, grid_size and greedy_opts) unless given
+    a full-budget solution.  Exact when the solution's solver_meta['solver']
+    is additive or symmetric; a greedy solution is inflated by (1 - 1/e)^-2
+    and flagged as a bound of a bound.
     """
     if instance.budget <= 0:
         return BoundInfo(value=0.0, exact=True)
-    kind = solver_kind(instance.dists, instance.value, kind)
     if solution is None:
         solution = solve_ex_ante(instance.dists, instance.value, instance.budget,
                                  kind=kind, grid_size=grid_size, **greedy_opts)
-    if kind != "greedy":
+    if solution.solver_meta["solver"] != "greedy":
         return BoundInfo(value=solution.objective, exact=True)
     factor = (1.0 - 1.0 / math.e) ** 2
     return BoundInfo(value=solution.objective / factor, exact=False)
@@ -222,10 +223,7 @@ def overflow_probability(menu: PriceMenu, budget: float, k: float,
     hits = total > threshold
     p_hat = float(hits.mean())
     stderr = float(math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials))
-    ceiling = None
-    if menu.epsilon is not None:
-        eps = menu.epsilon
-        ceiling = float(math.exp(-eps * eps * (1.0 - eps) * k / 12.0))
+    ceiling = None if menu.epsilon is None else float(overflow_ceiling(k, menu.epsilon))
     return OverflowEstimate(p_hat=p_hat, stderr=stderr, ceiling=ceiling)
 
 
@@ -244,24 +242,22 @@ def correlation_gap_experiment(k: int, n: int) -> GapResult:
     q = k / n
     independent = vf.multilinear(np.full(n, q))[0]
     correlated = concave_closure_symmetric(vf, q)
-    bound = 1.0 - 1.0 / math.sqrt(2.0 * math.pi * k)
     return GapResult(k=k, n=n, independent=independent, correlated=correlated,
-                     ratio=independent / correlated, bound=bound)
+                     ratio=independent / correlated, bound=correlation_gap_bound(k))
 
 
 def bounds_table(k_values) -> list:
-    """Sequential vs. best-shrink oblivious guarantees per market size."""
+    """Sequential vs. best-shrink oblivious guarantees per market size; the
+    oblivious columns are None where no shrink exists (see choose_epsilon)."""
     rows = []
-    for k in k_values:
-        k = float(k)
-        seq = sequential_guarantee(k)
-        if k > 4.0:
+    for k in map(float, k_values):
+        try:
             eps = choose_epsilon(k)
-            rows.append(BoundsRow(k=k, sequential=seq, best_epsilon=eps,
-                                  oblivious=oblivious_guarantee(k, eps)))
-        else:
-            rows.append(BoundsRow(k=k, sequential=seq, best_epsilon=None,
-                                  oblivious=None))
+            oblivious = oblivious_guarantee(k, eps)
+        except SmallMarketError:
+            eps = oblivious = None
+        rows.append(BoundsRow(k=k, sequential=sequential_guarantee(k),
+                              best_epsilon=eps, oblivious=oblivious))
     return rows
 
 
@@ -287,22 +283,21 @@ def approximation_report(instance: Instance, mechanism: str,
     kind = solver_kind(instance.dists, vf, kind)
     variant = mechanism_variant(instance.dists, vf, mechanism, kind)
     opts = dict(kind=kind, grid_size=grid_size, seed=seed, **greedy_opts)
-    menu, eps_used, sol = mechanism_menu(instance.dists, vf, budget, mechanism,
-                                         epsilon, **opts)
+    menu, sol = mechanism_menu(instance.dists, vf, budget, mechanism, epsilon, **opts)
 
     bound_info = ex_ante_bound(instance, solution=sol, **opts)
     k = market_size(menu, budget).k
-    if eps_used is None:
+    if menu.epsilon is None:
         theoretical = sequential_guarantee(k)
     else:
-        theoretical = (1.0 - 1.0 / math.e) * oblivious_guarantee(k, eps_used)
+        theoretical = (1.0 - 1.0 / math.e) * oblivious_guarantee(k, menu.epsilon)
 
     mc = monte_carlo_value(menu, instance, trials=trials, seed=seed,
                            n_orders=n_orders)
     denom = bound_info.value
     ratio = mc.mean / denom if denom > 0 else (1.0 if mc.mean == 0 else math.inf)
     return ExperimentReport(label=instance.label, variant=variant, trials=trials,
-                            seed=seed, k=k, epsilon=eps_used,
+                            seed=seed, k=k, epsilon=menu.epsilon,
                             ex_ante_upper_bound=denom, bound_exact=bound_info.exact,
                             mechanism_mean=mc.mean, mechanism_stderr=mc.stderr,
                             ratio=ratio, theoretical_bound=theoretical)
@@ -319,35 +314,20 @@ def _fmt(x) -> str:
         return f"{x:.12g}"
     return str(x)
 
+
+def csv_text(columns, rows) -> str:
+    """A header line of columns, then one line per row: a tuple, or a result
+    dataclass read in field order."""
+    lines = [",".join(columns)]
+    for r in rows:
+        values = r if isinstance(r, tuple) else [getattr(r, f.name) for f in fields(r)]
+        lines.append(",".join(_fmt(x) for x in values))
+    return "\n".join(lines) + "\n"
+
+
+# column names in the field order of ExperimentReport, BoundsRow and GapResult
 REPORT_COLUMNS = ("label", "variant", "trials", "seed", "k", "epsilon",
                   "ex_ante_upper_bound", "bound_exact", "mechanism_mean",
                   "mechanism_stderr", "ratio", "theoretical_bound")
-
-
-def report_csv_lines(reports) -> list:
-    lines = [",".join(REPORT_COLUMNS)]
-    for r in reports:
-        lines.append(",".join(_fmt(getattr(r, c)) for c in REPORT_COLUMNS))
-    return lines
-
-
 BOUNDS_COLUMNS = ("k", "sequential_bound", "best_epsilon", "oblivious_bound")
-
-
-def bounds_csv_lines(rows) -> list:
-    lines = [",".join(BOUNDS_COLUMNS)]
-    for r in rows:
-        lines.append(",".join(_fmt(x) for x in (r.k, r.sequential,
-                                                r.best_epsilon, r.oblivious)))
-    return lines
-
-
 GAP_COLUMNS = ("k", "n", "independent_value", "correlated_value", "ratio", "bound")
-
-
-def gap_csv_lines(rows) -> list:
-    lines = [",".join(GAP_COLUMNS)]
-    for r in rows:
-        lines.append(",".join(_fmt(x) for x in (r.k, r.n, r.independent,
-                                                r.correlated, r.ratio, r.bound)))
-    return lines

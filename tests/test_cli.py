@@ -295,6 +295,7 @@ def test_solution_record_shape():
     text = solution_record(sol)
     lines = text.strip().splitlines()
     assert len(lines) == 3
+    assert lines[0] == "agent,quantile,price_lo,price_hi,prob_lo,expected_spend"
     assert all(len(l.split(",")) == 6 for l in lines)
 
 
@@ -433,6 +434,15 @@ SYMMETRIC_OBLIVIOUS_EDITS = {
     "order = bang-per-buck": "order = worst-of-sampled\nepsilon = 0.1"}
 
 
+# EXAMPLE1 as the golden coverage instance under submodular-oblivious pricing
+GOLDEN_COVERAGE = Path(__file__).resolve().parent / "golden" / "coverage-greedy"
+COVERAGE_EDITS = {
+    "16 * uniform(0, 1)": "4 * uniform(0, 1); 4 * uniform(0.05, 1)",
+    "value = additive(constant=1)": f"value = coverage({GOLDEN_COVERAGE / 'coverage.txt'})",
+    "kind = sequential": "kind = oblivious",
+    "order = bang-per-buck": "order = worst-of-sampled\nepsilon = 0.2"}
+
+
 @pytest.mark.parametrize("edits,key", [
     ({"order = bang-per-buck": "order = bang-per-buck\nepsilon = 0.3"},
      "[mechanism] epsilon"),
@@ -444,9 +454,20 @@ SYMMETRIC_OBLIVIOUS_EDITS = {
      "[solver] marginal_samples"),
     ({"kind = additive": "kind = additive\nnoisy = true"}, "[solver] noisy"),
     ({"kind = additive": "kind = additive\nappendix_schedule = true"},
-     "[solver] appendix_schedule")],
+     "[solver] appendix_schedule"),
+    ({"kind = additive": "kind = greedy\nmarginal_samples = 7"},
+     "[solver] marginal_samples"),
+    ({"kind = additive": "kind = greedy\nappendix_schedule = false"},
+     "[solver] appendix_schedule"),
+    ({**SYMMETRIC_OBLIVIOUS_EDITS, "kind = additive": "kind = greedy\nmarginal_samples = 7"},
+     "[solver] marginal_samples"),
+    (COVERAGE_EDITS | {"kind = additive": "kind = greedy\nappendix_schedule = true\n"
+                                          "marginal_samples = 7"},
+     "[solver] marginal_samples")],
     ids=["epsilon-sequential", "epsilon-symmetric-oblivious", "n_orders", "m",
-         "marginal_samples", "noisy", "appendix_schedule"])
+         "marginal_samples", "noisy", "appendix_schedule", "exact-greedy-samples",
+         "exact-greedy-appendix", "exact-greedy-symmetric-samples",
+         "samples-under-appendix-schedule"])
 def test_key_the_run_never_reads_exits_2(tmp_path, capsys, edits, key):
     text = EXAMPLE1.format(out=tmp_path)
     for old, new in edits.items():
@@ -456,10 +477,21 @@ def test_key_the_run_never_reads_exits_2(tmp_path, capsys, edits, key):
     assert f"{key} has no effect" in err
 
 
-def test_readme_configs_parse(tmp_path):
+@pytest.mark.parametrize("solver", ["appendix_schedule = true",
+                                    "appendix_schedule = false\nmarginal_samples = 7"])
+def test_sampled_greedy_keys_parse(tmp_path, solver):
+    text = EXAMPLE1.format(out=tmp_path)
+    for old, new in (COVERAGE_EDITS | {"kind = additive": f"kind = greedy\n{solver}"}).items():
+        text = text.replace(old, new)
+    cfg = parse_config(_write_config(tmp_path, text))
+    assert cfg.appendix_schedule == ("true" in solver)
+
+
+def test_readme_configs_parse(tmp_path, monkeypatch):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
     assert blocks
+    monkeypatch.chdir(GOLDEN_COVERAGE)  # README's coverage(coverage.txt) is this table
     for i, block in enumerate(blocks):
         text = re.sub(r"^out = .*$", f"out = {tmp_path / 'out'}", block, flags=re.M)
         cfg = parse_config(_write_config(tmp_path, text, f"readme{i}.ini"))

@@ -282,6 +282,17 @@ def test_solve_ex_ante_dispatch():
     assert "m" in cov.solver_meta
 
 
+def test_each_solver_names_itself():
+    # both returns of solve_additive: a binding budget, and one above full spend
+    for budget in (0.5, 5.0):
+        sol = solve_additive([U01] * 2, [1.0, 1.0], budget)
+        assert sol.solver_meta["solver"] == "additive"
+    sym = solve_symmetric(U01, (0.0, 1.0, 1.5), 0.5)
+    assert sym.solver_meta["solver"] == "symmetric"
+    grd = greedy_submodular([U01] * 2, AdditiveValue((1.0, 1.0)), 0.5, m=4)
+    assert grd.solver_meta["solver"] == "greedy"
+
+
 def test_solution_spend_matches_lottery_accounting():
     d = PiecewiseLinearCDF(((0.0, 0.0), (0.2, 0.5), (0.8, 0.6), (1.0, 1.0)))
     sol = solve_additive([d, U01], [1.0, 1.0], 0.6)

@@ -15,7 +15,8 @@ from postedpricing import (AdditiveValue, Instance, PiecewiseLinearCDF,
                            sequential_guarantee, simulate_runs, solve_additive,
                            two_price_lottery)
 
-from postedpricing.mechanism import policy_orders
+from postedpricing.mechanism import (correlation_gap_bound, overflow_ceiling,
+                                     policy_orders)
 
 from oracles import (integral_knapsack_value, lp_vertex_fractional,
                      mechanism_expectation)
@@ -139,11 +140,11 @@ def test_bang_per_buck_order_examples():
 
 def test_bang_per_buck_rejects_zero_price():
     with pytest.raises(ValueError):
-        bang_per_buck_order([1.0], [0.0], [0.5])
+        bang_per_buck_order([1.0], [0.0])
 
 
 def test_bang_per_buck_zero_quantile_goes_last():
-    order = bang_per_buck_order([1.0, 9.0], [1.0, 0.0], [0.5, 0.0])
+    order = bang_per_buck_order([1.0, 9.0], [1.0, np.nan])
     assert order.tolist() == [0, 1]
 
 
@@ -162,6 +163,16 @@ def test_choose_epsilon_matches_dense_recomputation():
     vals = (1 - grid) * (1 - np.exp(-grid ** 2 * (1 - grid) * k / 12))
     best = float(vals.max())
     assert oblivious_guarantee(k, eps) >= best - 1e-6
+
+
+@pytest.mark.parametrize("k", [4.5, 37.0, 100.0, 10_000.0])
+def test_choose_epsilon_is_the_argmax_of_the_guarantee(k):
+    from postedpricing.mechanism import _EPSILON_GRID_POINTS
+
+    grid = np.linspace(2.0 / k, 0.5, _EPSILON_GRID_POINTS + 2)[1:-1]
+    vals = [oblivious_guarantee(k, float(e)) for e in grid]  # scalar calls
+    assert choose_epsilon(k) == grid[int(np.argmax(vals))]
+    assert np.array_equal(vals, oblivious_guarantee(k, grid))
 
 
 def test_choose_epsilon_monotone_value_in_k():
@@ -399,17 +410,17 @@ def test_uniform_random_orders_are_uniform_permutations():
 
 def test_mechanism_menu_labels_the_mechanism_order():
     additive = AdditiveValue((1.0,) * 16)
-    menu, eps, sol = mechanism_menu([U01] * 16, additive, 4.0, "sequential")
-    assert menu.ordering_policy == "bang-per-buck" and eps is None
+    menu, sol = mechanism_menu([U01] * 16, additive, 4.0, "sequential")
+    assert menu.ordering_policy == "bang-per-buck" and menu.epsilon is None
     assert sol.quantiles == pytest.approx(menu.quantiles)
-    menu, eps, sol = mechanism_menu([U01] * 16, additive, 4.0, "oblivious", epsilon=0.2)
+    menu, sol = mechanism_menu([U01] * 16, additive, 4.0, "oblivious", epsilon=0.2)
     assert menu.ordering_policy == "worst-of-sampled"
-    assert eps == menu.epsilon == 0.2 and sol is None
-    menu, eps, sol = mechanism_menu([U01] * 16, additive, 4.0, "oblivious")
-    assert eps == choose_epsilon(market_size(menu_from_solution(sol), 4.0).k)
+    assert menu.epsilon == 0.2 and sol is None
+    menu, sol = mechanism_menu([U01] * 16, additive, 4.0, "oblivious")
+    assert menu.epsilon == choose_epsilon(market_size(menu_from_solution(sol), 4.0).k)
     symmetric = SymmetricValue(tuple(float(min(s, 6)) for s in range(9)))
-    menu, eps, sol = mechanism_menu([U01] * 8, symmetric, 2.0, "oblivious", epsilon=0.2)
-    assert menu.ordering_policy == "worst-of-sampled" and eps is None
+    menu, sol = mechanism_menu([U01] * 8, symmetric, 2.0, "oblivious", epsilon=0.2)
+    assert menu.ordering_policy == "worst-of-sampled"
     assert menu.epsilon is None and sol is not None
     with pytest.raises(ValueError):
         mechanism_menu([U01] * 16, additive, 4.0, "exante")
@@ -436,6 +447,8 @@ def test_guarantee_formulas():
         (1 - 1 / math.sqrt(200 * math.pi)) * 0.99)
     assert oblivious_guarantee(100, 0.2) == pytest.approx(
         0.8 * (1 - math.exp(-0.04 * 0.8 * 100 / 12)))
+    assert correlation_gap_bound(100) == pytest.approx(1 - 1 / math.sqrt(200 * math.pi))
+    assert overflow_ceiling(100, 0.2) == pytest.approx(math.exp(-0.04 * 0.8 * 100 / 12))
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -11,10 +11,10 @@ from postedpricing import (AdditiveValue, CoverageValue, Instance, OracleValue,
                            degenerate_lottery, ex_ante_bound, ironed_curve,
                            market_size, menu_from_solution, monte_carlo_value,
                            overflow_probability, select_within_budget,
-                           simulate_runs, solve_additive, solve_symmetric,
-                           two_price_lottery)
-from postedpricing.simulate import (bounds_csv_lines, gap_csv_lines,
-                                    report_csv_lines)
+                           simulate_runs, solve_additive, solve_ex_ante,
+                           solve_symmetric, two_price_lottery)
+from postedpricing.simulate import (BOUNDS_COLUMNS, GAP_COLUMNS, REPORT_COLUMNS,
+                                    BoundInfo, csv_text)
 
 from oracles import (binom_tail_gt, mechanism_expectation, reference_walk,
                      select_within_budget_masks)
@@ -159,9 +159,9 @@ def test_walk_matches_the_three_output_walk(seed):
         assert spent.tobytes() == ref_spent.tobytes()
 
 
-def _reference_bang_per_buck(values, prices, quantiles):
-    active = [i for i in range(len(values)) if quantiles[i] > 0]
-    inactive = [i for i in range(len(values)) if quantiles[i] <= 0]
+def _reference_bang_per_buck(values, prices):
+    active = [i for i in range(len(values)) if not np.isnan(prices[i])]
+    inactive = [i for i in range(len(values)) if np.isnan(prices[i])]
     return tuple(sorted(active, key=lambda i: (-values[i] / prices[i], i)) + inactive)
 
 
@@ -175,13 +175,13 @@ def test_bang_per_buck_order_rows_match_single_rows():
     for quantiles in (per_agent, per_row):
         inactive_prices = np.where(np.broadcast_to(quantiles, prices.shape) > 0,
                                    prices, np.nan)  # never offered, never priced
-        rows = bang_per_buck_order(values, inactive_prices, quantiles)
+        rows = bang_per_buck_order(values, inactive_prices)
         assert rows.shape == (trials, n)
         for r in range(trials):
-            q = np.broadcast_to(quantiles, prices.shape)[r]
-            single = bang_per_buck_order(values, inactive_prices[r], q)
+            single = bang_per_buck_order(values, inactive_prices[r])
             assert np.array_equal(rows[r], single)
-            assert tuple(single.tolist()) == _reference_bang_per_buck(values, prices[r], q)
+            assert tuple(single.tolist()) == _reference_bang_per_buck(values,
+                                                                      inactive_prices[r])
 
 
 @pytest.mark.parametrize("vf", [
@@ -213,6 +213,18 @@ def test_ex_ante_bound_examples():
     info = ex_ante_bound(sym)
     sol = solve_symmetric(U01, (0.0, 1.0, 1.0), 0.5)
     assert info.exact and info.value == pytest.approx(sol.objective)
+
+
+def test_ex_ante_bound_reads_the_solver_off_the_solution():
+    # a greedy solution of an additive market is a bound of a bound, whatever
+    # kind the call names
+    inst = Instance(dists=(U01,) * 4, value=AdditiveValue((1.0,) * 4), budget=1.0)
+    g = solve_ex_ante(inst.dists, inst.value, inst.budget, kind="greedy", m=16)
+    given = ex_ante_bound(inst, solution=g)
+    assert not given.exact
+    assert given.value == g.objective / (1.0 - 1.0 / math.e) ** 2
+    assert given == ex_ante_bound(inst, kind="greedy", m=16)
+    assert ex_ante_bound(inst) == BoundInfo(value=2.0, exact=True)
 
 
 def test_ex_ante_bound_symmetric_matches_grid_search():
@@ -368,15 +380,15 @@ def test_report_variant_pairing_enforced():
 
 def test_csv_lines_format():
     rows = bounds_table([4, 10])
-    lines = bounds_csv_lines(rows)
+    lines = csv_text(BOUNDS_COLUMNS, rows).splitlines()
     assert lines[0] == "k,sequential_bound,best_epsilon,oblivious_bound"
     assert lines[1].endswith("NA,NA")
     gaps = [correlation_gap_experiment(2, 8)]
-    glines = gap_csv_lines(gaps)
+    glines = csv_text(GAP_COLUMNS, gaps).splitlines()
     assert glines[0].startswith("k,n,")
     inst = _uniform_instance(2, 0.5)
     rep = approximation_report(inst, "sequential", trials=50, seed=1)
-    rlines = report_csv_lines([rep])
+    rlines = csv_text(REPORT_COLUMNS, [rep]).splitlines()
     assert len(rlines) == 2 and rlines[1].count(",") == rlines[0].count(",")
 
 
@@ -384,7 +396,7 @@ def test_stderr_unavailable_for_single_trial():
     inst = _uniform_instance(2, 0.5)
     rep = approximation_report(inst, "sequential", trials=1, seed=1)
     assert math.isnan(rep.mechanism_stderr)
-    line = report_csv_lines([rep])[1]
+    line = csv_text(REPORT_COLUMNS, [rep]).splitlines()[1]
     assert ",NA," in line
 
 
