@@ -15,8 +15,8 @@ Unknown sections or keys are rejected so typos cannot silently change an
 experiment, and so is a key the configured run never reads (a greedy-only
 solver key under another solver, a sample key where greedy's gains are exact,
 marginal_samples under the appendix schedule, epsilon outside
-submodular-oblivious pricing, n_orders for the sequential mechanism).  Referenced files
-(empirical samples, coverage tables) must exist at load time.
+submodular-oblivious pricing, n_orders for the sequential mechanism).
+Referenced files (empirical samples, coverage tables) must exist at load time.
 """
 
 from __future__ import annotations
