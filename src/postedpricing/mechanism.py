@@ -390,6 +390,37 @@ def fractional_knapsack_value(values, prices, budget: float, subset) -> float:
     return float(total)
 
 
+def _mean_knapsack_value(values, prices, budget: float, draws) -> float:
+    """Mean of fractional_knapsack_value over the subsets in the boolean rows
+    of draws, bit for bit.
+
+    Each row's subset sorts as it does within the ratio order of the agents
+    drawn in any row, so every row packs in that one order, and the packing
+    runs on all rows at once: sequential accumulates do each row's
+    subtractions and additions in the per-row order, and the row totals are
+    summed in row order.  Agents no row draws stay out of the order: one of
+    value 0 at price 0 has a NaN ratio, which would break the sort.
+    """
+    order = np.array(_ratio_order(values, prices, np.flatnonzero(draws.any(axis=0))),
+                     dtype=np.intp)
+    rows, m = len(draws), len(order)
+    taken = draws[:, order]
+    p = np.where(taken, prices[order], 0.0)
+    v = values[order]
+    # the budget left before each position, were every earlier agent packed
+    left = np.subtract.accumulate(np.column_stack((np.full(rows, budget, dtype=float), p)),
+                                  axis=1)
+    # the first agent that does not fit ends the row; a last column stands in
+    # for rows where every agent fits
+    stop = np.column_stack((taken & ~(p <= left[:, :m]), np.ones(rows, bool))).argmax(axis=1)
+    packed = np.where(taken & (np.arange(m) < stop[:, None]), v, 0.0)
+    totals = np.add.accumulate(np.column_stack((np.zeros(rows), packed)), axis=1)[:, -1]
+    cut = np.flatnonzero(stop < m)
+    k = stop[cut]
+    totals[cut] += v[k] * left[cut, k] / p[cut, k]
+    return float(np.add.accumulate(np.concatenate(([0.0], totals)))[-1] / rows)
+
+
 # ---------------------------------------------------------------------------
 # Derandomization for additive values
 # ---------------------------------------------------------------------------
@@ -480,11 +511,7 @@ def derandomize_additive(menu: PriceMenu, dists, values, budget: float,
             other_prices[i] = price
             other_q[i] = q_i
             draws = rng.random((samples, reduced.n)) < other_q
-            total = 0.0
-            for row in draws:
-                total += fractional_knapsack_value(values, other_prices, budget,
-                                                   np.flatnonzero(row))
-            mean = total / samples
+            mean = _mean_knapsack_value(values, other_prices, budget, draws)
             if mean > best_val:
                 best_price, best_val, best_q = price, mean, q_i
         q[i] = best_q

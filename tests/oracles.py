@@ -310,6 +310,17 @@ def integral_knapsack_value(values, prices, budget, subset):
     return float(total)
 
 
+def mean_knapsack_value_rows(values, prices, budget, draws):
+    """Mean of mechanism.fractional_knapsack_value over the subsets in the
+    boolean rows of draws, one call per row, the row values summed in row
+    order: derandomize_additive's scoring before it packed every row at once."""
+    from postedpricing import fractional_knapsack_value
+    total = 0.0
+    for row in draws:
+        total += fractional_knapsack_value(values, prices, budget, np.flatnonzero(row))
+    return total / len(draws)
+
+
 def _value_table(v):
     n = v.n
     table = np.empty(1 << n)

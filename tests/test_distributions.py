@@ -1,11 +1,12 @@
 import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from postedpricing import (PiecewiseLinearCDF, SymmetricValue,
-                           TruncatedExponential, Uniform,
+                           TruncatedExponential, Uniform, concave_hull_sizes,
                            empirical_from_sample, iron, ironed_curve,
                            two_price_lottery)
 from postedpricing.distributions import (CONTACT_TOL, DEFAULT_GRID,
@@ -255,6 +256,75 @@ def test_hull_chain_matches_scalar_chain_on_irregular_priors():
         ic = ironed_curve(d)
         assert (_lower_hull_vertices(ic.quantiles, ic.curve)
                 == monotone_chain_scalars(ic.quantiles, ic.curve))
+
+
+def _kinked_table(rng, n, kinks):
+    """n points on convex pieces (rising slopes) whose slope drops at each kink
+    index, so the hull bridges convex stretches after a kink."""
+    x = np.arange(n, dtype=float) if rng.random() < 0.5 else np.sort(rng.random(n))
+    slope = np.cumsum(rng.random(n - 1))
+    for k in kinks:
+        slope[k:] -= rng.uniform(0.5, 3.0) * slope[-1] + 1.0
+    return x, np.concatenate(([0.0], np.cumsum(slope * np.diff(x))))
+
+
+def test_hull_chain_matches_scalar_chain_on_long_kinked_tables():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(4, 2000))
+        inner = rng.choice(np.arange(2, n - 2), size=int(rng.integers(0, 4)), replace=False)
+        for kinks in ([1], [n - 2], [1, n - 2], sorted(inner.tolist())):
+            x, y = _kinked_table(rng, n, kinks)
+            assert _lower_hull_vertices(x, y) == monotone_chain_scalars(x, y)
+
+
+def test_hull_chain_pops_exactly_collinear_points():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(3, 2000))
+        # integer points on sorted integer slopes with repeats: convex runs
+        # broken by exactly collinear triples, whose cross is exactly 0
+        x = np.cumsum(rng.integers(1, 4, n)).astype(float)
+        slope = np.sort(rng.integers(-3, 4, n - 1))
+        y = np.concatenate(([0.0], np.cumsum(slope * np.diff(x))))
+        verts = _lower_hull_vertices(x, y)
+        assert verts == monotone_chain_scalars(x, y)
+        # the hull keeps exactly the points where the slope changes
+        assert verts == [0, *(np.flatnonzero(np.diff(slope)) + 1).tolist(), n - 1]
+
+
+def test_hull_chain_matches_scalar_chain_with_nan_entries():
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        n = int(rng.integers(3, 400))
+        x, y = _kinked_table(rng, n, rng.integers(1, n - 1, size=2).tolist())
+        for arr in (x, y) if rng.random() < 0.3 else (y,):
+            arr[rng.integers(0, n, size=int(rng.integers(1, 4)))] = np.nan
+        assert _lower_hull_vertices(x, y) == monotone_chain_scalars(x, y)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_hull_chain_matches_scalar_chain_on_tiny_tables(n):
+    heights = (0.0, 1.0, -1.0, np.nan)
+    for ys in itertools.product(heights, repeat=n):
+        x, y = np.arange(n, dtype=float), np.array(ys, dtype=float)
+        assert _lower_hull_vertices(x, y) == monotone_chain_scalars(x, y)
+
+
+def test_size_hull_matches_scalar_chain_on_random_symmetric_values():
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        n = int(rng.integers(1, 1500))
+        # mostly falling increments (concave runs), zeros for plateaus
+        inc = np.sort(rng.random(n))[::-1] * (rng.random(n) < 0.9)
+        if rng.random() < 0.5:
+            inc = rng.integers(0, 3, n).astype(float)
+        g = np.concatenate(([0.0], np.cumsum(inc)))
+        hull = concave_hull_sizes(SymmetricValue(tuple(g)))
+        xs = np.arange(n + 1, dtype=float)
+        verts = monotone_chain_scalars(xs, -g)
+        assert hull.xs.tolist() == xs[verts].tolist()
+        assert hull.ys.tolist() == g[verts].tolist()
 
 
 def _tabulated_curve(d):

@@ -140,6 +140,22 @@ def test_solve_symmetric_matches_scalar_grid_search():
     assert sol.objective >= best - 1e-3
 
 
+@pytest.mark.parametrize("grid", [101, 1001, 10001])
+@pytest.mark.parametrize("n,budget", [(4, 0.37), (7, 2.3), (10, 0.01), (3, 2.999)])
+def test_grid_solution_underestimates_the_continuous_optimum_by_at_most_h2(grid, n, budget):
+    # U(0, 1) with equal values: the curve is q^2 and the continuous optimum
+    # q* = sqrt(B/n).  A chord between grid points overstates q^2 by at most
+    # h^2/4, so the grid spend at q* is too high, q_G <= q*, and
+    # q*^2 - q_G^2 <= h^2/4 gives q* - q_G <= h^2 / (4 q*).
+    h = 1.0 / (grid - 1)
+    q_star = (budget / n) ** 0.5
+    for sol in (solve_additive([U01] * n, [1.0] * n, budget, grid_size=grid),
+                solve_symmetric(U01, tuple(range(n + 1)), budget, grid_size=grid)):
+        gap = q_star - sol.quantiles
+        assert np.all(gap >= -1e-12)
+        assert np.all(gap <= h * h / (4.0 * q_star))
+
+
 def test_discretize_uniform_closed_form():
     cumulative = np.cumsum(discretize([U01], 1.0, 4), axis=1)
     expected = [np.sqrt(j / 4) for j in range(1, 5)]

@@ -15,10 +15,12 @@ from postedpricing import (AdditiveValue, Instance, PiecewiseLinearCDF,
                            sequential_guarantee, simulate_runs, solve_additive,
                            two_price_lottery)
 
-from postedpricing.mechanism import (correlation_gap_bound, overflow_ceiling,
-                                     policy_orders)
+from postedpricing import mechanism
+from postedpricing.mechanism import (_mean_knapsack_value, correlation_gap_bound,
+                                     overflow_ceiling, policy_orders)
 
-from oracles import (integral_knapsack_value, lp_vertex_fractional,
+from oracles import (integral_knapsack_value, irregular_priors,
+                     lp_vertex_fractional, mean_knapsack_value_rows,
                      mechanism_expectation)
 
 U01 = Uniform(0, 1)
@@ -346,6 +348,53 @@ def test_derandomize_picks_dominant_price():
     out = derandomize_additive(menu, [pw], [1.0], budget=5.0, samples=500, seed=1)
     assert not out.has_lotteries
     assert out.lotteries[0].price_lo == pytest.approx(lot.price_hi)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_mean_knapsack_value_matches_per_row_loop(seed):
+    rng = np.random.default_rng(70 + seed)
+    n = int(rng.integers(1, 24))
+    # small integer values and prices make equal ratios (index ties) common
+    values = rng.integers(0, 4, n).astype(float) if seed % 2 else rng.uniform(0.0, 2.0, n)
+    prices = rng.integers(1, 4, n).astype(float) if seed % 2 else rng.uniform(0.05, 1.0, n)
+    q = rng.uniform(0.0, 1.0, n)
+    # never-drawn agents at price 0, one of value 0 (a 0/0 ratio), and a drawn
+    # free agent of positive value, which ranks first
+    zero = rng.permutation(n)[:3]
+    prices[zero] = 0.0
+    q[zero[:2]] = 0.0
+    values[zero[:1]] = 0.0
+    values[zero[2:]] = 1.5
+    draws = rng.random((500, n)) < q
+    for budget in (0.0, 0.3, float(rng.uniform(0.5, 3.0)), 1e9):
+        assert (_mean_knapsack_value(values, prices, budget, draws)
+                == mean_knapsack_value_rows(values, prices, budget, draws))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_derandomize_matches_per_row_packing(seed, monkeypatch):
+    rng = np.random.default_rng(90 + seed)
+    dists = irregular_priors(seed, 12) + [U01, U01]
+    values = np.append(rng.uniform(0.5, 2.0, 12), [0.0, 1.0])
+    full = sum(ironed_curve(d).total_spend for d in dists[:12])
+    for frac in np.linspace(0.2, 0.6, 41):
+        sol = solve_additive(dists[:12], values[:12], float(frac * full))
+        if menu_from_solution(sol).has_lotteries:
+            break
+    else:
+        raise AssertionError("no budget gives a lottery")
+    budget = float(frac * full)
+    # two agents that are never offered, at price 0: one of value 0, whose
+    # value-per-price is 0/0, and one of value 1
+    menu = menu_from_solution(sol)
+    menu = PriceMenu(lotteries=menu.lotteries + (degenerate_lottery(U01, 0.0),) * 2,
+                     quantiles=np.append(menu.quantiles, [0.0, 0.0]))
+    out = derandomize_additive(menu, dists, values, budget, samples=3000, seed=seed)
+    monkeypatch.setattr(mechanism, "_mean_knapsack_value", mean_knapsack_value_rows)
+    ref = derandomize_additive(menu, dists, values, budget, samples=3000, seed=seed)
+    assert out.lotteries == ref.lotteries
+    assert out.quantiles.tobytes() == ref.quantiles.tobytes()
+    assert not out.has_lotteries
 
 
 def test_derandomize_rejects_mismatched_values():
