@@ -367,42 +367,25 @@ def mechanism_menu(dists, vf: ValueFunction, budget: float, mechanism: str,
 
 
 # ---------------------------------------------------------------------------
-# Knapsack set functions
+# Derandomization for additive values
 # ---------------------------------------------------------------------------
 
-def _ratio_order(values, prices, subset):
-    return sorted(subset, key=lambda i: (-values[i] / prices[i], i))
-
-
-def fractional_knapsack_value(values, prices, budget: float, subset) -> float:
-    """Greedy-by-ratio packing of the subset; the first non-fitting element
-    contributes the fraction of its value that fills the remaining capacity."""
-    values = np.asarray(values, dtype=float)
-    prices = np.asarray(prices, dtype=float)
-    total, remaining = 0.0, budget
-    for i in _ratio_order(values, prices, set(subset)):
-        if prices[i] <= remaining:
-            total += values[i]
-            remaining -= prices[i]
-        else:
-            total += values[i] * remaining / prices[i]
-            break
-    return float(total)
-
-
 def _mean_knapsack_value(values, prices, budget: float, draws) -> float:
-    """Mean of fractional_knapsack_value over the subsets in the boolean rows
-    of draws, bit for bit.
+    """Mean over the boolean rows of draws of the fractional knapsack value
+    of each row's subset: its agents packed by value per price, highest
+    first (ties by index), while they fit, and the first that does not fit
+    adds the fraction of its value that fills the budget left.
 
     Each row's subset sorts as it does within the ratio order of the agents
-    drawn in any row, so every row packs in that one order, and the packing
-    runs on all rows at once: sequential accumulates do each row's
-    subtractions and additions in the per-row order, and the row totals are
-    summed in row order.  Agents no row draws stay out of the order: one of
-    value 0 at price 0 has a NaN ratio, which would break the sort.
+    drawn in any row, so every row packs in that one order, and all rows
+    pack at once: sequential accumulates do each row's subtractions and
+    additions in the order a per-row packing loop does them, and the row
+    totals are summed in row order, so the mean is that loop's bit for bit.
+    Agents no row draws stay out of the order: one of value 0 at price 0
+    has a NaN ratio, which would break the sort.
     """
-    order = np.array(_ratio_order(values, prices, np.flatnonzero(draws.any(axis=0))),
-                     dtype=np.intp)
+    drawn = np.flatnonzero(draws.any(axis=0))
+    order = np.array(sorted(drawn, key=lambda i: (-values[i] / prices[i], i)), dtype=np.intp)
     rows, m = len(draws), len(order)
     taken = draws[:, order]
     p = np.where(taken, prices[order], 0.0)
@@ -420,10 +403,6 @@ def _mean_knapsack_value(values, prices, budget: float, draws) -> float:
     totals[cut] += v[k] * left[cut, k] / p[cut, k]
     return float(np.add.accumulate(np.concatenate(([0.0], totals)))[-1] / rows)
 
-
-# ---------------------------------------------------------------------------
-# Derandomization for additive values
-# ---------------------------------------------------------------------------
 
 def reduce_lottery_pairs(menu: PriceMenu, dists, values,
                          grid_size: int = DEFAULT_GRID) -> PriceMenu:

@@ -297,10 +297,27 @@ def marginal_gains_per_candidate(vf, q, dq, samples, rng):
     return gains
 
 
+def fractional_knapsack_value(values, prices, budget, subset):
+    """Greedy-by-ratio packing of the subset (ratio descending, ties by
+    index); the first non-fitting element contributes the fraction of its
+    value that fills the remaining capacity."""
+    values = np.asarray(values, dtype=float)
+    prices = np.asarray(prices, dtype=float)
+    total, remaining = 0.0, budget
+    for i in sorted(set(subset), key=lambda i: (-values[i] / prices[i], i)):
+        if prices[i] <= remaining:
+            total += values[i]
+            remaining -= prices[i]
+        else:
+            total += values[i] * remaining / prices[i]
+            break
+    return float(total)
+
+
 def integral_knapsack_value(values, prices, budget, subset):
     """Greedy-by-ratio packing of the subset (ratio descending, ties by index)
     that stops at the first element that does not fit: the integral side of
-    mechanism.fractional_knapsack_value."""
+    fractional_knapsack_value."""
     total, remaining = 0.0, budget
     for i in sorted(set(subset), key=lambda i: (-values[i] / prices[i], i)):
         if prices[i] > remaining:
@@ -311,10 +328,9 @@ def integral_knapsack_value(values, prices, budget, subset):
 
 
 def mean_knapsack_value_rows(values, prices, budget, draws):
-    """Mean of mechanism.fractional_knapsack_value over the subsets in the
-    boolean rows of draws, one call per row, the row values summed in row
-    order: derandomize_additive's scoring before it packed every row at once."""
-    from postedpricing import fractional_knapsack_value
+    """Mean of fractional_knapsack_value over the subsets in the boolean rows
+    of draws, one call per row, the row values summed in row order:
+    derandomize_additive's scoring before it packed every row at once."""
     total = 0.0
     for row in draws:
         total += fractional_knapsack_value(values, prices, budget, np.flatnonzero(row))
