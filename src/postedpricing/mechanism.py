@@ -7,7 +7,9 @@ never exceed the budget.  A menu names the order it runs in.
 mechanism_variant is the one decision of what a mechanism kind runs on an
 instance, and mechanism_menu builds that menu.  realize_prices is the one
 lottery realization and policy_orders the one map from an order policy to
-orders; run() and simulate.simulate_runs both execute through them.
+orders; run() and simulate.simulate_runs both execute through them.  A batch
+of trials is agent-major: an (n, trials) array holds one row per agent and
+one column per trial, so the walk reads each order position as a row.
 
 run() is pure given (inputs, seed); menus are immutable, so many runs may
 execute concurrently with independent seeds.
@@ -118,80 +120,88 @@ def bang_per_buck_order(values, prices):
     """Agents sorted by value over price, descending; ties by agent index.
 
     Agents priced NaN (never offered, as realize_prices marks them) go last,
-    in index order.  One row of n prices gives one order; a (trials, n) batch
-    of prices gives a (trials, n) array holding each row's order.
+    in index order.  One column of n prices gives one order; an (n, trials)
+    batch of prices gives an (n, trials) array holding each column's order.
     """
     values = np.asarray(values, dtype=float)
     prices = np.asarray(prices, dtype=float)
+    if prices.ndim == 2:
+        values = values[:, None]
     active = ~np.isnan(prices)
     if (active & (prices <= 0)).any():
         raise ValueError("zero price offered to an agent")
     ratio = np.divide(-values, prices, out=np.zeros(prices.shape), where=active)
-    return np.lexsort((ratio, ~active))  # stable: ties keep index order
+    return np.lexsort((ratio, ~active), axis=0)  # stable: ties keep index order
 
 
 def select_within_budget(prices, accepts, order, budget: float):
     """Walk agents in order; offer while the price fits the remaining spend.
 
     prices (NaN marks agents that are never offered) and accepts are
-    (trials, n) batches.  order is one sequence of agent indices shared by
-    every row, or a (trials, n) array with one order per row.  Returns
-    (offered, spent): the (trials, n) mask of agents offered their price and
-    each row's spend.  A row hires offered & accepts.
+    (n, trials) batches, one row per agent.  order is one sequence of agent
+    indices shared by every trial, or an (n, trials) array with one order per
+    column.  Returns (offered, spent): the (n, trials) mask of agents offered
+    their price and each trial's spend.  A trial hires offered & accepts.
 
     Skipped (over-budget) agents are discarded permanently.  The walk steps
-    through the order positions, vectorised across rows; each row adds its
-    own prices in its own order and keeps a sum only when it stays at most
-    the budget, so the bound is exact in floats.
+    through the order positions, vectorised across trials; each trial adds
+    its own prices in its own order and keeps a sum only when it stays at
+    most the budget, so the bound is exact in floats.
     """
     prices = np.asarray(prices, dtype=float)
     accepts = np.asarray(accepts, dtype=bool)
     order = np.asarray(order, dtype=np.intp)
-    at = (slice(None), order) if order.ndim == 1 \
-        else (np.arange(len(prices))[:, None], order)
-    # position-major copies: row j holds every trial's j-th agent in its order
-    pos_prices = np.ascontiguousarray(prices[at].T)
-    pos_accepts = np.ascontiguousarray(accepts[at].T)
-    spent = np.zeros(len(prices))
+    trials = prices.shape[1]
+    offered = np.zeros(prices.shape, dtype=bool)
+    out = offered
+    if order.ndim == 2:
+        # one order per trial: index the flattened batches, which numpy
+        # gathers and scatters faster than through a pair of index arrays
+        order = order * trials + np.arange(trials)
+        prices, accepts, out = prices.ravel(), accepts.ravel(), offered.ravel()
+    # row j of the gathered batches holds every trial's j-th agent in its order
+    pos_prices, pos_accepts = prices[order], accepts[order]
+    spent = np.zeros(trials)
     pos_offered = np.empty(pos_prices.shape, dtype=bool)
     for p, acc, off in zip(pos_prices, pos_accepts, pos_offered):
         new_spent = spent + p
         np.less_equal(new_spent, budget, out=off)  # False for NaN: never offered
         spent = np.where(off & acc, new_spent, spent)
-    offered = np.zeros(prices.shape, dtype=bool)
-    offered[at] = pos_offered.T
+    out[order] = pos_offered
     return offered, spent
 
 
 def realize_prices(menu: PriceMenu, rng, trials: int) -> np.ndarray:
-    """A (trials, n) batch of realized menu prices; NaN marks never-offered agents.
+    """An (n, trials) batch of realized menu prices, one row per agent; NaN
+    marks never-offered agents.
 
     Each agent with a non-degenerate lottery takes one rng.random(trials)
     draw, in index order, and gets its low price where the draw is below
     prob_lo; every other agent draws nothing.
     """
-    prices = np.full((trials, menu.n), np.nan)
+    prices = np.full((menu.n, trials), np.nan)
     for i, (lot, q) in enumerate(zip(menu.lotteries, menu.quantiles)):
         if q <= 0:
             continue
         if lot.degenerate:
-            prices[:, i] = lot.price_lo
+            prices[i] = lot.price_lo
         else:
             u = rng.random(trials)
-            prices[:, i] = np.where(u < lot.prob_lo, lot.price_lo, lot.price_hi)
+            prices[i] = np.where(u < lot.prob_lo, lot.price_lo, lot.price_hi)
     return prices
 
 
 def policy_orders(policy: str, menu: PriceMenu, vf: ValueFunction, prices,
                   rng=None, sampled=()) -> list:
-    """The orders a policy walks on a (trials, n) batch of realized prices.
+    """The orders a policy walks on an (n, trials) batch of realized prices.
 
     One order for 'bang-per-buck', 'fixed' and 'uniform-random' (whose
-    per-row permutations rng draws); for 'worst-of-sampled', the sampled
-    orders, then each row's descending-price and ascending bang-per-buck
+    per-trial permutations rng draws); for 'worst-of-sampled', the sampled
+    orders, then each trial's descending-price and ascending bang-per-buck
     orders (never-offered prices count as 0, ties keep index order).  An
-    order is 1-D (shared by every row) or (trials, n).  Without lotteries
-    every row holds the same prices, so per-row orders come from row 0.
+    order is 1-D (shared by every trial) or (n, trials), one order per
+    column.  Without lotteries every trial holds the same prices, so
+    per-trial orders come from trial 0.
     """
     if policy not in ORDER_POLICIES:  # an external menu needs one named
         raise ValueError(f"cannot run in order {policy!r}; expected one of "
@@ -199,26 +209,27 @@ def policy_orders(policy: str, menu: PriceMenu, vf: ValueFunction, prices,
     additive = isinstance(vf, AdditiveValue)
     if policy == "bang-per-buck" and not additive:
         raise ValueError("bang-per-buck ordering requires additive values")
-    trials, n = prices.shape
+    n, trials = prices.shape
     if policy == "fixed":
         return [np.arange(n)]
     if policy == "uniform-random":
-        # the rank order of n i.i.d. uniforms is a uniform permutation
-        return [np.argsort(rng.random((trials, n)), axis=1, kind="stable")]
+        # the rank order of n i.i.d. uniforms is a uniform permutation; the
+        # draw keeps its (trials, n) shape, so trial t ranks row t of it
+        return [np.argsort(rng.random((trials, n)).T, axis=0, kind="stable")]
     shared = not menu.has_lotteries
     if shared:
-        prices = prices[:1]
+        prices = prices[:, :1]
     if policy == "bang-per-buck":
         orders = [bang_per_buck_order(vf.as_array(), prices)]
     else:
         filled = np.where(np.isnan(prices), 0.0, prices)
         key = filled
         if additive:
-            key = np.divide(vf.as_array(), filled, out=np.full(filled.shape, np.inf),
-                            where=filled > 0)
-        orders = [np.argsort(-filled, axis=1, kind="stable"),
-                  np.argsort(key, axis=1, kind="stable")]
-    return list(sampled) + [o[0] if shared else o for o in orders]
+            key = np.divide(vf.as_array()[:, None], filled,
+                            out=np.full(filled.shape, np.inf), where=filled > 0)
+        orders = [np.argsort(-filled, axis=0, kind="stable"),
+                  np.argsort(key, axis=0, kind="stable")]
+    return list(sampled) + [o[:, 0] if shared else o for o in orders]
 
 
 def run(menu: PriceMenu, value_fn: ValueFunction, costs, budget: float,
@@ -246,9 +257,9 @@ def run(menu: PriceMenu, value_fn: ValueFunction, costs, budget: float,
     prices = realize_prices(menu, rng, 1)
     if order is None:
         (order,) = policy_orders(menu.ordering_policy, menu, value_fn, prices)
-    accepts = costs <= prices  # False where the price is NaN (never offered)
+    accepts = costs[:, None] <= prices  # False where the price is NaN (never offered)
     offered, spent = select_within_budget(prices, accepts, order, budget)
-    prices, offered, hired = prices[0], offered[0], offered[0] & accepts[0]
+    prices, offered, hired = prices[:, 0], offered[:, 0], offered[:, 0] & accepts[:, 0]
 
     payments = np.where(hired, prices, 0.0)
     sel = tuple(int(i) for i in np.flatnonzero(hired))

@@ -7,7 +7,9 @@ labelled with unless the caller names another.  Each batch of trials gets
 its prices from mechanism.realize_prices and its orders from
 mechanism.policy_orders, and walks every order with the one budgeted walk,
 mechanism.select_within_budget, which steps through the order positions
-vectorised across the trials.  mechanism.run is one trial of this path.
+vectorised across the trials.  Costs, prices, orders and hire masks are held
+agent-major, (n, trials), from the first draw to the walk; value functions
+read the hires as (trials, n) rows.  mechanism.run is one trial of this path.
 approximation_report runs a mechanism kind ('sequential' or 'oblivious') and
 labels its row with mechanism.mechanism_variant.  csv_text is the one CSV
 writer.
@@ -117,7 +119,8 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 
 def _draw_costs(dists, rng, trials):
-    return np.column_stack([d.sample(rng, trials) for d in dists])
+    """An (n, trials) batch of costs, one row per agent, drawn in index order."""
+    return np.stack([d.sample(rng, trials) for d in dists])
 
 
 def simulate_runs(menu: PriceMenu, instance: Instance, order_policy: str | None = None,
@@ -153,7 +156,7 @@ def simulate_runs(menu: PriceMenu, instance: Instance, order_policy: str | None 
         for order in policy_orders(order_policy, menu, vf, prices, order_rng, sampled):
             offered, spent = select_within_budget(prices, accepts, order,
                                                   instance.budget)
-            cv = vf._evaluate_rows(offered & accepts)
+            cv = vf._evaluate_rows((offered & accepts).T)
             better = cv < v
             v[better] = cv[better]
             s[better] = spent[better]
@@ -202,23 +205,31 @@ def overflow_probability(menu: PriceMenu, budget: float, k: float,
                          trials: int = DEFAULT_TRIALS, seed=None) -> OverflowEstimate:
     """Chance that the spend of all would-be accepters exceeds (1 - 1/k) B.
 
-    Prices come from realize_prices; then each offered agent, in index order,
-    takes one rng.random(trials) acceptance draw against the acceptance
-    probability of her realized price (the menu quantile for a degenerate
-    lottery).  The analytic ceiling uses the menu's recorded budget shrink
-    when present.
+    The lottery agents' prices come from realize_prices on a menu of those
+    agents alone (the same draws it makes on the whole menu); a degenerate
+    lottery's price is its one price.  Then each offered agent, in index
+    order, takes one rng.random(trials) acceptance draw against the
+    acceptance probability of her realized price (the menu quantile for a
+    degenerate lottery).  The analytic ceiling uses the menu's recorded
+    budget shrink when present.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(seed)
     threshold = (1.0 - 1.0 / k) * budget
-    prices = realize_prices(menu, rng, trials)
+    randomized = menu.randomized_agents
+    lottery_menu = PriceMenu(lotteries=tuple(menu.lotteries[i] for i in randomized),
+                             quantiles=menu.quantiles[list(randomized)])
+    lottery_prices = dict(zip(randomized, realize_prices(lottery_menu, rng, trials)))
     total = np.zeros(trials)
     for i, (lot, q) in enumerate(zip(menu.lotteries, menu.quantiles)):
         if q <= 0:
             continue
-        price = prices[:, i]
-        acc_q = q if lot.degenerate else np.where(price == lot.price_lo, lot.q_lo, lot.q_hi)
+        if lot.degenerate:
+            price, acc_q = lot.price_lo, q
+        else:
+            price = lottery_prices[i]
+            acc_q = np.where(price == lot.price_lo, lot.q_lo, lot.q_hi)
         total += price * (rng.random(trials) < acc_q)
     hits = total > threshold
     p_hat = float(hits.mean())

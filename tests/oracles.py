@@ -143,9 +143,10 @@ def reference_walk(prices, accepts, order, budget):
 
 
 def select_within_budget_masks(prices, accepts, order, budget):
-    """The budgeted walk as it was before it returned only what it offered:
-    (selected, offered, spent) for one row of n agents or a (trials, n)
-    batch, with a 1-D call giving n-vectors and a float spend."""
+    """The budgeted walk as it was before it returned only what it offered,
+    and while batches were trial-major: (selected, offered, spent) for one
+    row of n agents or a (trials, n) batch, with a 1-D call giving n-vectors
+    and a float spend.  Its offered and spent are the trial-major walk's."""
     prices = np.asarray(prices, dtype=float)
     single = prices.ndim == 1
     prices = np.atleast_2d(prices)
@@ -170,6 +171,84 @@ def select_within_budget_masks(prices, accepts, order, budget):
     if single:
         return selected[0], offered[0], float(spent[0])
     return selected, offered, spent
+
+
+def realize_prices_trial_major(menu, rng, trials):
+    """mechanism.realize_prices as it was while batches were trial-major: a
+    (trials, n) batch, one column per agent, from the same draws."""
+    prices = np.full((trials, menu.n), np.nan)
+    for i, (lot, q) in enumerate(zip(menu.lotteries, menu.quantiles)):
+        if q <= 0:
+            continue
+        if lot.degenerate:
+            prices[:, i] = lot.price_lo
+        else:
+            u = rng.random(trials)
+            prices[:, i] = np.where(u < lot.prob_lo, lot.price_lo, lot.price_hi)
+    return prices
+
+
+def bang_per_buck_order_trial_major(values, prices):
+    """mechanism.bang_per_buck_order on one row of n prices or a trial-major
+    (trials, n) batch, one order per row."""
+    values = np.asarray(values, dtype=float)
+    prices = np.asarray(prices, dtype=float)
+    active = ~np.isnan(prices)
+    if (active & (prices <= 0)).any():
+        raise ValueError("zero price offered to an agent")
+    ratio = np.divide(-values, prices, out=np.zeros(prices.shape), where=active)
+    return np.lexsort((ratio, ~active))
+
+
+def policy_orders_trial_major(policy, menu, vf, prices, rng=None, sampled=()):
+    """mechanism.policy_orders on a trial-major (trials, n) batch: each order
+    is 1-D or (trials, n), one order per row.  Walk them with
+    select_within_budget_masks, which is the trial-major walk."""
+    from postedpricing import AdditiveValue
+
+    additive = isinstance(vf, AdditiveValue)
+    trials, n = prices.shape
+    if policy == "fixed":
+        return [np.arange(n)]
+    if policy == "uniform-random":
+        return [np.argsort(rng.random((trials, n)), axis=1, kind="stable")]
+    shared = not menu.has_lotteries
+    if shared:
+        prices = prices[:1]
+    if policy == "bang-per-buck":
+        orders = [bang_per_buck_order_trial_major(vf.as_array(), prices)]
+    else:
+        filled = np.where(np.isnan(prices), 0.0, prices)
+        key = filled
+        if additive:
+            key = np.divide(vf.as_array(), filled, out=np.full(filled.shape, np.inf),
+                            where=filled > 0)
+        orders = [np.argsort(-filled, axis=1, kind="stable"),
+                  np.argsort(key, axis=1, kind="stable")]
+    return list(sampled) + [o[0] if shared else o for o in orders]
+
+
+def overflow_probability_full_matrix(menu, budget, k, trials, seed=None):
+    """simulate.overflow_probability as it was when it realized every
+    agent's prices into one (trials, n) matrix."""
+    from postedpricing import OverflowEstimate
+    from postedpricing.mechanism import overflow_ceiling
+
+    rng = np.random.default_rng(seed)
+    threshold = (1.0 - 1.0 / k) * budget
+    prices = realize_prices_trial_major(menu, rng, trials)
+    total = np.zeros(trials)
+    for i, (lot, q) in enumerate(zip(menu.lotteries, menu.quantiles)):
+        if q <= 0:
+            continue
+        price = prices[:, i]
+        acc_q = q if lot.degenerate else np.where(price == lot.price_lo, lot.q_lo, lot.q_hi)
+        total += price * (rng.random(trials) < acc_q)
+    hits = total > threshold
+    p_hat = float(hits.mean())
+    stderr = float(math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials))
+    ceiling = None if menu.epsilon is None else float(overflow_ceiling(k, menu.epsilon))
+    return OverflowEstimate(p_hat=p_hat, stderr=stderr, ceiling=ceiling)
 
 
 def mechanism_expectation(lotteries, quantilemask, vf, order, budget):

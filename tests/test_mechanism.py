@@ -280,9 +280,9 @@ def test_selection_monotone_in_accepting_set(seed):
     budget = float(rng.uniform(0.5, 3.0))
     big = rng.random(n) < 0.7
     small = big & (rng.random(n) < 0.7)
-    off_big, _ = select_within_budget(prices[None], big[None], order, budget)
-    off_small, _ = select_within_budget(prices[None], small[None], order, budget)
-    sel_big, sel_small = off_big[0] & big, off_small[0] & small
+    off_big, _ = select_within_budget(prices[:, None], big[:, None], order, budget)
+    off_small, _ = select_within_budget(prices[:, None], small[:, None], order, budget)
+    sel_big, sel_small = off_big[:, 0] & big, off_small[:, 0] & small
     for i in range(n):
         if sel_big[i] and small[i]:
             assert sel_small[i]
@@ -298,7 +298,7 @@ def test_everyone_offered_when_total_fits(seed):
     accepts = rng.random(n) < 0.6
     if prices[accepts].sum() > (1 - 1 / k) * budget:
         accepts[:] = False
-    offered, _ = select_within_budget(prices[None], accepts[None],
+    offered, _ = select_within_budget(prices[:, None], accepts[:, None],
                                       tuple(rng.permutation(n)), budget)
     assert offered.all()
 
@@ -446,15 +446,15 @@ def test_uniform_random_orders_are_uniform_permutations():
     n, trials = 6, 60_000
     menu = _menu_from_prices([0.5] * n, policy="uniform-random")
     vf = AdditiveValue((1.0,) * n)
-    prices = np.full((trials, n), 0.5)
+    prices = np.full((n, trials), 0.5)
     (orders,) = policy_orders("uniform-random", menu, vf, prices, np.random.default_rng(3))
-    assert orders.shape == (trials, n)
-    assert np.array_equal(np.sort(orders, axis=1), np.tile(np.arange(n), (trials, 1)))
+    assert orders.shape == (n, trials)
+    assert np.array_equal(np.sort(orders, axis=0), np.tile(np.arange(n)[:, None], (1, trials)))
     (again,) = policy_orders("uniform-random", menu, vf, prices, np.random.default_rng(3))
     assert np.array_equal(orders, again)
     # each agent comes first with probability 1/n: within 5 binomial sds
     sd = math.sqrt(trials * (1 / n) * (1 - 1 / n))
-    leads = np.bincount(orders[:, 0], minlength=n)
+    leads = np.bincount(orders[0], minlength=n)
     assert np.all(np.abs(leads - trials / n) <= 5 * sd)
 
 

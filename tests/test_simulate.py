@@ -13,10 +13,13 @@ from postedpricing import (AdditiveValue, CoverageValue, Instance, OracleValue,
                            overflow_probability, select_within_budget,
                            simulate_runs, solve_additive, solve_ex_ante,
                            solve_symmetric, two_price_lottery)
+from postedpricing.mechanism import ORDER_POLICIES, policy_orders, realize_prices
 from postedpricing.simulate import (BOUNDS_COLUMNS, GAP_COLUMNS, REPORT_COLUMNS,
                                     BoundInfo, csv_text)
 
-from oracles import (binom_tail_gt, mechanism_expectation, reference_walk,
+from oracles import (binom_tail_gt, irregular_priors, mechanism_expectation,
+                     overflow_probability_full_matrix, policy_orders_trial_major,
+                     realize_prices_trial_major, reference_walk,
                      select_within_budget_masks)
 
 U01 = Uniform(0, 1)
@@ -110,52 +113,53 @@ def test_simulate_runs_external_menu_needs_a_policy():
 
 
 def test_vectorized_and_walk_paths_agree():
-    # the batched walk against the independent reference walk, row by row
+    # the batched walk against the independent reference walk, trial by trial
     rng = np.random.default_rng(21)
     trials, n, budget = 300, 7, 1.5
-    # dyadic prices add exactly, so some rows land the spend on the budget
-    prices = rng.choice([0.25, 0.5, 0.75], size=(trials, n))
-    prices[rng.random((trials, n)) < 0.15] = np.nan  # never offered
-    accepts = rng.random((trials, n)) < 0.6
+    # dyadic prices add exactly, so some trials land the spend on the budget
+    prices = rng.choice([0.25, 0.5, 0.75], size=(n, trials))
+    prices[rng.random((n, trials)) < 0.15] = np.nan  # never offered
+    accepts = rng.random((n, trials)) < 0.6
     shared = tuple(int(i) for i in rng.permutation(n))
-    per_trial = np.array([rng.permutation(n) for _ in range(trials)])
+    per_trial = np.array([rng.permutation(n) for _ in range(trials)]).T
     for order in (shared, per_trial):
         offered, spent = select_within_budget(prices, accepts, order, budget)
-        assert offered.shape == (trials, n)
+        assert offered.shape == (n, trials)
         assert np.all(spent <= budget) and np.any(spent == budget)
         selected = offered & accepts
         for r in range(trials):
-            row_order = order if order is shared else order[r]
-            ref_selected, ref_spent = reference_walk(prices[r], accepts[r], row_order,
-                                                     budget)
-            assert np.flatnonzero(selected[r]).tolist() == sorted(ref_selected)
+            trial_order = order if order is shared else order[:, r]
+            ref_selected, ref_spent = reference_walk(prices[:, r], accepts[:, r],
+                                                     trial_order, budget)
+            assert np.flatnonzero(selected[:, r]).tolist() == sorted(ref_selected)
             assert spent[r] == ref_spent
-            # a one-row batch, as run() walks it
-            off, one_spent = select_within_budget(prices[r:r + 1], accepts[r:r + 1],
-                                                  row_order, budget)
-            assert np.array_equal(off[0], offered[r]) and one_spent[0] == spent[r]
+            # a one-trial batch, as run() walks it
+            off, one_spent = select_within_budget(prices[:, r:r + 1], accepts[:, r:r + 1],
+                                                  trial_order, budget)
+            assert np.array_equal(off[:, 0], offered[:, r]) and one_spent[0] == spent[r]
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_walk_matches_the_three_output_walk(seed):
-    # 50 random batches per seed: the hires are offered & accepts, bit for bit
+    # 50 random batches per seed: the hires are offered & accepts, bit for
+    # bit; the three-output walk is trial-major, so it reads the transposes
     rng = np.random.default_rng(300 + seed)
     for _ in range(50):
         trials, n = int(rng.integers(1, 40)), int(rng.integers(1, 12))
         if rng.random() < 0.5:
-            prices = rng.choice([0.25, 0.5, 0.75, 1.0], size=(trials, n))
+            prices = rng.choice([0.25, 0.5, 0.75, 1.0], size=(n, trials))
         else:
-            prices = rng.uniform(0.01, 1.0, (trials, n))
-        prices[rng.random((trials, n)) < 0.2] = np.nan  # never offered
-        accepts = rng.random((trials, n)) < rng.random()
+            prices = rng.uniform(0.01, 1.0, (n, trials))
+        prices[rng.random((n, trials)) < 0.2] = np.nan  # never offered
+        accepts = rng.random((n, trials)) < rng.random()
         budget = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 0.6 * n))
         order = (tuple(int(i) for i in rng.permutation(n)) if rng.random() < 0.5
-                 else np.argsort(rng.random((trials, n)), axis=1))
+                 else np.argsort(rng.random((n, trials)), axis=0))
         offered, spent = select_within_budget(prices, accepts, order, budget)
         ref_selected, ref_offered, ref_spent = select_within_budget_masks(
-            prices, accepts, order, budget)
-        assert offered.dtype == bool and np.array_equal(offered, ref_offered)
-        assert np.array_equal(offered & accepts, ref_selected)
+            prices.T, accepts.T, np.transpose(order), budget)
+        assert offered.dtype == bool and np.array_equal(offered, ref_offered.T)
+        assert np.array_equal(offered & accepts, ref_selected.T)
         assert spent.tobytes() == ref_spent.tobytes()
 
 
@@ -169,28 +173,101 @@ def test_bang_per_buck_order_rows_match_single_rows():
     rng = np.random.default_rng(22)
     trials, n = 200, 8
     values = np.array([1.0, 2.0, 0.0, 1.0, 2.0, 0.0, 3.0, 1.5])
-    prices = rng.choice([0.5, 1.0, 2.0], size=(trials, n))  # many ratio ties
-    per_agent = np.array([0.5, 0.0, 0.5, 0.5, 0.0, 0.5, 0.5, 0.5])
-    per_row = np.where(rng.random((trials, n)) < 0.2, 0.0, 0.5)
-    for quantiles in (per_agent, per_row):
+    prices = rng.choice([0.5, 1.0, 2.0], size=(n, trials))  # many ratio ties
+    per_agent = np.array([0.5, 0.0, 0.5, 0.5, 0.0, 0.5, 0.5, 0.5])[:, None]
+    per_trial = np.where(rng.random((n, trials)) < 0.2, 0.0, 0.5)
+    for quantiles in (per_agent, per_trial):
         inactive_prices = np.where(np.broadcast_to(quantiles, prices.shape) > 0,
                                    prices, np.nan)  # never offered, never priced
-        rows = bang_per_buck_order(values, inactive_prices)
-        assert rows.shape == (trials, n)
+        columns = bang_per_buck_order(values, inactive_prices)
+        assert columns.shape == (n, trials)
         for r in range(trials):
-            single = bang_per_buck_order(values, inactive_prices[r])
-            assert np.array_equal(rows[r], single)
+            single = bang_per_buck_order(values, inactive_prices[:, r])
+            assert np.array_equal(columns[:, r], single)
             assert tuple(single.tolist()) == _reference_bang_per_buck(values,
-                                                                      inactive_prices[r])
+                                                                      inactive_prices[:, r])
 
 
-@pytest.mark.parametrize("vf", [
+def _layout_menu(n, lotteries, rng):
+    """n agents on four kinked piecewise-linear priors: with lotteries, two of
+    every three agents draw a two-price lottery inside an ironed interval;
+    every fifth agent from agent 1 on is never offered."""
+    priors = irregular_priors(5, 8)[1::2]
+    lots = []
+    for i in range(n):
+        d = priors[i % 4]
+        ic = ironed_curve(d)
+        if i % 5 == 1:
+            lots.append(degenerate_lottery(d, 0.0))
+        elif lotteries and i % 3 != 2:
+            a, b = ic.intervals[0]
+            lots.append(two_price_lottery(ic, d, float(a + (b - a) * rng.uniform(0.2, 0.8))))
+        else:
+            lots.append(degenerate_lottery(d, float(rng.uniform(0.1, 0.9))))
+    return PriceMenu(lotteries=tuple(lots), quantiles=np.array([l.quantile for l in lots]))
+
+
+@pytest.mark.parametrize("lotteries", [True, False], ids=["lottery", "lottery-free"])
+@pytest.mark.parametrize("n", [1, 2, 16, 64])
+def test_agent_major_path_matches_the_trial_major_oracle(n, lotteries):
+    # prices, every policy's orders and every walk equal the trial-major
+    # route's transposed, bit for bit: shared and per-trial orders, NaN prices
+    rng = np.random.default_rng(400 + n)
+    menu = _layout_menu(n, lotteries, rng)
+    assert menu.has_lotteries == lotteries
+    trials, budget = 500, 0.3 * n
+    prices = realize_prices(menu, np.random.default_rng(1), trials)
+    ref_prices = realize_prices_trial_major(menu, np.random.default_rng(1), trials)
+    assert prices.shape == (n, trials)
+    assert np.array_equal(prices, ref_prices.T, equal_nan=True)
+    assert np.isnan(prices).any() == (n >= 2)
+    accepts = rng.uniform(0.0, 1.5, (n, trials)) <= prices
+    sampled = [rng.permutation(n) for _ in range(3)]
+    additive = AdditiveValue(rng.choice([0.5, 1.0, 2.0], n))  # ratio ties
+    symmetric = SymmetricValue(tuple(float(s) ** 0.5 for s in range(n + 1)))
+    shapes = set()
+    for vf in (additive, symmetric):
+        for policy in ORDER_POLICIES:
+            if policy == "bang-per-buck" and vf is symmetric:
+                continue
+            orders = policy_orders(policy, menu, vf, prices, np.random.default_rng(2),
+                                   sampled)
+            ref_orders = policy_orders_trial_major(policy, menu, vf, ref_prices,
+                                                   np.random.default_rng(2), sampled)
+            assert len(orders) == len(ref_orders)
+            for order, ref_order in zip(orders, ref_orders):
+                assert np.array_equal(order, ref_order.T)
+                shapes.add(order.shape)
+                offered, spent = select_within_budget(prices, accepts, order, budget)
+                _, ref_offered, ref_spent = select_within_budget_masks(
+                    ref_prices, accepts.T, ref_order, budget)
+                assert np.array_equal(offered, ref_offered.T)
+                assert spent.tobytes() == ref_spent.tobytes()
+    assert (n,) in shapes and (n, trials) in shapes
+
+
+@pytest.mark.parametrize("lotteries", [True, False], ids=["lottery", "lottery-free"])
+def test_overflow_probability_matches_the_full_matrix_route(lotteries):
+    menu = _layout_menu(16, lotteries, np.random.default_rng(8))
+    spends = [lot.price_lo * q for lot, q in zip(menu.lotteries, menu.quantiles)]
+    budget = float(sum(spends) + max(lot.max_price for lot in menu.lotteries))
+    k = market_size(menu, budget).k
+    for seed in range(3):
+        est = overflow_probability(menu, budget, k, trials=20_000, seed=seed)
+        assert 0.05 < est.p_hat < 0.95
+        assert est == overflow_probability_full_matrix(menu, budget, k, 20_000, seed)
+
+
+EVALUATE_ROWS_VALUES = pytest.mark.parametrize("vf", [
     AdditiveValue((0.1, 0.7, 1.3, 0.2, 2.9, 0.3, 1e-3, 5.5)),
     SymmetricValue((0.0, 1.0, 1.7, 2.2, 2.5, 2.7, 2.8, 2.85, 2.9)),
     CoverageValue((0.3, 1.1, 0.7, 2.0, 0.1),
                   ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1,), (), (0, 2, 4))),
     OracleValue(8, lambda s: math.sqrt(sum(i + 1 for i in s)))],
     ids=["additive", "symmetric", "coverage", "oracle"])
+
+
+@EVALUATE_ROWS_VALUES
 def test_evaluate_rows_matches_evaluate(vf):
     rows = np.random.default_rng(23).random((300, vf.n)) < 0.5
     got = vf._evaluate_rows(rows)
@@ -199,6 +276,31 @@ def test_evaluate_rows_matches_evaluate(vf):
         assert np.array_equal(got, want)
     else:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@EVALUATE_ROWS_VALUES
+def test_evaluate_rows_reads_transposed_masks_bit_for_bit(vf):
+    # simulate_runs hands the hires over as the (trials, n) transpose of an
+    # agent-major mask; a contiguous copy must give the same bytes
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        mask = rng.random((vf.n, 500)) < rng.uniform(0.1, 0.9)
+        got = vf._evaluate_rows(mask.T)
+        assert got.tobytes() == vf._evaluate_rows(np.ascontiguousarray(mask.T)).tobytes()
+
+
+def test_coverage_evaluate_rows_reads_transposed_masks_bit_for_bit():
+    # wide random universes with uneven weights, where the weighted sum of the
+    # covered elements is long enough for a matrix product to block it
+    rng = np.random.default_rng(25)
+    for _ in range(200):
+        n, m = int(rng.integers(2, 40)), int(rng.integers(1, 300))
+        vf = CoverageValue(rng.lognormal(0.0, 2.0, m),
+                           [tuple(np.flatnonzero(rng.random(m) < rng.uniform(0.02, 0.5)))
+                            for _ in range(n)])
+        mask = rng.random((n, int(rng.integers(1, 400)))) < rng.uniform(0.05, 0.95)
+        got = vf._evaluate_rows(mask.T)
+        assert got.tobytes() == vf._evaluate_rows(np.ascontiguousarray(mask.T)).tobytes()
 
 
 def test_ex_ante_bound_examples():
