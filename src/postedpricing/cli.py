@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, parse_config
-from .exante import solver_kind
 from .mechanism import SmallMarketError, market_size, mechanism_menu
 from .simulate import (BOUNDS_COLUMNS, GAP_COLUMNS, REPORT_COLUMNS, Instance,
                        approximation_report, bounds_table,
@@ -30,11 +29,6 @@ def _solver_opts(cfg: ExperimentConfig) -> dict:
     return dict(kind=cfg.solver_kind, grid_size=cfg.grid, m=cfg.m,
                 samples=cfg.marginal_samples, noisy=cfg.noisy,
                 appendix_schedule=cfg.appendix_schedule)
-
-
-def _epsilon(cfg: ExperimentConfig):
-    """The [mechanism] epsilon, None for an automatic shrink."""
-    return None if cfg.epsilon == "auto" else cfg.epsilon
 
 
 def solution_record(menu) -> str:
@@ -68,13 +62,12 @@ def _check_out(out_dir: str) -> None:
 def cmd_solve(cfg: ExperimentConfig) -> int:
     """Write the menu that simulate runs (see mechanism_menu)."""
     menu, sol = mechanism_menu(cfg.dists, cfg.value, cfg.budget, cfg.mechanism_kind,
-                               _epsilon(cfg), seed=cfg.seed, **_solver_opts(cfg))
+                               cfg.epsilon, seed=cfg.seed, **_solver_opts(cfg))
     summary = (f"epsilon={menu.epsilon:.12g}" if menu.epsilon is not None else
                f"objective={sol.objective:.12g} spend={sol.expected_spend:.12g}")
     k = market_size(menu, cfg.budget).k
     path = _write(cfg.out, "solution.csv", solution_record(menu))
-    print(f"solver={solver_kind(cfg.dists, cfg.value, cfg.solver_kind)} n={cfg.n} "
-          f"{summary} k={k:.12g}")
+    print(f"solver={cfg.solver_kind} n={cfg.n} {summary} k={k:.12g}")
     print(f"wrote {path}")
     return 0
 
@@ -83,7 +76,7 @@ def cmd_simulate(cfg: ExperimentConfig, echo: bool = False) -> int:
     instance = Instance(dists=cfg.dists, value=cfg.value, budget=cfg.budget,
                         label=f"config-n{cfg.n}")
     report = approximation_report(instance, cfg.mechanism_kind, trials=cfg.trials,
-                                  seed=cfg.seed, epsilon=_epsilon(cfg),
+                                  seed=cfg.seed, epsilon=cfg.epsilon,
                                   n_orders=cfg.n_orders, **_solver_opts(cfg))
     text = csv_text(REPORT_COLUMNS, [report])
     path = _write(cfg.out, "report.csv", text)

@@ -53,6 +53,18 @@ _GREEDY_KEYS = ("m", "marginal_samples", "noisy", "appendix_schedule")
 _CALL_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z0-9_-]*)\s*\((.*)\)\s*$", re.S)
 
 
+def _read_text(path: str, what: str) -> str:
+    """The text of a file, decoded as open() does; a missing or unreadable
+    file is a ConfigError naming it."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"{what} not found: {path}")
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+
+
 def _split_call(text: str):
     m = _CALL_RE.match(text)
     if not m:
@@ -88,12 +100,8 @@ def parse_distribution(text: str):
                 raise ConfigError(f"bad pwcdf breakpoint list: {exc}") from None
             return PiecewiseLinearCDF(pts)
         if name == "empirical":
-            path = args.strip().strip("'\"")
-            if not os.path.isfile(path):
-                raise ConfigError(f"empirical sample file not found: {path}")
-            with open(path) as fh:
-                sample = [float(line) for line in fh.read().split() if line.strip()]
-            return empirical_from_sample(sample)
+            sample = _read_text(args.strip().strip("'\""), "empirical sample file")
+            return empirical_from_sample([float(tok) for tok in sample.split()])
     except ConfigError:
         raise
     except ValueError as exc:
@@ -131,29 +139,26 @@ def _construct(cls, *args):
 
 def parse_coverage_file(path: str) -> CoverageValue:
     """One line per agent listing covered element:weight pairs."""
-    if not os.path.isfile(path):
-        raise ConfigError(f"coverage file not found: {path}")
     weights: dict = {}
     covers = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cov = []
-            for tok in line.split():
-                if ":" not in tok:
-                    raise ConfigError(f"{path}:{lineno}: expected element:weight, got {tok!r}")
-                name, w = tok.rsplit(":", 1)
-                try:
-                    w = float(w)
-                except ValueError:
-                    raise ConfigError(f"{path}:{lineno}: bad weight in {tok!r}") from None
-                if name in weights and abs(weights[name] - w) > 1e-12:
-                    raise ConfigError(f"{path}:{lineno}: conflicting weight for {name!r}")
-                weights.setdefault(name, w)
-                cov.append(name)
-            covers.append(cov)
+    for lineno, line in enumerate(_read_text(path, "coverage file").split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        cov = []
+        for tok in line.split():
+            if ":" not in tok:
+                raise ConfigError(f"{path}:{lineno}: expected element:weight, got {tok!r}")
+            name, w = tok.rsplit(":", 1)
+            try:
+                w = float(w)
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: bad weight in {tok!r}") from None
+            if name in weights and abs(weights[name] - w) > 1e-12:
+                raise ConfigError(f"{path}:{lineno}: conflicting weight for {name!r}")
+            weights.setdefault(name, w)
+            cov.append(name)
+        covers.append(cov)
     names = sorted(weights)
     index = {nm: i for i, nm in enumerate(names)}
     return _construct(CoverageValue, tuple(weights[nm] for nm in names),
@@ -196,18 +201,19 @@ def parse_value(text: str, n: int):
 
 @dataclass
 class ExperimentConfig:
+    """A parsed config.  solver_kind is resolved (never 'auto'), epsilon is
+    None for an automatic shrink, and a run walks MECHANISM_ORDERS[mechanism_kind]."""
     dists: tuple
     value: object
     budget: float
-    solver_kind: str = "auto"
+    solver_kind: str
     grid: int = DEFAULT_GRID
     m: int | None = None
     marginal_samples: int = 10_000
     noisy: bool = False
     appendix_schedule: bool = False
     mechanism_kind: str = "sequential"
-    order: str = "bang-per-buck"
-    epsilon: str | float = "auto"
+    epsilon: float | None = None
     n_orders: int = 20
     trials: int = DEFAULT_TRIALS
     seed: int = 0
@@ -220,12 +226,12 @@ class ExperimentConfig:
 
 def _unread_keys(cfg: ExperimentConfig) -> dict:
     """The optional (section, key) pairs the configured run never reads, with why."""
-    solver = solver_kind(cfg.dists, cfg.value, cfg.solver_kind)
-    variant = mechanism_variant(cfg.dists, cfg.value, cfg.mechanism_kind, solver)
+    variant = mechanism_variant(cfg.mechanism_kind, cfg.solver_kind, cfg.value)
     unread = {}
-    if solver != "greedy":
+    if cfg.solver_kind != "greedy":
         for key in _GREEDY_KEYS:
-            unread["solver", key] = f"only the greedy solver reads it; this run uses {solver}"
+            unread["solver", key] = ("only the greedy solver reads it; this run uses "
+                                     + cfg.solver_kind)
     elif isinstance(cfg.value, (AdditiveValue, SymmetricValue)):
         for key in ("marginal_samples", "appendix_schedule"):
             unread["solver", key] = ("greedy's gains are exact for additive and "
@@ -258,11 +264,10 @@ def _bool(text: str, what: str) -> bool:
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
+    text = _read_text(path, "config file")
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        cp.read(path)
+        cp.read_string(text, source=path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
 
@@ -285,14 +290,12 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"budget must be a positive finite number, got {budget:g}")
     value = parse_value(cp.get("instance", "value"), len(dists))
 
-    cfg = ExperimentConfig(dists=dists, value=value, budget=budget)
-    cfg.solver_kind = _get(cp, "solver", "kind", cfg.solver_kind).strip().lower()
-    cfg.mechanism_kind = _get(cp, "mechanism", "kind", cfg.mechanism_kind).strip().lower()
     try:
-        mechanism_variant(dists, value, cfg.mechanism_kind, cfg.solver_kind)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    try:
+        cfg = ExperimentConfig(dists, value, budget, solver_kind(
+            dists, value, _get(cp, "solver", "kind", "auto").strip().lower()))
+        cfg.mechanism_kind = _get(cp, "mechanism", "kind",
+                                  cfg.mechanism_kind).strip().lower()
+        mechanism_variant(cfg.mechanism_kind, cfg.solver_kind, value)
         cfg.grid = int(_get(cp, "solver", "grid", str(cfg.grid)))
         m_text = _get(cp, "solver", "m")
         cfg.m = int(m_text) if m_text is not None else None
@@ -302,19 +305,17 @@ def parse_config(path: str) -> ExperimentConfig:
         cfg.trials = int(_get(cp, "harness", "trials", str(cfg.trials)))
         cfg.seed = int(_get(cp, "harness", "seed", str(cfg.seed)))
     except ValueError as exc:
-        raise ConfigError(f"bad integer option: {exc}") from None
+        raise ConfigError(str(exc)) from None
     cfg.noisy = _bool(_get(cp, "solver", "noisy", "false"), "noisy")
     cfg.appendix_schedule = _bool(_get(cp, "solver", "appendix_schedule", "false"),
                                   "appendix_schedule")
     policy = MECHANISM_ORDERS[cfg.mechanism_kind]
-    cfg.order = _get(cp, "mechanism", "order", policy).strip().lower()
-    if cfg.order != policy:
+    order = _get(cp, "mechanism", "order", policy).strip().lower()
+    if order != policy:
         raise ConfigError(f"the {cfg.mechanism_kind} mechanism runs in {policy} order, "
-                          f"not {cfg.order!r}")
+                          f"not {order!r}")
     eps_text = _get(cp, "mechanism", "epsilon", "auto").strip().lower()
-    if eps_text == "auto":
-        cfg.epsilon = "auto"
-    else:
+    if eps_text != "auto":
         try:
             cfg.epsilon = float(eps_text)
         except ValueError as exc:
@@ -374,7 +375,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     else:
         raise ConfigError("cannot serialize coverage values (file-backed)")
 
-    eps = cfg.epsilon if isinstance(cfg.epsilon, str) else f"{cfg.epsilon:.12g}"
+    eps = "auto" if cfg.epsilon is None else f"{cfg.epsilon:.12g}"
     sections = {
         "instance": (("distributions", "; ".join(terms)), ("value", value_text),
                      ("budget", f"{cfg.budget:.12g}")),
@@ -382,7 +383,8 @@ def serialize_config(cfg: ExperimentConfig) -> str:
                    ("marginal_samples", cfg.marginal_samples),
                    ("noisy", str(cfg.noisy).lower()),
                    ("appendix_schedule", str(cfg.appendix_schedule).lower())),
-        "mechanism": (("kind", cfg.mechanism_kind), ("order", cfg.order),
+        "mechanism": (("kind", cfg.mechanism_kind),
+                      ("order", MECHANISM_ORDERS[cfg.mechanism_kind]),
                       ("epsilon", eps), ("n_orders", cfg.n_orders)),
         "harness": (("trials", cfg.trials), ("seed", cfg.seed), ("out", cfg.out)),
     }

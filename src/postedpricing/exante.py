@@ -11,13 +11,15 @@ Three routes, by value-function shape:
                   spend increments of each agent's cost curve.
 
 solver_kind picks the route for an instance and solve_ex_ante runs it; every
-caller that solves by shape goes through that pair.  Greedy asks the value
-function for its step gains (ValueFunction.marginal_gains), so whether they
-are exact or sampled is the value function's choice; sampled gains take
-`samples` draws per greedy step, shared by every candidate of the step.  All
-three solvers return through one constructor that sums the hull spend in
-agent order, builds the lotteries and names the solver in
-solver_meta['solver'].  Solvers are pure functions of their inputs and seed.
+caller that solves by shape goes through that pair.  An entry point (a
+parsed config, mechanism_menu) resolves 'auto' once and passes the concrete
+kind down, which solve_ex_ante checks fits.  Greedy asks the value function
+for its step gains (ValueFunction.marginal_gains), so whether they are exact
+or sampled is the value function's choice; sampled gains take `samples`
+draws per greedy step, shared by every candidate of the step.  All three
+solvers return through one constructor that sums the hull spend in agent
+order, builds the lotteries and names the solver in solver_meta['solver'].
+Solvers are pure functions of their inputs and seed.
 """
 
 from __future__ import annotations

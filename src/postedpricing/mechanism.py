@@ -4,12 +4,13 @@ A menu offers every agent a (possibly degenerate) price lottery; agents are
 processed in some order, each offered her realized price while it fits the
 remaining budget, and paid that price on acceptance.  The realized spend can
 never exceed the budget.  A menu names the order it runs in.
-mechanism_variant is the one decision of what a mechanism kind runs on an
-instance, and mechanism_menu builds that menu.  realize_prices is the one
-lottery realization and policy_orders the one map from an order policy to
-orders; run() and simulate.simulate_runs both execute through them.  A batch
-of trials is agent-major: an (n, trials) array holds one row per agent and
-one column per trial, so the walk reads each order position as a row.
+mechanism_variant is the one decision of what a mechanism kind runs under a
+resolved solver, and mechanism_menu resolves it once and builds that menu.
+realize_prices is the one lottery realization and policy_orders the one map
+from an order policy to orders; run() and simulate.simulate_runs both
+execute through them.  A batch of trials is agent-major: an (n, trials)
+array holds one row per agent and one column per trial, so the walk reads
+each order position as a row.
 
 run() is pure given (inputs, seed); menus are immutable, so many runs may
 execute concurrently with independent seeds.
@@ -335,46 +336,45 @@ def build_oblivious(dists, vf: ValueFunction, budget: float, epsilon: float,
     return menu
 
 
-def mechanism_variant(dists, vf: ValueFunction, mechanism: str,
-                      kind: str = "auto") -> str:
-    """The report variant a mechanism kind runs on an instance.
+def mechanism_variant(mechanism: str, solver: str, vf: ValueFunction) -> str:
+    """The report variant a mechanism kind runs under a resolved solver.
 
     'sequential' gives 'additive-sequential' (additive values only).
-    'oblivious' gives 'symmetric-oblivious' under the symmetric solver (see
-    solver_kind), which runs the full-budget menu, else 'submodular-oblivious',
-    which runs the (1 - epsilon) B menu.  An unknown kind, or one that does
-    not fit the instance, raises ValueError.
+    'oblivious' gives 'symmetric-oblivious' under the symmetric solver, which
+    runs the full-budget menu, else 'submodular-oblivious', which runs the
+    (1 - epsilon) B menu.  An unknown kind, or one that does not fit vf,
+    raises ValueError.
     """
     if mechanism not in MECHANISM_ORDERS:
         raise ValueError(f"unknown mechanism kind {mechanism!r}; expected "
                          + " or ".join(MECHANISM_ORDERS))
-    kind = solver_kind(dists, vf, kind)
     if mechanism == "sequential":
         if not isinstance(vf, AdditiveValue):
             raise ValueError("sequential mechanism requires an additive value function")
         return "additive-sequential"
-    return "symmetric-oblivious" if kind == "symmetric" else "submodular-oblivious"
+    return "symmetric-oblivious" if solver == "symmetric" else "submodular-oblivious"
 
 
 def mechanism_menu(dists, vf: ValueFunction, budget: float, mechanism: str,
-                   epsilon: float | None = None, **solve_opts):
+                   epsilon: float | None = None, kind: str = "auto", **solve_opts):
     """The menu a mechanism kind runs, labelled with MECHANISM_ORDERS[mechanism].
 
-    A submodular-oblivious variant (see mechanism_variant) runs
-    build_oblivious's (1 - epsilon) B menu, with epsilon None the best shrink
-    at the market size of the full-budget solve; every other variant runs the
-    full-budget solve.  Returns (menu, full-budget solve or None); the
-    shrink used is menu.epsilon.  solve_opts go to every solve_ex_ante call.
+    kind is resolved once; the concrete kind and solve_opts go to every
+    solve_ex_ante call.  A submodular-oblivious variant (see
+    mechanism_variant) runs build_oblivious's (1 - epsilon) B menu, with
+    epsilon None the best shrink at the market size of the full-budget solve;
+    every other variant runs the full-budget solve.  Returns (menu,
+    full-budget solve or None); the shrink used is menu.epsilon.
     """
-    variant = mechanism_variant(dists, vf, mechanism, solve_opts.get("kind", "auto"))
-    if variant != "submodular-oblivious":
-        sol = solve_ex_ante(dists, vf, budget, **solve_opts)
+    kind = solver_kind(dists, vf, kind)
+    if mechanism_variant(mechanism, kind, vf) != "submodular-oblivious":
+        sol = solve_ex_ante(dists, vf, budget, kind, **solve_opts)
         return menu_from_solution(sol, MECHANISM_ORDERS[mechanism]), sol
     full = None
     if epsilon is None:
-        full = solve_ex_ante(dists, vf, budget, **solve_opts)
+        full = solve_ex_ante(dists, vf, budget, kind, **solve_opts)
         epsilon = choose_epsilon(market_size(menu_from_solution(full), budget).k)
-    return build_oblivious(dists, vf, budget, epsilon, **solve_opts), full
+    return build_oblivious(dists, vf, budget, epsilon, kind=kind, **solve_opts), full
 
 
 # ---------------------------------------------------------------------------

@@ -283,16 +283,16 @@ def approximation_report(instance: Instance, mechanism: str,
                          kind: str = "auto", **greedy_opts) -> ExperimentReport:
     """Run a mechanism kind and compare it to its ex ante benchmark.
 
-    mechanism is 'sequential' or 'oblivious'; the report's variant is
-    mechanism_variant's label for it.  The menu comes from mechanism_menu,
-    with kind, grid_size, seed and greedy_opts.  With submodular-oblivious
-    and no epsilon, the shrink is sized from the full-budget solve, which
-    then also gives the benchmark.
+    mechanism is 'sequential' or 'oblivious'; kind is resolved once, and the
+    report's variant is mechanism_variant's label under it.  The menu comes
+    from mechanism_menu, with that kind, grid_size, seed and greedy_opts.
+    With submodular-oblivious and no epsilon, the shrink is sized from the
+    full-budget solve, which then also gives the benchmark.
     """
     vf = instance.value
     budget = instance.budget
     kind = solver_kind(instance.dists, vf, kind)
-    variant = mechanism_variant(instance.dists, vf, mechanism, kind)
+    variant = mechanism_variant(mechanism, kind, vf)
     opts = dict(kind=kind, grid_size=grid_size, seed=seed, **greedy_opts)
     menu, sol = mechanism_menu(instance.dists, vf, budget, mechanism, epsilon, **opts)
 

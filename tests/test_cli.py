@@ -88,6 +88,13 @@ def test_parse_config_round_trip(tmp_path):
     assert cfg2.value.values == cfg.value.values
     assert (cfg2.budget, cfg2.trials, cfg2.seed) == (cfg.budget, cfg.trials, cfg.seed)
     assert serialize_config(cfg2) == text
+    # no [solver] section: the resolved kind is written, and reads back
+    text = EXAMPLE1.format(out=tmp_path / "out").replace("[solver]\nkind = additive\n", "")
+    assert "[solver]" not in text
+    cfg = parse_config(_write_config(tmp_path, text, "nosolver.ini"))
+    text = serialize_config(cfg)
+    assert cfg.solver_kind == "additive" and "[solver]\nkind = additive\n" in text
+    assert parse_config(_write_config(tmp_path, text, "roundtrip2.ini")) == cfg
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):
@@ -381,9 +388,8 @@ def test_absent_order_defaults_to_mechanism_policy(tmp_path):
     path = _write_config(tmp_path, EXAMPLE1.format(out=tmp_path)
                          .replace("kind = sequential", "kind = oblivious")
                          .replace("order = bang-per-buck\n", ""))
-    cfg = parse_config(path)
-    assert cfg.order == "worst-of-sampled"
-    text = serialize_config(cfg)
+    text = serialize_config(parse_config(path))
+    assert "order = worst-of-sampled\n" in text
     assert serialize_config(parse_config(_write_config(tmp_path, text, "rt.ini"))) == text
 
 
@@ -484,6 +490,25 @@ def test_sampled_greedy_reads_the_appendix_schedule(tmp_path):
                                        "kind = greedy\nappendix_schedule = true"}).items():
         text = text.replace(old, new)
     assert parse_config(_write_config(tmp_path, text)).appendix_schedule
+
+
+@pytest.mark.parametrize("bad_file", ["config", "coverage"])
+def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, bad_file):
+    latin1 = "# café\n".encode("latin-1")  # é as the lone byte 0xe9: not UTF-8
+    coverage = tmp_path / "coverage.txt"
+    coverage.write_bytes((GOLDEN_COVERAGE / "coverage.txt").read_bytes()
+                         + (latin1 if bad_file == "coverage" else b""))
+    text = EXAMPLE1.format(out=tmp_path / "out")
+    for old, new in (COVERAGE_EDITS | {"kind = additive": "kind = greedy",
+                                       str(GOLDEN_COVERAGE / "coverage.txt"): str(coverage)}
+                     ).items():
+        text = text.replace(old, new)
+    config = tmp_path / "exp.ini"
+    config.write_bytes(text.encode() + (latin1 if bad_file == "config" else b""))
+    assert main(["solve", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert str(config if bad_file == "config" else coverage) in err
 
 
 def test_readme_configs_parse(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from postedpricing import (AdditiveValue, CoverageValue, PiecewiseLinearCDF,
                            SymmetricValue, TruncatedExponential, Uniform,
                            discretize, greedy_submodular, ironed_curve,
-                           solve_additive, solve_ex_ante, solve_symmetric)
+                           solve_additive, solve_ex_ante, solve_symmetric,
+                           solver_kind)
+from postedpricing.exante import SOLVER_KINDS
 
 from oracles import (brute_multilinear, discretize_loop, grid_oracle_additive,
                      irregular_priors)
@@ -296,6 +299,27 @@ def test_solve_ex_ante_dispatch():
     cov = solve_ex_ante([U01] * 2, CoverageValue((1.0,), ((0,), (0,))), 0.5,
                         samples=500, seed=1)
     assert "m" in cov.solver_meta
+
+
+def test_solver_kind_resolves_auto_and_checks_explicit_kinds():
+    additive = AdditiveValue((1.0,) * 4)
+    symmetric = SymmetricValue((0.0, 1.0, 1.5, 1.8, 2.0))
+    coverage = CoverageValue((1.0, 1.0), ((0,), (1,), (0, 1), (1,)))
+    mixed = [U01] * 2 + [Uniform(0, 2)] * 2  # no shared prior
+    assert solver_kind([U01] * 4, additive) == "additive"
+    assert solver_kind([U01] * 4, symmetric) == "symmetric"
+    assert solver_kind(mixed, symmetric) == "greedy"
+    assert solver_kind([U01] * 4, coverage) == "greedy"
+    assert solver_kind([U01] * 4, symmetric, "greedy") == "greedy"
+    with pytest.raises(ValueError, match="one common distribution"):
+        solver_kind(mixed, symmetric, "symmetric")
+    with pytest.raises(ValueError, match="additive value function"):
+        solver_kind([U01] * 4, coverage, "additive")
+    with pytest.raises(ValueError, match=re.escape(", ".join(SOLVER_KINDS))):
+        solver_kind([U01] * 4, additive, "lagrangian")
+    # solve_ex_ante keeps the check: symmetric would otherwise solve dists[0] alone
+    with pytest.raises(ValueError, match="one common distribution"):
+        solve_ex_ante(mixed, symmetric, 1.0, kind="symmetric")
 
 
 def test_each_solver_names_itself():

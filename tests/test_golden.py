@@ -54,6 +54,28 @@ def test_cli_output_matches_golden(case, argv, name, tmp_path):
     assert (tmp_path / name).read_bytes() == expected
 
 
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+@pytest.mark.parametrize("case", sorted({c for c, argv, _ in CASES if "--config" in argv}))
+def test_cli_run_resolves_auto_solver_once(case, command, tmp_path, monkeypatch):
+    # every golden config leaves [solver] kind at auto
+    import postedpricing.cli  # noqa: F401  (binds every module below)
+    from postedpricing.exante import solver_kind
+
+    kinds = []
+
+    def spy(dists, vf, kind="auto"):
+        kinds.append(kind)
+        return solver_kind(dists, vf, kind)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("postedpricing")
+                and getattr(module, "solver_kind", None) is solver_kind):
+            monkeypatch.setattr(module, "solver_kind", spy)
+    assert _run_case(case, (command, "--config", "config.ini"), tmp_path) == 0
+    # parse_config resolves auto first; every later call checks a concrete kind
+    assert kinds[0] == "auto" and len(kinds) > 1 and "auto" not in kinds[1:]
+
+
 @pytest.mark.parametrize("case,solver", [
     ("coverage-greedy", "marginal_samples = 500"),
     ("additive-regular", "kind = greedy\nm = 20")])

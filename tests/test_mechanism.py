@@ -13,7 +13,7 @@ from postedpricing import (AdditiveValue, Instance, PiecewiseLinearCDF,
                            oblivious_guarantee,
                            reduce_lottery_pairs, run, select_within_budget,
                            sequential_guarantee, simulate_runs, solve_additive,
-                           two_price_lottery)
+                           solver_kind, two_price_lottery)
 
 from postedpricing import mechanism
 from postedpricing.mechanism import (_mean_knapsack_value, correlation_gap_bound,
@@ -480,16 +480,16 @@ def test_mechanism_variant_names_what_each_kind_runs():
     additive = AdditiveValue((1.0,) * 8)
     symmetric = SymmetricValue(tuple(float(min(s, 6)) for s in range(9)))
     mixed = [U01] * 4 + [Uniform(0, 2)] * 4  # no shared prior: greedy
-    assert mechanism_variant([U01] * 8, additive, "sequential") == "additive-sequential"
-    assert mechanism_variant([U01] * 8, symmetric, "oblivious") == "symmetric-oblivious"
-    assert mechanism_variant([U01] * 8, additive, "oblivious") == "submodular-oblivious"
-    assert mechanism_variant(mixed, symmetric, "oblivious") == "submodular-oblivious"
-    assert mechanism_variant([U01] * 8, symmetric, "oblivious",
-                             kind="greedy") == "submodular-oblivious"
+    assert mechanism_variant("sequential", "additive", additive) == "additive-sequential"
+    assert mechanism_variant("oblivious", "symmetric", symmetric) == "symmetric-oblivious"
+    assert mechanism_variant("oblivious", "additive", additive) == "submodular-oblivious"
+    assert mechanism_variant("oblivious", solver_kind(mixed, symmetric),
+                             symmetric) == "submodular-oblivious"
+    assert mechanism_variant("oblivious", "greedy", symmetric) == "submodular-oblivious"
     with pytest.raises(ValueError, match="sequential or oblivious"):
-        mechanism_variant([U01] * 8, additive, "exante")
+        mechanism_variant("exante", "additive", additive)
     with pytest.raises(ValueError, match="additive value function"):
-        mechanism_variant([U01] * 8, symmetric, "sequential")
+        mechanism_variant("sequential", "symmetric", symmetric)
 
 
 def test_guarantee_formulas():
