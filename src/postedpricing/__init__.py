@@ -18,8 +18,7 @@ from .simulate import (BoundsRow, ExperimentReport, GapResult, Instance,
                        MCResult, OverflowEstimate, approximation_report,
                        bounds_table, correlation_gap_experiment, ex_ante_bound,
                        monte_carlo_value, overflow_probability, simulate_runs)
-from .values import (AdditiveValue, CoverageValue, OracleValue, SizeHull,
-                     SymmetricValue, ValueFunction, concave_closure_symmetric,
-                     concave_hull_sizes)
+from .values import (AdditiveValue, CoverageValue, OracleValue, SymmetricValue,
+                     ValueFunction, concave_closure_symmetric, concave_hull_sizes)
 
 __version__ = "0.1.0"

@@ -26,9 +26,7 @@ SOLUTION_COLUMNS = ("agent", "quantile", "price_lo", "price_hi", "prob_lo",
 
 def _solver_opts(cfg: ExperimentConfig) -> dict:
     """The [solver] section as solve_ex_ante keywords."""
-    return dict(kind=cfg.solver_kind, grid_size=cfg.grid, m=cfg.m,
-                samples=cfg.marginal_samples, noisy=cfg.noisy,
-                appendix_schedule=cfg.appendix_schedule)
+    return dict(kind=cfg.solver_kind, grid_size=cfg.grid, m=cfg.m, noisy=cfg.noisy)
 
 
 def solution_record(menu) -> str:

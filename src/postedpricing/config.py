@@ -7,15 +7,15 @@ Grammar (see README for the full reference):
     value = additive(constant=1)
     budget = 4.0
 
-    [solver]      kind, grid, m, marginal_samples, noisy, appendix_schedule
+    [solver]      kind, grid, m, noisy
     [mechanism]   kind, order, epsilon, n_orders
     [harness]     trials, seed, out
 
 Unknown sections or keys are rejected so typos cannot silently change an
 experiment, and so is a key the configured run never reads (a greedy-only
-solver key under another solver, a sample key where greedy's gains are exact,
-marginal_samples under the appendix schedule, epsilon outside
-submodular-oblivious pricing, n_orders for the sequential mechanism).
+solver key under another solver, epsilon outside submodular-oblivious
+pricing, n_orders for the sequential mechanism).  Every value a config can
+name has exact greedy gains, so no key sets a sample count.
 Referenced files (empirical samples, coverage tables) must exist at load time.
 """
 
@@ -43,12 +43,12 @@ class ConfigError(ValueError):
 
 _ALLOWED_KEYS = {
     "instance": {"distributions", "value", "budget"},
-    "solver": {"kind", "grid", "m", "marginal_samples", "noisy", "appendix_schedule"},
+    "solver": {"kind", "grid", "m", "noisy"},
     "mechanism": {"kind", "order", "epsilon", "n_orders"},
     "harness": {"trials", "seed", "out"},
 }
 
-_GREEDY_KEYS = ("m", "marginal_samples", "noisy", "appendix_schedule")
+_GREEDY_KEYS = ("m", "noisy")
 
 _CALL_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z0-9_-]*)\s*\((.*)\)\s*$", re.S)
 
@@ -209,9 +209,7 @@ class ExperimentConfig:
     solver_kind: str
     grid: int = DEFAULT_GRID
     m: int | None = None
-    marginal_samples: int = 10_000
     noisy: bool = False
-    appendix_schedule: bool = False
     mechanism_kind: str = "sequential"
     epsilon: float | None = None
     n_orders: int = 20
@@ -232,13 +230,6 @@ def _unread_keys(cfg: ExperimentConfig) -> dict:
         for key in _GREEDY_KEYS:
             unread["solver", key] = ("only the greedy solver reads it; this run uses "
                                      + cfg.solver_kind)
-    elif isinstance(cfg.value, (AdditiveValue, SymmetricValue)):
-        for key in ("marginal_samples", "appendix_schedule"):
-            unread["solver", key] = ("greedy's gains are exact for additive and "
-                                     "symmetric values, so it draws no samples")
-    elif cfg.appendix_schedule:
-        unread["solver", "marginal_samples"] = ("appendix_schedule = true sets the "
-                                                "sample count")
     if variant != "submodular-oblivious":
         unread["mechanism", "epsilon"] = ("only submodular-oblivious pricing shrinks the "
                                           f"budget; this run is {variant}")
@@ -252,6 +243,17 @@ def _get(cp, section, key, default=None):
     if cp.has_option(section, key):
         return cp.get(section, key)
     return default
+
+
+def _int(cp, section, key, default):
+    """An integer option, or default when it is absent."""
+    text = _get(cp, section, key)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key} must be an integer, got {text!r}") from None
 
 
 def _bool(text: str, what: str) -> bool:
@@ -296,19 +298,14 @@ def parse_config(path: str) -> ExperimentConfig:
         cfg.mechanism_kind = _get(cp, "mechanism", "kind",
                                   cfg.mechanism_kind).strip().lower()
         mechanism_variant(cfg.mechanism_kind, cfg.solver_kind, value)
-        cfg.grid = int(_get(cp, "solver", "grid", str(cfg.grid)))
-        m_text = _get(cp, "solver", "m")
-        cfg.m = int(m_text) if m_text is not None else None
-        cfg.marginal_samples = int(_get(cp, "solver", "marginal_samples",
-                                        str(cfg.marginal_samples)))
-        cfg.n_orders = int(_get(cp, "mechanism", "n_orders", str(cfg.n_orders)))
-        cfg.trials = int(_get(cp, "harness", "trials", str(cfg.trials)))
-        cfg.seed = int(_get(cp, "harness", "seed", str(cfg.seed)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    cfg.grid = _int(cp, "solver", "grid", cfg.grid)
+    cfg.m = _int(cp, "solver", "m", cfg.m)
+    cfg.n_orders = _int(cp, "mechanism", "n_orders", cfg.n_orders)
+    cfg.trials = _int(cp, "harness", "trials", cfg.trials)
+    cfg.seed = _int(cp, "harness", "seed", cfg.seed)
     cfg.noisy = _bool(_get(cp, "solver", "noisy", "false"), "noisy")
-    cfg.appendix_schedule = _bool(_get(cp, "solver", "appendix_schedule", "false"),
-                                  "appendix_schedule")
     policy = MECHANISM_ORDERS[cfg.mechanism_kind]
     order = _get(cp, "mechanism", "order", policy).strip().lower()
     if order != policy:
@@ -331,8 +328,6 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError("grid must be at least 2")
     if cfg.m is not None and cfg.m < cfg.n:
         raise ConfigError(f"[solver] m = {cfg.m} is below the agent count n = {cfg.n}")
-    if cfg.marginal_samples < 1:
-        raise ConfigError("[solver] marginal_samples must be positive")
     if cfg.n_orders < 0:
         raise ConfigError("[mechanism] n_orders must be non-negative")
     if cfg.seed < 0:
@@ -380,9 +375,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         "instance": (("distributions", "; ".join(terms)), ("value", value_text),
                      ("budget", f"{cfg.budget:.12g}")),
         "solver": (("kind", cfg.solver_kind), ("grid", cfg.grid), ("m", cfg.m),
-                   ("marginal_samples", cfg.marginal_samples),
-                   ("noisy", str(cfg.noisy).lower()),
-                   ("appendix_schedule", str(cfg.appendix_schedule).lower())),
+                   ("noisy", str(cfg.noisy).lower())),
         "mechanism": (("kind", cfg.mechanism_kind),
                       ("order", MECHANISM_ORDERS[cfg.mechanism_kind]),
                       ("epsilon", eps), ("n_orders", cfg.n_orders)),

@@ -224,7 +224,6 @@ class IronedCurve:
     """
 
     quantiles: np.ndarray
-    curve: np.ndarray
     hull: np.ndarray
     slopes: np.ndarray
     intervals: tuple
@@ -322,12 +321,12 @@ def iron(q: np.ndarray, P: np.ndarray) -> IronedCurve:
     closes = q[np.flatnonzero(step == -1) + 1].tolist()
     hull.flags.writeable = False
     slopes.flags.writeable = False
-    return IronedCurve(quantiles=q, curve=P, hull=hull, slopes=slopes,
+    return IronedCurve(quantiles=q, hull=hull, slopes=slopes,
                        intervals=tuple(zip(opens, closes)))
 
 
-# An entry holds four arrays of grid_size floats (320 kB at the default grid);
-# 128 entries (40 MB) bound the cache yet keep a market of <= 128 priors warm.
+# An entry holds three arrays of grid_size floats (240 kB at the default grid);
+# 128 entries (30 MB) bound the cache yet keep a market of <= 128 priors warm.
 @lru_cache(maxsize=128)
 def _ironed(dist: CostDistribution, grid_size: int) -> IronedCurve:
     if grid_size < 2:
@@ -336,7 +335,6 @@ def _ironed(dist: CostDistribution, grid_size: int) -> IronedCurve:
     spend = q * np.asarray(dist.inverse_cdf(q), dtype=float)
     spend[0] = 0.0
     q.flags.writeable = False
-    spend.flags.writeable = False
     return iron(q, spend)
 
 
@@ -378,10 +376,6 @@ class PriceLottery:
     @property
     def degenerate(self) -> bool:
         return self.prob_lo >= 1.0 or self.price_lo == self.price_hi
-
-    @property
-    def quantile(self) -> float:
-        return self.prob_lo * self.q_lo + (1.0 - self.prob_lo) * self.q_hi
 
     @property
     def expected_spend(self) -> float:

@@ -14,9 +14,9 @@ solver_kind picks the route for an instance and solve_ex_ante runs it; every
 caller that solves by shape goes through that pair.  An entry point (a
 parsed config, mechanism_menu) resolves 'auto' once and passes the concrete
 kind down, which solve_ex_ante checks fits.  Greedy asks the value function
-for its step gains (ValueFunction.marginal_gains), so whether they are exact
-or sampled is the value function's choice; sampled gains take `samples`
-draws per greedy step, shared by every candidate of the step.  All three
+for its step gains (ValueFunction.marginal_gains): exact for additive,
+symmetric and coverage values; a black-box oracle samples them, `samples`
+draws per greedy step shared by every candidate of the step.  All three
 solvers return through one constructor that sums the hull spend in agent
 order, builds the lotteries and names the solver in solver_meta['solver'].
 Solvers are pure functions of their inputs and seed.
@@ -24,7 +24,6 @@ Solvers are pure functions of their inputs and seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,7 +184,7 @@ def solve_symmetric(dist, g, budget: float, grid_size: int = DEFAULT_GRID) -> Ex
     n = vf.n
     h = ironed_curve(dist, grid_size)
     q = h.inverse_spend(budget / n)
-    objective = concave_hull_sizes(vf)(n * q)
+    objective = np.interp(n * q, *concave_hull_sizes(vf))
     return _solution("symmetric", [h] * n, [dist] * n, np.full(n, q), objective,
                      {"q": float(q), "budget": budget})
 
@@ -221,16 +220,14 @@ def discretize(dists, budget: float, m: int, noisy: bool = False, seed=None,
 
 def greedy_submodular(dists, vf: ValueFunction, budget: float, m: int | None = None,
                       samples: int = 10_000, seed=None, noisy: bool = False,
-                      appendix_schedule: bool = False,
                       grid_size: int = DEFAULT_GRID) -> ExAnteSolution:
     """Greedy over equal-spend quantile increments for submodular objectives.
 
     Each of the m steps scores every agent's next increment with one
-    vf.marginal_gains call (the value function decides whether its gains are
-    exact or sampled; sampled gains take `samples` draws per step, shared by
-    every candidate) and adds the largest, breaking ties by lowest agent
-    index.  Within one agent, increments are taken in order since they shrink
-    along the convex hull.
+    vf.marginal_gains call (exact, except for a black-box oracle, which takes
+    `samples` draws per step, shared by every candidate) and adds the
+    largest, breaking ties by lowest agent index.  Within one agent,
+    increments are taken in order since they shrink along the convex hull.
     """
     n = len(dists)
     if vf.n != n:
@@ -241,9 +238,6 @@ def greedy_submodular(dists, vf: ValueFunction, budget: float, m: int | None = N
         m = n * n
     if m < n:
         raise ValueError("need at least one increment per agent (m >= n)")
-    if appendix_schedule:
-        # worst-case sample schedule with accuracy parameter 1/n
-        samples = int(math.ceil(10.0 * n ** 4 * (1.0 + math.log(max(n, 2)))))
 
     ss = np.random.SeedSequence(seed)
     noise_ss, marg_ss, obj_ss = ss.spawn(3)

@@ -3,9 +3,10 @@
 Four oracle flavors: additive (a value per agent), symmetric (value depends
 only on how many agents are selected), coverage (weighted set cover), and
 black-box callbacks.  The independent-inclusion extension (expected value of
-a random set with independent marginals) is exact for additive and symmetric
-functions and Monte Carlo sampled otherwise; so is marginal_gains, the gain in
-that extension from raising each agent's marginal on its own.
+a random set with independent marginals) is exact for additive, symmetric and
+coverage values and Monte Carlo sampled for black-box oracles; so is
+marginal_gains, the gain in that extension from raising each agent's marginal
+on its own.
 
 Value functions are immutable; sampling takes explicit seeds so concurrent
 callers never share RNG state.
@@ -241,13 +242,26 @@ class CoverageValue(ValueFunction):
         covered = (rows.astype(float) @ self._incidence) > 0
         return covered @ np.asarray(self.weights)
 
-    def _row_marginals(self, rows, i):
-        A = self._incidence
-        others = rows.copy()
-        others[:, i] = False
-        covered = (others.astype(float) @ A) > 0
-        gain = (~covered) & (A[i] > 0)
-        return gain @ np.asarray(self.weights)
+    def _missed(self, q):
+        """Per element, the chance that no covering agent is in the set: the
+        product of (1 - q_j) over the agents j that cover it."""
+        return np.where(self._incidence > 0, (1.0 - q)[:, None], 1.0).prod(axis=0)
+
+    def multilinear(self, q, samples: int = 10_000, seed=None):
+        q = _check_quantiles(q, self.n)
+        return float(np.dot(np.asarray(self.weights), 1.0 - self._missed(q))), 0.0
+
+    def marginal_gains(self, q, dq, samples: int = 10_000, seed=None):
+        """Exact: V is linear in each q_i, so raising q_i by dq[i] (capped at
+        1) gains that step times the sum over i's elements of w_e times the
+        product of (1 - q_j) over e's other covering agents.  Dividing i's own
+        factor out of the full product keeps a zero from an agent at q_j = 1;
+        an agent at q_i = 1 has step 0, so it divides by 1 instead."""
+        q = _check_quantiles(q, self.n)
+        step = np.minimum(np.asarray(dq, dtype=float), 1.0 - q)
+        own = np.where(q < 1.0, 1.0 - q, 1.0)
+        weighted = np.asarray(self.weights) * self._missed(q)
+        return step * (self._incidence @ weighted) / own
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,25 +283,15 @@ class OracleValue(ValueFunction):
 # Size hulls and the symmetric concave closure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SizeHull:
-    """Upper concave hull of {(s, g(s))}, as a piecewise-linear function."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __call__(self, x):
-        return float(np.interp(x, self.xs, self.ys)) if np.isscalar(x) \
-            else np.interp(x, self.xs, self.ys)
-
-
-def concave_hull_sizes(v: SymmetricValue) -> SizeHull:
+def concave_hull_sizes(v: SymmetricValue):
+    """The upper concave hull of {(s, g(s))}: its vertex sizes and values, as
+    two arrays for np.interp."""
     if not isinstance(v, SymmetricValue):
         raise TypeError("size hulls are defined for symmetric value functions")
     xs = np.arange(v.n + 1, dtype=float)
     ys = np.asarray(v.g, dtype=float)
     hull = _lower_hull_vertices(xs, -ys)  # the upper hull, mirrored
-    return SizeHull(xs=xs[hull].copy(), ys=ys[hull].copy())
+    return xs[hull], ys[hull]
 
 
 def concave_closure_symmetric(v: SymmetricValue, q: float) -> float:
@@ -300,5 +304,5 @@ def concave_closure_symmetric(v: SymmetricValue, q: float) -> float:
         raise TypeError("symmetric closure requires a symmetric value function")
     if not 0.0 <= q <= 1.0:
         raise ValueError("quantile must lie in [0, 1]")
-    return concave_hull_sizes(v)(v.n * q)
+    return float(np.interp(v.n * q, *concave_hull_sizes(v)))
 

@@ -14,6 +14,9 @@ from itertools import product
 
 import numpy as np
 
+from postedpricing.distributions import DEFAULT_GRID
+from postedpricing.values import CoverageValue, ValueFunction
+
 
 def brute_multilinear(vf, q):
     """Exact expectation over all 2^n subsets under independent inclusion."""
@@ -57,9 +60,8 @@ def grid_oracle_additive(dists, values, budget, grid_n=200):
     """Maximize sum v_i q_i over a coarse quantile grid s.t. sum q F^{-1}(q) <= B."""
     from postedpricing import ironed_curve
 
-    curves = [ironed_curve(d, grid_n) for d in dists]
-    q = curves[0].quantiles
-    spends = [c.curve for c in curves]
+    q = ironed_curve(dists[0], grid_n).quantiles
+    spends = [cost_curve(d, grid_n) for d in dists]
     values = np.asarray(values, dtype=float)
     n = len(dists)
     if n == 1:
@@ -353,6 +355,50 @@ def ironed_intervals_scan(q, below):
             i = j + 1
         i += 1
     return tuple(intervals)
+
+
+def cost_curve(dist, grid_size=DEFAULT_GRID):
+    """The cost curve q * F^{-1}(q) at the grid quantiles of
+    ironed_curve(dist, grid_size), with spend 0 at q = 0."""
+    q = np.linspace(0.0, 1.0, grid_size)
+    spend = q * np.asarray(dist.inverse_cdf(q), dtype=float)
+    spend[0] = 0.0
+    return spend
+
+
+def lottery_quantile(lot):
+    """The acceptance probability a price lottery induces."""
+    return lot.prob_lo * lot.q_lo + (1.0 - lot.prob_lo) * lot.q_hi
+
+
+class SampledCoverageValue(CoverageValue):
+    """CoverageValue as it was before its extension and gains were exact:
+    both sampled by the base ValueFunction routes, with each sampled row's
+    marginal read off the incidence matrix."""
+
+    multilinear = ValueFunction.multilinear
+    marginal_gains = ValueFunction.marginal_gains
+
+    def _row_marginals(self, rows, i):
+        A = self._incidence
+        others = rows.copy()
+        others[:, i] = False
+        covered = (others.astype(float) @ A) > 0
+        gain = (~covered) & (A[i] > 0)
+        return gain @ np.asarray(self.weights)
+
+
+def sampled_gain_rows(vf, q, dq, samples, seed):
+    """The (samples, n) per-row terms whose column means are the sampled
+    vf.marginal_gains(q, dq, samples, seed): where row r's draw moves agent
+    i from out of the base set to in the raised one, i's row marginal."""
+    U = np.random.default_rng(seed).random((samples, vf.n))
+    base = U < q
+    rows = np.zeros((samples, vf.n))
+    for i in np.flatnonzero(dq):
+        flips = ~base[:, i] & (U[:, i] < q[i] + dq[i])
+        rows[flips, i] = vf._row_marginals(base[flips], i)
+    return rows
 
 
 def marginal_estimate_per_candidate(vf, q, i, dq, samples, rng):

@@ -419,12 +419,12 @@ def test_malformed_literal_exits_2(tmp_path, distributions, value):
 
 @pytest.mark.parametrize("edits,args,key", [
     ({"kind = additive": "kind = additive\nm = 2"}, (), "[solver] m"),
-    ({"kind = additive": "kind = additive\nmarginal_samples = 0"}, (),
-     "[solver] marginal_samples"),
+    ({"trials = 400": "trials = ten"}, (), "[harness] trials"),
     ({"seed = 7": "seed = -1"}, (), "[harness] seed"),
     ({"order = bang-per-buck": "order = bang-per-buck\nn_orders = -3"}, (),
      "[mechanism] n_orders"),
-    ({}, ("--seed", "-1"), "--seed")])
+    ({}, ("--seed", "-1"), "--seed"),
+    ({"kind = additive": "kind = additive\ngrid = 1e4"}, (), "[solver] grid")])
 def test_out_of_range_option_exits_2(tmp_path, capsys, edits, args, key):
     text = EXAMPLE1.format(out=tmp_path)
     for old, new in edits.items():
@@ -449,47 +449,27 @@ COVERAGE_EDITS = {
     "order = bang-per-buck": "order = worst-of-sampled\nepsilon = 0.2"}
 
 
-@pytest.mark.parametrize("edits,key", [
+@pytest.mark.parametrize("edits,message", [
     ({"order = bang-per-buck": "order = bang-per-buck\nepsilon = 0.3"},
-     "[mechanism] epsilon"),
-    (SYMMETRIC_OBLIVIOUS_EDITS, "[mechanism] epsilon"),
+     "[mechanism] epsilon has no effect"),
+    (SYMMETRIC_OBLIVIOUS_EDITS, "[mechanism] epsilon has no effect"),
     ({"order = bang-per-buck": "order = bang-per-buck\nn_orders = 5"},
-     "[mechanism] n_orders"),
-    ({"kind = additive": "kind = additive\nm = 50"}, "[solver] m"),
-    ({"kind = additive": "kind = additive\nmarginal_samples = 7"},
-     "[solver] marginal_samples"),
-    ({"kind = additive": "kind = additive\nnoisy = true"}, "[solver] noisy"),
-    ({"kind = additive": "kind = additive\nappendix_schedule = true"},
-     "[solver] appendix_schedule"),
-    ({"kind = additive": "kind = greedy\nmarginal_samples = 7"},
-     "[solver] marginal_samples"),
-    ({"kind = additive": "kind = greedy\nappendix_schedule = false"},
-     "[solver] appendix_schedule"),
-    ({**SYMMETRIC_OBLIVIOUS_EDITS, "kind = additive": "kind = greedy\nmarginal_samples = 7"},
-     "[solver] marginal_samples"),
-    (COVERAGE_EDITS | {"kind = additive": "kind = greedy\nappendix_schedule = true\n"
-                                          "marginal_samples = 7"},
-     "[solver] marginal_samples")],
+     "[mechanism] n_orders has no effect"),
+    ({"kind = additive": "kind = additive\nm = 50"}, "[solver] m has no effect"),
+    # the sample keys are gone from the grammar, even where greedy once read them
+    (COVERAGE_EDITS | {"kind = additive": "kind = greedy\nmarginal_samples = 7"},
+     "unknown key 'marginal_samples' in section [solver]"),
+    ({"kind = additive": "kind = additive\nnoisy = true"}, "[solver] noisy has no effect"),
+    (COVERAGE_EDITS | {"kind = additive": "kind = greedy\nappendix_schedule = true"},
+     "unknown key 'appendix_schedule' in section [solver]")],
     ids=["epsilon-sequential", "epsilon-symmetric-oblivious", "n_orders", "m",
-         "marginal_samples", "noisy", "appendix_schedule", "exact-greedy-samples",
-         "exact-greedy-appendix", "exact-greedy-symmetric-samples",
-         "samples-under-appendix-schedule"])
-def test_key_the_run_never_reads_exits_2(tmp_path, capsys, edits, key):
+         "marginal_samples", "noisy", "appendix_schedule"])
+def test_key_the_run_never_reads_exits_2(tmp_path, capsys, edits, message):
     text = EXAMPLE1.format(out=tmp_path)
     for old, new in edits.items():
         text = text.replace(old, new)
     assert main(["simulate", "--config", _write_config(tmp_path, text)]) == 2
-    err = capsys.readouterr().err
-    assert f"{key} has no effect" in err
-
-
-def test_sampled_greedy_reads_the_appendix_schedule(tmp_path):
-    # the README's coverage example reads marginal_samples without the schedule
-    text = EXAMPLE1.format(out=tmp_path)
-    for old, new in (COVERAGE_EDITS | {"kind = additive":
-                                       "kind = greedy\nappendix_schedule = true"}).items():
-        text = text.replace(old, new)
-    assert parse_config(_write_config(tmp_path, text)).appendix_schedule
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad_file", ["config", "coverage"])

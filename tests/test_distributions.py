@@ -12,8 +12,8 @@ from postedpricing import (PiecewiseLinearCDF, SymmetricValue,
 from postedpricing.distributions import (CONTACT_TOL, DEFAULT_GRID,
                                          _lower_hull_vertices)
 
-from oracles import (chord_hull_lower, finite_difference_virtual_cost,
-                     ironed_intervals_scan, irregular_priors,
+from oracles import (chord_hull_lower, cost_curve, finite_difference_virtual_cost,
+                     ironed_intervals_scan, irregular_priors, lottery_quantile,
                      monotone_chain_scalars)
 
 
@@ -89,38 +89,43 @@ def test_empirical_sample_interpolated_cdf():
 
 def test_cost_curve_uniform_is_square():
     ic = ironed_curve(Uniform(0, 1), 101)
-    assert np.allclose(ic.curve, ic.quantiles ** 2)
+    curve = cost_curve(Uniform(0, 1), 101)
+    assert np.allclose(curve, ic.quantiles ** 2)
     assert not ic.intervals
-    assert ic.curve[0] == 0.0
+    assert curve[0] == 0.0
 
 
 def test_cost_curve_bimodal_flagged_irregular():
     # density high-low-high: the spend curve dips below its chords
     d = PiecewiseLinearCDF(((0.0, 0.0), (0.2, 0.45), (0.8, 0.55), (1.0, 1.0)))
     ic = ironed_curve(d)
+    curve = cost_curve(d)
     assert ic.intervals
-    second = ic.curve[2:] - 2 * ic.curve[1:-1] + ic.curve[:-2]
+    second = curve[2:] - 2 * curve[1:-1] + curve[:-2]
     assert second.min() < 0
 
 
 def test_iron_convex_curve_is_identity():
     ic = ironed_curve(Uniform(0, 1))
+    curve = cost_curve(Uniform(0, 1))
     assert ic.intervals == ()
-    assert np.allclose(ic.hull, ic.curve)
+    assert np.allclose(ic.hull, curve)
     assert np.all(np.diff(ic.slopes) >= -1e-12)
 
 
 def test_iron_endpoints_pinned():
     d = PiecewiseLinearCDF(((0.0, 0.0), (0.2, 0.5), (0.8, 0.6), (1.0, 1.0)))
     ic = ironed_curve(d)
+    curve = cost_curve(d)
     assert ic.hull[0] == 0.0
-    assert ic.hull[-1] == pytest.approx(ic.curve[-1])
+    assert ic.hull[-1] == pytest.approx(curve[-1])
 
 
 def test_iron_matches_chord_oracle():
     d = PiecewiseLinearCDF(((0.0, 0.0), (0.2, 0.5), (0.8, 0.6), (1.0, 1.0)))
     ic = ironed_curve(d, 201)
-    oracle = chord_hull_lower(ic.quantiles, ic.curve)
+    curve = cost_curve(d, 201)
+    oracle = chord_hull_lower(ic.quantiles, curve)
     assert np.allclose(ic.hull, oracle, atol=1e-9)
 
 
@@ -128,10 +133,11 @@ def test_iron_single_dip_gives_one_interval():
     # one concave kink in the curve produces exactly one ironed interval
     d = PiecewiseLinearCDF(((0.0, 0.0), (0.2, 0.5), (0.8, 0.6), (1.0, 1.0)))
     ic = ironed_curve(d, 201)
+    curve = cost_curve(d, 201)
     assert len(ic.intervals) == 1
     a, b = ic.intervals[0]
-    oracle = chord_hull_lower(ic.quantiles, ic.curve)
-    below = np.flatnonzero(oracle < ic.curve - 1e-9)
+    oracle = chord_hull_lower(ic.quantiles, curve)
+    below = np.flatnonzero(oracle < curve - 1e-9)
     assert a <= ic.quantiles[below[0]] <= b
     assert a <= ic.quantiles[below[-1]] <= b
 
@@ -156,13 +162,14 @@ def test_lottery_at_interval_endpoint_is_degenerate():
 def test_lottery_midpoint_mixes_evenly():
     d = PiecewiseLinearCDF(((0.0, 0.0), (0.2, 0.5), (0.8, 0.6), (1.0, 1.0)))
     ic = ironed_curve(d)
+    curve = cost_curve(d)
     a, b = ic.intervals[0]
     q = 0.5 * (a + b)
     lot = two_price_lottery(ic, d, q)
     assert lot.prob_lo == pytest.approx(0.5)
-    pa, pb = np.interp([a, b], ic.quantiles, ic.curve)
+    pa, pb = np.interp([a, b], ic.quantiles, curve)
     assert lot.expected_spend == pytest.approx(0.5 * (pa + pb), abs=1e-9)
-    assert lot.quantile == pytest.approx(q, abs=1e-12)
+    assert lottery_quantile(lot) == pytest.approx(q, abs=1e-12)
 
 
 def _random_piecewise(rng, force_irregular=False):
@@ -183,8 +190,9 @@ def test_property_slopes_nondecreasing(seed):
     rng = np.random.default_rng(seed)
     d = _random_piecewise(rng)
     ic = ironed_curve(d)
+    curve = cost_curve(d)
     assert np.all(np.diff(ic.slopes) >= -1e-12)
-    assert np.all(ic.hull <= ic.curve + 1e-12)
+    assert np.all(ic.hull <= curve + 1e-12)
 
 
 @pytest.mark.parametrize("d", [Uniform(0, 1), TruncatedExponential(2.0, 0.0, 1.5)])
@@ -254,8 +262,9 @@ def test_hull_chain_matches_scalar_chain_on_random_tables():
 def test_hull_chain_matches_scalar_chain_on_irregular_priors():
     for d in IRREGULAR:
         ic = ironed_curve(d)
-        assert (_lower_hull_vertices(ic.quantiles, ic.curve)
-                == monotone_chain_scalars(ic.quantiles, ic.curve))
+        curve = cost_curve(d)
+        assert (_lower_hull_vertices(ic.quantiles, curve)
+                == monotone_chain_scalars(ic.quantiles, curve))
 
 
 def _kinked_table(rng, n, kinks):
@@ -320,16 +329,15 @@ def test_size_hull_matches_scalar_chain_on_random_symmetric_values():
         if rng.random() < 0.5:
             inc = rng.integers(0, 3, n).astype(float)
         g = np.concatenate(([0.0], np.cumsum(inc)))
-        hull = concave_hull_sizes(SymmetricValue(tuple(g)))
+        hull_xs, hull_ys = concave_hull_sizes(SymmetricValue(tuple(g)))
         xs = np.arange(n + 1, dtype=float)
         verts = monotone_chain_scalars(xs, -g)
-        assert hull.xs.tolist() == xs[verts].tolist()
-        assert hull.ys.tolist() == g[verts].tolist()
+        assert hull_xs.tolist() == xs[verts].tolist()
+        assert hull_ys.tolist() == g[verts].tolist()
 
 
 def _tabulated_curve(d):
-    ic = ironed_curve(d)
-    return ic.quantiles, ic.curve
+    return ironed_curve(d).quantiles, cost_curve(d)
 
 
 def _interval_at_grid_index_1():

@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from postedpricing import (AdditiveValue, CoverageValue, PiecewiseLinearCDF,
-                           SymmetricValue, TruncatedExponential, Uniform,
+from postedpricing import (AdditiveValue, CoverageValue, OracleValue,
+                           PiecewiseLinearCDF, SymmetricValue,
+                           TruncatedExponential, Uniform, ValueFunction,
                            discretize, greedy_submodular, ironed_curve,
                            solve_additive, solve_ex_ante, solve_symmetric,
                            solver_kind)
@@ -265,11 +266,30 @@ def test_greedy_exact_symmetric_over_distinct_priors_pinned():
 
 
 def test_greedy_sampled_coverage_positive():
-    vf = CoverageValue((1.0, 1.0, 1.0), ((0,), (1,), (0, 2)))
+    cover = CoverageValue((1.0, 1.0, 1.0), ((0,), (1,), (0, 2)))
+    vf = OracleValue(3, cover.evaluate)  # a black-box oracle's gains are sampled
     sol = greedy_submodular([U01] * 3, vf, 0.75, m=9, samples=4000, seed=5)
     assert sol.expected_spend <= 0.75 + 1e-6
-    exact = brute_multilinear(vf, sol.quantiles)
+    exact = brute_multilinear(cover, sol.quantiles)
     assert exact > 0.5
+
+
+def test_greedy_coverage_gains_are_exact(monkeypatch):
+    def sampled(*args, **kwargs):
+        raise AssertionError("coverage greedy drew a sample")
+
+    for name in ("multilinear", "marginal_estimate", "_row_marginals"):
+        monkeypatch.setattr(ValueFunction, name, sampled)
+    rng = np.random.default_rng(21)
+    vf = CoverageValue(tuple(rng.uniform(0.5, 2.0, 8)),
+                       tuple(tuple(rng.choice(8, 3, replace=False)) for _ in range(5)))
+    dists = [Uniform(0, h) for h in rng.uniform(0.8, 1.2, 5)]
+    sol = greedy_submodular(dists, vf, 1.5, m=25, seed=3)
+    assert len(sol.solver_meta["selection_order"]) > 0
+    assert sol.objective == pytest.approx(brute_multilinear(vf, sol.quantiles), abs=1e-12)
+    # the seed only reaches the (here absent) noise, so it moves nothing
+    again = greedy_submodular(dists, vf, 1.5, m=25, seed=4)
+    assert again.quantiles.tolist() == sol.quantiles.tolist()
 
 
 def test_greedy_requires_enough_increments():
@@ -347,14 +367,6 @@ def test_greedy_noisy_increments_still_feasible():
     assert sol.expected_spend <= 0.8 + 1e-6
     exact = solve_additive(dists, [1.0, 0.7, 1.2], 0.8)
     assert sol.objective >= 0.9 * exact.objective
-
-
-def test_greedy_appendix_sample_schedule_runs():
-    vf = CoverageValue((1.0, 0.5), ((0,), (0, 1)))
-    sol = greedy_submodular([U01, U01], vf, 0.9, m=4, appendix_schedule=True,
-                            seed=2)
-    assert sol.solver_meta["samples"] >= 10 * 2 ** 4
-    assert sol.expected_spend <= 0.9 + 1e-6
 
 
 def test_lottery_quantile_invariant():

@@ -77,7 +77,7 @@ def test_cli_run_resolves_auto_solver_once(case, command, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("case,solver", [
-    ("coverage-greedy", "marginal_samples = 500"),
+    ("coverage-greedy", "m = 32"),
     ("additive-regular", "kind = greedy\nm = 20")])
 def test_simulate_honours_solver_section(case, solver, tmp_path):
     config = tmp_path / "config.ini"

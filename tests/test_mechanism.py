@@ -20,7 +20,7 @@ from postedpricing.mechanism import (_mean_knapsack_value, correlation_gap_bound
                                      overflow_ceiling, policy_orders)
 
 from oracles import (fractional_knapsack_value, integral_knapsack_value,
-                     irregular_priors, lp_vertex_fractional,
+                     irregular_priors, lottery_quantile, lp_vertex_fractional,
                      mean_knapsack_value_rows, mechanism_expectation)
 
 U01 = Uniform(0, 1)
@@ -72,7 +72,7 @@ def test_run_lottery_distribution_matches_enumeration():
     a, b = ic.intervals[0]
     lottery = two_price_lottery(ic, d, 0.5 * (a + b))
     lots = (degenerate_lottery(U01, 0.6), lottery, degenerate_lottery(U01, 0.4))
-    quant = np.array([0.6, lottery.quantile, 0.4])
+    quant = np.array([0.6, lottery_quantile(lottery), 0.4])
     menu = PriceMenu(lotteries=lots, quantiles=quant, ordering_policy="fixed")
     vf = AdditiveValue((1.0, 2.0, 1.5))
     budget = 1.0
@@ -80,11 +80,12 @@ def test_run_lottery_distribution_matches_enumeration():
     exact = mechanism_expectation(lots, quant > 0, vf, order, budget)
     trials = 60_000
     rng = np.random.default_rng(11)
-    dists = (U01, d, U01)
+    # costs up front from a stream of their own, one array call per prior
+    cost_rng = np.random.default_rng(12)
+    costs = np.column_stack([di.inverse_cdf(cost_rng.random(trials)) for di in (U01, d, U01)])
     total = 0.0
-    for t in range(trials):
-        costs = [float(di.inverse_cdf(rng.random())) for di in dists]
-        total += run(menu, vf, costs, budget, order=order, rng=rng).value
+    for row in costs:
+        total += run(menu, vf, row, budget, order=order, rng=rng).value
     mean = total / trials
     assert abs(mean - exact) <= 4 * 2.0 / math.sqrt(trials)
 
@@ -94,7 +95,7 @@ def test_run_budget_never_exceeded_with_lotteries():
     ic = ironed_curve(d)
     a, b = ic.intervals[0]
     lot = two_price_lottery(ic, d, 0.5 * (a + b))
-    menu = PriceMenu(lotteries=(lot,) * 3, quantiles=np.full(3, lot.quantile),
+    menu = PriceMenu(lotteries=(lot,) * 3, quantiles=np.full(3, lottery_quantile(lot)),
                      ordering_policy="fixed")
     vf = AdditiveValue((1.0, 1.0, 1.0))
     rng = np.random.default_rng(0)
@@ -114,7 +115,7 @@ def test_run_matches_simulate_runs_single_trial(policy):
     ic = ironed_curve(d)
     lottery = two_price_lottery(ic, d, 0.5 * sum(ic.intervals[0]))
     lots = (degenerate_lottery(U01, 0.6), lottery, degenerate_lottery(U01, 0.0))
-    menu = PriceMenu(lotteries=lots, quantiles=np.array([0.6, lottery.quantile, 0.0]),
+    menu = PriceMenu(lotteries=lots, quantiles=np.array([0.6, lottery_quantile(lottery), 0.0]),
                      ordering_policy=policy)
     inst = Instance(dists=(U01, d, U01), value=AdditiveValue((1.0, 2.0, 1.5)),
                     budget=1.0)
@@ -228,7 +229,7 @@ def test_market_size_uses_max_lottery_price():
     ic = ironed_curve(d)
     a, b = ic.intervals[0]
     lot = two_price_lottery(ic, d, 0.5 * (a + b))
-    menu = PriceMenu(lotteries=(lot,), quantiles=np.array([lot.quantile]))
+    menu = PriceMenu(lotteries=(lot,), quantiles=np.array([lottery_quantile(lot)]))
     assert market_size(menu, 2.0).k == pytest.approx(2.0 / lot.price_hi)
 
 
@@ -344,7 +345,7 @@ def test_derandomize_picks_dominant_price():
     ic = ironed_curve(pw)
     a, b = ic.intervals[0]
     lot = two_price_lottery(ic, pw, 0.5 * (a + b))
-    menu = PriceMenu(lotteries=(lot,), quantiles=np.array([lot.quantile]))
+    menu = PriceMenu(lotteries=(lot,), quantiles=np.array([lottery_quantile(lot)]))
     out = derandomize_additive(menu, [pw], [1.0], budget=5.0, samples=500, seed=1)
     assert not out.has_lotteries
     assert out.lotteries[0].price_lo == pytest.approx(lot.price_hi)

@@ -17,7 +17,7 @@ from postedpricing.mechanism import ORDER_POLICIES, policy_orders, realize_price
 from postedpricing.simulate import (BOUNDS_COLUMNS, GAP_COLUMNS, REPORT_COLUMNS,
                                     BoundInfo, csv_text)
 
-from oracles import (binom_tail_gt, irregular_priors, mechanism_expectation,
+from oracles import (binom_tail_gt, irregular_priors, lottery_quantile, mechanism_expectation,
                      overflow_probability_full_matrix, policy_orders_trial_major,
                      realize_prices_trial_major, reference_walk,
                      select_within_budget_masks)
@@ -51,7 +51,7 @@ def test_monte_carlo_matches_enumeration_small_instance():
     ic = ironed_curve(d)
     lot = two_price_lottery(ic, d, 0.5 * sum(ic.intervals[0]))
     lots = (degenerate_lottery(U01, 0.7), lot, degenerate_lottery(U01, 0.3))
-    quant = np.array([0.7, lot.quantile, 0.3])
+    quant = np.array([0.7, lottery_quantile(lot), 0.3])
     menu = PriceMenu(lotteries=lots, quantiles=quant,
                      ordering_policy="fixed")
     vf = AdditiveValue((1.0, 0.8, 1.2))
@@ -204,7 +204,7 @@ def _layout_menu(n, lotteries, rng):
             lots.append(two_price_lottery(ic, d, float(a + (b - a) * rng.uniform(0.2, 0.8))))
         else:
             lots.append(degenerate_lottery(d, float(rng.uniform(0.1, 0.9))))
-    return PriceMenu(lotteries=tuple(lots), quantiles=np.array([l.quantile for l in lots]))
+    return PriceMenu(lotteries=tuple(lots), quantiles=np.array([lottery_quantile(l) for l in lots]))
 
 
 @pytest.mark.parametrize("lotteries", [True, False], ids=["lottery", "lottery-free"])
@@ -386,7 +386,7 @@ def test_overflow_with_lotteries_matches_enumeration():
     a, b = ic.intervals[0]
     lots = (two_price_lottery(ic, d, 0.3 * a + 0.7 * b), degenerate_lottery(U01, 0.5),
             two_price_lottery(ic, d, 0.6 * a + 0.4 * b), degenerate_lottery(U01, 0.0))
-    menu = PriceMenu(lotteries=lots, quantiles=np.array([l.quantile for l in lots]))
+    menu = PriceMenu(lotteries=lots, quantiles=np.array([lottery_quantile(l) for l in lots]))
     assert menu.has_lotteries
     budget, k, trials = 1.2, 4.0, 40_000
     outcomes = []

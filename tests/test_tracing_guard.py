@@ -16,10 +16,12 @@ from pathlib import Path
 import numpy as np
 
 import postedpricing.cli  # noqa: F401  (the tracer patches every loaded module)
-from postedpricing import (AdditiveValue, CoverageValue, Instance, PiecewiseLinearCDF,
-                           PriceMenu, SymmetricValue, Uniform, degenerate_lottery,
-                           distributions, exante, ironed_curve, simulate,
-                           two_price_lottery)
+from postedpricing import (AdditiveValue, CoverageValue, Instance, OracleValue,
+                           PiecewiseLinearCDF, PriceMenu, SymmetricValue, Uniform,
+                           degenerate_lottery, distributions, exante, ironed_curve,
+                           simulate, two_price_lottery)
+
+from oracles import lottery_quantile
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -59,7 +61,7 @@ def test_tracer_counts_the_walks_of_simulate_runs():
     tracer.install()
     try:
         for policy in ("bang-per-buck", "worst-of-sampled"):
-            menu = PriceMenu(lotteries=lots, quantiles=np.array([0.6, lottery.quantile]),
+            menu = PriceMenu(lotteries=lots, quantiles=np.array([0.6, lottery_quantile(lottery)]),
                              ordering_policy=policy)
             simulate.simulate_runs(menu, inst, trials=50, seed=0, n_orders=3)
     finally:
@@ -70,13 +72,14 @@ def test_tracer_counts_the_walks_of_simulate_runs():
 
 
 def test_tracer_spans_greedy_and_its_value_calls():
-    # oblivious-cli lists these spans in its expected_spans
+    # oblivious-cli lists these spans in its expected_spans; a black-box
+    # oracle is the value class whose greedy gains are still sampled
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        exante.greedy_submodular([Uniform(0, 1)] * 3,
-                                 CoverageValue((1.0, 0.5), ((0,), (0, 1), (1,))),
+        cover = CoverageValue((1.0, 0.5), ((0,), (0, 1), (1,)))
+        exante.greedy_submodular([Uniform(0, 1)] * 3, OracleValue(3, cover.evaluate),
                                  0.6, m=9, samples=200, seed=1)
         exante.greedy_submodular([Uniform(0, 1), Uniform(0, 2)],
                                  SymmetricValue((0.0, 1.0, 1.5)), 0.5, m=4)

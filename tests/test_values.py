@@ -5,9 +5,9 @@ from postedpricing import (AdditiveValue, CoverageValue, OracleValue,
                            SymmetricValue, concave_closure_symmetric,
                            concave_hull_sizes)
 
-from oracles import (brute_multilinear, check_submodular,
+from oracles import (SampledCoverageValue, brute_multilinear, check_submodular,
                      marginal_estimate_per_candidate,
-                     marginal_gains_per_candidate)
+                     marginal_gains_per_candidate, sampled_gain_rows)
 
 
 def test_additive_evaluate():
@@ -67,7 +67,7 @@ def test_marginal_gains_symmetric_is_the_exact_difference():
 
 
 def test_marginal_gains_sampled_share_one_draw_per_step():
-    v = CoverageValue((1.0, 0.5, 2.0), ((0,), (0, 1), (1, 2)))
+    v = OracleValue(3, CoverageValue((1.0, 0.5, 2.0), ((0,), (0, 1), (1, 2))).evaluate)
     q = np.array([0.2, 0.5, 0.1])
     dq = np.array([0.3, 0.0, 0.4])
     rng = np.random.default_rng(8)
@@ -88,7 +88,7 @@ def test_marginal_gains_sampled_share_one_draw_per_step():
 
 
 def test_marginal_gains_draws_nothing_when_nothing_is_raised():
-    v = CoverageValue((1.0, 0.5), ((0,), (0, 1)))
+    v = OracleValue(2, CoverageValue((1.0, 0.5), ((0,), (0, 1))).evaluate)
     rng = np.random.default_rng(4)
     state = rng.bit_generator.state
     assert v.marginal_gains(np.array([0.2, 0.5]), np.zeros(2), seed=rng).tolist() == [0.0, 0.0]
@@ -125,25 +125,73 @@ def test_coupled_gains_are_unbiased(seed):
     covers = tuple(tuple(int(e) for e in rng.choice(5, size=rng.integers(1, 5),
                                                     replace=False))
                    for _ in range(n))
-    v = CoverageValue(weights, covers)
+    cov = CoverageValue(weights, covers)
+    v = OracleValue(n, cov.evaluate)
     q = rng.uniform(0.0, 0.8, n)
     dq = rng.uniform(0.05, 0.2, n)
     samples = 20_000
     gains = v.marginal_gains(q, dq, samples=samples, seed=seed)
     # the gain is a mean over rows of (flip indicator) * (row marginal)
-    U = np.random.default_rng(seed).random((samples, n))
-    base = U < q
+    rows = sampled_gain_rows(v, q, dq, samples, seed)
     for i in range(n):
-        per_row = np.zeros(samples)
-        flips = ~base[:, i] & (U[:, i] < q[i] + dq[i])
-        per_row[flips] = v._row_marginals(base[flips], i)
-        assert gains[i] == pytest.approx(per_row.mean(), rel=1e-12, abs=1e-15)
-        stderr = per_row.std(ddof=1) / np.sqrt(samples)
+        assert gains[i] == pytest.approx(rows[:, i].mean(), rel=1e-12, abs=1e-15)
+        stderr = rows[:, i].std(ddof=1) / np.sqrt(samples)
         raised = q.copy()
         raised[i] += dq[i]
-        exact = brute_multilinear(v, raised) - brute_multilinear(v, q)
+        exact = brute_multilinear(cov, raised) - brute_multilinear(cov, q)
         assert stderr > 0
         assert abs(gains[i] - exact) <= 4 * stderr
+
+
+def _random_coverage(rng, n, universe):
+    """Weights in [0, 2) and random covers, agent 0's empty."""
+    weights = tuple(float(w) for w in rng.uniform(0.0, 2.0, universe))
+    covers = [()] + [tuple(int(e) for e in rng.choice(universe, size=rng.integers(1, universe + 1),
+                                                      replace=False))
+                     for _ in range(n - 1)]
+    return CoverageValue(weights, tuple(covers))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_coverage_exact_route_matches_enumeration(seed):
+    rng = np.random.default_rng(300 + seed)
+    n = int(rng.integers(2, 8))
+    v = _random_coverage(rng, n, int(rng.integers(1, 9)))
+    q = rng.uniform(0.0, 1.0, n)
+    q[rng.permutation(n)[:2]] = (0.0, 1.0)
+    dq = rng.uniform(0.0, 1.2, n)  # some raises overshoot 1
+    dq[rng.random(n) < 0.2] = 0.0
+    est, se = v.multilinear(q)
+    base = brute_multilinear(v, q)
+    assert se == 0.0
+    assert abs(est - base) <= 1e-12
+    gains = v.marginal_gains(q, dq)
+    for i in range(n):
+        raised = q.copy()
+        raised[i] = min(q[i] + dq[i], 1.0)
+        assert abs(gains[i] - (brute_multilinear(v, raised) - base)) <= 1e-12
+    assert gains[0] == 0.0  # agent 0 covers nothing
+    assert np.all(gains[q == 1.0] == 0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_coverage_exact_route_agrees_with_the_sampled_one(seed):
+    rng = np.random.default_rng(400 + seed)
+    n = 5
+    v = _random_coverage(rng, n, 6)
+    ref = SampledCoverageValue(v.weights, v.covers)
+    q = rng.uniform(0.0, 0.9, n)
+    dq = rng.uniform(0.05, 0.3, n)
+    samples = 20_000
+    est, se = ref.multilinear(q, samples=samples, seed=seed)
+    assert se > 0
+    assert abs(v.multilinear(q)[0] - est) <= 4 * se
+    sampled = ref.marginal_gains(q, dq, samples=samples, seed=seed)
+    rows = sampled_gain_rows(ref, q, dq, samples, seed)
+    stderr = rows.std(axis=0, ddof=1) / np.sqrt(samples)
+    assert sampled == pytest.approx(rows.mean(axis=0), rel=1e-12, abs=1e-15)
+    assert sampled[0] == 0.0 and np.all(stderr[1:] > 0)
+    assert np.all(np.abs(v.marginal_gains(q, dq) - sampled) <= 4 * stderr)
 
 
 def test_coverage_matrix_is_built_once_and_read_only():
@@ -161,7 +209,7 @@ def test_coverage_matrix_is_built_once_and_read_only():
 
 
 def test_multilinear_requires_samples_for_sampled_variants():
-    v = CoverageValue((1.0,), ((0,), (0,)))
+    v = OracleValue(2, CoverageValue((1.0,), ((0,), (0,))).evaluate)
     with pytest.raises(ValueError):
         v.multilinear([0.5, 0.5], samples=0)
 
@@ -174,9 +222,10 @@ def test_multilinear_sampling_matches_enumeration(seed):
     covers = tuple(tuple(int(e) for e in rng.choice(5, size=rng.integers(1, 5),
                                                     replace=False))
                    for _ in range(n))
-    v = CoverageValue(weights, covers)
+    cov = CoverageValue(weights, covers)
+    v = OracleValue(n, cov.evaluate)
     q = rng.uniform(0, 1, n)
-    exact = brute_multilinear(v, q)
+    exact = brute_multilinear(cov, q)
     est, se = v.multilinear(q, samples=20_000, seed=seed)
     assert abs(est - exact) <= 4 * se
 
@@ -221,19 +270,17 @@ def test_multilinear_coordinatewise_monotone(seed):
 
 def test_concave_hull_interpolates_concave_table():
     g = (0.0, 2.0, 3.0, 3.5)
-    hull = concave_hull_sizes(SymmetricValue(g))
+    xs, ys = concave_hull_sizes(SymmetricValue(g))
     for s, val in enumerate(g):
-        assert hull(s) == pytest.approx(val)
-    assert hull(0) == 0.0
+        assert np.interp(s, xs, ys) == pytest.approx(val)
+    assert np.interp(0, xs, ys) == 0.0
 
 
 def test_concave_hull_bridges_non_concave_table():
     g = (0.0, 1.0, 1.0, 3.0)
-    hull = concave_hull_sizes(SymmetricValue(g))
-    assert hull(1) == pytest.approx(1.0)
-    assert hull(2) == pytest.approx(2.0)  # chord from (1,1) to (3,3)
-    assert hull(3) == pytest.approx(3.0)
-    slopes = np.diff(hull.ys) / np.diff(hull.xs)
+    xs, ys = concave_hull_sizes(SymmetricValue(g))
+    assert np.interp([1, 2, 3], xs, ys) == pytest.approx([1.0, 2.0, 3.0])  # chord (1,1)-(3,3)
+    slopes = np.diff(ys) / np.diff(xs)
     assert np.all(np.diff(slopes) <= 1e-12)
 
 
