@@ -254,61 +254,211 @@ class IronedCurve:
         return None
 
 
-def _lower_hull_vertices(x: np.ndarray, y: np.ndarray) -> list:
+_SHORT_RUN = 256   # convex runs shorter than this take the chain's scalar steps
+_WINDOW = 128      # first window of a bridge search; each miss quadruples it
+
+
+def _lower_hull_vertices(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Indices of the lower convex hull of points sorted by x (monotone chain).
 
-    The chain only ever tests the cross product of its top two entries and
-    the next point.  When those are i - 2 and i - 1, that is the cross of the
-    consecutive triple (i - 2, i - 1, i), precomputed here for every triple
-    with the same expression, one elementwise float64 ufunc per operation
-    (no fused multiply-add), so each value is bit-equal to the loop's.  Where
-    it is > 0 the loop would append i without popping, and the top two
-    become (i - 1, i); so the whole run up to the next triple that is not
-    > 0 is pushed at once.  Zero and NaN crosses, and every point after a
-    pop, take the scalar loop, whose vertices are therefore unchanged.
+    The chain tests the cross product of its top two entries and the next
+    point, and pops while that is <= 0.  One array pass computes the cross of
+    every consecutive triple (i - 2, i - 1, i).  Where it is > 0, the chain
+    pushes i without popping whenever its top two are i - 2 and i - 1, so the
+    table splits into maximal convex runs that start at the points whose
+    triple is not > 0 (the stops).  A table without stops is its own hull.
+
+    A run s .. e - 1 is merged into the stack as a whole by the bridge search
+    of divide-and-conquer hulls (Preparata and Hong): pop back from the top
+    of the stack for run point r (first r = s), then walk the tangent forward
+    from the new top to the first r' whose successor does not pop it, and
+    repeat from r' until neither end moves.  Each search tests a window at a
+    time, `_WINDOW` points first and four times as many after each miss, so
+    a bridge costs a few numpy calls however long it is.  The stack is an
+    intp array, and r' .. e - 1 goes onto it as one range.  Runs shorter
+    than `_SHORT_RUN` points take the chain's scalar steps instead, which
+    cost less than those numpy calls on a many-kink prior.
+
+    The vertices are the chain's bit for bit.  Every test is the chain's
+    own: a (top pair, next point) triple, the same float64 expression in the
+    same operation order (elementwise ufuncs, so no fused multiply-add), pop
+    on <= 0, so a NaN cross never pops.  The bridge search skips tests the
+    chain makes, so where one sits within rounding of 0 the two could part;
+    `_chain_path_holds` therefore makes every test the chain makes on its
+    way to the bridge, and a run where one comes out otherwise takes the
+    scalar steps.
     """
     n = len(x)
     triples = ((x[1:-1] - x[:-2]) * (y[2:] - y[:-2])
                - (y[1:-1] - y[:-2]) * (x[2:] - x[:-2]))
-    # points i >= 2 whose triple (i - 2, i - 1, i) is not strictly convex,
-    # then n: each convex run ends at the first of these after it
-    stops = (np.flatnonzero(~(triples > 0.0)) + 2).tolist()
-    stops.append(n)
-    # Python floats do the same IEEE double arithmetic as float64 scalars, so
-    # the vertices are the same; indexing a list is several times cheaper.
-    x, y = x.tolist(), y.tolist()
-    # the loop pushes the first two points without a test, so from i = 2 on
-    # the hull holds at least two entries, and hull[-1] == i - 1
-    hull = list(range(min(n, 2)))
-    i = 2
-    while i < n:
-        if hull[-2] == i - 2:
-            end = stops[bisect.bisect_left(stops, i)]
-            if end > i:
-                hull.extend(range(i, end))
-                i = end
+    stops = np.flatnonzero(~(triples > 0.0)) + 2
+    if not stops.size:
+        return np.arange(n)
+    bounds = np.append(stops, n)
+    lengths = np.diff(bounds)
+    long = lengths >= _SHORT_RUN
+    # a scalar step on Python floats (the same IEEE arithmetic as float64
+    # scalars) costs a fifth of one on numpy scalars; converting both tables
+    # costs about as much as n / 16 steps
+    scalar_points = int(lengths[~long].sum())
+    xs, ys = (x.tolist(), y.tolist()) if 16 * scalar_points > n else (x, y)
+    bounds = bounds.tolist()
+    hull = np.empty(n, dtype=np.intp)
+    top = i = bounds[0]
+    hull[:top] = np.arange(top)
+    for j in np.flatnonzero(long).tolist():
+        s, e = bounds[j], bounds[j + 1]
+        if j and bounds[j - 1] == s - 1:
+            # a concave kink stops two points in a row; the merge only needs
+            # convex triples from its third point on, so it takes both
+            s -= 1
+        if i < s:
+            top = _chain_steps(xs, ys, hull, top, i, s, bounds)
+        merged = _merge_run(x, y, hull, top, s, e)
+        top = _chain_steps(xs, ys, hull, top, s, e, bounds) if merged is None else merged
+        i = e
+    if i < n:
+        top = _chain_steps(xs, ys, hull, top, i, n, bounds)
+    return hull[:top]
+
+
+def _merge_run(x, y, hull, top, s, e):
+    """Merge the convex run s .. e - 1 into the stack hull[:top]; the new
+    height, or None where the chain's path to the bridge does not hold."""
+    start = top = _pop_back(x, y, hull, top, s)
+    r = s
+    while True:
+        r_next = _tangent_forward(x, y, hull[top - 1], r, e)
+        if r_next == r:
+            break
+        r = r_next
+        top_next = _pop_back(x, y, hull, top, r)
+        if top_next == top:
+            break
+        top = top_next
+    if r > s and not _chain_path_holds(x, y, hull, start, s, top, r):
+        return None
+    hull[top:top + e - r] = np.arange(r, e)
+    return top + e - r
+
+
+def _pop_back(x, y, hull, top, p):
+    """Stack height after the chain's pops for point p: the top pairs
+    (hull[j - 1], hull[j]) tested against p from j = top - 1 down."""
+    xp, yp = x[p], y[p]
+    w = _WINDOW
+    while top >= 2:
+        lo = max(0, top - 1 - w)
+        idx = hull[lo:top]
+        xh, yh = x[idx], y[idx]
+        x0, y0 = xh[:-1], yh[:-1]
+        pops = (xh[1:] - x0) * (yp - y0) - (yh[1:] - y0) * (xp - x0) <= 0.0
+        k = int(pops[::-1].argmin())
+        if not pops[-1 - k]:
+            return top - k
+        top = lo + 1
+        w *= 4
+    return top
+
+
+def _tangent_forward(x, y, b, r, e):
+    """The chain's top on base b as points r + 1, r + 2, ... < e arrive: the
+    first r' >= r that its successor does not pop, or e - 1."""
+    xb, yb = x[b], y[b]
+    w = _WINDOW
+    while r < e - 1:
+        hi = min(e, r + 1 + w)
+        u, v = x[r:hi] - xb, y[r:hi] - yb
+        pops = u[:-1] * v[1:] - v[:-1] * u[1:] <= 0.0
+        k = int(pops.argmin())
+        if not pops[k]:
+            return r + k
+        r = hi - 1
+        w *= 4
+    return r
+
+
+def _chain_path_holds(x, y, hull, t0, s, t1, r1):
+    """Whether the chain, from height t0 with run point s on top, reaches
+    height t1 with r1 on top, tested the way the chain tests it.
+
+    A bisection over (s, r1] finds, for each stack position j in [t1, t0),
+    the first run point that pops (hull[j - 1], hull[j]); a position goes no
+    earlier than the one above it.  That fixes the height h(r) under each
+    run point r, and with it every test the chain makes: r - 1 popped by r
+    on the top of h(r - 1); each position popped by its run point; and the
+    pops for r stopped by the pair under h(r).
+    """
+    first = np.full(t0 - t1, s + 1)
+    if t0 > t1:
+        i0, i1 = hull[t1 - 1:t0 - 1], hull[t1:t0]
+        x0, y0 = x[i0], y[i0]
+        dx, dy = x[i1] - x0, y[i1] - y0
+        # the bisection only guesses, so it may rearrange the expression
+        c = dx * y0 - dy * x0
+        n = r1 - s
+        while n > 1:
+            half = n // 2
+            mid = first + (half - 1)
+            first = np.where(dx * y[mid] - dy * x[mid] <= c, first, mid + 1)
+            n -= half
+        first = np.maximum.accumulate(first[::-1])[::-1]
+        if not np.all(dx * (y[first] - y0) - dy * (x[first] - x0) <= 0.0):
+            return False
+    rs = np.arange(s, r1 + 1)
+    h = t0 - np.searchsorted(first[::-1], rs, side="right")
+    v = hull[h - 1]
+    xv, yv = x[v], y[v]
+    xr, yr = x[s:r1 + 1], y[s:r1 + 1]
+    xb, yb = xv[:-1], yv[:-1]
+    if not np.all((xr[:-1] - xb) * (yr[1:] - yb) - (yr[:-1] - yb) * (xr[1:] - xb) <= 0.0):
+        return False
+    h, xv, yv, xr, yr = h[1:], xv[1:], yv[1:], xr[1:], yr[1:]
+    if t1 < 2:
+        keep = h >= 2
+        h, xv, yv, xr, yr = h[keep], xv[keep], yv[keep], xr[keep], yr[keep]
+    w = hull[h - 2]
+    xw, yw = x[w], y[w]
+    return not np.any((xv - xw) * (yr - yw) - (yv - yw) * (xr - xw) <= 0.0)
+
+
+def _chain_steps(xs, ys, hull, top, i, end, bounds):
+    """The chain's scalar steps for points i .. end - 1 on the stack
+    hull[:top]; the new height.  The top of the stack lives in a list
+    meanwhile, and a convex run is pushed at once where the top two are its
+    first point's predecessors (`bounds` lists where the runs end)."""
+    tail = hull[top - 2:top].tolist()
+    top -= 2
+    while i < end:
+        if tail[-2] == i - 2:
+            run_end = bounds[bisect.bisect_left(bounds, i)]
+            if run_end > i:
+                tail.extend(range(i, run_end))
+                i = run_end
                 continue
-        while len(hull) >= 2:
-            i0, i1 = hull[-2], hull[-1]
-            cross = (x[i1] - x[i0]) * (y[i] - y[i0]) - (y[i1] - y[i0]) * (x[i] - x[i0])
-            if cross <= 0.0:
-                hull.pop()
+        while True:
+            if len(tail) < 2:
+                if not top:
+                    break
+                top -= 1
+                tail.insert(0, hull.item(top))
+            i0, i1 = tail[-2], tail[-1]
+            if ((xs[i1] - xs[i0]) * (ys[i] - ys[i0])
+                    - (ys[i1] - ys[i0]) * (xs[i] - xs[i0])) <= 0.0:
+                tail.pop()
             else:
                 break
-        hull.append(i)
+        tail.append(i)
         i += 1
-    return hull
+    hull[top:top + len(tail)] = tail
+    return top + len(tail)
 
 
 def iron(q: np.ndarray, P: np.ndarray) -> IronedCurve:
     """Lower convex hull of the cost curve P tabulated at grid quantiles q,
     with ironed-interval bookkeeping."""
-    # one list-to-array conversion for both gathers; the array is freed before
-    # the arrays below are allocated (held to the end, it lifted a
-    # design-sweep run's peak RSS by about 3 MB)
-    verts = np.asarray(_lower_hull_vertices(q, P), dtype=np.intp)
+    verts = _lower_hull_vertices(q, P)
     hull = np.interp(q, q[verts], P[verts])
-    del verts
     hull = np.minimum(hull, P)  # guard interpolation round-off
     slopes = np.diff(hull) / np.diff(q)
     slopes = np.maximum.accumulate(slopes)  # enforce convexity against jitter
@@ -325,16 +475,25 @@ def iron(q: np.ndarray, P: np.ndarray) -> IronedCurve:
                        intervals=tuple(zip(opens, closes)))
 
 
-# An entry holds three arrays of grid_size floats (240 kB at the default grid);
-# 128 entries (30 MB) bound the cache yet keep a market of <= 128 priors warm.
+@lru_cache(maxsize=4)
+def _quantile_grid(grid_size: int) -> np.ndarray:
+    """The read-only grid of grid_size quantiles that every entry of one grid
+    size shares."""
+    q = np.linspace(0.0, 1.0, grid_size)
+    q.flags.writeable = False
+    return q
+
+
+# An entry holds two arrays of grid_size floats (160 kB at the default grid)
+# beside the shared quantile grid; 128 entries (20 MB) bound the cache yet
+# keep a market of <= 128 priors warm.
 @lru_cache(maxsize=128)
 def _ironed(dist: CostDistribution, grid_size: int) -> IronedCurve:
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
-    q = np.linspace(0.0, 1.0, grid_size)
+    q = _quantile_grid(grid_size)
     spend = q * np.asarray(dist.inverse_cdf(q), dtype=float)
     spend[0] = 0.0
-    q.flags.writeable = False
     return iron(q, spend)
 
 

@@ -225,8 +225,9 @@ def greedy_submodular(dists, vf: ValueFunction, budget: float, m: int | None = N
 
     Each of the m steps scores every agent's next increment with one
     vf.marginal_gains call (exact, except for a black-box oracle, which takes
-    `samples` draws per step, shared by every candidate) and adds the
-    largest, breaking ties by lowest agent index.  Within one agent,
+    `samples` draws per step, shared by every candidate, and records them in
+    solver_meta['samples']) and adds the largest, breaking ties by lowest
+    agent index.  Within one agent,
     increments are taken in order since they shrink along the convex hull.
     """
     n = len(dists)
@@ -263,8 +264,9 @@ def greedy_submodular(dists, vf: ValueFunction, budget: float, m: int | None = N
         selection.append((best, int(j)))
 
     objective = vf.multilinear(q, samples=samples, seed=np.random.default_rng(obj_ss))[0]
-    meta = {"m": m, "samples": samples, "noisy": noisy,
-            "selection_order": tuple(selection), "budget": budget}
+    meta = {"m": m, "noisy": noisy, "selection_order": tuple(selection), "budget": budget}
+    if type(vf).marginal_gains is ValueFunction.marginal_gains:
+        meta["samples"] = samples  # only the base route samples its gains
     return _solution("greedy", hulls, dists, q, objective, meta)
 
 

@@ -9,6 +9,7 @@ from postedpricing import (PiecewiseLinearCDF, SymmetricValue,
                            TruncatedExponential, Uniform, concave_hull_sizes,
                            empirical_from_sample, iron, ironed_curve,
                            two_price_lottery)
+from postedpricing import distributions
 from postedpricing.distributions import (CONTACT_TOL, DEFAULT_GRID,
                                          _lower_hull_vertices)
 
@@ -246,6 +247,14 @@ def test_ironed_curve_call_forms_share_one_cache_entry():
     assert ironed_curve.cache_info().misses == misses + 1
 
 
+def test_ironed_curves_share_one_read_only_quantile_grid():
+    a, b = (ironed_curve(Uniform(0.0, 1.0 + k / 5), 101) for k in (1, 2))
+    assert a.quantiles is b.quantiles
+    assert a.quantiles.tolist() == np.linspace(0.0, 1.0, 101).tolist()
+    assert not a.quantiles.flags.writeable
+    assert ironed_curve(Uniform(0.0, 1.2), 11).quantiles.size == 11
+
+
 IRREGULAR = irregular_priors(7, 64)
 
 
@@ -256,14 +265,14 @@ def test_hull_chain_matches_scalar_chain_on_random_tables():
         x = np.arange(n, dtype=float) if rng.random() < 0.5 else np.sort(rng.random(n))
         # small integer heights make exactly collinear triples common
         y = rng.integers(0, 4, n).astype(float) if rng.random() < 0.5 else rng.normal(size=n)
-        assert _lower_hull_vertices(x, y) == monotone_chain_scalars(x, y)
+        assert _lower_hull_vertices(x, y).tolist() == monotone_chain_scalars(x, y)
 
 
 def test_hull_chain_matches_scalar_chain_on_irregular_priors():
     for d in IRREGULAR:
         ic = ironed_curve(d)
         curve = cost_curve(d)
-        assert (_lower_hull_vertices(ic.quantiles, curve)
+        assert (_lower_hull_vertices(ic.quantiles, curve).tolist()
                 == monotone_chain_scalars(ic.quantiles, curve))
 
 
@@ -284,7 +293,7 @@ def test_hull_chain_matches_scalar_chain_on_long_kinked_tables():
         inner = rng.choice(np.arange(2, n - 2), size=int(rng.integers(0, 4)), replace=False)
         for kinks in ([1], [n - 2], [1, n - 2], sorted(inner.tolist())):
             x, y = _kinked_table(rng, n, kinks)
-            assert _lower_hull_vertices(x, y) == monotone_chain_scalars(x, y)
+            assert _lower_hull_vertices(x, y).tolist() == monotone_chain_scalars(x, y)
 
 
 def test_hull_chain_pops_exactly_collinear_points():
@@ -296,7 +305,7 @@ def test_hull_chain_pops_exactly_collinear_points():
         x = np.cumsum(rng.integers(1, 4, n)).astype(float)
         slope = np.sort(rng.integers(-3, 4, n - 1))
         y = np.concatenate(([0.0], np.cumsum(slope * np.diff(x))))
-        verts = _lower_hull_vertices(x, y)
+        verts = _lower_hull_vertices(x, y).tolist()
         assert verts == monotone_chain_scalars(x, y)
         # the hull keeps exactly the points where the slope changes
         assert verts == [0, *(np.flatnonzero(np.diff(slope)) + 1).tolist(), n - 1]
@@ -309,7 +318,7 @@ def test_hull_chain_matches_scalar_chain_with_nan_entries():
         x, y = _kinked_table(rng, n, rng.integers(1, n - 1, size=2).tolist())
         for arr in (x, y) if rng.random() < 0.3 else (y,):
             arr[rng.integers(0, n, size=int(rng.integers(1, 4)))] = np.nan
-        assert _lower_hull_vertices(x, y) == monotone_chain_scalars(x, y)
+        assert _lower_hull_vertices(x, y).tolist() == monotone_chain_scalars(x, y)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -317,7 +326,7 @@ def test_hull_chain_matches_scalar_chain_on_tiny_tables(n):
     heights = (0.0, 1.0, -1.0, np.nan)
     for ys in itertools.product(heights, repeat=n):
         x, y = np.arange(n, dtype=float), np.array(ys, dtype=float)
-        assert _lower_hull_vertices(x, y) == monotone_chain_scalars(x, y)
+        assert _lower_hull_vertices(x, y).tolist() == monotone_chain_scalars(x, y)
 
 
 def test_size_hull_matches_scalar_chain_on_random_symmetric_values():
@@ -334,6 +343,144 @@ def test_size_hull_matches_scalar_chain_on_random_symmetric_values():
         verts = monotone_chain_scalars(xs, -g)
         assert hull_xs.tolist() == xs[verts].tolist()
         assert hull_ys.tolist() == g[verts].tolist()
+
+
+def _assert_hull_is_chain(x, y):
+    assert _lower_hull_vertices(x, y).tolist() == monotone_chain_scalars(x, y)
+
+
+@pytest.fixture
+def merges(monkeypatch):
+    """Counts the runs the hull chain merges by a bridge search, and those of
+    them whose chain path did not hold (which then take the scalar steps)."""
+    counts = {"runs": 0, "fallbacks": 0}
+    merge = distributions._merge_run
+
+    def counted(*args):
+        top = merge(*args)
+        counts["runs"] += 1
+        counts["fallbacks"] += top is None
+        return top
+
+    monkeypatch.setattr(distributions, "_merge_run", counted)
+    return counts
+
+
+def test_convex_table_is_its_own_hull(merges):
+    q = np.linspace(0.0, 1.0, DEFAULT_GRID)
+    verts = _lower_hull_vertices(q, cost_curve(TruncatedExponential(2.0, 0.1, 1.3)))
+    assert verts.dtype == np.intp
+    assert verts.tolist() == list(range(DEFAULT_GRID))
+    assert merges["runs"] == 0
+
+
+@pytest.mark.parametrize("size", [200, 2000])
+def test_hull_chain_matches_scalar_chain_on_empirical_priors(size):
+    rng = np.random.default_rng(size)
+    q = np.linspace(0.0, 1.0, DEFAULT_GRID)
+    for _ in range(3):
+        _assert_hull_is_chain(q, cost_curve(empirical_from_sample(rng.gamma(2.0, 1.0, size))))
+
+
+def _many_kink_pwcdf(rng):
+    """A CDF with 5 to 40 breakpoints, about one piece in six flat."""
+    k = int(rng.integers(5, 40))
+    costs = np.cumsum(rng.uniform(0.01, 1.0, k + 1))
+    steps = rng.exponential(1.0, k) * (rng.random(k) < 0.85)
+    steps[rng.integers(k)] += 1.0
+    F = np.concatenate(([0.0], np.cumsum(steps)))
+    return PiecewiseLinearCDF(tuple(zip(costs.tolist(), (F / F[-1]).tolist())))
+
+
+@pytest.mark.parametrize("grid", [101, 1001, DEFAULT_GRID])
+def test_hull_chain_matches_scalar_chain_on_many_kink_priors(grid, merges):
+    rng = np.random.default_rng(grid)
+    q = np.linspace(0.0, 1.0, grid)
+    for _ in range(40 if grid < DEFAULT_GRID else 8):
+        _assert_hull_is_chain(q, cost_curve(_many_kink_pwcdf(rng), grid))
+    if grid == DEFAULT_GRID:
+        assert merges["runs"] > 0
+
+
+def test_hull_bridge_pops_back_across_two_runs(merges):
+    # three convex runs of 400 points; the third falls so far below the
+    # second that its bridge leaves from inside the first
+    x = np.arange(1200, dtype=float)
+    slope = np.concatenate([np.linspace(0.0, 1.0, 400), np.linspace(0.5, 1.5, 400),
+                            np.linspace(-3.0, 4.0, 399)])
+    y = np.concatenate(([0.0], np.cumsum(slope)))
+    verts = _lower_hull_vertices(x, y).tolist()
+    assert verts == monotone_chain_scalars(x, y)
+    assert 100 < max(v for v in verts if v < 800) < 400
+    assert merges == {"runs": 2, "fallbacks": 0}
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_hull_chain_matches_scalar_chain_around_the_short_run_length(offset, merges):
+    length = distributions._SHORT_RUN + offset
+    rng = np.random.default_rng(18)
+    for _ in range(5):
+        # slopes rise within each run and drop at both kinks, so the runs
+        # hold 300, `length` and 300 points, and later runs bridge back
+        pieces = [np.sort(rng.uniform(0.0, 1.0, 300)),
+                  np.sort(rng.uniform(-1.0, 0.5, length)),
+                  np.sort(rng.uniform(-2.0, 2.0, 300))]
+        x = np.arange(sum(map(len, pieces)) + 1, dtype=float)
+        y = np.concatenate(([0.0], np.cumsum(np.concatenate(pieces))))
+        _assert_hull_is_chain(x, y)
+    assert merges == {"runs": 5 * (2 if offset >= 0 else 1), "fallbacks": 0}
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_hull_chain_matches_scalar_chain_with_nan_inside_long_runs(axis, merges):
+    rng = np.random.default_rng(19)
+    for _ in range(30):
+        x, y = _kinked_table(rng, 2000, sorted(rng.choice(np.arange(600, 1400), 2,
+                                                          replace=False).tolist()))
+        (x if axis == "x" else y)[rng.integers(300, 1700)] = np.nan
+        _assert_hull_is_chain(x, y)
+    assert merges["runs"] > 30
+
+
+def test_hull_merge_falls_back_where_a_test_sits_within_rounding(merges, monkeypatch):
+    # points on a line, rounded: every cross is within rounding of 0, so a
+    # bridge search that skipped the chain's tests would keep other vertices;
+    # runs of 3 points and windows of 2 make every run merge
+    monkeypatch.setattr(distributions, "_SHORT_RUN", 3)
+    monkeypatch.setattr(distributions, "_WINDOW", 2)
+    rng = np.random.default_rng(21)
+    for _ in range(400):
+        n = int(rng.integers(5, 200))
+        x = np.sort(rng.random(n)) if rng.random() < 0.5 else np.arange(n) * 0.1
+        _assert_hull_is_chain(x, float(rng.choice([0.1, 0.3, 0.7])) * x + 0.3)
+    assert merges["fallbacks"] > 0
+    assert merges["runs"] > 10 * merges["fallbacks"]
+
+
+def _near_tangent_table(rng):
+    """Points on a rounded line, then a convex run that bends back down to
+    touch the line: its bridge runs within rounding of the line's points."""
+    n1, n2 = int(rng.integers(20, 300)), int(rng.integers(80, 600))
+    x = np.sort(rng.random(n1 + n2)) if rng.random() < 0.5 else np.linspace(0, 1, n1 + n2)
+    a = rng.choice([0.1, 0.3, 1 / 3, 0.7, 1.1, np.pi])
+    y = a * x + 0.2
+    xt = x[n1 + int(rng.integers(0, n2 // 2))]
+    c = 10.0 ** rng.uniform(-11, -4)
+    y[n1:] += c * (x[n1:] - xt) ** 2 + (c * 0.01 if rng.random() < 0.5 else 0)
+    y[n1] += float(rng.uniform(0, 1e-3))
+    return x, y
+
+
+def test_hull_merge_checks_the_chain_path_on_a_near_tangent_bridge(merges, monkeypatch):
+    rng = np.random.default_rng(1)
+    for _ in range(23):
+        x, y = _near_tangent_table(rng)
+    chain = monotone_chain_scalars(x, y)
+    assert _lower_hull_vertices(x, y).tolist() == chain
+    assert merges["fallbacks"] == 1
+    # the bridge search alone keeps other vertices on this table
+    monkeypatch.setattr(distributions, "_chain_path_holds", lambda *args: True)
+    assert _lower_hull_vertices(x, y).tolist() != chain
 
 
 def _tabulated_curve(d):

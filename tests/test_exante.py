@@ -274,6 +274,22 @@ def test_greedy_sampled_coverage_positive():
     assert exact > 0.5
 
 
+@pytest.mark.parametrize("vf", [
+    AdditiveValue((1.0, 0.5, 2.0)),
+    SymmetricValue((0.0, 1.0, 1.7, 2.0)),
+    CoverageValue((1.0, 1.0, 1.0), ((0,), (1,), (0, 2))),
+], ids=["additive", "symmetric", "coverage"])
+def test_greedy_records_no_sample_count_where_gains_are_exact(vf):
+    sol = greedy_submodular([U01] * 3, vf, 0.75, m=9, samples=4000, seed=5)
+    assert "samples" not in sol.solver_meta
+
+
+def test_greedy_records_the_sample_count_of_sampled_gains():
+    vf = OracleValue(3, CoverageValue((1.0, 1.0, 1.0), ((0,), (1,), (0, 2))).evaluate)
+    sol = greedy_submodular([U01] * 3, vf, 0.75, m=9, samples=4000, seed=5)
+    assert sol.solver_meta["samples"] == 4000
+
+
 def test_greedy_coverage_gains_are_exact(monkeypatch):
     def sampled(*args, **kwargs):
         raise AssertionError("coverage greedy drew a sample")
