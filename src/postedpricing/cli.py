@@ -8,6 +8,7 @@ every subcommand produces byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -152,8 +153,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on first use and kept for the process:
+    parsing reads it and never changes it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.out == "":
             raise ConfigError("--out must name a directory")

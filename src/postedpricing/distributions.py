@@ -148,6 +148,11 @@ class PiecewiseLinearCDF(CostDistribution):
             raise ValueError("CDF must run from 0 to 1 over the support")
         if cs[0] < 0:
             raise ValueError("costs must be nonnegative")
+        # the read-only (cost, F) columns, built once; not a field, so
+        # equality, hash and repr ignore them
+        table = np.array([cs, Fs])
+        table.flags.writeable = False
+        object.__setattr__(self, "_table", table)
 
     @property
     def support_lo(self):
@@ -157,17 +162,13 @@ class PiecewiseLinearCDF(CostDistribution):
     def support_hi(self):
         return self.points[-1][0]
 
-    def _arrays(self):
-        pts = np.asarray(self.points, dtype=float)
-        return pts[:, 0], pts[:, 1]
-
     def cdf(self, c):
-        cs, Fs = self._arrays()
+        cs, Fs = self._table
         arr = self._clamp(c)
         return _maybe_scalar(c, np.interp(arr, cs, Fs))
 
     def inverse_cdf(self, q):
-        cs, Fs = self._arrays()
+        cs, Fs = self._table
         arr = np.atleast_1d(np.clip(np.asarray(q, dtype=float), 0.0, 1.0))
         idx = np.searchsorted(Fs, arr, side="left")
         idx = np.minimum(idx, len(Fs) - 1)

@@ -2,9 +2,11 @@
 an expected-spend budget.
 
 Three routes, by value-function shape:
-  * additive   -- Lagrangian relaxation of the budget constraint with a
-                  binary search on the multiplier, plus a water-filling
-                  top-up so the budget binds exactly;
+  * additive   -- Lagrangian relaxation of the budget constraint: the
+                  multiplier is the smallest float whose spend fits the
+                  budget, found exactly in a few vectorised rounds (see
+                  solve_additive), then a water-filling top-up makes the
+                  budget bind;
   * symmetric  -- a single shared quantile found by inverting the shared
                   (ironed) cost curve at spend B/n;
   * submodular -- a reduction to cardinality-constrained greedy over equal
@@ -54,7 +56,8 @@ def _solution(solver, hulls, dists, quantiles, objective, meta) -> ExAnteSolutio
     """The solution at these quantiles: hull spend summed in agent order, the
     realizing lotteries, the quantiles frozen, and the solver's name in
     solver_meta['solver']."""
-    spend = float(sum(h.hull_at(q) for h, q in zip(hulls, quantiles)))
+    spend = float(sum(float(np.interp(q, h.quantiles, h.hull))
+                      for h, q in zip(hulls, quantiles)))
     lotteries = tuple(two_price_lottery(h, d, float(q))
                       for h, d, q in zip(hulls, dists, quantiles))
     quantiles.flags.writeable = False
@@ -63,28 +66,135 @@ def _solution(solver, hulls, dists, quantiles, objective, meta) -> ExAnteSolutio
                           solver_meta={"solver": solver, **meta})
 
 
-def _lagrangian_segments(hulls, values, lam: float):
+def _counts_and_spend(hulls, values, lams, c_lo, c_hi):
     """Per agent, the number of hull segments whose marginal cost is at most
-    v_i / lam (none for agents of zero value), and the expected spend at
-    those quantiles summed in agent order."""
-    counts = []
-    spend = 0.0
-    for h, v in zip(hulls, values):
-        count = 0 if v <= 0.0 else int(h.slopes.searchsorted(v / lam, side="right"))
-        counts.append(count)
-        spend += float(h.hull[count])
+    v_i / lam at each multiplier of `lams` (none for agents of zero value),
+    as an (n, len(lams)) array, and the expected spend at each multiplier
+    summed in agent order, one agent's row at a time.  Every multiplier lies
+    where agent i's count is known to lie in c_hi[i] .. c_lo[i]; an agent
+    whose two bounds agree adds the same hull value to every column."""
+    counts = np.empty((len(hulls), len(lams)), dtype=np.intp)
+    spend = np.zeros(len(lams))
+    ratios = np.divide.outer(values, lams)
+    for i, (h, a, b) in enumerate(zip(hulls, c_hi.tolist(), c_lo.tolist())):
+        if a == b:
+            counts[i] = a
+            spend += h.hull[a]
+        else:
+            counts[i] = c = h.slopes.searchsorted(ratios[i], side="right")
+            spend += h.hull.take(c)
     return counts, spend
+
+
+def _inclusion_bounds(hulls, values, c_lo, c_hi, lo, hi):
+    """The segments that flip between multipliers lo and hi (agent i's
+    c_hi[i] .. c_lo[i] - 1): for each, the largest float lam in [lo, hi)
+    that takes it in, fl(v_i / lam) >= slope.  v / slope lands within an ulp
+    or two of that bound, and `nextafter` steps settle it exactly."""
+    movers = np.flatnonzero(c_lo > c_hi)
+    v = np.repeat(values[movers], (c_lo - c_hi)[movers])
+    s = np.concatenate([hulls[i].slopes[c_hi[i]:c_lo[i]] for i in movers])
+    lam = np.clip(v / s, lo, np.nextafter(hi, 0.0))
+    while True:
+        out = v / lam < s
+        if not out.any():
+            break
+        lam[out] = np.nextafter(lam[out], 0.0)
+    while True:
+        up = np.nextafter(lam, np.inf)
+        step = (up < hi) & (v / up >= s)
+        if not step.any():
+            return lam
+        lam[step] = up[step]
+
+
+_NARROW_POINTS = 63       # multipliers one round evaluates at once
+_MERGE_CAP = 1_024        # flipping segments few enough to bound one by one
+_LAM_FLOOR = 2.0 ** -200  # the multiplier reported when every one fits
+
+
+def _search_multiplier(hulls, values, budget: float):
+    """The smallest float multiplier lam whose agent-order spend is at most
+    the budget, each agent's segment count at it, and the search's work as
+    (spend evaluations, merged segments).
+
+    Spend only falls as lam grows, and it changes only where a segment
+    flips.  A bracket lo < lam <= hi grows through lam = 1, 4, 16, ...; a
+    narrowing round evaluates the spend at _NARROW_POINTS evenly spaced
+    multipliers inside it at once and keeps the pair that brackets the
+    budget.  Once at most _MERGE_CAP segments flip between lo and hi, their
+    exact inclusion bounds are the candidates: spend is constant between
+    consecutive ones, so lam is the float just above the largest candidate
+    that overspends.  Rounds of _NARROW_POINTS candidates narrow them down
+    until one round takes all that are left.  Where every lam > 0 fits
+    (agents of zero value hold spend back), lam is _LAM_FLOOR, 2^-200,
+    where halving from lam = 1 two hundred times ends.
+    """
+    # the counts as lam -> 0+ and at lam = inf bound the counts everywhere
+    c_lo = np.array([len(h.slopes) if v > 0.0 else 0
+                     for h, v in zip(hulls, values.tolist())], dtype=np.intp)
+    c_hi = np.zeros_like(c_lo)
+    lo, hi = 0.0, 1.0   # lo stays 0 until some multiplier overspends
+    evals = merged = 0
+    for _ in range(400):
+        counts, spend = _counts_and_spend(hulls, values, np.array([hi]), c_lo, c_hi)
+        evals += 1
+        if spend[0] <= budget:
+            c_hi = counts[:, 0]
+            break
+        lo, c_lo = hi, counts[:, 0]
+        hi *= 4.0
+    else:
+        raise RuntimeError("could not bracket the budget multiplier")
+    cands, final = None, False
+    while True:
+        if lo == 0.0:
+            # the first round also tries the floor
+            lams = np.linspace(0.0, hi, _NARROW_POINTS + 2)[1:-1]
+            lams = np.concatenate(([_LAM_FLOOR], lams))
+        elif np.nextafter(lo, np.inf) == hi:
+            return hi, c_hi, evals, merged
+        else:
+            if cands is None and int((c_lo - c_hi).sum()) <= _MERGE_CAP:
+                bounds = _inclusion_bounds(hulls, values, c_lo, c_hi, lo, hi)
+                merged, cands = len(bounds), np.unique(bounds)
+            if cands is None:
+                lams = np.linspace(lo, hi, _NARROW_POINTS + 2)[1:-1]
+                lams = np.unique(np.clip(lams, np.nextafter(lo, np.inf),
+                                         np.nextafter(hi, 0.0)))
+            else:
+                cands = cands[(cands >= lo) & (cands < hi)]
+                final = len(cands) <= _NARROW_POINTS
+                picks = np.arange(1, _NARROW_POINTS + 1) * len(cands) // (_NARROW_POINTS + 1)
+                lams = cands if final else cands[picks]
+        counts, spend = _counts_and_spend(hulls, values, lams, c_lo, c_hi)
+        evals += len(lams)
+        k = int(np.count_nonzero(spend > budget))
+        if k:
+            lo, c_lo = float(lams[k - 1]), counts[:, k - 1]
+        if k < len(lams):
+            hi, c_hi = float(lams[k]), counts[:, k]
+        if lo == 0.0:
+            return _LAM_FLOOR, c_hi, evals, merged
+        if final:
+            return float(np.nextafter(lo, np.inf)), c_hi, evals, merged
 
 
 def solve_additive(dists, values, budget: float,
                    grid_size: int = DEFAULT_GRID) -> ExAnteSolution:
     """Spend-optimal quantiles for per-agent values under an expected budget.
 
-    Binary searches the Lagrangian multiplier until the expected spend
-    brackets the budget, then advances the marginal agents along their
-    current hull segments (splitting ties at equal spend rates) until the
-    budget binds.  On irregular inputs the marginal quantile lands inside an
-    ironed interval and is realized by a two-price lottery.
+    On the ironed hulls the Lagrangian relaxation takes, per agent, every
+    hull segment whose marginal cost is at most v_i / lam.  The multiplier
+    lam is the smallest float at which that spend, summed in agent order,
+    fits the budget; _search_multiplier finds it exactly with a bracket, a
+    few vectorised narrowing rounds and a merge of the segments left near
+    the threshold.  The marginal agents then advance along their current
+    hull segments (splitting ties at equal spend rates) until the budget
+    binds.  On irregular inputs the marginal quantile lands inside an ironed
+    interval and is realized by a two-price lottery.  solver_meta records
+    lam and the work done: spend evaluations, merged segments and water-fill
+    steps.
     """
     values = np.asarray(values, dtype=float)
     if not budget > 0:
@@ -102,33 +212,16 @@ def solve_additive(dists, values, budget: float,
     if full_spend <= budget + _BIND_TOL * max(1.0, budget):
         q = np.ones(n)
         return _solution("additive", hulls, dists, q, np.dot(values, q),
-                         {"lambda": 0.0, "budget": budget})
+                         {"lambda": 0.0, "budget": budget, "spend_evals": 0,
+                          "merged_segments": 0, "waterfill_steps": 0})
 
-    # grow an upper bracket, then bisect: spend is nonincreasing in lambda
-    lam_hi = 1.0
-    for _ in range(400):
-        if _lagrangian_segments(hulls, values, lam_hi)[1] <= budget:
-            break
-        lam_hi *= 4.0
-    else:
-        raise RuntimeError("could not bracket the budget multiplier")
-    lam_lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lam_lo + lam_hi)
-        if mid in (lam_lo, lam_hi):
-            break
-        if _lagrangian_segments(hulls, values, mid)[1] > budget:
-            lam_lo = mid
-        else:
-            lam_hi = mid
-
-    seg = np.array(_lagrangian_segments(hulls, values, lam_hi)[0])
+    lam, seg, evals, merged = _search_multiplier(hulls, values, budget)
     pos = grid[seg]
     spend_i = np.array([h.hull[c] for h, c in zip(hulls, seg)])
 
     # water-fill the pivotal agents until the budget binds
     scale = max(1.0, budget)
-    for _ in range(200_000):
+    for fill_steps in range(200_000):
         remaining = budget - spend_i.sum()
         if remaining <= _BIND_TOL * scale:
             break
@@ -169,7 +262,8 @@ def solve_additive(dists, values, budget: float,
 
     q = np.clip(pos, 0.0, 1.0)
     return _solution("additive", hulls, dists, q, np.dot(values, q),
-                     {"lambda": float(lam_hi), "budget": budget})
+                     {"lambda": lam, "budget": budget, "spend_evals": evals,
+                      "merged_segments": merged, "waterfill_steps": fill_steps})
 
 
 def solve_symmetric(dist, g, budget: float, grid_size: int = DEFAULT_GRID) -> ExAnteSolution:

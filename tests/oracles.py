@@ -529,3 +529,42 @@ def discretize_loop(dists, budget, m, noisy=False, seed=None):
     if noisy:
         return exact * (1.0 - rng.random((n, m)) / n ** 3)
     return exact
+
+
+def lagrangian_segments(hulls, values, lam):
+    """Per agent, the number of hull segments whose marginal cost is at most
+    v_i / lam (none for agents of zero value), and the expected spend at
+    those quantiles summed in agent order, one scalar step per agent."""
+    counts = []
+    spend = 0.0
+    for h, v in zip(hulls, values):
+        count = 0 if v <= 0.0 else int(h.slopes.searchsorted(v / lam, side="right"))
+        counts.append(count)
+        spend += float(h.hull[count])
+    return counts, spend
+
+
+def bisect_multiplier(hulls, values, budget):
+    """The Lagrangian multiplier of exante.solve_additive found the way it
+    was before the vectorised search: grow an upper bracket through
+    lam = 1, 4, 16, ..., then bisect from 0 for at most 200 steps, since
+    spend is nonincreasing in lam.  Returns lam and the per-agent segment
+    counts there."""
+    values = np.asarray(values, dtype=float)
+    lam_hi = 1.0
+    for _ in range(400):
+        if lagrangian_segments(hulls, values, lam_hi)[1] <= budget:
+            break
+        lam_hi *= 4.0
+    else:
+        raise RuntimeError("could not bracket the budget multiplier")
+    lam_lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lam_lo + lam_hi)
+        if mid in (lam_lo, lam_hi):
+            break
+        if lagrangian_segments(hulls, values, mid)[1] > budget:
+            lam_lo = mid
+        else:
+            lam_hi = mid
+    return lam_hi, lagrangian_segments(hulls, values, lam_hi)[0]

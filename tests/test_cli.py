@@ -1,13 +1,21 @@
+import csv
+import io
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from postedpricing import AdditiveValue, SymmetricValue, Uniform
+from postedpricing import (AdditiveValue, PiecewiseLinearCDF, SymmetricValue,
+                           Uniform, ironed_curve)
+from postedpricing import cli
 from postedpricing.cli import main, solution_record
 from postedpricing.config import (ConfigError, parse_config, parse_distribution,
                                   parse_distributions, parse_value,
                                   serialize_config)
+
+from oracles import irregular_priors
 
 EXAMPLE1 = """
 [instance]
@@ -541,3 +549,73 @@ def test_negative_coverage_weight_exits_2(tmp_path, capsys):
     path = _write_config(tmp_path, text.replace("coverage(coverage.txt)", f"coverage({cov})"))
     assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert "element weights" in capsys.readouterr().err
+
+
+def test_main_keeps_one_parser_and_answers_as_a_fresh_one(tmp_path, capsys):
+    # solve, bounds, a bad flag, solve again: the kept parser gives each call
+    # the exit code, output and files a freshly built parser gives it
+    out = tmp_path / "o"
+    path = _write_config(tmp_path, EXAMPLE1.format(out=out))
+    calls = (["solve", "--config", path],
+             ["bounds", "--k", "8,16", "--out", str(tmp_path / "b")],
+             ["solve", "--config", path, "--bogus"],
+             ["solve", "--config", path])
+
+    def run(argv):
+        (out / "solution.csv").unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a bad flag this way
+            code = exc.code
+        printed = capsys.readouterr()
+        written = (out / "solution.csv").read_bytes() if code == 0 and argv[0] == "solve" else None
+        return code, printed.out, printed.err, written
+
+    cli._parser.cache_clear()
+    kept = [run(argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert kept == fresh
+    assert [code for code, *_ in kept] == [0, 0, 2, 0]
+    assert "--bogus" in kept[2][2]
+
+
+def _prior_text(d):
+    if isinstance(d, PiecewiseLinearCDF):
+        return "pwcdf([" + ", ".join(f"({c!r}, {F!r})" for c, F in d.points) + "])"
+    return f"texp({d.rate!r}, {d.lo!r}, {d.hi!r})"
+
+
+SWEEP_SHARES = (0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.75, 0.9)
+
+
+def test_spend_binding_sweep_of_fresh_markets_in_one_process(tmp_path, capsys):
+    # the design sweep's output check, through main in one process over 24
+    # fresh 32-agent irregular markets at 8 budgets: every solve exits 0 and
+    # writes 32 rows with quantiles in [0, 1] whose expected spend sums to the
+    # budget.  What the process keeps between solves (the parser, the hull
+    # cache) is emptied halfway, so both states are covered.
+    for market in range(24):
+        if market == 12:
+            ironed_curve.cache_clear()
+            cli._parser.cache_clear()
+        dists = irregular_priors(1900 + market, 32)
+        values = np.random.default_rng(market).uniform(0.5, 2.0, 32)
+        head = ("[instance]\n"
+                f"distributions = {'; '.join(map(_prior_text, dists))}\n"
+                f"value = additive([{', '.join(map(repr, values.tolist()))}])\n")
+        for share in SWEEP_SHARES:
+            budget = share * sum(d.support_hi for d in dists)
+            out = tmp_path / f"m{market}-{share}"
+            path = _write_config(tmp_path, head + f"budget = {budget!r}\n\n"
+                                 f"[harness]\nout = {out}\n")
+            assert main(["solve", "--config", path]) == 0, (market, share)
+            rows = list(csv.DictReader(io.StringIO((out / "solution.csv").read_text())))
+            assert len(rows) == 32
+            assert all(0.0 <= float(r["quantile"]) <= 1.0 for r in rows)
+            spend = math.fsum(float(r["expected_spend"]) for r in rows)
+            assert abs(spend - budget) <= 1e-6 * budget, (market, share)
+    capsys.readouterr()
