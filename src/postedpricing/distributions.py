@@ -29,11 +29,18 @@ def _maybe_scalar(x, arr):
     return float(out) if np.isscalar(x) or getattr(x, "ndim", 1) == 0 else out
 
 
+def _clip(x, lo, hi):
+    """np.clip(x, lo, hi) as float64 in two ufunc calls: the same values,
+    signed zeros and NaNs, without np.clip's dispatch cost."""
+    return np.minimum(hi, np.maximum(lo, np.asarray(x, dtype=float)))
+
+
 class CostDistribution:
     """Base class for one-agent cost priors on a finite support.
 
     Subclasses implement cdf / inverse_cdf; both are vectorized over numpy
-    arrays, and cdf clamps cost arguments to the support.
+    arrays.  cdf clamps cost arguments to the support; inverse_cdf clamps
+    quantiles to [0, 1] and returns a cost in the support (NaN stays NaN).
     """
 
     support_lo: float
@@ -50,7 +57,7 @@ class CostDistribution:
         return self.inverse_cdf(rng.random(size))
 
     def _clamp(self, c):
-        return np.clip(np.asarray(c, dtype=float), self.support_lo, self.support_hi)
+        return _clip(c, self.support_lo, self.support_hi)
 
 
 @dataclass(frozen=True)
@@ -77,8 +84,7 @@ class Uniform(CostDistribution):
         return _maybe_scalar(c, (arr - self.lo) / (self.hi - self.lo))
 
     def inverse_cdf(self, q):
-        arr = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
-        return _maybe_scalar(q, self.lo + arr * (self.hi - self.lo))
+        return _maybe_scalar(q, self.lo + _clip(q, 0.0, 1.0) * (self.hi - self.lo))
 
 
 @dataclass(frozen=True)
@@ -114,9 +120,8 @@ class TruncatedExponential(CostDistribution):
         return _maybe_scalar(c, -np.expm1(-self.rate * (arr - self.lo)) / self._mass)
 
     def inverse_cdf(self, q):
-        arr = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
-        out = self.lo - np.log1p(-arr * self._mass) / self.rate
-        return _maybe_scalar(q, np.clip(out, self.lo, self.hi))
+        out = self.lo - np.log1p(-_clip(q, 0.0, 1.0) * self._mass) / self.rate
+        return _maybe_scalar(q, self._clamp(out))
 
 
 @dataclass(frozen=True)
@@ -168,20 +173,17 @@ class PiecewiseLinearCDF(CostDistribution):
         return _maybe_scalar(c, np.interp(arr, cs, Fs))
 
     def inverse_cdf(self, q):
+        """One array pass: each quantile's segment F[j - 1] < q <= F[j] from
+        one searchsorted, the linear interpolation on it everywhere, and the
+        breakpoint cost where F[j] == q (the cheapest cost on a plateau).
+        Below F[0] and past F[-1], which lie within 1e-12 of 0 and 1, the
+        result is clamped to the support."""
         cs, Fs = self._table
-        arr = np.atleast_1d(np.clip(np.asarray(q, dtype=float), 0.0, 1.0))
-        idx = np.searchsorted(Fs, arr, side="left")
-        idx = np.minimum(idx, len(Fs) - 1)
-        out = np.empty_like(arr)
-        exact = Fs[idx] == arr
-        out[exact] = cs[idx[exact]]
-        interp = ~exact
-        if np.any(interp):
-            j = idx[interp]
-            # F[j-1] < q < F[j] on these entries, so the segment has slope > 0
-            frac = (arr[interp] - Fs[j - 1]) / (Fs[j] - Fs[j - 1])
-            out[interp] = cs[j - 1] + frac * (cs[j] - cs[j - 1])
-        return _maybe_scalar(q, out.reshape(np.shape(q)))
+        arr = _clip(q, 0.0, 1.0)
+        j = np.minimum(Fs.searchsorted(arr), len(Fs) - 1)
+        F0, F1, c0, c1 = Fs.take(j - 1), Fs.take(j), cs.take(j - 1), cs.take(j)
+        out = np.where(F1 == arr, c1, c0 + (arr - F0) / (F1 - F0) * (c1 - c0))
+        return _maybe_scalar(q, self._clamp(out))
 
 
 def empirical_from_sample(sample) -> PiecewiseLinearCDF:
@@ -459,8 +461,13 @@ def iron(q: np.ndarray, P: np.ndarray) -> IronedCurve:
     """Lower convex hull of the cost curve P tabulated at grid quantiles q,
     with ironed-interval bookkeeping."""
     verts = _lower_hull_vertices(q, P)
-    hull = np.interp(q, q[verts], P[verts])
-    hull = np.minimum(hull, P)  # guard interpolation round-off
+    if len(verts) == len(q):
+        # a convex table is its own hull: np.interp at its own knots
+        # returns them exactly
+        hull = P.copy()
+    else:
+        hull = np.interp(q, q[verts], P[verts])
+        hull = np.minimum(hull, P)  # guard interpolation round-off
     slopes = np.diff(hull) / np.diff(q)
     slopes = np.maximum.accumulate(slopes)  # enforce convexity against jitter
     scale = max(1.0, float(P[-1]))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _lower_hull_vertices
+from .distributions import _clip, _lower_hull_vertices
 
 
 def _as_rng(seed):
@@ -32,9 +32,11 @@ def _check_quantiles(q, n):
     q = np.asarray(q, dtype=float)
     if q.shape != (n,):
         raise ValueError(f"expected {n} marginals, got shape {q.shape}")
-    if np.any(q < -1e-12) or np.any(q > 1 + 1e-12):
+    # fmin / fmax skip NaNs, as the comparisons did
+    if (np.fmin.reduce(q, initial=np.inf) < -1e-12
+            or np.fmax.reduce(q, initial=-np.inf) > 1 + 1e-12):
         raise ValueError("marginals must lie in [0, 1]")
-    return np.clip(q, 0.0, 1.0)
+    return _clip(q, 0.0, 1.0)
 
 
 class ValueFunction:

@@ -568,3 +568,49 @@ def bisect_multiplier(hulls, values, budget):
         else:
             lam_hi = mid
     return lam_hi, lagrangian_segments(hulls, values, lam_hi)[0]
+
+
+def masked_inverse_cdf(dist, q):
+    """PiecewiseLinearCDF.inverse_cdf as it was before the array pass: one
+    boolean mask for the quantiles that hit a breakpoint F value and one for
+    the rest, each written through its own gathers, with no clamp to the
+    support."""
+    cs, Fs = dist._table
+    arr = np.atleast_1d(np.clip(np.asarray(q, dtype=float), 0.0, 1.0))
+    idx = np.searchsorted(Fs, arr, side="left")
+    idx = np.minimum(idx, len(Fs) - 1)
+    out = np.empty_like(arr)
+    exact = Fs[idx] == arr
+    out[exact] = cs[idx[exact]]
+    interp = ~exact
+    if np.any(interp):
+        j = idx[interp]
+        frac = (arr[interp] - Fs[j - 1]) / (Fs[j] - Fs[j - 1])
+        out[interp] = cs[j - 1] + frac * (cs[j] - cs[j - 1])
+    return out.reshape(np.shape(q))
+
+
+def interp_hull(q, P):
+    """The hull iron() builds, always by re-interpolating the table at its
+    hull vertices and guarding the round-off with a minimum."""
+    from postedpricing.distributions import _lower_hull_vertices
+
+    verts = _lower_hull_vertices(q, P)
+    return np.minimum(np.interp(q, q[verts], P[verts]), P)
+
+
+def interp_spend_sum(hulls, quantiles):
+    """The hull spend of a solution: one scalar np.interp per agent, summed
+    in agent order as Python floats."""
+    return float(sum(float(np.interp(q, h.quantiles, h.hull))
+                     for h, q in zip(hulls, quantiles)))
+
+
+def check_quantiles_clip(q, n):
+    """values._check_quantiles with its two np.any range tests and np.clip."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != (n,):
+        raise ValueError(f"expected {n} marginals, got shape {q.shape}")
+    if np.any(q < -1e-12) or np.any(q > 1 + 1e-12):
+        raise ValueError("marginals must lie in [0, 1]")
+    return np.clip(q, 0.0, 1.0)

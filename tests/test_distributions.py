@@ -14,8 +14,8 @@ from postedpricing.distributions import (CONTACT_TOL, DEFAULT_GRID,
                                          _lower_hull_vertices)
 
 from oracles import (chord_hull_lower, cost_curve, finite_difference_virtual_cost,
-                     ironed_intervals_scan, irregular_priors, lottery_quantile,
-                     monotone_chain_scalars)
+                     interp_hull, ironed_intervals_scan, irregular_priors,
+                     lottery_quantile, masked_inverse_cdf, monotone_chain_scalars)
 
 
 def test_uniform_cdf_identity():
@@ -78,6 +78,75 @@ def test_inverse_cdf_plateau_returns_cheapest_cost():
     assert d.inverse_cdf(0.5) == pytest.approx(0.3)
 
 
+# Priors for the bitwise inverse tests: plateaus inside and at F = 0 and
+# F = 1, and a table whose end F values sit within the 1e-12 tolerance.
+BITWISE_PRIORS = [
+    Uniform(0.2, 1.7),
+    Uniform(0.0, 1.0),
+    TruncatedExponential(1.5, 0.1, 2.0),
+    TruncatedExponential(0.7, 0.0, 1.3),
+    PiecewiseLinearCDF(((0.1, 0.0), (0.3, 0.5), (0.6, 0.5), (0.8, 0.7), (1.0, 1.0))),
+    PiecewiseLinearCDF(((0.0, 0.0), (0.4, 0.0), (0.7, 0.6), (0.9, 1.0), (1.0, 1.0))),
+    PiecewiseLinearCDF(((0.5, 1e-13), (1.0, 0.4), (2.0, 1.0 - 1e-13))),
+]
+
+
+def _probe_quantiles(d):
+    """0, 1, signed zero, out-of-range and non-finite quantiles, every
+    breakpoint F value and its float neighbours, and random ones."""
+    breaks = np.array([F for _, F in getattr(d, "points", ())])
+    return np.concatenate([
+        [0.0, -0.0, 1.0, -0.5, 1.5, -1e-13, 1.0 + 1e-13, math.nan, math.inf, -math.inf],
+        breaks, np.nextafter(breaks, 2.0), np.nextafter(breaks, -1.0),
+        np.random.default_rng(3).random(64)])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("d", BITWISE_PRIORS)
+def test_inverse_cdf_array_matches_scalar_calls_bitwise(d):
+    qs = _probe_quantiles(d)
+    out = d.inverse_cdf(qs)
+    scalars = [d.inverse_cdf(q) for q in qs.tolist()]
+    assert all(type(c) is float for c in scalars)
+    assert _bits(out) == _bits(scalars)
+    assert _bits(out) == _bits([d.inverse_cdf(np.float64(q)) for q in qs])
+    table = qs[:len(qs) // 2 * 2].reshape(2, -1)
+    assert _bits(d.inverse_cdf(table)) == _bits(out[:table.size])
+    finite = out[~np.isnan(qs)]
+    assert np.all((finite >= d.support_lo) & (finite <= d.support_hi))
+    assert np.isnan(out[np.isnan(qs)]).all()
+
+
+@pytest.mark.parametrize("d", [d for d in BITWISE_PRIORS if isinstance(d, PiecewiseLinearCDF)]
+                         + irregular_priors(4, 8)[1::2]
+                         + [empirical_from_sample(np.random.default_rng(5).random(300))])
+def test_piecewise_inverse_matches_masked_route_bitwise(d):
+    # the masked route does not clamp; inside the support the two agree bit
+    # for bit, and where only the masked route leaves it the clamp is the
+    # whole difference
+    qs = np.concatenate([_probe_quantiles(d), np.linspace(0.0, 1.0, 1001)])
+    out, masked = d.inverse_cdf(qs), masked_inverse_cdf(d, qs)
+    assert _bits(out) == _bits(np.clip(masked, d.support_lo, d.support_hi))
+    inside = (masked >= d.support_lo) & (masked <= d.support_hi)
+    assert _bits(out[inside]) == _bits(masked[inside])
+
+
+def test_piecewise_inverse_stays_in_support_at_tolerant_ends():
+    top = PiecewiseLinearCDF(((0.5, 0.0), (1.0, 0.4), (2.0, 1.0 - 1e-13)))
+    assert masked_inverse_cdf(top, 1.0) > 2.0  # the unclamped route overshoots
+    assert top.inverse_cdf(1.0) == top.support_hi == 2.0
+    bottom = PiecewiseLinearCDF(((0.5, 1e-13), (1.0, 0.4), (2.0, 1.0)))
+    assert masked_inverse_cdf(bottom, 0.0) < 0.5
+    assert bottom.inverse_cdf(0.0) == bottom.support_lo == 0.5
+    assert bottom.inverse_cdf([0.0, 1.0]).tolist() == [0.5, 2.0]
+    inner = np.linspace(0.01, 0.99, 99)
+    for d in (top, bottom):
+        assert _bits(d.inverse_cdf(inner)) == _bits(masked_inverse_cdf(d, inner))
+
+
 def test_empirical_sample_interpolated_cdf():
     d = empirical_from_sample([0.1, 0.9, 0.5, 0.3])
     assert d.support_lo == pytest.approx(0.1)
@@ -112,6 +181,21 @@ def test_iron_convex_curve_is_identity():
     assert ic.intervals == ()
     assert np.allclose(ic.hull, curve)
     assert np.all(np.diff(ic.slopes) >= -1e-12)
+
+
+@pytest.mark.parametrize("grid", [2, 3, 101, DEFAULT_GRID])
+@pytest.mark.parametrize("d", [Uniform(0, 1), Uniform(0.2, 1.7),
+                               TruncatedExponential(2.0, 0.1, 1.3),
+                               TruncatedExponential(0.5, 0.0, 1.0)])
+def test_iron_takes_a_convex_table_as_its_hull_bitwise(d, grid):
+    q = np.linspace(0.0, 1.0, grid)
+    P = cost_curve(d, grid)
+    assert len(_lower_hull_vertices(q, P)) == grid  # the table is convex
+    ic = iron(q, P)
+    assert _bits(ic.hull) == _bits(interp_hull(q, P)) == _bits(P)
+    assert _bits(ironed_curve(d, grid).hull) == _bits(ic.hull)
+    assert ic.intervals == ()
+    assert P.flags.writeable and not np.shares_memory(ic.hull, P)
 
 
 def test_iron_endpoints_pinned():

@@ -10,10 +10,10 @@ from postedpricing import (AdditiveValue, CoverageValue, OracleValue,
                            discretize, greedy_submodular, ironed_curve,
                            solve_additive, solve_ex_ante, solve_symmetric,
                            solver_kind)
-from postedpricing.exante import SOLVER_KINDS, _search_multiplier
+from postedpricing.exante import SOLVER_KINDS, _hull_values, _search_multiplier
 
 from oracles import (bisect_multiplier, brute_multilinear, discretize_loop,
-                     grid_oracle_additive, irregular_priors)
+                     grid_oracle_additive, interp_spend_sum, irregular_priors)
 
 U01 = Uniform(0, 1)
 
@@ -428,6 +428,32 @@ def test_solution_spend_matches_lottery_accounting():
     sol = solve_additive([d, U01], [1.0, 1.0], 0.6)
     per_agent = sum(l.expected_spend for l in sol.lotteries)
     assert per_agent == pytest.approx(sol.expected_spend, abs=1e-6)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_solution_spend_matches_per_agent_interp_sum(seed):
+    # solve_additive's quantiles sit on grid points, inside cells and at 1
+    dists = irregular_priors(seed, 32)
+    values = np.random.default_rng(seed).uniform(0.5, 2.0, 32)
+    hulls = [ironed_curve(d) for d in dists]
+    full = sum(h.total_spend for h in hulls)
+    for share in (0.05, 0.3, 0.75, 1.2):
+        sol = solve_additive(dists, values, share * full)
+        assert sol.expected_spend == interp_spend_sum(hulls, sol.quantiles)
+    grd = greedy_submodular(dists[:6], AdditiveValue(values[:6]), 0.3 * full / 5, m=24)
+    assert grd.expected_spend == interp_spend_sum(hulls[:6], grd.quantiles)
+
+
+@pytest.mark.parametrize("grid", [2, 3, 101])
+def test_hull_values_are_np_interp_bitwise(grid):
+    dists = irregular_priors(7, 32)
+    hulls = [ironed_curve(d, grid) for d in dists]
+    knots = hulls[0].quantiles
+    rng = np.random.default_rng(grid)
+    for q in (rng.random(32), knots[rng.integers(0, grid, 32)],
+              rng.choice([0.0, -0.0, 1.0, -0.25, 1.5, np.nextafter(1.0, 0.0)], 32)):
+        want = [float(np.interp(x, h.quantiles, h.hull)) for h, x in zip(hulls, q)]
+        assert _hull_values(hulls, q).tobytes() == np.array(want).tobytes()
 
 
 def test_greedy_noisy_increments_still_feasible():

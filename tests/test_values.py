@@ -5,8 +5,10 @@ from postedpricing import (AdditiveValue, CoverageValue, OracleValue,
                            SymmetricValue, concave_closure_symmetric,
                            concave_hull_sizes)
 
-from oracles import (SampledCoverageValue, brute_multilinear, check_submodular,
-                     marginal_estimate_per_candidate,
+from postedpricing.values import _check_quantiles
+
+from oracles import (SampledCoverageValue, brute_multilinear, check_quantiles_clip,
+                     check_submodular, marginal_estimate_per_candidate,
                      marginal_gains_per_candidate, sampled_gain_rows)
 
 
@@ -27,6 +29,20 @@ def test_coverage_evaluate_union():
     assert v.evaluate({0, 1}) == 2.0
     assert v.evaluate({0}) == 1.0
     assert v.evaluate({1}) == 2.0
+
+
+@pytest.mark.parametrize("q", [
+    [0.2, 0.7], [-0.0, 1.0], [-1e-12, 1 + 1e-12], [-2e-12, 0.5], [0.5, 1 + 2e-12],
+    [np.nan, 0.5], [np.nan, np.nan], [np.nan, -0.5], [1.5, np.nan],
+    [np.inf, 0.0], [-np.inf, 0.0], [0.3], [[0.1, 0.2]],
+])
+def test_check_quantiles_matches_the_clip_route_bitwise(q):
+    def run(check):
+        try:
+            return check(q, 2).tobytes()
+        except ValueError as err:
+            return str(err)
+    assert run(_check_quantiles) == run(check_quantiles_clip)
 
 
 def test_multilinear_additive_exact():
