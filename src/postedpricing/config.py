@@ -3,13 +3,24 @@
 Grammar (see README for the full reference):
 
     [instance]
-    distributions = 16 * uniform(0, 1); texp(1, 0, 2)
+    distributions = 16 * uniform(0, 1); texp(1, 0, 2)   # `;` separates terms
     value = additive(constant=1)
     budget = 4.0
 
     [solver]      kind, grid, m, noisy
     [mechanism]   kind, order, epsilon, n_orders
     [harness]     trials, seed, out
+
+Numbers: a number is one token that float() reads (`1`, `-2.5`, `1e-3`,
+`1_000`, `inf`); a pair is `(c, F)`; a list is `[x, ...]` or `[(c, F), ...]`.
+Whitespace, newlines included (an INI value continues on indented lines), may
+stand around any item, comma or bracket, and nothing else may: no trailing
+comma, no quotes, no `True`, no `0x10`, no `[c, F]` in place of a pair.
+
+Comments: a `#` or `;` after whitespace starts a comment, as does a line that
+starts with one.  On the distributions line, where `;` separates terms, a
+`;` after whitespace is an error instead, since the comment would drop the
+terms after it; comment that line with `#`.
 
 Unknown sections or keys are rejected so typos cannot silently change an
 experiment, and so is a key the configured run never reads (a greedy-only
@@ -21,7 +32,6 @@ Referenced files (empirical samples, coverage tables) must exist at load time.
 
 from __future__ import annotations
 
-import ast
 import configparser
 import math
 import os
@@ -51,6 +61,37 @@ _ALLOWED_KEYS = {
 _GREEDY_KEYS = ("m", "noisy")
 
 _CALL_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z0-9_-]*)\s*\((.*)\)\s*$", re.S)
+_REPEAT_RE = re.compile(r"^(\d+)\s*\*\s*(.+)$", re.S)
+_CONSTANT_RE = re.compile(r"^constant\s*=\s*(.+)$")
+
+# The number lists of the grammar: a number token is anything but whitespace,
+# commas, parentheses and brackets, and float() decides whether it is a number.
+_NUMBER = r"[^\s,()\[\]]+"
+_PAIR = rf"\(\s*{_NUMBER}\s*,\s*{_NUMBER}\s*\)"
+_NUMBER_LIST_RE = re.compile(rf"\[\s*(?:{_NUMBER}(?:\s*,\s*{_NUMBER})*\s*)?\]")
+_PAIR_LIST_RE = re.compile(rf"\[\s*(?:{_PAIR}(?:\s*,\s*{_PAIR})*\s*)?\]")
+
+# A `;` comment, the inline comment configparser would cut: from a `;` with
+# no non-space character before it to the line's end.  The pattern starts with
+# the `;` itself (the lookbehind follows it), so re scans for the literal.
+_SEMICOLON_COMMENT_RE = re.compile(r";(?<=(?<!\S);).*")
+
+
+class _Comments(configparser.BasicInterpolation):
+    """configparser's interpolation, on values whose `;` comments are cut.
+
+    configparser cuts `#` comments itself.  On the distributions line a `;`
+    comment is a ConfigError instead, since `;` also separates terms there."""
+
+    def before_read(self, parser, section, option, value):
+        text = _SEMICOLON_COMMENT_RE.sub("", value)
+        if text != value:
+            if (section, option) == ("instance", "distributions"):
+                raise ConfigError("[instance] distributions: a ';' after whitespace "
+                                  "starts a comment, which would drop the terms after "
+                                  "it; write 'term; term', and comment with '#'")
+            value = "\n".join(line.rstrip() for line in text.split("\n"))
+        return super().before_read(parser, section, option, value)
 
 
 def _read_text(path: str, what: str) -> str:
@@ -70,6 +111,26 @@ def _split_call(text: str):
     if not m:
         raise ConfigError(f"cannot parse {text!r}: expected name(args)")
     return m.group(1).lower(), m.group(2).strip()
+
+
+def _number_list(text: str, what: str, pairs: bool = False) -> tuple:
+    """The floats of a `[x, ...]` list, or the (c, F) tuples of a
+    `[(c, F), ...]` list when pairs is set; anything else is a ConfigError."""
+    if not (_PAIR_LIST_RE if pairs else _NUMBER_LIST_RE).fullmatch(text):
+        shape = "[(c, F), ...]" if pairs else "[x, ...]"
+        raise ConfigError(f"bad {what}: expected {shape} of numbers, got {text!r}")
+    # the shape holds, so the numbers are what lies between commas once the
+    # brackets are gone (float() ignores the whitespace around each)
+    body = text[1:-1].replace("(", "").replace(")", "") if pairs else text[1:-1]
+    tokens = body.split(",") if body.strip() else []
+    try:
+        xs = [float(token) for token in tokens]
+    except ValueError as exc:
+        raise ConfigError(f"bad {what}: {exc}") from None
+    if "-" in text:  # an integer zero is +0.0 whatever its sign, as Python's int 0
+        xs = [0.0 if x == 0.0 and t.strip().lstrip("+-").replace("_", "").isdigit() else x
+              for x, t in zip(xs, tokens)]
+    return tuple(zip(xs[::2], xs[1::2])) if pairs else tuple(xs)
 
 
 def _floats(args: str, expect: int, what: str):
@@ -94,11 +155,8 @@ def parse_distribution(text: str):
             rate, lo, hi = _floats(args, 3, "texp")
             return TruncatedExponential(rate, lo, hi)
         if name == "pwcdf":
-            try:
-                pts = tuple((float(c), float(F)) for c, F in ast.literal_eval(args))
-            except (SyntaxError, TypeError, ValueError) as exc:
-                raise ConfigError(f"bad pwcdf breakpoint list: {exc}") from None
-            return PiecewiseLinearCDF(pts)
+            return PiecewiseLinearCDF(_number_list(args, "pwcdf breakpoint list",
+                                                   pairs=True))
         if name == "empirical":
             sample = _read_text(args.strip().strip("'\""), "empirical sample file")
             return empirical_from_sample([float(tok) for tok in sample.split()])
@@ -117,7 +175,7 @@ def parse_distributions(text: str):
         if not term:
             continue
         count = 1
-        m = re.match(r"^(\d+)\s*\*\s*(.+)$", term, re.S)
+        m = _REPEAT_RE.match(term)
         if m:
             count = int(m.group(1))
             term = m.group(2)
@@ -169,25 +227,19 @@ def parse_value(text: str, n: int):
     """additive([...]) | additive(constant=x) | symmetric([...]) | coverage(path)."""
     name, args = _split_call(text)
     if name == "additive":
-        m = re.match(r"^constant\s*=\s*(.+)$", args)
+        m = _CONSTANT_RE.match(args)
         if m:
             try:
                 v = float(m.group(1))
             except ValueError as exc:
                 raise ConfigError(f"bad constant value: {exc}") from None
             return _construct(AdditiveValue, tuple([v] * n))
-        try:
-            vals = tuple(float(v) for v in ast.literal_eval(args))
-        except (SyntaxError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad additive value list: {exc}") from None
+        vals = _number_list(args, "additive value list")
         if len(vals) != n:
             raise ConfigError(f"value list has {len(vals)} entries for {n} agents")
         return _construct(AdditiveValue, vals)
     if name == "symmetric":
-        try:
-            g = tuple(float(x) for x in ast.literal_eval(args))
-        except (SyntaxError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad symmetric value table: {exc}") from None
+        g = _number_list(args, "symmetric value table")
         if len(g) != n + 1:
             raise ConfigError(f"symmetric table needs n+1 = {n + 1} entries, got {len(g)}")
         return _construct(SymmetricValue, g)
@@ -267,7 +319,7 @@ def _bool(text: str, what: str) -> bool:
 
 def parse_config(path: str) -> ExperimentConfig:
     text = _read_text(path, "config file")
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=_Comments())
     try:
         cp.read_string(text, source=path)
     except configparser.Error as exc:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -246,10 +246,13 @@ class IronedCurve:
         out = q[j] + (arr - H[j]) / (H[j + 1] - H[j]) * (q[j + 1] - q[j])
         return _maybe_scalar(s, np.where(arr >= H[-1], 1.0, out))
 
+    @cached_property
+    def _interval_starts(self) -> list:
+        return [a for a, _ in self.intervals]
+
     def interval_containing(self, q: float):
         """The ironed interval (a, b) with a < q < b, or None."""
-        starts = [a for a, _ in self.intervals]
-        k = bisect.bisect_right(starts, q) - 1
+        k = bisect.bisect_right(self._interval_starts, q) - 1
         if k >= 0:
             a, b = self.intervals[k]
             if a < q < b:

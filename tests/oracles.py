@@ -8,6 +8,7 @@ here as the reference.  `irregular_priors` builds a market the ironing and
 solver tests share.
 """
 
+import ast
 import math
 from fractions import Fraction
 from itertools import product
@@ -614,3 +615,11 @@ def check_quantiles_clip(q, n):
     if np.any(q < -1e-12) or np.any(q > 1 + 1e-12):
         raise ValueError("marginals must lie in [0, 1]")
     return np.clip(q, 0.0, 1.0)
+
+
+def literal_eval_numbers(text, pairs=False):
+    """config's number-list route before its tokenizer: `ast.literal_eval` of
+    the list, then float() of each number, or of each (c, F) pair's two."""
+    if pairs:
+        return tuple((float(c), float(F)) for c, F in ast.literal_eval(text))
+    return tuple(float(v) for v in ast.literal_eval(text))

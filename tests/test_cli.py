@@ -1,7 +1,11 @@
+import ast
+import builtins
+import configparser
 import csv
 import io
 import math
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +15,12 @@ from postedpricing import (AdditiveValue, PiecewiseLinearCDF, SymmetricValue,
                            Uniform, ironed_curve)
 from postedpricing import cli
 from postedpricing.cli import main, solution_record
-from postedpricing.config import (ConfigError, parse_config, parse_distribution,
-                                  parse_distributions, parse_value,
+from postedpricing import config
+from postedpricing.config import (ConfigError, _number_list, parse_config,
+                                  parse_distribution, parse_distributions, parse_value,
                                   serialize_config)
 
-from oracles import irregular_priors
+from oracles import irregular_priors, literal_eval_numbers
 
 EXAMPLE1 = """
 [instance]
@@ -408,6 +413,9 @@ def test_solver_kind_mismatch_exits_2(tmp_path, command):
     assert main([command, "--config", path]) == 2
 
 
+LONG_INT = "1" + "0" * 400  # 401 digits: float() reads it as inf, float(int) overflows
+
+
 @pytest.mark.parametrize("distributions,value", [
     ("2 * uniform(0, 1)", "additive(5)"),
     ("2 * uniform(0, 1)", "symmetric(3)"),
@@ -416,13 +424,155 @@ def test_solver_kind_mismatch_exits_2(tmp_path, command):
     ("2 * uniform(0, 1)", "additive(constant=-1)"),
     ("4 * uniform(0, 1)", "additive([1, -1, 1, 1])"),
     ("2 * uniform(0, 1)", "additive(constant=nan)"),
-    ("2 * uniform(0, 1)", "additive(constant=inf)")])
+    ("2 * uniform(0, 1)", "additive(constant=inf)"),
+    ("2 * uniform(0, 1)", f"additive([1, {LONG_INT}])"),
+    (f"pwcdf([(0, 0), ({LONG_INT}, 1)])", "additive(constant=1)")])
 def test_malformed_literal_exits_2(tmp_path, distributions, value):
     path = _write_config(tmp_path, "[instance]\n"
                          f"distributions = {distributions}\n"
                          f"value = {value}\n"
                          "budget = 1\n")
     assert main(["solve", "--config", path]) == 2
+
+
+@pytest.mark.parametrize("args,pairs", [
+    ("[1, 2,]", False), ("[True, 1]", False), ("[0x10, 1]", False), ('["1", 2]', False),
+    ("(1, 2)", False), ("1, 2", False), ("[- 1, 2]", False), ("[1 2]", False),
+    ("[(0, 0), (1, 1),]", True), ("[[0, 0], [1, 1]]", True), ("[(0, 0, 0), (1, 1)]", True),
+    ("((0, 0), (1, 1))", True), ("[(0, 0), (1, 1)", True), ("[(0, 0) (1, 1)]", True)])
+def test_number_list_takes_only_the_documented_shape(args, pairs):
+    with pytest.raises(ConfigError, match="pwcdf breakpoint list" if pairs else "value list"):
+        if pairs:
+            parse_distribution(f"pwcdf({args})")
+        else:
+            parse_value(f"additive({args})", 2)
+
+
+def _number_token(rng):
+    """A number as a config may write it: repr floats, integers, exponents,
+    signs, underscores and zeros of either sign."""
+    kind = rng.integers(6)
+    sign = str(rng.choice(["", "+", "-"]))
+    if kind == 0:
+        return repr(float(rng.normal()) * 10.0 ** int(rng.integers(-40, 40)))
+    if kind == 1:
+        return sign + str(int(rng.integers(0, 10 ** 6)) * 10 ** int(rng.integers(0, 30)))
+    if kind == 2:
+        whole, part = rng.integers(100), rng.integers(10 ** 4)
+        mantissa = str(rng.choice([f"{part}", f"{whole}.{part}", f".{whole}", f"{whole}."]))
+        return (sign + mantissa + str(rng.choice(["e", "E"])) + str(rng.choice(["", "+", "-"]))
+                + str(rng.integers(0, 330)))
+    if kind == 3:
+        return sign + str(rng.choice(["0", "00", "0.0", "0e0", "0.", ".0", "0_0"]))
+    if kind == 4:
+        return sign + str(rng.choice(["1_000", "2_500.25", "1_0e1_0"]))
+    return sign + repr(abs(float(rng.uniform(0.0, 2.0))))
+
+
+def _spaces(rng):
+    return str(rng.choice(["", "", " ", "  ", "\n", "\n    ", "\t", " \n  "]))
+
+
+def _number_list_text(rng, pairs):
+    def item():
+        if not pairs:
+            return _spaces(rng) + _number_token(rng) + _spaces(rng)
+        c, F = _number_token(rng), _number_token(rng)
+        return (_spaces(rng) + "(" + _spaces(rng) + c + _spaces(rng) + "," + _spaces(rng) + F
+                + _spaces(rng) + ")" + _spaces(rng))
+    return "[" + ",".join(item() for _ in range(int(rng.integers(1, 9)))) + "]"
+
+
+def _bits(numbers):
+    flat = [x for item in numbers for x in (item if isinstance(item, tuple) else (item,))]
+    return [struct.pack("<d", x) for x in flat], [type(item) for item in numbers]
+
+
+@pytest.mark.parametrize("pairs", [False, True])
+def test_number_list_matches_literal_eval_bitwise(pairs):
+    rng = np.random.default_rng(2100 + pairs)
+    for _ in range(400):
+        text = _number_list_text(rng, pairs)
+        tokenized = _number_list(text, "list", pairs)
+        assert _bits(tokenized) == _bits(literal_eval_numbers(text, pairs)), text
+
+
+def _literal_eval_route(text, what, pairs=False):
+    return literal_eval_numbers(text, pairs)
+
+
+def _parsed_numbers(path):
+    cfg = parse_config(path)
+    value = getattr(cfg.value, "values", None) or getattr(cfg.value, "g", None)
+    return repr(cfg.dists), repr(value), repr(cfg.budget)
+
+
+def test_golden_and_readme_configs_parse_as_literal_eval_did(tmp_path, monkeypatch):
+    # (config, the directory its relative paths start from); README's
+    # coverage(coverage.txt) is the golden coverage table
+    configs = [(p, p.parent) for p in sorted(GOLDEN_COVERAGE.parent.glob("*/config.ini"))]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for i, block in enumerate(re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)):
+        configs.append((_write_config(tmp_path, block, f"readme{i}.ini"), GOLDEN_COVERAGE))
+    lists = 0
+    for path, cwd in configs:
+        monkeypatch.chdir(cwd)
+        tokenized = _parsed_numbers(path)
+        with monkeypatch.context() as patched:
+            patched.setattr(config, "_number_list", _literal_eval_route)
+            assert _parsed_numbers(path) == tokenized, path
+        lists += tokenized[0].count("PiecewiseLinearCDF") + (tokenized[1] != "None")
+    assert lists >= 8
+
+
+def test_parse_config_compiles_no_python(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Python source compiled while reading a config")
+
+    path = _write_config(tmp_path, "[instance]\n"
+                         "distributions = 2 * pwcdf([(0, 0), (0.5, 0.2), (0.6, 0.8), (1, 1)]);"
+                         " pwcdf([(0.1, 0), (0.4, 0.3),\n  (1.2, 1)])\n"
+                         "value = additive([1, 1.3, 0.8])\nbudget = 1\n")
+    monkeypatch.setattr(ast, "parse", refuse)
+    monkeypatch.setattr(builtins, "compile", refuse)
+    with pytest.raises(AssertionError, match="compiled"):
+        literal_eval_numbers("[1]")  # the guard catches the old route
+    cfg = parse_config(path)
+    assert cfg.n == 3 and cfg.value.values == (1.0, 1.3, 0.8)
+
+
+def test_spaced_semicolon_on_the_distributions_line_exits_2(tmp_path, capsys):
+    path = _write_config(tmp_path, "[instance]\n"
+                         "distributions = 2 * uniform(0, 1) ; texp(1, 0, 2)\n"
+                         "value = additive(constant=1)\nbudget = 1\n")
+    assert main(["solve", "--config", path]) == 2
+    assert "[instance] distributions" in capsys.readouterr().err
+
+
+SEMICOLON_COMMENTS = """[instance]
+distributions = 2 * uniform(0, 1); texp(1, 0, 2)   # three agents; one texp
+value = additive([1,
+    2 ;the second
+    ; a comment line
+    , 3])   ; three values
+budget = 1 ;one
+[harness]
+out = o\t; a tab; then more
+seed = ;empty
+"""
+
+
+def test_semicolon_comments_cut_as_configparser_cuts_them(tmp_path):
+    cfg = parse_config(_write_config(tmp_path, SEMICOLON_COMMENTS.replace("seed = ;empty\n", "")))
+    assert cfg.n == 3 and cfg.value.values == (1.0, 2.0, 3.0) and cfg.budget == 1.0
+    assert cfg.out == "o"
+    native = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    native.read_string(SEMICOLON_COMMENTS.replace("; texp", ";texp"))
+    ours = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                     interpolation=config._Comments())
+    ours.read_string(SEMICOLON_COMMENTS.replace("; texp", ";texp"))
+    for section in ("instance", "harness"):
+        assert dict(ours[section]) == dict(native[section])
 
 
 @pytest.mark.parametrize("edits,args,key", [

@@ -577,16 +577,30 @@ def _interval_at_grid_index_1():
     return q, np.sqrt(q) * (q < 0.55) + q * q * (q >= 0.55)
 
 
-@pytest.mark.parametrize("make_curve",
-                         [*(functools.partial(_tabulated_curve, d) for d in IRREGULAR),
-                          _interval_at_grid_index_1],
-                         ids=[*(f"prior{k}" for k in range(len(IRREGULAR))), "index1"])
+IRONED_CURVES = pytest.mark.parametrize(
+    "make_curve", [*(functools.partial(_tabulated_curve, d) for d in IRREGULAR),
+                   _interval_at_grid_index_1],
+    ids=[*(f"prior{k}" for k in range(len(IRREGULAR))), "index1"])
+
+
+@IRONED_CURVES
 def test_iron_intervals_match_scan(make_curve):
     q, P = make_curve()
     ic = iron(q, P)
     below = ic.hull < P - CONTACT_TOL * max(1.0, float(P[-1]))
     assert ic.intervals == ironed_intervals_scan(q, below)
     assert all(type(a) is float and type(b) is float for a, b in ic.intervals)
+
+
+@IRONED_CURVES
+def test_interval_containing_matches_scan(make_curve):
+    ic = iron(*make_curve())
+    ends = np.array([x for interval in ic.intervals for x in interval])
+    qs = {0.0, 1.0, *ends.tolist(), *np.nextafter(ends, 0.0).tolist(),
+          *np.nextafter(ends, 1.0).tolist(), *np.linspace(0.0, 1.0, 97).tolist()}
+    for q in sorted(qs) * 2:  # the second pass reads the starts the first one kept
+        assert ic.interval_containing(q) == next(
+            ((a, b) for a, b in ic.intervals if a < q < b), None), q
 
 
 def test_iron_interval_can_start_at_grid_index_1():
