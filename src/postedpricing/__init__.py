@@ -1,8 +1,8 @@
 """Posted-price mechanisms for budget-feasible procurement under cost priors."""
 
 from .distributions import (CostDistribution, IronedCurve,
-                            PiecewiseLinearCDF, PriceLottery,
-                            TruncatedExponential, Uniform, degenerate_lottery,
+                            PiecewiseLinearCDF, PriceLotteries,
+                            TruncatedExponential, Uniform,
                             empirical_from_sample, iron, ironed_curve,
                             two_price_lottery, DEFAULT_GRID)
 from .exante import (ExAnteSolution, discretize, greedy_submodular,

@@ -32,9 +32,11 @@ def _solver_opts(cfg: ExperimentConfig) -> dict:
 
 def solution_record(menu) -> str:
     """One CSV row per agent of a solution or menu (quantiles and lotteries)."""
+    lots = menu.lotteries
     return csv_text(SOLUTION_COLUMNS,
-                    ((i, q, lot.price_lo, lot.price_hi, lot.prob_lo, lot.expected_spend)
-                     for i, (q, lot) in enumerate(zip(menu.quantiles, menu.lotteries))))
+                    zip(range(len(lots)), menu.quantiles.tolist(), lots.price_lo.tolist(),
+                        lots.price_hi.tolist(), lots.prob_lo.tolist(),
+                        lots.expected_spend.tolist()))
 
 
 def _write(out_dir: str, name: str, text: str) -> str:

@@ -20,7 +20,8 @@ comma, no quotes, no `True`, no `0x10`, no `[c, F]` in place of a pair.
 Comments: a `#` or `;` after whitespace starts a comment, as does a line that
 starts with one.  On the distributions line, where `;` separates terms, a
 `;` after whitespace is an error instead, since the comment would drop the
-terms after it; comment that line with `#`.
+terms after it; comment that line with `#`.  Values have no interpolation:
+a `%` is an ordinary character.
 
 Unknown sections or keys are rejected so typos cannot silently change an
 experiment, and so is a key the configured run never reads (a greedy-only
@@ -77,8 +78,9 @@ _PAIR_LIST_RE = re.compile(rf"\[\s*(?:{_PAIR}(?:\s*,\s*{_PAIR})*\s*)?\]")
 _SEMICOLON_COMMENT_RE = re.compile(r";(?<=(?<!\S);).*")
 
 
-class _Comments(configparser.BasicInterpolation):
-    """configparser's interpolation, on values whose `;` comments are cut.
+class _Comments(configparser.Interpolation):
+    """No interpolation (a `%` is read as itself), on values whose `;`
+    comments are cut.
 
     configparser cuts `#` comments itself.  On the distributions line a `;`
     comment is a ConfigError instead, since `;` also separates terms there."""

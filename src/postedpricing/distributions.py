@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -523,47 +523,60 @@ ironed_curve.cache_info, ironed_curve.cache_clear = _ironed.cache_info, _ironed.
 # Price lotteries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PriceLottery:
-    """Offer price_lo with probability prob_lo, else price_hi.
+@dataclass(frozen=True, eq=False)
+class PriceLotteries:
+    """Every agent's price lottery as five read-only columns: agent i is
+    offered price_lo[i] with probability prob_lo[i], else price_hi[i], which
+    it accepts with probability q_lo[i] = F(price_lo[i]), else q_hi[i].  A
+    degenerate row offers its one price, price_lo[i]."""
 
-    q_lo and q_hi are the acceptance probabilities F(price_lo), F(price_hi);
-    the induced overall acceptance probability is the target quantile.
-    """
-
-    price_lo: float
-    price_hi: float
-    prob_lo: float
-    q_lo: float
-    q_hi: float
+    price_lo: np.ndarray
+    price_hi: np.ndarray
+    prob_lo: np.ndarray
+    q_lo: np.ndarray
+    q_hi: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.prob_lo <= 1.0:
+        cols = [np.array(getattr(self, f.name), dtype=float) for f in fields(self)]
+        if cols[0].ndim != 1 or any(c.shape != cols[0].shape for c in cols):
+            raise ValueError("every lottery column needs one entry per agent")
+        price_lo, price_hi, prob_lo = cols[:3]
+        if not np.all((0.0 <= prob_lo) & (prob_lo <= 1.0)):
             raise ValueError("prob_lo must lie in [0, 1]")
-        if self.price_lo > self.price_hi + 1e-12:
+        if np.any(price_lo > price_hi + 1e-12):
             raise ValueError("price_lo must not exceed price_hi")
+        for f, col in zip(fields(self), cols):
+            col.flags.writeable = False
+            object.__setattr__(self, f.name, col)
+
+    def __len__(self) -> int:
+        return len(self.price_lo)
+
+    def with_rows(self, rows: dict) -> PriceLotteries:
+        """A copy in which agent i offers rows[i], five numbers in column
+        order, for every i of rows."""
+        table = np.array([getattr(self, f.name) for f in fields(self)])
+        for i, row in rows.items():
+            table[:, i] = row
+        return PriceLotteries(*table)
 
     @property
-    def degenerate(self) -> bool:
-        return self.prob_lo >= 1.0 or self.price_lo == self.price_hi
+    def degenerate(self) -> np.ndarray:
+        return (self.prob_lo >= 1.0) | (self.price_lo == self.price_hi)
 
     @property
-    def expected_spend(self) -> float:
+    def expected_spend(self) -> np.ndarray:
         return (self.prob_lo * self.q_lo * self.price_lo
                 + (1.0 - self.prob_lo) * self.q_hi * self.price_hi)
 
     @property
-    def max_price(self) -> float:
-        return self.price_lo if self.degenerate else max(self.price_lo, self.price_hi)
+    def max_price(self) -> np.ndarray:
+        return np.where(self.degenerate, self.price_lo, np.maximum(self.price_lo, self.price_hi))
 
 
-def degenerate_lottery(dist: CostDistribution, q: float) -> PriceLottery:
-    p = float(dist.inverse_cdf(q))
-    return PriceLottery(price_lo=p, price_hi=p, prob_lo=1.0, q_lo=q, q_hi=q)
-
-
-def two_price_lottery(ic: IronedCurve, dist: CostDistribution, q: float) -> PriceLottery:
-    """Lottery achieving acceptance probability q at expected spend hull(q).
+def two_price_lottery(ic: IronedCurve, dist: CostDistribution, q: float) -> tuple:
+    """The PriceLotteries row (price_lo, price_hi, prob_lo, q_lo, q_hi) of the
+    lottery achieving acceptance probability q at expected spend hull(q).
 
     Quantiles where the hull touches the curve get a single deterministic
     price F^{-1}(q); quantiles strictly inside an ironed interval (a, b) mix
@@ -573,9 +586,8 @@ def two_price_lottery(ic: IronedCurve, dist: CostDistribution, q: float) -> Pric
         raise ValueError("quantile must lie in [0, 1]")
     interval = ic.interval_containing(q)
     if interval is None:
-        return degenerate_lottery(dist, q)
+        p = float(dist.inverse_cdf(q))
+        return p, p, 1.0, q, q
     a, b = interval
-    prob_lo = (b - q) / (b - a)
-    return PriceLottery(price_lo=float(dist.inverse_cdf(a)),
-                        price_hi=float(dist.inverse_cdf(b)),
-                        prob_lo=prob_lo, q_lo=a, q_hi=b)
+    return (float(dist.inverse_cdf(a)), float(dist.inverse_cdf(b)),
+            (b - q) / (b - a), a, b)

@@ -20,7 +20,8 @@ for its step gains (ValueFunction.marginal_gains): exact for additive,
 symmetric and coverage values; a black-box oracle samples them, `samples`
 draws per greedy step shared by every candidate of the step.  All three
 solvers return through one constructor that sums the hull spend in agent
-order, builds the lotteries and names the solver in solver_meta['solver'].
+order, stacks each agent's two_price_lottery row into one PriceLotteries
+table and names the solver in solver_meta['solver'].
 Solvers are pure functions of their inputs and seed.
 """
 
@@ -30,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DEFAULT_GRID, ironed_curve, two_price_lottery
+from .distributions import (DEFAULT_GRID, PriceLotteries, ironed_curve,
+                            two_price_lottery)
 from .values import (AdditiveValue, SymmetricValue, ValueFunction,
                      concave_hull_sizes)
 
@@ -42,7 +44,7 @@ class ExAnteSolution:
     """Optimal acceptance probabilities with their realizing price offers."""
 
     quantiles: np.ndarray
-    lotteries: tuple          # one PriceLottery per agent
+    lotteries: PriceLotteries  # one row per agent
     expected_spend: float
     objective: float
     solver_meta: dict
@@ -72,8 +74,8 @@ def _solution(solver, hulls, dists, quantiles, objective, meta) -> ExAnteSolutio
     realizing lotteries, the quantiles frozen, and the solver's name in
     solver_meta['solver']."""
     spend = float(sum(_hull_values(hulls, quantiles).tolist()))
-    lotteries = tuple(two_price_lottery(h, d, float(q))
-                      for h, d, q in zip(hulls, dists, quantiles))
+    rows = [two_price_lottery(h, d, q) for h, d, q in zip(hulls, dists, quantiles.tolist())]
+    lotteries = PriceLotteries(*np.array(rows, dtype=float).reshape(-1, 5).T)
     quantiles.flags.writeable = False
     return ExAnteSolution(quantiles=quantiles, lotteries=lotteries,
                           expected_spend=spend, objective=float(objective),

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import (DEFAULT_GRID, PriceLottery, ironed_curve,
+from .distributions import (DEFAULT_GRID, PriceLotteries, ironed_curve,
                             two_price_lottery)
 from .exante import ExAnteSolution, solve_ex_ante, solver_kind
 from .values import AdditiveValue, ValueFunction
@@ -37,15 +37,15 @@ MECHANISM_ORDERS = {"sequential": "bang-per-buck", "oblivious": "worst-of-sample
 
 @dataclass(frozen=True, eq=False)
 class PriceMenu:
-    """Per-agent price lotteries plus the order policy they run in.
+    """Every agent's price lottery plus the order policy they run in.
 
-    quantiles[i] is the overall acceptance probability of agent i's lottery;
+    quantiles[i] is the overall acceptance probability of lotteries row i;
     agents with quantile 0 are never offered.  ordering_policy names an
     ORDER_POLICIES entry, or "external" when callers always name the order.
     epsilon records the budget shrink used for order-oblivious execution.
     """
 
-    lotteries: tuple
+    lotteries: PriceLotteries
     quantiles: np.ndarray
     ordering_policy: str = "external"
     epsilon: float | None = None
@@ -55,11 +55,11 @@ class PriceMenu:
         if self.ordering_policy not in ORDER_POLICIES + ("external",):
             raise ValueError(f"unknown ordering policy {self.ordering_policy!r}")
         q = np.asarray(self.quantiles, dtype=float)
-        if len(self.lotteries) != len(q):
+        lots = self.lotteries
+        if q.shape != (len(lots),):
             raise ValueError("one lottery per agent required")
-        for lot, qi in zip(self.lotteries, q):
-            if qi > 0 and min(lot.price_lo, lot.price_hi) <= 0.0:
-                raise ValueError("prices must be positive wherever the quantile is positive")
+        if np.any((q > 0) & ((lots.price_lo <= 0.0) | (lots.price_hi <= 0.0))):
+            raise ValueError("prices must be positive wherever the quantile is positive")
         q.flags.writeable = False
         object.__setattr__(self, "quantiles", q)
 
@@ -69,8 +69,7 @@ class PriceMenu:
 
     @property
     def randomized_agents(self) -> tuple:
-        return tuple(i for i, lot in enumerate(self.lotteries)
-                     if self.quantiles[i] > 0 and not lot.degenerate)
+        return tuple(np.flatnonzero((self.quantiles > 0) & ~self.lotteries.degenerate).tolist())
 
     @property
     def has_lotteries(self) -> bool:
@@ -101,10 +100,8 @@ class MarketSize:
 
 
 def market_size(menu: PriceMenu, budget: float) -> MarketSize:
-    prices = [lot.max_price for lot, q in zip(menu.lotteries, menu.quantiles) if q > 0]
-    if not prices:
-        return MarketSize(k=math.inf)
-    return MarketSize(k=budget / max(prices))
+    prices = menu.lotteries.max_price[menu.quantiles > 0]
+    return MarketSize(k=budget / float(prices.max()) if prices.size else math.inf)
 
 
 def menu_from_solution(sol: ExAnteSolution, ordering_policy: str = "external",
@@ -180,15 +177,13 @@ def realize_prices(menu: PriceMenu, rng, trials: int) -> np.ndarray:
     draw, in index order, and gets its low price where the draw is below
     prob_lo; every other agent draws nothing.
     """
+    lots = menu.lotteries
     prices = np.full((menu.n, trials), np.nan)
-    for i, (lot, q) in enumerate(zip(menu.lotteries, menu.quantiles)):
-        if q <= 0:
-            continue
-        if lot.degenerate:
-            prices[i] = lot.price_lo
-        else:
-            u = rng.random(trials)
-            prices[i] = np.where(u < lot.prob_lo, lot.price_lo, lot.price_hi)
+    fixed = (menu.quantiles > 0) & lots.degenerate
+    prices[fixed] = lots.price_lo[fixed, None]
+    for i in menu.randomized_agents:
+        u = rng.random(trials)
+        prices[i] = np.where(u < lots.prob_lo[i], lots.price_lo[i], lots.price_hi[i])
     return prices
 
 
@@ -430,7 +425,7 @@ def reduce_lottery_pairs(menu: PriceMenu, dists, values,
         raise ValueError("one value per agent required")
     hulls = [ironed_curve(d, grid_size) for d in dists]
     q = np.array(menu.quantiles, dtype=float)
-    lots = list(menu.lotteries)
+    lots = menu.lotteries
 
     def slope_at(i):
         h = hulls[i]
@@ -440,14 +435,10 @@ def reduce_lottery_pairs(menu: PriceMenu, dists, values,
 
     randomized = list(menu.randomized_agents)
     while len(randomized) >= 2:
-        rates = [(slope_at(i) / values[i] if values[i] > 0 else math.inf, i)
-                 for i in randomized]
-        rates.sort()
-        lo_i = rates[0][1]
-        hi_i = rates[-1][1]
-        b_lo = lots[lo_i].q_hi
-        a_hi = lots[hi_i].q_lo
-        b_hi = lots[hi_i].q_hi
+        rates = sorted((slope_at(i) / values[i] if values[i] > 0 else math.inf, i)
+                       for i in randomized)
+        lo_i, hi_i = rates[0][1], rates[-1][1]
+        b_lo, a_hi, b_hi = lots.q_hi[lo_i], lots.q_lo[hi_i], lots.q_hi[hi_i]
         s_lo, s_hi = slope_at(lo_i), slope_at(hi_i)
         if s_hi <= 0.0:
             # a free segment: fill it outright, no spend change
@@ -462,12 +453,12 @@ def reduce_lottery_pairs(menu: PriceMenu, dists, values,
                 q[lo_i] = b_lo
             if abs(q[hi_i] - a_hi) < 1e-12:
                 q[hi_i] = a_hi
-        for i in (lo_i, hi_i):
-            lots[i] = two_price_lottery(hulls[i], dists[i], float(q[i]))
-        randomized = [i for i in randomized
-                      if q[i] > 0 and not lots[i].degenerate]
+        lots = lots.with_rows({i: two_price_lottery(hulls[i], dists[i], float(q[i]))
+                               for i in (lo_i, hi_i)})
+        degenerate = lots.degenerate
+        randomized = [i for i in randomized if q[i] > 0 and not degenerate[i]]
 
-    return replace(menu, lotteries=tuple(lots), quantiles=q)
+    return replace(menu, lotteries=lots, quantiles=q)
 
 
 def derandomize_additive(menu: PriceMenu, dists, values, budget: float,
@@ -481,23 +472,20 @@ def derandomize_additive(menu: PriceMenu, dists, values, budget: float,
     draws.
     """
     values = np.asarray(values, dtype=float)
-    if len(values) != menu.n:
-        raise ValueError("one value per agent required")
     if samples < 1:
         raise ValueError("samples must be positive")
     reduced = reduce_lottery_pairs(menu, dists, values, grid_size=grid_size)
     randomized = list(reduced.randomized_agents)
     q = np.array(reduced.quantiles, dtype=float)
-    lots = list(reduced.lotteries)
+    lots = reduced.lotteries
 
     if randomized:
         i = randomized[0]
-        lot = lots[i]
         rng = np.random.default_rng(seed)
-        other_prices = np.array([l.price_lo for l in lots])
+        other_prices = lots.price_lo.copy()
         other_q = q.copy()
-        best_price, best_q, best_val = lot.price_lo, lot.q_lo, -math.inf
-        for price, q_i in ((lot.price_lo, lot.q_lo), (lot.price_hi, lot.q_hi)):
+        best_price, best_q, best_val = lots.price_lo[i], lots.q_lo[i], -math.inf
+        for price, q_i in ((lots.price_lo[i], lots.q_lo[i]), (lots.price_hi[i], lots.q_hi[i])):
             other_prices[i] = price
             other_q[i] = q_i
             draws = rng.random((samples, reduced.n)) < other_q
@@ -505,7 +493,6 @@ def derandomize_additive(menu: PriceMenu, dists, values, budget: float,
             if mean > best_val:
                 best_price, best_val, best_q = price, mean, q_i
         q[i] = best_q
-        lots[i] = PriceLottery(price_lo=best_price, price_hi=best_price,
-                               prob_lo=1.0, q_lo=best_q, q_hi=best_q)
+        lots = lots.with_rows({i: (best_price, best_price, 1.0, best_q, best_q)})
 
-    return replace(reduced, lotteries=tuple(lots), quantiles=q)
+    return replace(reduced, lotteries=lots, quantiles=q)

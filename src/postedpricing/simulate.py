@@ -205,9 +205,7 @@ def overflow_probability(menu: PriceMenu, budget: float, k: float,
                          trials: int = DEFAULT_TRIALS, seed=None) -> OverflowEstimate:
     """Chance that the spend of all would-be accepters exceeds (1 - 1/k) B.
 
-    The lottery agents' prices come from realize_prices on a menu of those
-    agents alone (the same draws it makes on the whole menu); a degenerate
-    lottery's price is its one price.  Then each offered agent, in index
+    The prices come from realize_prices.  Then each offered agent, in index
     order, takes one rng.random(trials) acceptance draw against the
     acceptance probability of her realized price (the menu quantile for a
     degenerate lottery).  The analytic ceiling uses the menu's recorded
@@ -217,20 +215,14 @@ def overflow_probability(menu: PriceMenu, budget: float, k: float,
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(seed)
     threshold = (1.0 - 1.0 / k) * budget
-    randomized = menu.randomized_agents
-    lottery_menu = PriceMenu(lotteries=tuple(menu.lotteries[i] for i in randomized),
-                             quantiles=menu.quantiles[list(randomized)])
-    lottery_prices = dict(zip(randomized, realize_prices(lottery_menu, rng, trials)))
+    prices = realize_prices(menu, rng, trials)
+    lots, q = menu.lotteries, menu.quantiles
+    degenerate = lots.degenerate
     total = np.zeros(trials)
-    for i, (lot, q) in enumerate(zip(menu.lotteries, menu.quantiles)):
-        if q <= 0:
-            continue
-        if lot.degenerate:
-            price, acc_q = lot.price_lo, q
-        else:
-            price = lottery_prices[i]
-            acc_q = np.where(price == lot.price_lo, lot.q_lo, lot.q_hi)
-        total += price * (rng.random(trials) < acc_q)
+    for i in np.flatnonzero(q > 0).tolist():
+        acc_q = q[i] if degenerate[i] else np.where(prices[i] == lots.price_lo[i],
+                                                    lots.q_lo[i], lots.q_hi[i])
+        total += prices[i] * (rng.random(trials) < acc_q)
     hits = total > threshold
     p_hat = float(hits.mean())
     stderr = float(math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials))

@@ -10,6 +10,7 @@ solver tests share.
 
 import ast
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -179,15 +180,17 @@ def select_within_budget_masks(prices, accepts, order, budget):
 def realize_prices_trial_major(menu, rng, trials):
     """mechanism.realize_prices as it was while batches were trial-major: a
     (trials, n) batch, one column per agent, from the same draws."""
+    lots = menu.lotteries
+    degenerate = lots.degenerate
     prices = np.full((trials, menu.n), np.nan)
-    for i, (lot, q) in enumerate(zip(menu.lotteries, menu.quantiles)):
+    for i, q in enumerate(menu.quantiles):
         if q <= 0:
             continue
-        if lot.degenerate:
-            prices[:, i] = lot.price_lo
+        if degenerate[i]:
+            prices[:, i] = lots.price_lo[i]
         else:
             u = rng.random(trials)
-            prices[:, i] = np.where(u < lot.prob_lo, lot.price_lo, lot.price_hi)
+            prices[:, i] = np.where(u < lots.prob_lo[i], lots.price_lo[i], lots.price_hi[i])
     return prices
 
 
@@ -240,12 +243,15 @@ def overflow_probability_full_matrix(menu, budget, k, trials, seed=None):
     rng = np.random.default_rng(seed)
     threshold = (1.0 - 1.0 / k) * budget
     prices = realize_prices_trial_major(menu, rng, trials)
+    lots = menu.lotteries
+    degenerate = lots.degenerate
     total = np.zeros(trials)
-    for i, (lot, q) in enumerate(zip(menu.lotteries, menu.quantiles)):
+    for i, q in enumerate(menu.quantiles):
         if q <= 0:
             continue
         price = prices[:, i]
-        acc_q = q if lot.degenerate else np.where(price == lot.price_lo, lot.q_lo, lot.q_hi)
+        acc_q = q if degenerate[i] else np.where(price == lots.price_lo[i],
+                                                 lots.q_lo[i], lots.q_hi[i])
         total += price * (rng.random(trials) < acc_q)
     hits = total > threshold
     p_hat = float(hits.mean())
@@ -256,28 +262,30 @@ def overflow_probability_full_matrix(menu, budget, k, trials, seed=None):
 
 def mechanism_expectation(lotteries, quantilemask, vf, order, budget):
     """Exact expected value of the walk over lottery branches and acceptance
-    patterns; quantilemask marks agents that are offered at all."""
+    patterns for the rows of a PriceLotteries; quantilemask marks agents
+    that are offered at all."""
     n = len(lotteries)
-    rand_idx = [i for i in range(n) if quantilemask[i] and lotteries[i].prob_lo < 1.0]
+    price_lo, price_hi, prob_lo, q_lo, q_hi = (getattr(lotteries, c).tolist()
+                                               for c in LOTTERY_COLUMNS)
+    rand_idx = [i for i in range(n) if quantilemask[i] and prob_lo[i] < 1.0]
     total = 0.0
     for branch in product((0, 1), repeat=len(rand_idx)):
         pb = 1.0
         prices = []
         accept_prob = []
         for i in range(n):
-            lot = lotteries[i]
             if not quantilemask[i]:
                 prices.append(float("nan"))
                 accept_prob.append(0.0)
                 continue
             if i in rand_idx:
                 hi = branch[rand_idx.index(i)]
-                pb *= (1.0 - lot.prob_lo) if hi else lot.prob_lo
-                prices.append(lot.price_hi if hi else lot.price_lo)
-                accept_prob.append(lot.q_hi if hi else lot.q_lo)
+                pb *= (1.0 - prob_lo[i]) if hi else prob_lo[i]
+                prices.append(price_hi[i] if hi else price_lo[i])
+                accept_prob.append(q_hi[i] if hi else q_lo[i])
             else:
-                prices.append(lot.price_lo)
-                accept_prob.append(lot.q_lo)
+                prices.append(price_lo[i])
+                accept_prob.append(q_lo[i])
         for mask in range(1 << n):
             pa = pb
             accepts = [False] * n
@@ -370,6 +378,161 @@ def cost_curve(dist, grid_size=DEFAULT_GRID):
 def lottery_quantile(lot):
     """The acceptance probability a price lottery induces."""
     return lot.prob_lo * lot.q_lo + (1.0 - lot.prob_lo) * lot.q_hi
+
+
+# ---------------------------------------------------------------------------
+# Price lotteries one object per agent: the library's route before it held a
+# menu's lotteries as the five columns of one distributions.PriceLotteries
+# ---------------------------------------------------------------------------
+
+LOTTERY_COLUMNS = ("price_lo", "price_hi", "prob_lo", "q_lo", "q_hi")
+
+
+@dataclass(frozen=True)
+class PriceLottery:
+    """Offer price_lo with probability prob_lo, else price_hi.
+
+    q_lo and q_hi are the acceptance probabilities F(price_lo), F(price_hi);
+    the induced overall acceptance probability is the target quantile.
+    """
+
+    price_lo: float
+    price_hi: float
+    prob_lo: float
+    q_lo: float
+    q_hi: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.prob_lo <= 1.0:
+            raise ValueError("prob_lo must lie in [0, 1]")
+        if self.price_lo > self.price_hi + 1e-12:
+            raise ValueError("price_lo must not exceed price_hi")
+
+    @property
+    def degenerate(self) -> bool:
+        return self.prob_lo >= 1.0 or self.price_lo == self.price_hi
+
+    @property
+    def expected_spend(self) -> float:
+        return (self.prob_lo * self.q_lo * self.price_lo
+                + (1.0 - self.prob_lo) * self.q_hi * self.price_hi)
+
+    @property
+    def max_price(self) -> float:
+        return self.price_lo if self.degenerate else max(self.price_lo, self.price_hi)
+
+
+def degenerate_lottery(dist, q):
+    p = float(dist.inverse_cdf(q))
+    return PriceLottery(price_lo=p, price_hi=p, prob_lo=1.0, q_lo=q, q_hi=q)
+
+
+def two_price_lottery(ic, dist, q):
+    """distributions.two_price_lottery as one PriceLottery object."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("quantile must lie in [0, 1]")
+    interval = ic.interval_containing(q)
+    if interval is None:
+        return degenerate_lottery(dist, q)
+    a, b = interval
+    prob_lo = (b - q) / (b - a)
+    return PriceLottery(price_lo=float(dist.inverse_cdf(a)),
+                        price_hi=float(dist.inverse_cdf(b)),
+                        prob_lo=prob_lo, q_lo=a, q_hi=b)
+
+
+def lottery_columns(lotteries):
+    """The five columns, as float64 bytes, of a PriceLotteries or of a
+    sequence of PriceLottery objects, and the three derived ones
+    (degenerate, expected_spend, max_price): equal tuples are equal bit for
+    bit."""
+    columns = LOTTERY_COLUMNS + ("degenerate", "expected_spend", "max_price")
+    if isinstance(lotteries, (list, tuple)):
+        return tuple(np.array([getattr(lot, c) for lot in lotteries]).tobytes()
+                     for c in columns)
+    return tuple(getattr(lotteries, c).tobytes() for c in columns)
+
+
+def lottery_objects(lotteries):
+    """The rows of a PriceLotteries as a list of PriceLottery objects."""
+    return [PriceLottery(*row)
+            for row in zip(*(getattr(lotteries, c).tolist() for c in LOTTERY_COLUMNS))]
+
+
+def menu_of(lotteries, quantiles, **kw):
+    """A PriceMenu offering agent i the PriceLottery lotteries[i]."""
+    from postedpricing import PriceLotteries, PriceMenu
+
+    cols = [[getattr(lot, c) for lot in lotteries] for c in LOTTERY_COLUMNS]
+    return PriceMenu(lotteries=PriceLotteries(*cols),
+                     quantiles=np.asarray(quantiles, dtype=float), **kw)
+
+
+def _slope_at(h, q):
+    seg = min(int(np.searchsorted(h.quantiles, q, side="right")) - 1, len(h.slopes) - 1)
+    return float(h.slopes[max(seg, 0)])
+
+
+def reduce_lottery_pairs_per_agent(lots, quantiles, dists, values, grid_size=DEFAULT_GRID):
+    """mechanism.reduce_lottery_pairs on a list of PriceLottery objects, one
+    rebuilt per moved agent: (lotteries, quantiles)."""
+    from postedpricing import ironed_curve
+
+    values = np.asarray(values, dtype=float)
+    hulls = [ironed_curve(d, grid_size) for d in dists]
+    q = np.array(quantiles, dtype=float)
+    lots = list(lots)
+    randomized = [i for i, lot in enumerate(lots) if q[i] > 0 and not lot.degenerate]
+    while len(randomized) >= 2:
+        rates = sorted((_slope_at(hulls[i], q[i]) / values[i] if values[i] > 0 else math.inf, i)
+                       for i in randomized)
+        lo_i, hi_i = rates[0][1], rates[-1][1]
+        b_lo, a_hi, b_hi = lots[lo_i].q_hi, lots[hi_i].q_lo, lots[hi_i].q_hi
+        s_lo, s_hi = _slope_at(hulls[lo_i], q[lo_i]), _slope_at(hulls[hi_i], q[hi_i])
+        if s_hi <= 0.0:
+            q[hi_i] = b_hi
+        else:
+            room_up = b_lo - q[lo_i]
+            room_dn = (q[hi_i] - a_hi) * s_hi / s_lo if s_lo > 0 else math.inf
+            dq = min(room_up, room_dn)
+            q[lo_i] += dq
+            q[hi_i] -= dq * s_lo / s_hi
+            if abs(q[lo_i] - b_lo) < 1e-12:
+                q[lo_i] = b_lo
+            if abs(q[hi_i] - a_hi) < 1e-12:
+                q[hi_i] = a_hi
+        for i in (lo_i, hi_i):
+            lots[i] = two_price_lottery(hulls[i], dists[i], float(q[i]))
+        randomized = [i for i in randomized if q[i] > 0 and not lots[i].degenerate]
+    return lots, q
+
+
+def derandomize_additive_per_agent(lots, quantiles, dists, values, budget, samples=10_000,
+                                   seed=None, grid_size=DEFAULT_GRID):
+    """mechanism.derandomize_additive on a list of PriceLottery objects:
+    (lotteries, quantiles)."""
+    from postedpricing.mechanism import _mean_knapsack_value
+
+    values = np.asarray(values, dtype=float)
+    lots, q = reduce_lottery_pairs_per_agent(lots, quantiles, dists, values, grid_size)
+    randomized = [i for i, lot in enumerate(lots) if q[i] > 0 and not lot.degenerate]
+    if randomized:
+        i = randomized[0]
+        lot = lots[i]
+        rng = np.random.default_rng(seed)
+        other_prices = np.array([l.price_lo for l in lots])
+        other_q = q.copy()
+        best_price, best_q, best_val = lot.price_lo, lot.q_lo, -math.inf
+        for price, q_i in ((lot.price_lo, lot.q_lo), (lot.price_hi, lot.q_hi)):
+            other_prices[i] = price
+            other_q[i] = q_i
+            draws = rng.random((samples, len(lots))) < other_q
+            mean = _mean_knapsack_value(values, other_prices, budget, draws)
+            if mean > best_val:
+                best_price, best_val, best_q = price, mean, q_i
+        q[i] = best_q
+        lots[i] = PriceLottery(best_price, best_price, 1.0, best_q, best_q)
+    return lots, q
 
 
 class SampledCoverageValue(CoverageValue):

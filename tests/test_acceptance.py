@@ -29,7 +29,7 @@ def test_c01_uniform_market_reproduction():
     t0 = time.time()
     sol = pp.solve_additive([U01] * 16, [1.0] * 16, 4.0)
     ok = (np.all(np.abs(sol.quantiles - 0.5) <= 1e-6)
-          and all(abs(l.price_lo - 0.5) <= 1e-6 for l in sol.lotteries)
+          and np.all(np.abs(sol.lotteries.price_lo - 0.5) <= 1e-6)
           and abs(sol.expected_spend - 4.0) <= 1e-6)
     _report(1, "16-agent uniform market: price 0.5, spend 4.0", ok,
             time.time() - t0, 1.0,
@@ -220,11 +220,11 @@ def test_c08_ironing_property_suite():
             ok &= abs(ic.hull_at(b) - pb) <= 2e-9 * scale
         a, b = ic.intervals[0]
         q = 0.5 * (a + b)
-        lot = pp.two_price_lottery(ic, d, q)
+        price_lo, price_hi, prob_lo, _, _ = pp.two_price_lottery(ic, d, q)
         trials = 100_000
         r2 = np.random.default_rng(9000 + checked)
         u = r2.random(trials)
-        prices = np.where(u < lot.prob_lo, lot.price_lo, lot.price_hi)
+        prices = np.where(u < prob_lo, price_lo, price_hi)
         costs = d.inverse_cdf(r2.random(trials))
         accepted = costs <= prices
         freq = accepted.mean()

@@ -157,6 +157,16 @@ def test_cmd_solve_bad_config_exits_2(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "missing.ini")]) == 2
 
 
+def test_percent_in_a_value_is_read_literally(tmp_path, capsys):
+    # values have no interpolation: `%` is an ordinary character and `%%`
+    # is two of them
+    path = _write_config(tmp_path, EXAMPLE1.format(out=tmp_path / "o%x"))
+    assert main(["solve", "--config", path]) == 0
+    assert (tmp_path / "o%x" / "solution.csv").is_file()
+    path = _write_config(tmp_path, EXAMPLE1.format(out="a%%b%(c)s"), "twice.ini")
+    assert parse_config(path).out == "a%%b%(c)s"
+
+
 def test_cmd_simulate_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     path = _write_config(tmp_path, EXAMPLE1.format(out=out1))

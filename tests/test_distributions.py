@@ -13,9 +13,10 @@ from postedpricing import distributions
 from postedpricing.distributions import (CONTACT_TOL, DEFAULT_GRID,
                                          _lower_hull_vertices)
 
-from oracles import (chord_hull_lower, cost_curve, finite_difference_virtual_cost,
-                     interp_hull, ironed_intervals_scan, irregular_priors,
-                     lottery_quantile, masked_inverse_cdf, monotone_chain_scalars)
+from oracles import (PriceLottery, chord_hull_lower, cost_curve,
+                     finite_difference_virtual_cost, interp_hull, ironed_intervals_scan,
+                     irregular_priors, lottery_quantile, masked_inverse_cdf,
+                     monotone_chain_scalars)
 
 
 def test_uniform_cdf_identity():
@@ -230,7 +231,7 @@ def test_iron_single_dip_gives_one_interval():
 def test_lottery_regular_is_degenerate():
     d = Uniform(0, 1)
     ic = ironed_curve(d)
-    lot = two_price_lottery(ic, d, 0.37)
+    lot = PriceLottery(*two_price_lottery(ic, d, 0.37))
     assert lot.degenerate
     assert lot.price_lo == pytest.approx(0.37)
 
@@ -239,7 +240,7 @@ def test_lottery_at_interval_endpoint_is_degenerate():
     d = PiecewiseLinearCDF(((0.0, 0.0), (0.2, 0.5), (0.8, 0.6), (1.0, 1.0)))
     ic = ironed_curve(d)
     a, b = ic.intervals[0]
-    lot = two_price_lottery(ic, d, a)
+    lot = PriceLottery(*two_price_lottery(ic, d, a))
     assert lot.degenerate
     assert lot.price_lo == pytest.approx(float(d.inverse_cdf(a)))
 
@@ -250,7 +251,7 @@ def test_lottery_midpoint_mixes_evenly():
     curve = cost_curve(d)
     a, b = ic.intervals[0]
     q = 0.5 * (a + b)
-    lot = two_price_lottery(ic, d, q)
+    lot = PriceLottery(*two_price_lottery(ic, d, q))
     assert lot.prob_lo == pytest.approx(0.5)
     pa, pb = np.interp([a, b], ic.quantiles, curve)
     assert lot.expected_spend == pytest.approx(0.5 * (pa + pb), abs=1e-9)
@@ -295,7 +296,7 @@ def test_property_lottery_monte_carlo(seed):
     ic = ironed_curve(d)
     a, b = ic.intervals[0]
     q = float(rng.uniform(a + 1e-6, b - 1e-6))
-    lot = two_price_lottery(ic, d, q)
+    lot = PriceLottery(*two_price_lottery(ic, d, q))
     trials = 40_000
     u = rng.random(trials)
     prices = np.where(u < lot.prob_lo, lot.price_lo, lot.price_hi)

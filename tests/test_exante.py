@@ -13,7 +13,8 @@ from postedpricing import (AdditiveValue, CoverageValue, OracleValue,
 from postedpricing.exante import SOLVER_KINDS, _hull_values, _search_multiplier
 
 from oracles import (bisect_multiplier, brute_multilinear, discretize_loop,
-                     grid_oracle_additive, interp_spend_sum, irregular_priors)
+                     grid_oracle_additive, interp_spend_sum, irregular_priors,
+                     lottery_columns, two_price_lottery)
 
 U01 = Uniform(0, 1)
 
@@ -22,7 +23,7 @@ def test_solve_additive_balanced_uniform_market():
     sol = solve_additive([U01] * 16, [1.0] * 16, 4.0)
     assert np.allclose(sol.quantiles, 0.5, atol=1e-9)
     assert sol.expected_spend == pytest.approx(4.0, abs=1e-6)
-    assert all(l.price_lo == pytest.approx(0.5, abs=1e-9) for l in sol.lotteries)
+    assert np.allclose(sol.lotteries.price_lo, 0.5, atol=1e-9)
     assert sol.objective == pytest.approx(8.0, abs=1e-6)
 
 
@@ -83,7 +84,7 @@ def test_solve_additive_bits_pinned_on_irregular_market(share, quantiles_sha256,
     assert hashlib.sha256(sol.quantiles.tobytes()).hexdigest() == quantiles_sha256
     assert sol.expected_spend.hex() == spend_hex
     assert sol.solver_meta["lambda"].hex() == lambda_hex
-    assert sum(not lot.degenerate for lot in sol.lotteries) == lotteries
+    assert int((~sol.lotteries.degenerate).sum()) == lotteries
 
 
 SEARCH_SHARES = (0.001, 0.01, 0.05, 0.2, 0.5, 0.8, 0.95, 0.99, 0.999)
@@ -426,7 +427,7 @@ def test_each_solver_names_itself():
 def test_solution_spend_matches_lottery_accounting():
     d = PiecewiseLinearCDF(((0.0, 0.0), (0.2, 0.5), (0.8, 0.6), (1.0, 1.0)))
     sol = solve_additive([d, U01], [1.0, 1.0], 0.6)
-    per_agent = sum(l.expected_spend for l in sol.lotteries)
+    per_agent = sum(sol.lotteries.expected_spend.tolist())
     assert per_agent == pytest.approx(sol.expected_spend, abs=1e-6)
 
 
@@ -442,6 +443,33 @@ def test_solution_spend_matches_per_agent_interp_sum(seed):
         assert sol.expected_spend == interp_spend_sum(hulls, sol.quantiles)
     grd = greedy_submodular(dists[:6], AdditiveValue(values[:6]), 0.3 * full / 5, m=24)
     assert grd.expected_spend == interp_spend_sum(hulls[:6], grd.quantiles)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_solution_lotteries_match_the_per_agent_route_bitwise(seed):
+    # the five columns and degenerate, expected_spend and max_price against
+    # one PriceLottery per agent at the solution's quantiles; greedy leaves
+    # more agents inside ironed intervals than the Lagrangian solver
+    dists = irregular_priors(seed, 48)[1::2]  # 24 kinked pwcdf priors
+    values = np.random.default_rng(seed).uniform(0.5, 2.0, 24)
+    full = sum(ironed_curve(d).total_spend for d in dists)
+    g = tuple(float(s) ** 0.5 for s in range(25))
+    sols = [(solve_additive(dists, values, share * full), dists)
+            for share in np.linspace(0.05, 0.75, 8)]
+    for d in dists[:4]:
+        # a shared quantile inside the ironed interval, and one on a grid point
+        ic = ironed_curve(d)
+        for q in (0.5 * sum(ic.intervals[0]), 0.25):
+            sols.append((solve_symmetric(d, g, 24 * ic.hull_at(q)), [d] * 24))
+    sols += [(greedy_submodular(dists[:8], AdditiveValue(values[:8]), share * full / 3, m=m),
+              dists[:8]) for m in (36, 64) for share in (0.2, 0.4)]
+    randomized = {}
+    for sol, ds in sols:
+        ref = [two_price_lottery(ironed_curve(d), d, q) for d, q in zip(ds, sol.quantiles.tolist())]
+        assert lottery_columns(sol.lotteries) == lottery_columns(ref)
+        solver = sol.solver_meta["solver"]
+        randomized[solver] = randomized.get(solver, 0) + sum(not lot.degenerate for lot in ref)
+    assert min(randomized.values()) >= 2 and len(randomized) == 3
 
 
 @pytest.mark.parametrize("grid", [2, 3, 101])
@@ -468,7 +496,6 @@ def test_greedy_noisy_increments_still_feasible():
 def test_lottery_quantile_invariant():
     d = PiecewiseLinearCDF(((0.0, 0.0), (0.2, 0.5), (0.8, 0.6), (1.0, 1.0)))
     sol = solve_additive([d] * 2, [1.0, 1.0], 0.3)
-    for q, lot in zip(sol.quantiles, sol.lotteries):
-        induced = lot.prob_lo * float(d.cdf(lot.price_lo)) \
-            + (1 - lot.prob_lo) * float(d.cdf(lot.price_hi))
-        assert abs(induced - q) < 1e-9
+    lots = sol.lotteries
+    induced = lots.prob_lo * d.cdf(lots.price_lo) + (1 - lots.prob_lo) * d.cdf(lots.price_hi)
+    assert np.all(np.abs(induced - sol.quantiles) < 1e-9)

@@ -4,24 +4,25 @@ import numpy as np
 import pytest
 
 from postedpricing import (AdditiveValue, Instance, PiecewiseLinearCDF,
-                           PriceLottery, PriceMenu, SymmetricValue, Uniform,
+                           PriceLotteries, PriceMenu, SymmetricValue, Uniform,
                            bang_per_buck_order, build_oblivious,
-                           choose_epsilon, degenerate_lottery,
-                           derandomize_additive,
+                           choose_epsilon, derandomize_additive,
                            ironed_curve, market_size,
                            mechanism_menu, mechanism_variant, menu_from_solution,
                            oblivious_guarantee,
                            reduce_lottery_pairs, run, select_within_budget,
                            sequential_guarantee, simulate_runs, solve_additive,
-                           solver_kind, two_price_lottery)
+                           solver_kind)
 
 from postedpricing import mechanism
 from postedpricing.mechanism import (_mean_knapsack_value, correlation_gap_bound,
                                      overflow_ceiling, policy_orders)
 
-from oracles import (fractional_knapsack_value, integral_knapsack_value,
-                     irregular_priors, lottery_quantile, lp_vertex_fractional,
-                     mean_knapsack_value_rows, mechanism_expectation)
+from oracles import (PriceLottery, degenerate_lottery, derandomize_additive_per_agent,
+                     fractional_knapsack_value, integral_knapsack_value, irregular_priors,
+                     lottery_columns, lottery_objects, lottery_quantile,
+                     lp_vertex_fractional, mean_knapsack_value_rows, mechanism_expectation,
+                     menu_of, reduce_lottery_pairs_per_agent, two_price_lottery)
 
 U01 = Uniform(0, 1)
 
@@ -29,8 +30,7 @@ U01 = Uniform(0, 1)
 def _menu_from_prices(prices, quantiles=None, policy="fixed"):
     quantiles = [1.0] * len(prices) if quantiles is None else quantiles
     lots = tuple(PriceLottery(p, p, 1.0, q, q) for p, q in zip(prices, quantiles))
-    return PriceMenu(lotteries=lots, quantiles=np.asarray(quantiles, float),
-                     ordering_policy=policy)
+    return menu_of(lots, quantiles, ordering_policy=policy)
 
 
 def test_run_basic_trace():
@@ -73,11 +73,11 @@ def test_run_lottery_distribution_matches_enumeration():
     lottery = two_price_lottery(ic, d, 0.5 * (a + b))
     lots = (degenerate_lottery(U01, 0.6), lottery, degenerate_lottery(U01, 0.4))
     quant = np.array([0.6, lottery_quantile(lottery), 0.4])
-    menu = PriceMenu(lotteries=lots, quantiles=quant, ordering_policy="fixed")
+    menu = menu_of(lots, quant, ordering_policy="fixed")
     vf = AdditiveValue((1.0, 2.0, 1.5))
     budget = 1.0
     order = (0, 1, 2)
-    exact = mechanism_expectation(lots, quant > 0, vf, order, budget)
+    exact = mechanism_expectation(menu.lotteries, quant > 0, vf, order, budget)
     trials = 60_000
     rng = np.random.default_rng(11)
     # costs up front from a stream of their own, one array call per prior
@@ -95,8 +95,7 @@ def test_run_budget_never_exceeded_with_lotteries():
     ic = ironed_curve(d)
     a, b = ic.intervals[0]
     lot = two_price_lottery(ic, d, 0.5 * (a + b))
-    menu = PriceMenu(lotteries=(lot,) * 3, quantiles=np.full(3, lottery_quantile(lot)),
-                     ordering_policy="fixed")
+    menu = menu_of((lot,) * 3, np.full(3, lottery_quantile(lot)), ordering_policy="fixed")
     vf = AdditiveValue((1.0, 1.0, 1.0))
     rng = np.random.default_rng(0)
     for _ in range(500):
@@ -115,8 +114,8 @@ def test_run_matches_simulate_runs_single_trial(policy):
     ic = ironed_curve(d)
     lottery = two_price_lottery(ic, d, 0.5 * sum(ic.intervals[0]))
     lots = (degenerate_lottery(U01, 0.6), lottery, degenerate_lottery(U01, 0.0))
-    menu = PriceMenu(lotteries=lots, quantiles=np.array([0.6, lottery_quantile(lottery), 0.0]),
-                     ordering_policy=policy)
+    menu = menu_of(lots, np.array([0.6, lottery_quantile(lottery), 0.0]),
+                   ordering_policy=policy)
     inst = Instance(dists=(U01, d, U01), value=AdditiveValue((1.0, 2.0, 1.5)),
                     budget=1.0)
     for seed in range(20):
@@ -199,7 +198,7 @@ def test_build_oblivious_scaled_uniform_market():
     vf = AdditiveValue((1.0,) * 16)
     menu = build_oblivious([U01] * 16, vf, 4.0, 0.2)
     expect = math.sqrt(0.8 * 4.0 / 16)
-    assert menu.lotteries[0].price_lo == pytest.approx(expect, abs=1e-6)
+    assert menu.lotteries.price_lo[0] == pytest.approx(expect, abs=1e-6)
     assert menu.epsilon == 0.2
 
 
@@ -207,7 +206,7 @@ def test_build_oblivious_tiny_epsilon_matches_full_budget():
     vf = AdditiveValue((1.0,) * 4)
     menu = build_oblivious([U01] * 4, vf, 1.0, 1e-9)
     sol = solve_additive([U01] * 4, [1.0] * 4, 1.0)
-    assert menu.lotteries[0].price_lo == pytest.approx(sol.lotteries[0].price_lo,
+    assert menu.lotteries.price_lo[0] == pytest.approx(sol.lotteries.price_lo[0],
                                                        abs=1e-6)
 
 
@@ -229,7 +228,7 @@ def test_market_size_uses_max_lottery_price():
     ic = ironed_curve(d)
     a, b = ic.intervals[0]
     lot = two_price_lottery(ic, d, 0.5 * (a + b))
-    menu = PriceMenu(lotteries=(lot,), quantiles=np.array([lottery_quantile(lot)]))
+    menu = menu_of((lot,), np.array([lottery_quantile(lot)]))
     assert market_size(menu, 2.0).k == pytest.approx(2.0 / lot.price_hi)
 
 
@@ -311,15 +310,41 @@ def _two_lottery_menu():
     q1 = 0.5 * sum(ic1.intervals[0])
     q2 = 0.5 * sum(ic2.intervals[0])
     lots = (two_price_lottery(ic1, pw1, q1), two_price_lottery(ic2, pw2, q2))
-    menu = PriceMenu(lotteries=lots, quantiles=np.array([q1, q2]))
+    menu = menu_of(lots, np.array([q1, q2]))
     return menu, (pw1, pw2), (ic1, ic2)
+
+
+@pytest.mark.parametrize("third", [False, True], ids=["two", "three"])
+@pytest.mark.parametrize("values", [(1.0, 1.3, 0.9), (1.3, 1.0, 1.1), (1.0, 0.0, 2.0)])
+def test_reduce_and_derandomize_match_the_per_agent_route_bitwise(values, third):
+    # the rows the array route writes against one PriceLottery rebuilt per
+    # moved agent; a third lottery agent makes the reduction take two rounds
+    menu, dists, ics = _two_lottery_menu()
+    lots = lottery_objects(menu.lotteries)
+    if third:
+        a, b = ics[0].intervals[0]
+        lots.append(two_price_lottery(ics[0], dists[0], 0.3 * a + 0.7 * b))
+        dists += dists[:1]
+        menu = menu_of(lots, [lottery_quantile(lot) for lot in lots])
+    values = values[:menu.n]
+    out = reduce_lottery_pairs(menu, dists, values)
+    ref_lots, ref_q = reduce_lottery_pairs_per_agent(lots, menu.quantiles, dists, values)
+    assert lottery_columns(out.lotteries) == lottery_columns(ref_lots)
+    assert out.quantiles.tobytes() == ref_q.tobytes()
+    for budget in (0.4, 1.2):
+        out = derandomize_additive(menu, dists, values, budget, samples=2000, seed=9)
+        ref_lots, ref_q = derandomize_additive_per_agent(lots, menu.quantiles, dists, values,
+                                                         budget, samples=2000, seed=9)
+        assert lottery_columns(out.lotteries) == lottery_columns(ref_lots)
+        assert out.quantiles.tobytes() == ref_q.tobytes()
+        assert not out.has_lotteries
 
 
 def test_derandomize_passthrough_without_lotteries():
     menu = _menu_from_prices([0.4, 0.6])
     out = derandomize_additive(menu, [U01, U01], [1.0, 1.0], 1.0, samples=100, seed=0)
     assert not out.has_lotteries
-    assert [l.price_lo for l in out.lotteries] == [0.4, 0.6]
+    assert out.lotteries.price_lo.tolist() == [0.4, 0.6]
 
 
 def test_reduce_lottery_pairs_preserves_spend():
@@ -345,10 +370,10 @@ def test_derandomize_picks_dominant_price():
     ic = ironed_curve(pw)
     a, b = ic.intervals[0]
     lot = two_price_lottery(ic, pw, 0.5 * (a + b))
-    menu = PriceMenu(lotteries=(lot,), quantiles=np.array([lottery_quantile(lot)]))
+    menu = menu_of((lot,), np.array([lottery_quantile(lot)]))
     out = derandomize_additive(menu, [pw], [1.0], budget=5.0, samples=500, seed=1)
     assert not out.has_lotteries
-    assert out.lotteries[0].price_lo == pytest.approx(lot.price_hi)
+    assert out.lotteries.price_lo[0] == pytest.approx(lot.price_hi)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -389,12 +414,12 @@ def test_derandomize_matches_per_row_packing(seed, monkeypatch):
     # two agents that are never offered, at price 0: one of value 0, whose
     # value-per-price is 0/0, and one of value 1
     menu = menu_from_solution(sol)
-    menu = PriceMenu(lotteries=menu.lotteries + (degenerate_lottery(U01, 0.0),) * 2,
-                     quantiles=np.append(menu.quantiles, [0.0, 0.0]))
+    menu = menu_of(lottery_objects(menu.lotteries) + [degenerate_lottery(U01, 0.0)] * 2,
+                   np.append(menu.quantiles, [0.0, 0.0]))
     out = derandomize_additive(menu, dists, values, budget, samples=3000, seed=seed)
     monkeypatch.setattr(mechanism, "_mean_knapsack_value", mean_knapsack_value_rows)
     ref = derandomize_additive(menu, dists, values, budget, samples=3000, seed=seed)
-    assert out.lotteries == ref.lotteries
+    assert lottery_columns(out.lotteries) == lottery_columns(ref.lotteries)
     assert out.quantiles.tobytes() == ref.quantiles.tobytes()
     assert not out.has_lotteries
 
@@ -412,13 +437,41 @@ def test_derandomize_rejects_nonpositive_samples(samples):
         derandomize_additive(menu, dists, [1.0, 1.3], budget=1.2, samples=samples)
 
 
+def _lotteries(price_lo=(0.4, 0.5), price_hi=(0.6, 0.5), prob_lo=(0.5, 1.0),
+               q_lo=(0.4, 0.5), q_hi=(0.6, 0.5)):
+    return PriceLotteries(price_lo, price_hi, prob_lo, q_lo, q_hi)
+
+
 def test_menu_validation():
+    menu = PriceMenu(lotteries=_lotteries(), quantiles=np.array([0.5, 0.5]))
+    assert menu.n == 2 and menu.randomized_agents == (0,)
+    for col in ("price_lo", "prob_lo", "q_hi"):
+        assert not getattr(menu.lotteries, col).flags.writeable
+    # a price of 0 is fine where the quantile is 0, and so is a price_lo
+    # above price_hi by at most 1e-12
+    menu_of((degenerate_lottery(U01, 0.0),), [0.0])
+    _lotteries(price_lo=(0.6 + 1e-12, 0.5))
+    with pytest.raises(ValueError, match="positive"):
+        menu_of((PriceLottery(0.0, 0.0, 1.0, 0.5, 0.5),), np.array([0.5]))
+    for bad in ((0.0, 0.5), (-0.1, 0.5)):
+        with pytest.raises(ValueError, match="positive"):
+            PriceMenu(lotteries=_lotteries(price_lo=bad, price_hi=(0.6, 0.5)),
+                      quantiles=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="positive"):
+            PriceMenu(lotteries=_lotteries(price_lo=(0.4, -1.0), price_hi=(0.6, bad[0])),
+                      quantiles=np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        PriceMenu(lotteries=(PriceLottery(0.0, 0.0, 1.0, 0.5, 0.5),),
-                  quantiles=np.array([0.5]))
-    with pytest.raises(ValueError):
-        PriceMenu(lotteries=(degenerate_lottery(U01, 0.5),),
-                  quantiles=np.array([0.5]), ordering_policy="nope")
+        menu_of((degenerate_lottery(U01, 0.5),), np.array([0.5]), ordering_policy="nope")
+    with pytest.raises(ValueError, match="one lottery per agent"):
+        PriceMenu(lotteries=_lotteries(), quantiles=np.array([0.5, 0.5, 0.5]))
+    for cols in (dict(price_lo=(0.4,)), dict(q_hi=(0.6, 0.5, 0.5)), dict(prob_lo=[(0.5, 1.0)])):
+        with pytest.raises(ValueError, match="one entry per agent"):
+            _lotteries(**cols)
+    for bad in (-0.1, 1.0 + 1e-9, np.nan):
+        with pytest.raises(ValueError, match="prob_lo"):
+            _lotteries(prob_lo=(0.5, bad))
+    with pytest.raises(ValueError, match="price_lo must not exceed"):
+        _lotteries(price_lo=(0.6 + 1e-11, 0.5))
 
 
 def test_run_requires_order_for_external_menus():

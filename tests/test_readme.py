@@ -15,9 +15,9 @@ def test_readme_quick_start_runs(capsys):
     namespace = {}
     exec(compile(blocks[0], str(README), "exec"), namespace)
     sol = namespace["sol"]
-    # sol.quantiles -> 0.5 each, sol.lotteries[i].price_lo -> 0.5, spend 4.0
+    # sol.quantiles -> 0.5 each, sol.lotteries.price_lo[i] -> 0.5, spend 4.0
     assert np.allclose(sol.quantiles, 0.5, atol=1e-9)
-    assert all(lot.price_lo == pytest.approx(0.5, abs=1e-9) for lot in sol.lotteries)
+    assert np.allclose(sol.lotteries.price_lo, 0.5, atol=1e-9)
     assert sol.expected_spend == pytest.approx(4.0, abs=1e-6)
     ratio = float(capsys.readouterr().out)  # realized fraction of the ex ante optimum
     assert 0.0 < ratio <= 1.0

@@ -5,22 +5,22 @@ import numpy as np
 import pytest
 
 from postedpricing import (AdditiveValue, CoverageValue, Instance, OracleValue,
-                           PiecewiseLinearCDF, PriceMenu, SymmetricValue, Uniform,
+                           PiecewiseLinearCDF, SymmetricValue, Uniform,
                            approximation_report, bang_per_buck_order, bounds_table,
                            build_oblivious, correlation_gap_experiment,
-                           degenerate_lottery, ex_ante_bound, ironed_curve,
+                           ex_ante_bound, ironed_curve,
                            market_size, menu_from_solution, monte_carlo_value,
                            overflow_probability, select_within_budget,
                            simulate_runs, solve_additive, solve_ex_ante,
-                           solve_symmetric, two_price_lottery)
+                           solve_symmetric)
 from postedpricing.mechanism import ORDER_POLICIES, policy_orders, realize_prices
 from postedpricing.simulate import (BOUNDS_COLUMNS, GAP_COLUMNS, REPORT_COLUMNS,
                                     BoundInfo, csv_text)
 
-from oracles import (binom_tail_gt, irregular_priors, lottery_quantile, mechanism_expectation,
-                     overflow_probability_full_matrix, policy_orders_trial_major,
-                     realize_prices_trial_major, reference_walk,
-                     select_within_budget_masks)
+from oracles import (binom_tail_gt, degenerate_lottery, irregular_priors, lottery_quantile,
+                     mechanism_expectation, menu_of, overflow_probability_full_matrix,
+                     policy_orders_trial_major, realize_prices_trial_major, reference_walk,
+                     select_within_budget_masks, two_price_lottery)
 
 U01 = Uniform(0, 1)
 
@@ -31,16 +31,14 @@ def _uniform_instance(n, budget):
 
 
 def test_monte_carlo_zero_quantiles():
-    menu = PriceMenu(lotteries=(degenerate_lottery(U01, 0.0),) * 2,
-                     quantiles=np.zeros(2), ordering_policy="fixed")
+    menu = menu_of((degenerate_lottery(U01, 0.0),) * 2, np.zeros(2), ordering_policy="fixed")
     inst = _uniform_instance(2, 1.0)
     mc = monte_carlo_value(menu, inst, order_policy="fixed", trials=500, seed=0)
     assert mc.mean == 0.0 and mc.stderr == 0.0
 
 
 def test_monte_carlo_single_agent_bernoulli():
-    menu = PriceMenu(lotteries=(degenerate_lottery(U01, 0.5),),
-                     quantiles=np.array([0.5]), ordering_policy="fixed")
+    menu = menu_of((degenerate_lottery(U01, 0.5),), np.array([0.5]), ordering_policy="fixed")
     inst = _uniform_instance(1, 1.0)
     mc = monte_carlo_value(menu, inst, order_policy="fixed", trials=40_000, seed=1)
     assert abs(mc.mean - 0.5) <= 3 * mc.stderr
@@ -52,18 +50,16 @@ def test_monte_carlo_matches_enumeration_small_instance():
     lot = two_price_lottery(ic, d, 0.5 * sum(ic.intervals[0]))
     lots = (degenerate_lottery(U01, 0.7), lot, degenerate_lottery(U01, 0.3))
     quant = np.array([0.7, lottery_quantile(lot), 0.3])
-    menu = PriceMenu(lotteries=lots, quantiles=quant,
-                     ordering_policy="fixed")
+    menu = menu_of(lots, quant, ordering_policy="fixed")
     vf = AdditiveValue((1.0, 0.8, 1.2))
     inst = Instance(dists=(U01, d, U01), value=vf, budget=1.1)
-    exact = mechanism_expectation(lots, quant > 0, vf, (0, 1, 2), 1.1)
+    exact = mechanism_expectation(menu.lotteries, quant > 0, vf, (0, 1, 2), 1.1)
     mc = monte_carlo_value(menu, inst, order_policy="fixed", trials=60_000, seed=3)
     assert abs(mc.mean - exact) <= 4 * mc.stderr
 
 
 def test_simulate_runs_trials_validated():
-    menu = PriceMenu(lotteries=(degenerate_lottery(U01, 0.5),),
-                     quantiles=np.array([0.5]), ordering_policy="fixed")
+    menu = menu_of((degenerate_lottery(U01, 0.5),), np.array([0.5]), ordering_policy="fixed")
     with pytest.raises(ValueError):
         simulate_runs(menu, _uniform_instance(1, 1.0), "fixed", trials=0)
     with pytest.raises(ValueError):
@@ -71,8 +67,7 @@ def test_simulate_runs_trials_validated():
 
 
 def test_negative_n_orders_rejected():
-    menu = PriceMenu(lotteries=(degenerate_lottery(U01, 0.5),),
-                     quantiles=np.array([0.5]), ordering_policy="worst-of-sampled")
+    menu = menu_of((degenerate_lottery(U01, 0.5),), np.array([0.5]), ordering_policy="worst-of-sampled")
     inst = _uniform_instance(1, 1.0)
     with pytest.raises(ValueError, match="n_orders"):
         simulate_runs(menu, inst, trials=10, n_orders=-3)
@@ -106,8 +101,7 @@ def test_monte_carlo_runs_the_menu_policy():
 
 
 def test_simulate_runs_external_menu_needs_a_policy():
-    menu = PriceMenu(lotteries=(degenerate_lottery(U01, 0.5),),
-                     quantiles=np.array([0.5]))
+    menu = menu_of((degenerate_lottery(U01, 0.5),), np.array([0.5]))
     with pytest.raises(ValueError, match="external"):
         simulate_runs(menu, _uniform_instance(1, 1.0), trials=10)
 
@@ -204,7 +198,7 @@ def _layout_menu(n, lotteries, rng):
             lots.append(two_price_lottery(ic, d, float(a + (b - a) * rng.uniform(0.2, 0.8))))
         else:
             lots.append(degenerate_lottery(d, float(rng.uniform(0.1, 0.9))))
-    return PriceMenu(lotteries=tuple(lots), quantiles=np.array([lottery_quantile(l) for l in lots]))
+    return menu_of(lots, np.array([lottery_quantile(l) for l in lots]))
 
 
 @pytest.mark.parametrize("lotteries", [True, False], ids=["lottery", "lottery-free"])
@@ -249,8 +243,8 @@ def test_agent_major_path_matches_the_trial_major_oracle(n, lotteries):
 @pytest.mark.parametrize("lotteries", [True, False], ids=["lottery", "lottery-free"])
 def test_overflow_probability_matches_the_full_matrix_route(lotteries):
     menu = _layout_menu(16, lotteries, np.random.default_rng(8))
-    spends = [lot.price_lo * q for lot, q in zip(menu.lotteries, menu.quantiles)]
-    budget = float(sum(spends) + max(lot.max_price for lot in menu.lotteries))
+    spends = (menu.lotteries.price_lo * menu.quantiles).tolist()
+    budget = float(sum(spends) + menu.lotteries.max_price.max())
     k = market_size(menu, budget).k
     for seed in range(3):
         est = overflow_probability(menu, budget, k, trials=20_000, seed=seed)
@@ -343,15 +337,13 @@ def test_ex_ante_bound_symmetric_matches_grid_search():
 
 
 def test_overflow_zero_quantiles():
-    menu = PriceMenu(lotteries=(degenerate_lottery(U01, 0.0),) * 2,
-                     quantiles=np.zeros(2))
+    menu = menu_of((degenerate_lottery(U01, 0.0),) * 2, np.zeros(2))
     est = overflow_probability(menu, 1.0, 10.0, trials=2000, seed=0)
     assert est.p_hat == 0.0
 
 
 def test_overflow_zero_when_everything_fits():
-    menu = PriceMenu(lotteries=(degenerate_lottery(U01, 0.3),) * 2,
-                     quantiles=np.full(2, 0.3))
+    menu = menu_of((degenerate_lottery(U01, 0.3),) * 2, np.full(2, 0.3))
     # two prices of 0.3 always fit under (1 - 1/k) * 1.0 = 0.9
     est = overflow_probability(menu, 1.0, 10.0, trials=2000, seed=0)
     assert est.p_hat == 0.0
@@ -359,8 +351,7 @@ def test_overflow_zero_when_everything_fits():
 
 @pytest.mark.parametrize("trials", [0, -5])
 def test_overflow_trials_validated(trials):
-    menu = PriceMenu(lotteries=(degenerate_lottery(U01, 0.3),) * 2,
-                     quantiles=np.full(2, 0.3))
+    menu = menu_of((degenerate_lottery(U01, 0.3),) * 2, np.full(2, 0.3))
     with pytest.raises(ValueError, match="trials must be positive"):
         overflow_probability(menu, 1.0, 10.0, trials=trials, seed=0)
 
@@ -369,7 +360,7 @@ def test_overflow_matches_exact_binomial():
     n, budget, eps = 64, 4.0, 0.2
     menu = build_oblivious([U01] * n, AdditiveValue((1.0,) * n), budget, eps)
     k = market_size(menu, budget).k
-    price = menu.lotteries[0].price_lo
+    price = menu.lotteries.price_lo[0]
     q = menu.quantiles[0]
     est = overflow_probability(menu, budget, k, trials=50_000, seed=2)
     exact = binom_tail_gt(n, float(q), (1 - 1 / k) * budget / price)
@@ -386,7 +377,7 @@ def test_overflow_with_lotteries_matches_enumeration():
     a, b = ic.intervals[0]
     lots = (two_price_lottery(ic, d, 0.3 * a + 0.7 * b), degenerate_lottery(U01, 0.5),
             two_price_lottery(ic, d, 0.6 * a + 0.4 * b), degenerate_lottery(U01, 0.0))
-    menu = PriceMenu(lotteries=lots, quantiles=np.array([lottery_quantile(l) for l in lots]))
+    menu = menu_of(lots, np.array([lottery_quantile(l) for l in lots]))
     assert menu.has_lotteries
     budget, k, trials = 1.2, 4.0, 40_000
     outcomes = []

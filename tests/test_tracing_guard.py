@@ -18,10 +18,10 @@ import numpy as np
 import postedpricing.cli  # noqa: F401  (the tracer patches every loaded module)
 from postedpricing import (AdditiveValue, CoverageValue, Instance, OracleValue,
                            PiecewiseLinearCDF, PriceMenu, SymmetricValue, Uniform,
-                           degenerate_lottery, distributions, exante, ironed_curve,
-                           simulate, two_price_lottery)
+                           distributions, exante, ironed_curve, simulate)
 
-from oracles import lottery_quantile
+from oracles import (degenerate_lottery, irregular_priors, lottery_quantile, menu_of,
+                     two_price_lottery)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -61,14 +61,30 @@ def test_tracer_counts_the_walks_of_simulate_runs():
     tracer.install()
     try:
         for policy in ("bang-per-buck", "worst-of-sampled"):
-            menu = PriceMenu(lotteries=lots, quantiles=np.array([0.6, lottery_quantile(lottery)]),
-                             ordering_policy=policy)
+            menu = menu_of(lots, np.array([0.6, lottery_quantile(lottery)]),
+                           ordering_policy=policy)
             simulate.simulate_runs(menu, inst, trials=50, seed=0, n_orders=3)
     finally:
         tracer.uninstall()
     assert [s[0] for s in tracer.spans].count("simulate.simulate_runs") == 2
     assert tracer.calls["mechanism.select_within_budget"] > 0
     assert tracer.calls["mechanism.bang_per_buck_order"] > 0
+
+
+def test_tracer_spans_the_lotteries_of_a_solve():
+    # design-sweep lists distributions.two_price_lottery in its expected_spans;
+    # a solve that stopped calling it would leave that span empty
+    dists = irregular_priors(3, 8)
+    full = sum(ironed_curve(d).total_spend for d in dists)
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        exante.solve_additive(dists, np.ones(8), 0.4 * full)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["distributions.two_price_lottery"] == 8
+    assert exante.two_price_lottery is distributions.two_price_lottery
 
 
 def test_tracer_spans_greedy_and_its_value_calls():
