@@ -54,7 +54,7 @@ class PriceMenu:
     def __post_init__(self):
         if self.ordering_policy not in ORDER_POLICIES + ("external",):
             raise ValueError(f"unknown ordering policy {self.ordering_policy!r}")
-        q = np.asarray(self.quantiles, dtype=float)
+        q = np.array(self.quantiles, dtype=float)  # a copy: the caller's stays writeable
         lots = self.lotteries
         if q.shape != (len(lots),):
             raise ValueError("one lottery per agent required")
@@ -106,7 +106,7 @@ def market_size(menu: PriceMenu, budget: float) -> MarketSize:
 
 def menu_from_solution(sol: ExAnteSolution, ordering_policy: str = "external",
                        epsilon: float | None = None) -> PriceMenu:
-    return PriceMenu(lotteries=sol.lotteries, quantiles=np.array(sol.quantiles),
+    return PriceMenu(lotteries=sol.lotteries, quantiles=sol.quantiles,
                      ordering_policy=ordering_policy, epsilon=epsilon)
 
 

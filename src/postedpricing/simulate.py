@@ -7,7 +7,11 @@ labelled with unless the caller names another.  Each batch of trials gets
 its prices from mechanism.realize_prices and its orders from
 mechanism.policy_orders, and walks every order with the one budgeted walk,
 mechanism.select_within_budget, which steps through the order positions
-vectorised across the trials.  Costs, prices, orders and hire masks are held
+vectorised across the trials.  Orders after the first walk only the trials
+whose budget can bind: where the accepted prices sum to at most
+(1 - SETTLED_SLACK) B, no order's running sum can pass B, so every order
+hires every accepter and the first order's value and spend stand, bit for
+bit.  Costs, prices, orders and hire masks are held
 agent-major, (n, trials), from the first draw to the walk; value functions
 read the hires as (trials, n) rows.  mechanism.run is one trial of this path.
 approximation_report runs a mechanism kind ('sequential' or 'oblivious') and
@@ -123,15 +127,47 @@ def _draw_costs(dists, rng, trials):
     return np.stack([d.sample(rng, trials) for d in dists])
 
 
+# A trial whose accepted prices sum to S <= (1 - SETTLED_SLACK) * B in floats
+# is settled: every order hires all of its accepters.  Why: a walk adds an
+# accepter's price p to the spend of its earlier hires and hires it when that
+# sum is at most B (what it offers a non-accepter hires nobody).  So each sum
+# a walk tests is a float sum, in some order, of a subset of the trial's k
+# accepted prices, all positive.  With u = 2**-53, such a sum is at most
+# (1 + u)**(k - 1) times the exact total T of the accepted prices, and the
+# computed S is at least T / (1 + u)**(k - 1) in any summation order; the
+# threshold's two roundings add (1 + u)**2.  Every tested sum is therefore
+# at most (1 + u)**(2k) * (1 - SETTLED_SLACK) * B <= B whenever
+# 2k * u <= SETTLED_SLACK, that is for k up to about 4.5e6 agents.  A larger
+# slack only walks more trials; it never changes a bit.
+SETTLED_SLACK = 1e-9
+
+
+def _keep_lowest(orders, prices, accepts, budget, vf, v, s):
+    """Walk each order over the (n, trials) batch; where a trial's value is
+    below v, write it and its spend into v and s (the first order on ties)."""
+    for order in orders:
+        offered, spent = select_within_budget(prices, accepts, order, budget)
+        cv = vf._evaluate_rows((offered & accepts).T)
+        better = cv < v
+        v[better] = cv[better]
+        s[better] = spent[better]
+
+
 def simulate_runs(menu: PriceMenu, instance: Instance, order_policy: str | None = None,
                   trials: int = DEFAULT_TRIALS, seed=None, n_orders: int = 20):
     """Realized mechanism values and spends over independent cost draws.
 
     order_policy None runs the menu's own.  Trials run in batches of
-    TRIAL_CHUNK; each batch walks every order policy_orders gives once, and
-    each trial keeps its lowest value (the first on ties).  So
-    'worst-of-sampled' keeps the worst of n_orders sampled permutations and
-    the two per-trial heuristics, as an adversarial-order proxy.
+    TRIAL_CHUNK; each trial keeps its lowest value over the orders
+    policy_orders gives (the first on ties).  So 'worst-of-sampled' keeps the
+    worst of n_orders sampled permutations and the two per-trial heuristics,
+    as an adversarial-order proxy.  The first order walks every trial of a
+    batch.  The later ones walk only the trials that are not settled: where
+    the accepted prices sum to at most (1 - SETTLED_SLACK) B, every order
+    hires every accepter (see SETTLED_SLACK), so each gives the first order's
+    set and value, and the first order's spend stands.  Value functions
+    evaluate each row on its own, so the result is that of walking every
+    order over every trial, bit for bit.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -144,6 +180,8 @@ def simulate_runs(menu: PriceMenu, instance: Instance, order_policy: str | None 
     sampled = [order_rng.permutation(instance.n) for _ in range(n_orders)] \
         if order_policy == "worst-of-sampled" else ()
 
+    budget = instance.budget
+    settled_at = (1.0 - SETTLED_SLACK) * budget
     values_out = np.empty(trials)
     spends_out = np.empty(trials)
     for done in range(0, trials, TRIAL_CHUNK):
@@ -151,15 +189,19 @@ def simulate_runs(menu: PriceMenu, instance: Instance, order_policy: str | None 
         costs = _draw_costs(instance.dists, cost_rng, t)
         prices = realize_prices(menu, lot_rng, t)
         accepts = costs <= prices  # False where the price is NaN (never offered)
+        first, *later = policy_orders(order_policy, menu, vf, prices, order_rng, sampled)
         v = np.full(t, np.inf)
         s = np.zeros(t)
-        for order in policy_orders(order_policy, menu, vf, prices, order_rng, sampled):
-            offered, spent = select_within_budget(prices, accepts, order,
-                                                  instance.budget)
-            cv = vf._evaluate_rows((offered & accepts).T)
-            better = cv < v
-            v[better] = cv[better]
-            s[better] = spent[better]
+        _keep_lowest([first], prices, accepts, budget, vf, v, s)
+        live = np.flatnonzero(~(np.where(accepts, prices, 0.0).sum(axis=0) <= settled_at)) \
+            if later else ()
+        if len(live):
+            if len(live) < t:  # gather the unsettled trials, unless that is all of them
+                prices, accepts = prices[:, live], accepts[:, live]
+                later = [o[:, live] if o.ndim == 2 else o for o in later]
+            lv, ls = v[live], s[live]
+            _keep_lowest(later, prices, accepts, budget, vf, lv, ls)
+            v[live], s[live] = lv, ls
         values_out[done:done + t] = v
         spends_out[done:done + t] = s
     return values_out, spends_out

@@ -62,6 +62,9 @@ class ValueFunction:
         return float(np.mean(vals)), stderr
 
     def _evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The value of each boolean row of a (rows, n) batch.  A row's bits
+        must not depend on the rest of the batch: simulate_runs evaluates
+        the same trial in batches of different sizes."""
         return np.array([self.evaluate(np.flatnonzero(r)) for r in rows], dtype=float)
 
     def marginal_estimate(self, q, agents, dq, samples: int = 10_000, seed=None) -> np.ndarray:
@@ -241,8 +244,15 @@ class CoverageValue(ValueFunction):
         return float(sum(self.weights[e] for e in covered))
 
     def _evaluate_rows(self, rows):
-        covered = (rows.astype(float) @ self._incidence) > 0
-        return covered @ np.asarray(self.weights)
+        # the covered counts are small integers, exact in any summation order;
+        # the weights are then added element by element in index order, as a
+        # left-to-right sum, so a row's value does not depend on the batch it
+        # sits in, as it does under a matrix product's blocking
+        covered = (self._incidence.T @ np.transpose(rows).astype(float)) > 0
+        total = np.zeros(len(rows))
+        for term in covered * np.asarray(self.weights)[:, None]:
+            total += term
+        return total
 
     def _missed(self, q):
         """Per element, the chance that no covering agent is in the set: the

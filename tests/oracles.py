@@ -12,7 +12,7 @@ import ast
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -305,6 +305,65 @@ def mechanism_expectation(lotteries, quantilemask, vf, order, budget):
     return total
 
 
+def simulate_runs_all_orders(menu, instance, order_policy=None, trials=100_000, seed=None,
+                             n_orders=20):
+    """simulate.simulate_runs as it was before later orders skipped settled
+    trials: every order policy_orders gives walks every trial of a batch, and
+    each trial keeps its lowest value (the first on ties) and that order's
+    spend."""
+    from postedpricing.mechanism import policy_orders, realize_prices, select_within_budget
+    from postedpricing.simulate import TRIAL_CHUNK
+
+    order_policy = order_policy or menu.ordering_policy
+    cost_rng, lot_rng, order_rng = (np.random.default_rng(c)
+                                    for c in np.random.SeedSequence(seed).spawn(3))
+    vf = instance.value
+    sampled = [order_rng.permutation(instance.n) for _ in range(n_orders)] \
+        if order_policy == "worst-of-sampled" else ()
+    values_out = np.empty(trials)
+    spends_out = np.empty(trials)
+    for done in range(0, trials, TRIAL_CHUNK):
+        t = min(TRIAL_CHUNK, trials - done)
+        costs = np.stack([d.sample(cost_rng, t) for d in instance.dists])
+        prices = realize_prices(menu, lot_rng, t)
+        accepts = costs <= prices
+        v = np.full(t, np.inf)
+        s = np.zeros(t)
+        for order in policy_orders(order_policy, menu, vf, prices, order_rng, sampled):
+            offered, spent = select_within_budget(prices, accepts, order, instance.budget)
+            cv = vf._evaluate_rows((offered & accepts).T)
+            better = cv < v
+            v[better] = cv[better]
+            s[better] = spent[better]
+        values_out[done:done + t] = v
+        spends_out[done:done + t] = s
+    return values_out, spends_out
+
+
+def exact_worst_order_values(menu, instance, trials, seed=None):
+    """Each trial's lowest value over all n! orders, on the costs and realized
+    prices simulate_runs draws for (trials <= one batch, seed): every
+    permutation walked position by position, an agent hired where it accepts
+    and its price fits what is left of the budget."""
+    from postedpricing.mechanism import realize_prices
+
+    cost_rng, lot_rng, _ = (np.random.default_rng(c)
+                            for c in np.random.SeedSequence(seed).spawn(3))
+    costs = np.stack([d.sample(cost_rng, trials) for d in instance.dists])
+    prices = realize_prices(menu, lot_rng, trials)
+    accepts = costs <= prices
+    worst = np.full(trials, np.inf)
+    for perm in permutations(range(instance.n)):
+        spent = np.zeros(trials)
+        hired = np.zeros((trials, instance.n), dtype=bool)
+        for i in perm:
+            total = spent + prices[i]
+            hired[:, i] = take = accepts[i] & (total <= instance.budget)
+            spent = np.where(take, total, spent)
+        worst = np.minimum(worst, instance.value._evaluate_rows(hired))
+    return worst
+
+
 def finite_difference_virtual_cost(dist, c, h=1e-6):
     """c + F(c)/f(c) with the density from a centered difference of the CDF."""
     f = (dist.cdf(c + h) - dist.cdf(c - h)) / (2.0 * h)
@@ -550,6 +609,14 @@ class SampledCoverageValue(CoverageValue):
         covered = (others.astype(float) @ A) > 0
         gain = (~covered) & (A[i] > 0)
         return gain @ np.asarray(self.weights)
+
+
+def coverage_rows_product(vf, rows):
+    """CoverageValue._evaluate_rows as a matrix product of the covered mask
+    and the weights, whose sum order depends on where a row sits in the
+    batch."""
+    covered = (rows.astype(float) @ vf._incidence) > 0
+    return covered @ np.asarray(vf.weights)
 
 
 def sampled_gain_rows(vf, q, dq, samples, seed):

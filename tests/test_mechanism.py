@@ -474,6 +474,15 @@ def test_menu_validation():
         _lotteries(price_lo=(0.6 + 1e-11, 0.5))
 
 
+def test_menu_keeps_its_own_copy_of_the_quantiles():
+    q = np.array([0.5, 0.5])
+    menu = PriceMenu(lotteries=_lotteries(), quantiles=q)
+    assert menu.quantiles is not q and not menu.quantiles.flags.writeable
+    assert q.flags.writeable
+    q[0] = 0.25
+    assert menu.quantiles.tolist() == [0.5, 0.5]
+
+
 def test_run_requires_order_for_external_menus():
     menu = _menu_from_prices([0.5], policy="external")
     with pytest.raises(ValueError):

@@ -17,10 +17,12 @@ from postedpricing.mechanism import ORDER_POLICIES, policy_orders, realize_price
 from postedpricing.simulate import (BOUNDS_COLUMNS, GAP_COLUMNS, REPORT_COLUMNS,
                                     BoundInfo, csv_text)
 
-from oracles import (binom_tail_gt, degenerate_lottery, irregular_priors, lottery_quantile,
+from oracles import (PriceLottery, binom_tail_gt, coverage_rows_product, degenerate_lottery,
+                     exact_worst_order_values, irregular_priors, lottery_quantile,
                      mechanism_expectation, menu_of, overflow_probability_full_matrix,
                      policy_orders_trial_major, realize_prices_trial_major, reference_walk,
-                     select_within_budget_masks, two_price_lottery)
+                     select_within_budget_masks, simulate_runs_all_orders,
+                     two_price_lottery)
 
 U01 = Uniform(0, 1)
 
@@ -252,6 +254,145 @@ def test_overflow_probability_matches_the_full_matrix_route(lotteries):
         assert est == overflow_probability_full_matrix(menu, budget, k, 20_000, seed)
 
 
+def _random_coverage(rng, n, m):
+    """n agents over a universe of m elements with uneven weights."""
+    return CoverageValue(rng.lognormal(0.0, 2.0, m),
+                         [tuple(np.flatnonzero(rng.random(m) < rng.uniform(0.02, 0.5)))
+                          for _ in range(n)])
+
+
+def _orders_market(kind, lotteries, budget):
+    """_layout_menu's 16 agents on their priors, with one value class."""
+    n = 16
+    rng = np.random.default_rng(31)
+    menu = _layout_menu(n, lotteries, rng)
+    priors = irregular_priors(5, 8)[1::2]
+    vf = {"additive": lambda: AdditiveValue(rng.choice([0.5, 1.0, 2.0], n)),
+          "symmetric": lambda: SymmetricValue(tuple(float(s) ** 0.5 for s in range(n + 1))),
+          "coverage": lambda: _random_coverage(rng, n, 40),
+          "oracle": lambda: OracleValue(n, lambda s: math.sqrt(sum(i + 1 for i in s)))}[kind]()
+    return menu, Instance(dists=tuple(priors[i % 4] for i in range(n)), value=vf,
+                          budget=budget)
+
+
+# the accepted prices of one trial sum to about 6 here: 0.8 leaves nearly
+# every trial unsettled, 6.0 about half, and 16.0 none
+ORDERS_BUDGETS = (0.8, 6.0, 16.0)
+
+
+def _all_orders_cases(kind):
+    """(budget, policy, trials, n_orders): every policy at the mixed budget,
+    worst-of-sampled at all three, and for the vectorised value classes a
+    run past one batch of 20,000 trials (a second, shorter batch follows).
+    The black-box class evaluates one row at a time, so its batches are
+    smaller."""
+    sizes = (1, 3, 499) if kind == "oracle" else (1, 3, 4_999)
+    for policy in ORDER_POLICIES:
+        if policy == "bang-per-buck" and kind != "additive":
+            continue
+        for budget in ORDERS_BUDGETS if policy == "worst-of-sampled" else (6.0,):
+            for trials in sizes:
+                yield budget, policy, trials, 20
+    if kind != "oracle":
+        yield 6.0, "worst-of-sampled", 20_001, 3
+
+
+@pytest.mark.parametrize("lotteries", [True, False], ids=["lottery", "lottery-free"])
+@pytest.mark.parametrize("kind", ["additive", "symmetric", "coverage", "oracle"])
+def test_simulate_runs_matches_the_all_orders_walk(kind, lotteries):
+    # values and spends equal the route that walks every order over every
+    # trial, bit for bit
+    for budget, policy, trials, n_orders in _all_orders_cases(kind):
+        menu, inst = _orders_market(kind, lotteries, budget)
+        got = simulate_runs(menu, inst, policy, trials, 5, n_orders)
+        want = simulate_runs_all_orders(menu, inst, policy, trials, 5, n_orders)
+        assert got[0].tobytes() == want[0].tobytes(), (budget, policy, trials)
+        assert got[1].tobytes() == want[1].tobytes(), (budget, policy, trials)
+
+
+def test_later_orders_walk_only_the_unsettled_trials(monkeypatch):
+    # the first order walks every trial; the later ones walk the unsettled
+    # trials only, all of them without a gather, and none when every trial
+    # is settled
+    from postedpricing import simulate
+
+    widths = []
+
+    def walk(prices, accepts, order, budget):
+        widths.append(prices.shape[1])
+        return select_within_budget(prices, accepts, order, budget)
+
+    monkeypatch.setattr(simulate, "select_within_budget", walk)
+    seen = []
+    for budget in ORDERS_BUDGETS:
+        menu, inst = _orders_market("additive", True, budget)
+        widths.clear()
+        simulate_runs(menu, inst, "worst-of-sampled", 4_999, seed=0, n_orders=2)
+        seen.append(list(widths))
+    tight, mixed, loose = seen
+    assert tight == [4_999] * 4
+    assert mixed[0] == 4_999 and len(mixed) == 4 and len(set(mixed[1:])) == 1
+    assert 1_000 < mixed[1] < 4_000
+    assert loose == [4_999]
+
+
+def _boundary_market(value):
+    """Prices 0.3, 0.2 and 0.1 against a budget of 0.6, so a trial where all
+    three accept is the textbook rounding case: (0.3 + 0.2) + 0.1 is 0.6 in
+    floats, but (0.1 + 0.2) + 0.3 exceeds it, and so do four of the six
+    orders."""
+    lots = [PriceLottery(p, p, 1.0, 1.0, 1.0) for p in (0.3, 0.2, 0.1)]
+    menu = menu_of(lots, [1.0, 1.0, 1.0], ordering_policy="worst-of-sampled")
+    return menu, Instance(dists=(Uniform(0.0, 0.3),) * 3, value=value, budget=0.6)
+
+
+@pytest.mark.parametrize("vf", [AdditiveValue((1.0, 1.0, 1.0)),
+                                CoverageValue((1.0, 0.5, 2.0), ((0,), (1, 2), (0, 2)))],
+                         ids=["additive", "coverage"])
+def test_orders_that_overflow_by_rounding_are_walked(vf):
+    # the accepted prices sum to exactly the budget in agent order, so those
+    # trials are not settled.  The first sampled order at this seed,
+    # (1, 0, 2), hires all three, and later ones skip an agent.
+    assert (0.3 + 0.2) + 0.1 == 0.6 < (0.1 + 0.2) + 0.3
+    first = np.random.default_rng(np.random.SeedSequence(1).spawn(3)[2]).permutation(3)
+    assert first.tolist() == [1, 0, 2]
+    menu, inst = _boundary_market(vf)
+    got_v, got_s = simulate_runs(menu, inst, trials=3_000, seed=1, n_orders=20)
+    want_v, want_s = simulate_runs_all_orders(menu, inst, trials=3_000, seed=1, n_orders=20)
+    assert got_v.tobytes() == want_v.tobytes() and got_s.tobytes() == want_s.tobytes()
+    # index order hires all three exactly where it spends 0.6; the worst
+    # order of each such trial hires fewer
+    fixed_v, fixed_s = simulate_runs(menu, inst, "fixed", trials=3_000, seed=1)
+    all_in = fixed_s == 0.6
+    assert 0.15 < all_in.mean() < 0.3
+    assert np.all(fixed_v[all_in] == vf.evaluate((0, 1, 2)))
+    assert np.all(got_v[all_in] < fixed_v[all_in])
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_worst_of_sampled_is_never_below_the_exact_worst_order(n):
+    # on the streams of simulate_runs, the lowest value over all n! orders
+    # bounds worst-of-sampled from below, per trial; the two heuristics
+    # alone sit above it in some trials of some market.  The additive menu
+    # is priced for its values at 0.7 of the budget, the coverage one for
+    # equal values at the whole budget.
+    rng = np.random.default_rng(700 + n)
+    dists = tuple(Uniform(0.0, float(h)) for h in rng.uniform(0.6, 1.4, n))
+    budget = 0.3 * n
+    additive, coverage = AdditiveValue(rng.uniform(0.5, 2.0, n)), _random_coverage(rng, n, 12)
+    above = []
+    for vf, weights, share in ((additive, additive.as_array(), 0.7), (coverage, np.ones(n), 1.0)):
+        inst = Instance(dists=dists, value=vf, budget=budget)
+        menu = menu_from_solution(solve_additive(dists, weights, share * budget),
+                                  "worst-of-sampled")
+        exact = exact_worst_order_values(menu, inst, 300, seed=n)
+        heuristics, _ = simulate_runs(menu, inst, trials=300, seed=n, n_orders=0)
+        sampled, _ = simulate_runs(menu, inst, trials=300, seed=n, n_orders=20)
+        assert np.all(sampled >= exact) and np.all(heuristics >= sampled)
+        above.append(np.any(heuristics > exact))
+    assert any(above)
+
+
 EVALUATE_ROWS_VALUES = pytest.mark.parametrize("vf", [
     AdditiveValue((0.1, 0.7, 1.3, 0.2, 2.9, 0.3, 1e-3, 5.5)),
     SymmetricValue((0.0, 1.0, 1.7, 2.2, 2.5, 2.7, 2.8, 2.85, 2.9)),
@@ -283,6 +424,29 @@ def test_evaluate_rows_reads_transposed_masks_bit_for_bit(vf):
         assert got.tobytes() == vf._evaluate_rows(np.ascontiguousarray(mask.T)).tobytes()
 
 
+@pytest.mark.parametrize("vf", [
+    AdditiveValue(np.random.default_rng(26).lognormal(0.0, 2.0, 40)),
+    SymmetricValue(tuple(float(s) ** 0.5 for s in range(41))),
+    _random_coverage(np.random.default_rng(27), 12, 30),
+    _random_coverage(np.random.default_rng(28), 40, 300),
+    _random_coverage(np.random.default_rng(29), 20, 9_000),
+    OracleValue(40, lambda s: math.sqrt(sum(i + 1 for i in s)))],
+    ids=["additive", "symmetric", "coverage-30", "coverage-300", "coverage-9000", "oracle"])
+def test_evaluate_rows_is_row_independent(vf):
+    # simulate_runs evaluates later orders on the unsettled trials alone, so
+    # a row must get the same bytes in any batch: alone, in sub-batches of 2,
+    # 3 or 7 rows, and in a permuted batch
+    rng = np.random.default_rng(30)
+    trials = 60 if len(getattr(vf, "weights", ())) > 1_000 else 400
+    rows = (rng.random((vf.n, trials)) < rng.uniform(0.1, 0.9, (1, trials))).T
+    full = vf._evaluate_rows(rows)
+    for size in (1, 2, 3, 7):
+        parts = [vf._evaluate_rows(rows[at:at + size]) for at in range(0, trials, size)]
+        assert np.concatenate(parts).tobytes() == full.tobytes(), size
+    perm = rng.permutation(trials)
+    assert vf._evaluate_rows(rows[perm]).tobytes() == full[perm].tobytes()
+
+
 def test_coverage_evaluate_rows_reads_transposed_masks_bit_for_bit():
     # wide random universes with uneven weights, where the weighted sum of the
     # covered elements is long enough for a matrix product to block it
@@ -295,6 +459,10 @@ def test_coverage_evaluate_rows_reads_transposed_masks_bit_for_bit():
         mask = rng.random((n, int(rng.integers(1, 400)))) < rng.uniform(0.05, 0.95)
         got = vf._evaluate_rows(mask.T)
         assert got.tobytes() == vf._evaluate_rows(np.ascontiguousarray(mask.T)).tobytes()
+        # the matrix product sums in another order: each route's m - 1
+        # additions may each round by half an ulp of a sum of at most sum(w)
+        tol = m * np.finfo(float).eps * sum(vf.weights)
+        assert np.all(np.abs(got - coverage_rows_product(vf, mask.T)) <= tol)
 
 
 def test_ex_ante_bound_examples():
