@@ -132,16 +132,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Posted-price mechanisms for budget-feasible procurement")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="experiment config file")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--seed", type=int, default=None, help="override harness seed")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--trials", type=int, default=None, help="override trial count")
+        return p
 
     add_common(sub.add_parser("solve", help="compute the ex ante price menu"))
-    add_common(sub.add_parser("simulate", help="run the mechanism and write report.csv"))
-    add_common(sub.add_parser("report", help="simulate and echo the report row"))
+    for name, text in (("simulate", "run the mechanism and write report.csv"),
+                       ("report", "simulate and echo the report row")):
+        add_common(sub.add_parser(name, help=text)).add_argument(
+            "--trials", type=int, default=None, help="override trial count")
 
     b = sub.add_parser("bounds", help="tabulate guarantee formulas over market sizes")
     b.add_argument("--k", required=True, help="comma-separated market sizes")
@@ -180,7 +181,7 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.out is not None:
             cfg.out = args.out
-        if args.trials is not None:
+        if getattr(args, "trials", None) is not None:  # simulate and report only
             if args.trials < 1:
                 raise ConfigError("trials must be positive")
             cfg.trials = args.trials

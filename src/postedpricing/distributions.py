@@ -231,9 +231,6 @@ class IronedCurve:
     slopes: np.ndarray
     intervals: tuple
 
-    def hull_at(self, q):
-        return _maybe_scalar(q, np.interp(q, self.quantiles, self.hull))
-
     @property
     def total_spend(self) -> float:
         return float(self.hull[-1])
@@ -319,12 +316,12 @@ def _lower_hull_vertices(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             # convex triples from its third point on, so it takes both
             s -= 1
         if i < s:
-            top = _chain_steps(xs, ys, hull, top, i, s, bounds)
+            top = _chain_steps(xs, ys, hull, top, i, s)
         merged = _merge_run(x, y, hull, top, s, e)
-        top = _chain_steps(xs, ys, hull, top, s, e, bounds) if merged is None else merged
+        top = _chain_steps(xs, ys, hull, top, s, e) if merged is None else merged
         i = e
     if i < n:
-        top = _chain_steps(xs, ys, hull, top, i, n, bounds)
+        top = _chain_steps(xs, ys, hull, top, i, n)
     return hull[:top]
 
 
@@ -428,20 +425,13 @@ def _chain_path_holds(x, y, hull, t0, s, t1, r1):
     return not np.any((xv - xw) * (yr - yw) - (yv - yw) * (xr - xw) <= 0.0)
 
 
-def _chain_steps(xs, ys, hull, top, i, end, bounds):
+def _chain_steps(xs, ys, hull, top, i, end):
     """The chain's scalar steps for points i .. end - 1 on the stack
     hull[:top]; the new height.  The top of the stack lives in a list
-    meanwhile, and a convex run is pushed at once where the top two are its
-    first point's predecessors (`bounds` lists where the runs end)."""
+    meanwhile."""
     tail = hull[top - 2:top].tolist()
     top -= 2
-    while i < end:
-        if tail[-2] == i - 2:
-            run_end = bounds[bisect.bisect_left(bounds, i)]
-            if run_end > i:
-                tail.extend(range(i, run_end))
-                i = run_end
-                continue
+    for i in range(i, end):
         while True:
             if len(tail) < 2:
                 if not top:
@@ -455,7 +445,6 @@ def _chain_steps(xs, ys, hull, top, i, end, bounds):
             else:
                 break
         tail.append(i)
-        i += 1
     hull[top:top + len(tail)] = tail
     return top + len(tail)
 

@@ -244,21 +244,14 @@ def solve_additive(dists, values, budget: float,
         active = [i for i in range(n) if seg[i] < nseg and values[i] > 0]
         if not active:
             break
+        # the multiplier takes every zero-slope segment of a valued agent, and
+        # a step only moves onto a larger slope, so every slope here is > 0
         ratios = np.array([hulls[i].slopes[seg[i]] / values[i] for i in active])
         r_star = ratios.min()
         group = [i for i, r in zip(active, ratios) if r <= r_star + 1e-12 * (1.0 + r_star)]
         # each pivotal agent's run of equal slopes ends where a larger one starts
         ends = {i: int(hulls[i].slopes.searchsorted(hulls[i].slopes[seg[i]], side="right"))
                 for i in group}
-        advanced_free = False
-        for i in list(group):
-            if hulls[i].slopes[seg[i]] == 0.0:
-                seg[i] = ends[i]
-                pos[i] = grid[ends[i]]
-                advanced_free = True
-                group.remove(i)
-        if advanced_free and not group:
-            continue
         caps = np.array([hulls[i].hull[ends[i]] - spend_i[i] for i in group])
         share = remaining / len(group)
         step = min(share, caps.min())

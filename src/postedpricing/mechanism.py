@@ -49,7 +49,6 @@ class PriceMenu:
     quantiles: np.ndarray
     ordering_policy: str = "external"
     epsilon: float | None = None
-    market_warning: bool = False
 
     def __post_init__(self):
         if self.ordering_policy not in ORDER_POLICIES + ("external",):
@@ -317,18 +316,14 @@ def build_oblivious(dists, vf: ValueFunction, budget: float, epsilon: float,
     """Solve the ex ante problem at budget (1 - epsilon) B for any-order use.
 
     solve_opts (kind, grid_size, greedy options) go to solve_ex_ante.  The
-    returned menu runs in worst-of-sampled order and carries the shrink and a
-    warning flag when the realized market size is too small for the guarantee
-    to apply (the mechanism still runs).
+    returned menu runs in worst-of-sampled order and carries the shrink.  The
+    guarantee applies only when market_size(menu, budget).k > 2 / epsilon;
+    below that the mechanism still runs.
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 1/2)")
     sol = solve_ex_ante(dists, vf, (1.0 - epsilon) * budget, **solve_opts)
-    menu = menu_from_solution(sol, ordering_policy="worst-of-sampled", epsilon=epsilon)
-    k = market_size(menu, budget).k
-    if k <= 2.0 / epsilon:
-        menu = replace(menu, market_warning=True)
-    return menu
+    return menu_from_solution(sol, ordering_policy="worst-of-sampled", epsilon=epsilon)
 
 
 def mechanism_variant(mechanism: str, solver: str, vf: ValueFunction) -> str:

@@ -830,11 +830,15 @@ def interp_hull(q, P):
     return np.minimum(np.interp(q, q[verts], P[verts]), P)
 
 
+def hull_at(ic, q):
+    """An ironed curve's hull spend at one quantile, by scalar np.interp."""
+    return float(np.interp(q, ic.quantiles, ic.hull))
+
+
 def interp_spend_sum(hulls, quantiles):
     """The hull spend of a solution: one scalar np.interp per agent, summed
     in agent order as Python floats."""
-    return float(sum(float(np.interp(q, h.quantiles, h.hull))
-                     for h, q in zip(hulls, quantiles)))
+    return float(sum(hull_at(h, q) for h, q in zip(hulls, quantiles)))
 
 
 def check_quantiles_clip(q, n):

@@ -185,6 +185,16 @@ def test_cmd_simulate_trials_override_and_na_marker(tmp_path):
     assert ",NA," in body.splitlines()[1]
 
 
+def test_solve_rejects_trials(tmp_path, capsys):
+    # solve runs no trials, so argparse has no --trials for it
+    path = _write_config(tmp_path, EXAMPLE1.format(out=tmp_path / "o"))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", path, "--trials", "5"])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cmd_report_echoes_rows(tmp_path, capsys):
     out = tmp_path / "o"
     path = _write_config(tmp_path, EXAMPLE1.format(out=out))

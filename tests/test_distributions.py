@@ -14,9 +14,9 @@ from postedpricing.distributions import (CONTACT_TOL, DEFAULT_GRID,
                                          _lower_hull_vertices)
 
 from oracles import (PriceLottery, chord_hull_lower, cost_curve,
-                     finite_difference_virtual_cost, interp_hull, ironed_intervals_scan,
-                     irregular_priors, lottery_quantile, masked_inverse_cdf,
-                     monotone_chain_scalars)
+                     finite_difference_virtual_cost, hull_at, interp_hull,
+                     ironed_intervals_scan, irregular_priors, lottery_quantile,
+                     masked_inverse_cdf, monotone_chain_scalars)
 
 
 def test_uniform_cdf_identity():
@@ -307,7 +307,7 @@ def test_property_lottery_monte_carlo(seed):
     assert abs(freq - q) <= 3 * se
     payments = prices * accepted
     se_pay = payments.std(ddof=1) / math.sqrt(trials)
-    assert abs(payments.mean() - ic.hull_at(q)) <= 3 * se_pay
+    assert abs(payments.mean() - hull_at(ic, q)) <= 3 * se_pay
 
 
 def test_ironed_curve_rejects_tiny_grid():

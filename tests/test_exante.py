@@ -13,7 +13,7 @@ from postedpricing import (AdditiveValue, CoverageValue, OracleValue,
 from postedpricing.exante import SOLVER_KINDS, _hull_values, _search_multiplier
 
 from oracles import (bisect_multiplier, brute_multilinear, discretize_loop,
-                     grid_oracle_additive, interp_spend_sum, irregular_priors,
+                     grid_oracle_additive, hull_at, interp_spend_sum, irregular_priors,
                      lottery_columns, two_price_lottery)
 
 U01 = Uniform(0, 1)
@@ -33,6 +33,16 @@ def test_solve_additive_slack_budget_takes_everyone():
     assert np.all(sol.quantiles == 1.0)
     assert sol.expected_spend == pytest.approx(1.5)
     assert sol.solver_meta["lambda"] == 0.0
+
+
+def test_water_fill_stops_when_no_valued_agent_can_grow():
+    # agent 0 takes its whole curve (spend 1) at the floor multiplier, and
+    # agent 1's zero value holds the other 0.5 of the budget back
+    sol = solve_additive([U01, Uniform(0, 2)], [1.0, 0.0], 1.5)
+    assert sol.quantiles.tolist() == [1.0, 0.0]
+    assert sol.solver_meta["lambda"] == 2.0 ** -200
+    assert sol.solver_meta["waterfill_steps"] == 0
+    assert sol.expected_spend == 1.0
 
 
 def test_solve_additive_rejects_nonpositive_budget():
@@ -193,7 +203,7 @@ def test_solve_symmetric_matches_scalar_grid_search():
     sol = solve_symmetric(U01, g, budget)
     ic = ironed_curve(U01)
     qs = np.linspace(0, 1, 2001)
-    feasible = qs[np.array([4 * ic.hull_at(q) for q in qs]) <= budget]
+    feasible = qs[np.array([4 * hull_at(ic, q) for q in qs]) <= budget]
     from postedpricing import concave_closure_symmetric
     best = max(concave_closure_symmetric(vf, float(q)) for q in feasible)
     assert sol.objective >= best - 1e-3
@@ -226,7 +236,7 @@ def test_discretize_uniform_closed_form():
 def test_discretize_single_step():
     cumulative = np.cumsum(discretize([U01], 0.49, 1), axis=1)
     ic = ironed_curve(U01)
-    assert ic.hull_at(cumulative[0, 0]) == pytest.approx(0.49, abs=1e-9)
+    assert hull_at(ic, cumulative[0, 0]) == pytest.approx(0.49, abs=1e-9)
 
 
 def test_discretize_noisy_bracket():
@@ -431,6 +441,25 @@ def test_solution_spend_matches_lottery_accounting():
     assert per_agent == pytest.approx(sol.expected_spend, abs=1e-6)
 
 
+def test_off_grid_spend_gap_is_bounded_by_the_cells_kink():
+    # the pivotal agent stops inside the grid cell that holds its prior's
+    # breakpoint F_k, where q * F^-1(q) bends upward: the solution counts the
+    # cell's chord, the agent's one-price lottery pays q * F^-1(q) below it
+    (c0, f0), (ck, fk), (c2, f2) = (0.0, 0.0), (0.5, 0.4321234), (2.0, 1.0)
+    d = PiecewiseLinearCDF(((c0, f0), (ck, fk), (c2, f2)))
+    budget = 0.1 + fk * ck   # Uniform(0, 0.1) takes its whole curve, spend 0.1
+    sol = solve_additive([d, Uniform(0, 0.1)], [1.0, 10.0], budget)
+    grid = ironed_curve(d).quantiles
+    q = float(sol.quantiles[0])
+    j = int(grid.searchsorted(q)) - 1
+    assert grid[j] < q < fk < grid[j + 1] and sol.quantiles[1] == 1.0
+    assert sol.lotteries.degenerate.all()
+    gap = sol.expected_spend - sum(sol.lotteries.expected_spend.tolist())
+    h = grid[1] - grid[0]
+    r1, r2 = (ck - c0) / (fk - f0), (c2 - ck) / (f2 - fk)
+    assert 0.0 < gap <= h * fk * abs(r2 - r1) / 4 + h * h * max(r1, r2) / 4
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_solution_spend_matches_per_agent_interp_sum(seed):
     # solve_additive's quantiles sit on grid points, inside cells and at 1
@@ -460,7 +489,7 @@ def test_solution_lotteries_match_the_per_agent_route_bitwise(seed):
         # a shared quantile inside the ironed interval, and one on a grid point
         ic = ironed_curve(d)
         for q in (0.5 * sum(ic.intervals[0]), 0.25):
-            sols.append((solve_symmetric(d, g, 24 * ic.hull_at(q)), [d] * 24))
+            sols.append((solve_symmetric(d, g, 24 * hull_at(ic, q)), [d] * 24))
     sols += [(greedy_submodular(dists[:8], AdditiveValue(values[:8]), share * full / 3, m=m),
               dists[:8]) for m in (36, 64) for share in (0.2, 0.4)]
     randomized = {}

@@ -19,8 +19,8 @@ from postedpricing.mechanism import (_mean_knapsack_value, correlation_gap_bound
                                      overflow_ceiling, policy_orders)
 
 from oracles import (PriceLottery, degenerate_lottery, derandomize_additive_per_agent,
-                     fractional_knapsack_value, integral_knapsack_value, irregular_priors,
-                     lottery_columns, lottery_objects, lottery_quantile,
+                     fractional_knapsack_value, hull_at, integral_knapsack_value,
+                     irregular_priors, lottery_columns, lottery_objects, lottery_quantile,
                      lp_vertex_fractional, mean_knapsack_value_rows, mechanism_expectation,
                      menu_of, reduce_lottery_pairs_per_agent, two_price_lottery)
 
@@ -210,12 +210,6 @@ def test_build_oblivious_tiny_epsilon_matches_full_budget():
                                                        abs=1e-6)
 
 
-def test_build_oblivious_market_warning():
-    vf = AdditiveValue((1.0,) * 4)
-    menu = build_oblivious([U01] * 4, vf, 1.0, 0.2)  # k ~ 2.2 << 2/eps
-    assert menu.market_warning
-
-
 def test_build_oblivious_rejects_bad_epsilon():
     vf = AdditiveValue((1.0,))
     for eps in (0.0, 0.5, 0.7, -0.1):
@@ -349,9 +343,9 @@ def test_derandomize_passthrough_without_lotteries():
 
 def test_reduce_lottery_pairs_preserves_spend():
     menu, dists, ics = _two_lottery_menu()
-    before = sum(ic.hull_at(q) for ic, q in zip(ics, menu.quantiles))
+    before = sum(hull_at(ic, q) for ic, q in zip(ics, menu.quantiles))
     out = reduce_lottery_pairs(menu, dists, [1.0, 1.3])
-    after = sum(ic.hull_at(q) for ic, q in zip(ics, out.quantiles))
+    after = sum(hull_at(ic, q) for ic, q in zip(ics, out.quantiles))
     assert after == pytest.approx(before, abs=1e-9)
     assert len(out.randomized_agents) <= 1
 

@@ -18,7 +18,7 @@ from postedpricing.simulate import (BOUNDS_COLUMNS, GAP_COLUMNS, REPORT_COLUMNS,
                                     BoundInfo, csv_text)
 
 from oracles import (PriceLottery, binom_tail_gt, coverage_rows_product, degenerate_lottery,
-                     exact_worst_order_values, irregular_priors, lottery_quantile,
+                     exact_worst_order_values, hull_at, irregular_priors, lottery_quantile,
                      mechanism_expectation, menu_of, overflow_probability_full_matrix,
                      policy_orders_trial_major, realize_prices_trial_major, reference_walk,
                      select_within_budget_masks, simulate_runs_all_orders,
@@ -369,26 +369,35 @@ def test_orders_that_overflow_by_rounding_are_walked(vf):
     assert np.all(got_v[all_in] < fixed_v[all_in])
 
 
-@pytest.mark.parametrize("n", [5, 6, 7])
+# worst-of-sampled's mean over the exact worst order's mean, less 1, at the
+# default 20 orders: the largest gaps on 25 seeded markets per n = 4 ... 7
+# were 0.18% (additive) and 12% (coverage), both at n = 7
+WORST_ORDER_GAP = {"additive": 0.005, "coverage": 0.15}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_worst_of_sampled_is_never_below_the_exact_worst_order(n):
     # on the streams of simulate_runs, the lowest value over all n! orders
-    # bounds worst-of-sampled from below, per trial; the two heuristics
-    # alone sit above it in some trials of some market.  The additive menu
-    # is priced for its values at 0.7 of the budget, the coverage one for
-    # equal values at the whole budget.
+    # bounds worst-of-sampled from below, per trial, and its mean from 20
+    # orders sits within WORST_ORDER_GAP of the exact one; the two
+    # heuristics alone sit above it in some trials of some market.  The
+    # additive menu is priced for its values at 0.7 of the budget, the
+    # coverage one for equal values at the whole budget.
     rng = np.random.default_rng(700 + n)
     dists = tuple(Uniform(0.0, float(h)) for h in rng.uniform(0.6, 1.4, n))
     budget = 0.3 * n
     additive, coverage = AdditiveValue(rng.uniform(0.5, 2.0, n)), _random_coverage(rng, n, 12)
     above = []
-    for vf, weights, share in ((additive, additive.as_array(), 0.7), (coverage, np.ones(n), 1.0)):
+    for kind, vf, weights, share in (("additive", additive, additive.as_array(), 0.7),
+                                     ("coverage", coverage, np.ones(n), 1.0)):
         inst = Instance(dists=dists, value=vf, budget=budget)
         menu = menu_from_solution(solve_additive(dists, weights, share * budget),
                                   "worst-of-sampled")
         exact = exact_worst_order_values(menu, inst, 300, seed=n)
         heuristics, _ = simulate_runs(menu, inst, trials=300, seed=n, n_orders=0)
-        sampled, _ = simulate_runs(menu, inst, trials=300, seed=n, n_orders=20)
+        sampled, _ = simulate_runs(menu, inst, trials=300, seed=n)
         assert np.all(sampled >= exact) and np.all(heuristics >= sampled)
+        assert sampled.mean() <= (1.0 + WORST_ORDER_GAP[kind]) * exact.mean()
         above.append(np.any(heuristics > exact))
     assert any(above)
 
@@ -500,7 +509,7 @@ def test_ex_ante_bound_symmetric_matches_grid_search():
     ic = ironed_curve(U01)
     qs = np.linspace(0, 1, 4001)
     best = max(concave_closure_symmetric(SymmetricValue(g), float(q))
-               for q in qs if 2 * ic.hull_at(q) <= 0.5)
+               for q in qs if 2 * hull_at(ic, q) <= 0.5)
     assert info.value >= best - 1e-3
 
 

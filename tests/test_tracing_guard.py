@@ -5,8 +5,8 @@ and name from outside the package; a rename in the package would make
 `Tracer.install` fail, and a call that moves out of a wrapped name's reach
 would leave its counters at 0.  These tests install and uninstall it on the
 package.  perfbench/workloads.py builds its inputs through the package's
-public names; a deletion would break the benchmark's set-up, so they are
-read from its source and looked up here.
+public names and reads attributes of their results; a deletion would break
+the benchmark's set-up, so they are read from its source and looked up here.
 """
 
 import importlib.util
@@ -45,8 +45,6 @@ def test_tracer_installs_and_uninstalls_on_the_package():
         tracer.uninstall()
     assert tracer.calls["exante.solve_additive"] == 1
     assert exante.solve_additive is original
-    assert callable(distributions.ironed_curve.cache_info)
-    assert callable(distributions.ironed_curve.cache_clear)
 
 
 def test_tracer_counts_the_walks_of_simulate_runs():
@@ -116,3 +114,14 @@ def test_workloads_call_only_names_the_package_has():
     for name in re.findall(r"\bcli\.([A-Za-z_]\w*)", source):
         assert callable(getattr(postedpricing.cli, name)), name
     assert isinstance(PriceMenu.has_lotteries, property)
+    # the attributes it reads from results: a solve's objective and a
+    # market's size k, then (perfbench/child.py) the hull cache's counters
+    assert "sol.objective" in source and re.search(r"\bpp\.market_size\([^)]*\)\.k\b", source)
+    sol = exante.solve_additive([Uniform(0, 1)] * 2, [1.0, 1.0], 0.5)
+    assert isinstance(sol.objective, float)
+    menu = postedpricing.menu_from_solution(sol, "bang-per-buck")
+    assert isinstance(postedpricing.market_size(menu, 0.5).k, float)
+    child = (PERFBENCH / "child.py").read_text()
+    for name in ("cache_info", "cache_clear"):
+        assert f'"{name}"' in child
+        assert callable(getattr(distributions.ironed_curve, name)), name
