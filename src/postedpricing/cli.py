@@ -183,7 +183,7 @@ def main(argv=None) -> int:
             cfg.out = args.out
         if getattr(args, "trials", None) is not None:  # simulate and report only
             if args.trials < 1:
-                raise ConfigError("trials must be positive")
+                raise ConfigError("--trials must be positive")
             cfg.trials = args.trials
         _check_out(cfg.out)
         if args.command == "solve":

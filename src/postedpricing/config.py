@@ -293,15 +293,9 @@ def _unread_keys(cfg: ExperimentConfig) -> dict:
     return unread
 
 
-def _get(cp, section, key, default=None):
-    if cp.has_option(section, key):
-        return cp.get(section, key)
-    return default
-
-
 def _int(cp, section, key, default):
     """An integer option, or default when it is absent."""
-    text = _get(cp, section, key)
+    text = cp.get(section, key, fallback=None)
     if text is None:
         return default
     try:
@@ -348,9 +342,9 @@ def parse_config(path: str) -> ExperimentConfig:
 
     try:
         cfg = ExperimentConfig(dists, value, budget, solver_kind(
-            dists, value, _get(cp, "solver", "kind", "auto").strip().lower()))
-        cfg.mechanism_kind = _get(cp, "mechanism", "kind",
-                                  cfg.mechanism_kind).strip().lower()
+            dists, value, cp.get("solver", "kind", fallback="auto").strip().lower()))
+        cfg.mechanism_kind = cp.get("mechanism", "kind",
+                                    fallback=cfg.mechanism_kind).strip().lower()
         mechanism_variant(cfg.mechanism_kind, cfg.solver_kind, value)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -359,27 +353,27 @@ def parse_config(path: str) -> ExperimentConfig:
     cfg.n_orders = _int(cp, "mechanism", "n_orders", cfg.n_orders)
     cfg.trials = _int(cp, "harness", "trials", cfg.trials)
     cfg.seed = _int(cp, "harness", "seed", cfg.seed)
-    cfg.noisy = _bool(_get(cp, "solver", "noisy", "false"), "noisy")
+    cfg.noisy = _bool(cp.get("solver", "noisy", fallback="false"), "noisy")
     policy = MECHANISM_ORDERS[cfg.mechanism_kind]
-    order = _get(cp, "mechanism", "order", policy).strip().lower()
+    order = cp.get("mechanism", "order", fallback=policy).strip().lower()
     if order != policy:
         raise ConfigError(f"the {cfg.mechanism_kind} mechanism runs in {policy} order, "
                           f"not {order!r}")
-    eps_text = _get(cp, "mechanism", "epsilon", "auto").strip().lower()
+    eps_text = cp.get("mechanism", "epsilon", fallback="auto").strip().lower()
     if eps_text != "auto":
         try:
             cfg.epsilon = float(eps_text)
         except ValueError as exc:
             raise ConfigError(f"bad epsilon: {exc}") from None
         if not 0.0 < cfg.epsilon < 0.5:
-            raise ConfigError("epsilon must lie in (0, 1/2)")
-    cfg.out = _get(cp, "harness", "out", cfg.out)
+            raise ConfigError("[mechanism] epsilon must lie in (0, 1/2)")
+    cfg.out = cp.get("harness", "out", fallback=cfg.out)
     if not cfg.out:
         raise ConfigError("[harness] out must name a directory")
     if cfg.trials < 1:
-        raise ConfigError("trials must be positive")
+        raise ConfigError("[harness] trials must be positive")
     if cfg.grid < 2:
-        raise ConfigError("grid must be at least 2")
+        raise ConfigError("[solver] grid must be at least 2")
     if cfg.m is not None and cfg.m < cfg.n:
         raise ConfigError(f"[solver] m = {cfg.m} is below the agent count n = {cfg.n}")
     if cfg.n_orders < 0:
@@ -390,55 +384,3 @@ def parse_config(path: str) -> ExperimentConfig:
         if cp.has_option(section, key):
             raise ConfigError(f"[{section}] {key} has no effect here: {why}")
     return cfg
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Round-trippable textual form of a parsed configuration."""
-    def dist_text(d):
-        if isinstance(d, Uniform):
-            return f"uniform({d.lo:.12g}, {d.hi:.12g})"
-        if isinstance(d, TruncatedExponential):
-            return f"texp({d.rate:.12g}, {d.lo:.12g}, {d.hi:.12g})"
-        if isinstance(d, PiecewiseLinearCDF):
-            pts = ", ".join(f"({c:.12g}, {F:.12g})" for c, F in d.points)
-            return f"pwcdf([{pts}])"
-        raise ConfigError(f"cannot serialize distribution {d!r}")
-
-    terms = []
-    i = 0
-    ds = cfg.dists
-    while i < len(ds):
-        j = i
-        while j + 1 < len(ds) and ds[j + 1] == ds[i]:
-            j += 1
-        text = dist_text(ds[i])
-        terms.append(text if j == i else f"{j - i + 1} * {text}")
-        i = j + 1
-
-    if isinstance(cfg.value, AdditiveValue):
-        vals = ", ".join(f"{v:.12g}" for v in cfg.value.values)
-        value_text = f"additive([{vals}])"
-    elif isinstance(cfg.value, SymmetricValue):
-        g = ", ".join(f"{x:.12g}" for x in cfg.value.g)
-        value_text = f"symmetric([{g}])"
-    else:
-        raise ConfigError("cannot serialize coverage values (file-backed)")
-
-    eps = "auto" if cfg.epsilon is None else f"{cfg.epsilon:.12g}"
-    sections = {
-        "instance": (("distributions", "; ".join(terms)), ("value", value_text),
-                     ("budget", f"{cfg.budget:.12g}")),
-        "solver": (("kind", cfg.solver_kind), ("grid", cfg.grid), ("m", cfg.m),
-                   ("noisy", str(cfg.noisy).lower())),
-        "mechanism": (("kind", cfg.mechanism_kind),
-                      ("order", MECHANISM_ORDERS[cfg.mechanism_kind]),
-                      ("epsilon", eps), ("n_orders", cfg.n_orders)),
-        "harness": (("trials", cfg.trials), ("seed", cfg.seed), ("out", cfg.out)),
-    }
-    unread = _unread_keys(cfg)  # written back, they would be rejected
-    blocks = []
-    for section, items in sections.items():
-        lines = [f"[{section}]"] + [f"{key} = {text}" for key, text in items
-                                    if text is not None and (section, key) not in unread]
-        blocks.append("\n".join(lines) + "\n")
-    return "\n".join(blocks)

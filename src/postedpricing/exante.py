@@ -5,8 +5,8 @@ Three routes, by value-function shape:
   * additive   -- Lagrangian relaxation of the budget constraint: the
                   multiplier is the smallest float whose spend fits the
                   budget, found exactly in a few vectorised rounds (see
-                  solve_additive), then a water-filling top-up makes the
-                  budget bind;
+                  solve_additive), then a water-filling top-up makes what
+                  the menu pays bind the budget;
   * symmetric  -- a single shared quantile found by inverting the shared
                   (ironed) cost curve at spend B/n;
   * submodular -- a reduction to cardinality-constrained greedy over equal
@@ -19,9 +19,9 @@ kind down, which solve_ex_ante checks fits.  Greedy asks the value function
 for its step gains (ValueFunction.marginal_gains): exact for additive,
 symmetric and coverage values; a black-box oracle samples them, `samples`
 draws per greedy step shared by every candidate of the step.  All three
-solvers return through one constructor that sums the hull spend in agent
-order, stacks each agent's two_price_lottery row into one PriceLotteries
-table and names the solver in solver_meta['solver'].
+solvers return through one constructor that stacks each agent's
+two_price_lottery row into one PriceLotteries table, sums what those
+lotteries pay in agent order and names the solver in solver_meta['solver'].
 Solvers are pure functions of their inputs and seed.
 """
 
@@ -37,11 +37,13 @@ from .values import (AdditiveValue, SymmetricValue, ValueFunction,
                      concave_hull_sizes)
 
 _BIND_TOL = 1e-11
+_CURVE_TOL = 1e-13  # an off-grid agent's curve spend against its chord spend
+_ROUND_STEPS = np.linspace(0.0, 1.0, 65)  # one _curve_quantile round's points
 
 
 @dataclass(frozen=True, eq=False)
 class ExAnteSolution:
-    """Optimal acceptance probabilities with their realizing price offers."""
+    """Optimal acceptance probabilities, their price offers and what those pay."""
 
     quantiles: np.ndarray
     lotteries: PriceLotteries  # one row per agent
@@ -50,36 +52,32 @@ class ExAnteSolution:
     solver_meta: dict
 
 
-def _hulls(dists, grid_size):
-    return [ironed_curve(d, grid_size) for d in dists]
-
-
-def _hull_values(hulls, quantiles):
-    """Each agent's hull at its quantile, bit for bit np.interp's answer, in
-    one pass over hulls on one shared grid: the grid cell of every quantile
-    from one searchsorted, np.interp's slope * (q - x0) + h0 inside it, the
-    knot value where q is a grid point, and the end values outside."""
-    grid = hulls[0].quantiles
-    j = grid.searchsorted(quantiles, side="right") - 1
-    j = np.minimum(np.maximum(j, 0), len(grid) - 2)
-    ends = np.array([h.hull[k:k + 2] for h, k in zip(hulls, j.tolist())])
-    h0, h1 = ends[:, 0], ends[:, 1]
-    x0, x1 = grid[j], grid[j + 1]
-    inner = (h1 - h0) / (x1 - x0) * (quantiles - x0) + h0
-    return np.where(quantiles <= x0, h0, np.where(quantiles >= x1, h1, inner))
-
-
 def _solution(solver, hulls, dists, quantiles, objective, meta) -> ExAnteSolution:
-    """The solution at these quantiles: hull spend summed in agent order, the
-    realizing lotteries, the quantiles frozen, and the solver's name in
-    solver_meta['solver']."""
-    spend = float(sum(_hull_values(hulls, quantiles).tolist()))
+    """The solution at these quantiles: the realizing lotteries, the spend
+    they pay summed in agent order, the quantiles frozen, and the solver's
+    name in solver_meta['solver']."""
     rows = [two_price_lottery(h, d, q) for h, d, q in zip(hulls, dists, quantiles.tolist())]
     lotteries = PriceLotteries(*np.array(rows, dtype=float).reshape(-1, 5).T)
+    spend = float(sum(lotteries.expected_spend.tolist()))
     quantiles.flags.writeable = False
     return ExAnteSolution(quantiles=quantiles, lotteries=lotteries,
                           expected_spend=spend, objective=float(objective),
                           solver_meta={"solver": solver, **meta})
+
+
+def _curve_quantile(dist, lo, hi, target: float, tol: float) -> float:
+    """The quantile in [lo, hi] where q * F^{-1}(q) spends target: each round
+    of 65 points narrows the bracket and interpolates in it, until from the
+    second round on the curve there is within tol (ten shrink a cell to ulps)."""
+    for r in range(10):
+        sub = lo + (hi - lo) * _ROUND_STEPS
+        spend = sub * dist.inverse_cdf(sub)
+        k = min(max(int(spend.searchsorted(target)), 1), 64)
+        lo, hi = sub[k - 1:k + 1]
+        q = float(np.interp(target, spend[k - 1:k + 1], sub[k - 1:k + 1]))
+        if r and abs(q * dist.inverse_cdf(q) - target) <= tol:
+            break
+    return q
 
 
 def _counts_and_spend(hulls, values, lams, c_lo, c_hi):
@@ -208,7 +206,9 @@ def solve_additive(dists, values, budget: float,
     the threshold.  The marginal agents then advance along their current
     hull segments (splitting ties at equal spend rates) until the budget
     binds.  On irregular inputs the marginal quantile lands inside an ironed
-    interval and is realized by a two-price lottery.  solver_meta records
+    interval and is realized by a two-price lottery; a marginal agent left
+    inside a grid cell elsewhere moves along it to where its one price pays
+    the chord spend it was given (_curve_quantile).  solver_meta records
     lam and the work done: spend evaluations, merged segments and water-fill
     steps.
     """
@@ -217,7 +217,7 @@ def solve_additive(dists, values, budget: float,
         raise ValueError("budget must be positive")
     if not np.all(values >= 0):
         raise ValueError("agent values must be nonnegative")
-    hulls = _hulls(dists, grid_size)
+    hulls = [ironed_curve(d, grid_size) for d in dists]
     n = len(hulls)
     if len(values) != n:
         raise ValueError("one value per distribution required")
@@ -270,6 +270,10 @@ def solve_additive(dists, values, budget: float,
         raise RuntimeError("budget water-fill failed to converge")
 
     q = np.clip(pos, 0.0, 1.0)
+    j = grid.searchsorted(q, side="right") - 1
+    for i in np.flatnonzero(q != grid[j]).tolist():
+        if hulls[i].interval_containing(q[i]) is None:
+            q[i] = _curve_quantile(dists[i], *grid[j[i]:j[i] + 2], spend_i[i], _CURVE_TOL * scale)
     return _solution("additive", hulls, dists, q, np.dot(values, q),
                      {"lambda": lam, "budget": budget, "spend_evals": evals,
                       "merged_segments": merged, "waterfill_steps": fill_steps})
@@ -347,7 +351,7 @@ def greedy_submodular(dists, vf: ValueFunction, budget: float, m: int | None = N
     noise_ss, marg_ss, obj_ss = ss.spawn(3)
     increments = discretize(dists, budget, m, noisy=noisy,
                             seed=np.random.default_rng(noise_ss), grid_size=grid_size)
-    hulls = _hulls(dists, grid_size)
+    hulls = [ironed_curve(d, grid_size) for d in dists]
     marg_rng = np.random.default_rng(marg_ss)
 
     # a zero column past the last increment ends an agent's run

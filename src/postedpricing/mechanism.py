@@ -246,8 +246,7 @@ def run(menu: PriceMenu, value_fn: ValueFunction, costs, budget: float,
     elif menu.ordering_policy not in ("bang-per-buck", "fixed"):
         raise ValueError(f"a {menu.ordering_policy!r} menu needs an explicit order "
                          f"here; simulate_runs runs every order policy")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
 
     prices = realize_prices(menu, rng, 1)
     if order is None:

@@ -22,12 +22,6 @@ import numpy as np
 from .distributions import _clip, _lower_hull_vertices
 
 
-def _as_rng(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _check_quantiles(q, n):
     q = np.asarray(q, dtype=float)
     if q.shape != (n,):
@@ -55,7 +49,7 @@ class ValueFunction:
         q = _check_quantiles(q, self.n)
         if samples <= 0:
             raise ValueError("this value function requires samples > 0")
-        rng = _as_rng(seed)
+        rng = np.random.default_rng(seed)
         draws = rng.random((samples, self.n)) < q
         vals = self._evaluate_rows(draws)
         stderr = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else float("nan")
@@ -79,7 +73,7 @@ class ValueFunction:
         if samples <= 0:
             raise ValueError("samples must be positive")
         agents = np.asarray(agents, dtype=int)
-        rng = _as_rng(seed)
+        rng = np.random.default_rng(seed)
         U = rng.random((samples, self.n))
         base = U < q
         # column k: the rows where agents[k] is out of the base set but in

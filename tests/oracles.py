@@ -16,8 +16,12 @@ from itertools import permutations, product
 
 import numpy as np
 
-from postedpricing.distributions import DEFAULT_GRID
-from postedpricing.values import CoverageValue, ValueFunction
+from postedpricing.config import ConfigError, _unread_keys
+from postedpricing.distributions import (DEFAULT_GRID, PiecewiseLinearCDF,
+                                         TruncatedExponential, Uniform)
+from postedpricing.mechanism import MECHANISM_ORDERS
+from postedpricing.values import (AdditiveValue, CoverageValue, SymmetricValue,
+                                  ValueFunction)
 
 
 def brute_multilinear(vf, q):
@@ -210,8 +214,6 @@ def policy_orders_trial_major(policy, menu, vf, prices, rng=None, sampled=()):
     """mechanism.policy_orders on a trial-major (trials, n) batch: each order
     is 1-D or (trials, n), one order per row.  Walk them with
     select_within_budget_masks, which is the trial-major walk."""
-    from postedpricing import AdditiveValue
-
     additive = isinstance(vf, AdditiveValue)
     trials, n = prices.shape
     if policy == "fixed":
@@ -374,8 +376,6 @@ def irregular_priors(seed, n):
     """n distinct priors whose cost curves need ironing: even agents truncated
     exponential, odd agents a CDF with 3 kinks and a nearly flat middle piece
     (exactly flat for every other one)."""
-    from postedpricing import PiecewiseLinearCDF, TruncatedExponential
-
     rng = np.random.default_rng(seed)
     priors = []
     for i in range(n):
@@ -857,3 +857,56 @@ def literal_eval_numbers(text, pairs=False):
     if pairs:
         return tuple((float(c), float(F)) for c, F in ast.literal_eval(text))
     return tuple(float(v) for v in ast.literal_eval(text))
+
+
+def serialize_config(cfg) -> str:
+    """Round-trippable textual form of a parsed configuration, to 12
+    significant digits; coverage values have no text form."""
+    def dist_text(d):
+        if isinstance(d, Uniform):
+            return f"uniform({d.lo:.12g}, {d.hi:.12g})"
+        if isinstance(d, TruncatedExponential):
+            return f"texp({d.rate:.12g}, {d.lo:.12g}, {d.hi:.12g})"
+        if isinstance(d, PiecewiseLinearCDF):
+            pts = ", ".join(f"({c:.12g}, {F:.12g})" for c, F in d.points)
+            return f"pwcdf([{pts}])"
+        raise ConfigError(f"cannot serialize distribution {d!r}")
+
+    terms = []
+    i = 0
+    ds = cfg.dists
+    while i < len(ds):
+        j = i
+        while j + 1 < len(ds) and ds[j + 1] == ds[i]:
+            j += 1
+        text = dist_text(ds[i])
+        terms.append(text if j == i else f"{j - i + 1} * {text}")
+        i = j + 1
+
+    if isinstance(cfg.value, AdditiveValue):
+        vals = ", ".join(f"{v:.12g}" for v in cfg.value.values)
+        value_text = f"additive([{vals}])"
+    elif isinstance(cfg.value, SymmetricValue):
+        g = ", ".join(f"{x:.12g}" for x in cfg.value.g)
+        value_text = f"symmetric([{g}])"
+    else:
+        raise ConfigError("cannot serialize coverage values (file-backed)")
+
+    eps = "auto" if cfg.epsilon is None else f"{cfg.epsilon:.12g}"
+    sections = {
+        "instance": (("distributions", "; ".join(terms)), ("value", value_text),
+                     ("budget", f"{cfg.budget:.12g}")),
+        "solver": (("kind", cfg.solver_kind), ("grid", cfg.grid), ("m", cfg.m),
+                   ("noisy", str(cfg.noisy).lower())),
+        "mechanism": (("kind", cfg.mechanism_kind),
+                      ("order", MECHANISM_ORDERS[cfg.mechanism_kind]),
+                      ("epsilon", eps), ("n_orders", cfg.n_orders)),
+        "harness": (("trials", cfg.trials), ("seed", cfg.seed), ("out", cfg.out)),
+    }
+    unread = _unread_keys(cfg)  # written back, they would be rejected
+    blocks = []
+    for section, items in sections.items():
+        lines = [f"[{section}]"] + [f"{key} = {text}" for key, text in items
+                                    if text is not None and (section, key) not in unread]
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)

@@ -17,10 +17,9 @@ from postedpricing import cli
 from postedpricing.cli import main, solution_record
 from postedpricing import config
 from postedpricing.config import (ConfigError, _number_list, parse_config,
-                                  parse_distribution, parse_distributions, parse_value,
-                                  serialize_config)
+                                  parse_distribution, parse_distributions, parse_value)
 
-from oracles import irregular_priors, literal_eval_numbers
+from oracles import irregular_priors, literal_eval_numbers, serialize_config
 
 EXAMPLE1 = """
 [instance]
@@ -602,7 +601,13 @@ def test_semicolon_comments_cut_as_configparser_cuts_them(tmp_path):
     ({"order = bang-per-buck": "order = bang-per-buck\nn_orders = -3"}, (),
      "[mechanism] n_orders"),
     ({}, ("--seed", "-1"), "--seed"),
-    ({"kind = additive": "kind = additive\ngrid = 1e4"}, (), "[solver] grid")])
+    ({"kind = additive": "kind = additive\ngrid = 1e4"}, (), "[solver] grid"),
+    ({"trials = 400": "trials = 0"}, (), "[harness] trials"),
+    ({}, ("--trials", "0"), "--trials"),
+    ({"kind = additive": "kind = additive\ngrid = 1"}, (), "[solver] grid"),
+    ({"kind = sequential": "kind = oblivious",
+      "order = bang-per-buck": "order = worst-of-sampled\nepsilon = 0.7"}, (),
+     "[mechanism] epsilon")])
 def test_out_of_range_option_exits_2(tmp_path, capsys, edits, args, key):
     text = EXAMPLE1.format(out=tmp_path)
     for old, new in edits.items():

@@ -10,7 +10,7 @@ from postedpricing import (AdditiveValue, CoverageValue, OracleValue,
                            discretize, greedy_submodular, ironed_curve,
                            solve_additive, solve_ex_ante, solve_symmetric,
                            solver_kind)
-from postedpricing.exante import SOLVER_KINDS, _hull_values, _search_multiplier
+from postedpricing.exante import SOLVER_KINDS, _search_multiplier
 
 from oracles import (bisect_multiplier, brute_multilinear, discretize_loop,
                      grid_oracle_additive, hull_at, interp_spend_sum, irregular_priors,
@@ -71,10 +71,10 @@ def test_nan_input_is_rejected_by_name(solve, name):
 # and solver_meta["lambda"] as float.hex(), lottery agents), recorded with the
 # monotone chain over numpy scalars and run ends tabulated for every segment
 PINNED_IRREGULAR_SOLVES = [
-    (0.1, "52e9708684896b7c550cd328c0be7a12390e2c651056b44142589adaae651cf5",
-     "0x1.fcde6f92cd889p+1", "0x1.0079367bcc179p+1", 0),
+    (0.1, "5c78e0e96e71e507728b4e192347e19078ffe2fd023ed5735c510a3b0d4688d9",
+     "0x1.fcde6f92cd887p+1", "0x1.0079367bcc179p+1", 0),
     (0.2, "72c8ba241f0c5f542ad911b08bd7781975a324c0c82e3fb89df7d33282ef9d2f",
-     "0x1.fcde6f92cd7e8p+2", "0x1.7634cf7c725c9p+0", 2),
+     "0x1.fcde6f92d0040p+2", "0x1.7634cf7c725c9p+0", 2),
     (0.65, "870caf61a90786410b86e03a46559395043002bf4fbc767527de3b3296ff693d",
      "0x1.9d74baa746f92p+4", "0x1.0253ac713edf6p-1", 2),
 ]
@@ -215,14 +215,17 @@ def test_grid_solution_underestimates_the_continuous_optimum_by_at_most_h2(grid,
     # U(0, 1) with equal values: the curve is q^2 and the continuous optimum
     # q* = sqrt(B/n).  A chord between grid points overstates q^2 by at most
     # h^2/4, so the grid spend at q* is too high, q_G <= q*, and
-    # q*^2 - q_G^2 <= h^2/4 gives q* - q_G <= h^2 / (4 q*).
+    # q*^2 - q_G^2 <= h^2/4 gives q* - q_G <= h^2 / (4 q*).  The additive
+    # solve then moves each agent off the grid to where the curve spends its
+    # chord spend B/n, which is q* itself
     h = 1.0 / (grid - 1)
     q_star = (budget / n) ** 0.5
-    for sol in (solve_additive([U01] * n, [1.0] * n, budget, grid_size=grid),
-                solve_symmetric(U01, tuple(range(n + 1)), budget, grid_size=grid)):
+    additive = solve_additive([U01] * n, [1.0] * n, budget, grid_size=grid)
+    for sol in (additive, solve_symmetric(U01, tuple(range(n + 1)), budget, grid_size=grid)):
         gap = q_star - sol.quantiles
         assert np.all(gap >= -1e-12)
         assert np.all(gap <= h * h / (4.0 * q_star))
+    assert np.all(np.abs(q_star - additive.quantiles) <= 1e-12)
 
 
 def test_discretize_uniform_closed_form():
@@ -443,18 +446,24 @@ def test_solution_spend_matches_lottery_accounting():
 
 def test_off_grid_spend_gap_is_bounded_by_the_cells_kink():
     # the pivotal agent stops inside the grid cell that holds its prior's
-    # breakpoint F_k, where q * F^-1(q) bends upward: the solution counts the
-    # cell's chord, the agent's one-price lottery pays q * F^-1(q) below it
+    # breakpoint F_k, where q * F^-1(q) bends upward: the fill gives it the
+    # cell's chord spend, and it moves along the cell to where its one-price
+    # lottery pays that much on the curve, so the menu spends the budget and
+    # the chord at the new quantile overstates it by at most the kink's bound
     (c0, f0), (ck, fk), (c2, f2) = (0.0, 0.0), (0.5, 0.4321234), (2.0, 1.0)
     d = PiecewiseLinearCDF(((c0, f0), (ck, fk), (c2, f2)))
     budget = 0.1 + fk * ck   # Uniform(0, 0.1) takes its whole curve, spend 0.1
-    sol = solve_additive([d, Uniform(0, 0.1)], [1.0, 10.0], budget)
-    grid = ironed_curve(d).quantiles
+    dists = [d, Uniform(0, 0.1)]
+    sol = solve_additive(dists, [1.0, 10.0], budget)
+    hulls = [ironed_curve(x) for x in dists]
+    grid = hulls[0].quantiles
     q = float(sol.quantiles[0])
     j = int(grid.searchsorted(q)) - 1
-    assert grid[j] < q < fk < grid[j + 1] and sol.quantiles[1] == 1.0
-    assert sol.lotteries.degenerate.all()
-    gap = sol.expected_spend - sum(sol.lotteries.expected_spend.tolist())
+    assert grid[j] < q < grid[j + 1] and grid[j] < fk < grid[j + 1]
+    assert sol.quantiles[1] == 1.0 and sol.lotteries.degenerate.all()
+    spend = sum(sol.lotteries.expected_spend.tolist())
+    assert sol.expected_spend == spend and abs(spend - budget) <= 1e-12 * budget
+    gap = interp_spend_sum(hulls, sol.quantiles) - budget
     h = grid[1] - grid[0]
     r1, r2 = (ck - c0) / (fk - f0), (c2 - ck) / (f2 - fk)
     assert 0.0 < gap <= h * fk * abs(r2 - r1) / 4 + h * h * max(r1, r2) / 4
@@ -462,16 +471,55 @@ def test_off_grid_spend_gap_is_bounded_by_the_cells_kink():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_solution_spend_matches_per_agent_interp_sum(seed):
-    # solve_additive's quantiles sit on grid points, inside cells and at 1
+    # a solution's spend is what its lotteries pay, summed in agent order;
+    # solve_additive's quantiles sit on grid points, inside cells and at 1.
+    # Greedy's quantiles stay where its increments put them, so its menu
+    # pays at most the chords it budgeted
     dists = irregular_priors(seed, 32)
     values = np.random.default_rng(seed).uniform(0.5, 2.0, 32)
     hulls = [ironed_curve(d) for d in dists]
     full = sum(h.total_spend for h in hulls)
     for share in (0.05, 0.3, 0.75, 1.2):
         sol = solve_additive(dists, values, share * full)
-        assert sol.expected_spend == interp_spend_sum(hulls, sol.quantiles)
+        assert sol.expected_spend == sum(sol.lotteries.expected_spend.tolist())
     grd = greedy_submodular(dists[:6], AdditiveValue(values[:6]), 0.3 * full / 5, m=24)
-    assert grd.expected_spend == interp_spend_sum(hulls[:6], grd.quantiles)
+    assert grd.expected_spend == sum(grd.lotteries.expected_spend.tolist())
+    assert grd.expected_spend <= interp_spend_sum(hulls[:6], grd.quantiles)
+
+
+def test_menu_spend_meets_the_budget_with_a_kink_in_the_pivotal_cell():
+    # design-sweep-shaped markets of 32 irregular priors, in which every
+    # agent but one pwcdf agent p is worth enough to take its whole curve,
+    # and the budget leaves p the curve's spend at a quantile beside one of
+    # its breakpoints F_k (from 1e-12 to 1e-5 away), so p stops in the grid
+    # cell that holds the kink and its move must find the curve across it
+    cases = 0
+    for seed in range(3):
+        dists = irregular_priors(seed, 32)
+        hulls = [ironed_curve(d) for d in dists]
+        grid = hulls[0].quantiles
+        rng = np.random.default_rng(seed)
+        for p in range(1, 32, 2):
+            d, ic = dists[p], hulls[p]
+            for fk in sorted({F for _, F in d.points[1:-1]}):
+                j = int(grid.searchsorted(fk)) - 1
+                lo, hi = grid[j], grid[j + 1]
+                if fk == hi or ic.interval_containing(0.5 * (lo + hi)) is not None:
+                    continue
+                q = fk + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12, -5)
+                q = min(max(q, lo + 1e-12), hi - 1e-12)
+                values = np.full(32, 1e4)
+                values[p] = 1.0
+                budget = (sum(h.total_spend for i, h in enumerate(hulls) if i != p)
+                          + q * d.inverse_cdf(q))
+                sol = solve_additive(dists, values, budget)
+                assert lo < sol.quantiles[p] < hi
+                assert np.delete(sol.quantiles, p).tolist() == [1.0] * 31
+                spend = sum(sol.lotteries.expected_spend.tolist())
+                assert sol.expected_spend == spend
+                assert abs(spend - budget) <= 1e-10 * budget
+                cases += 1
+    assert cases >= 20
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -499,18 +547,6 @@ def test_solution_lotteries_match_the_per_agent_route_bitwise(seed):
         solver = sol.solver_meta["solver"]
         randomized[solver] = randomized.get(solver, 0) + sum(not lot.degenerate for lot in ref)
     assert min(randomized.values()) >= 2 and len(randomized) == 3
-
-
-@pytest.mark.parametrize("grid", [2, 3, 101])
-def test_hull_values_are_np_interp_bitwise(grid):
-    dists = irregular_priors(7, 32)
-    hulls = [ironed_curve(d, grid) for d in dists]
-    knots = hulls[0].quantiles
-    rng = np.random.default_rng(grid)
-    for q in (rng.random(32), knots[rng.integers(0, grid, 32)],
-              rng.choice([0.0, -0.0, 1.0, -0.25, 1.5, np.nextafter(1.0, 0.0)], 32)):
-        want = [float(np.interp(x, h.quantiles, h.hull)) for h, x in zip(hulls, q)]
-        assert _hull_values(hulls, q).tobytes() == np.array(want).tobytes()
 
 
 def test_greedy_noisy_increments_still_feasible():
