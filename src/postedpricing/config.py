@@ -335,9 +335,10 @@ def parse_config(path: str) -> ExperimentConfig:
     try:
         budget = float(cp.get("instance", "budget"))
     except ValueError as exc:
-        raise ConfigError(f"bad budget: {exc}") from None
+        raise ConfigError(f"[instance] budget: {exc}") from None
     if not 0.0 < budget < math.inf:
-        raise ConfigError(f"budget must be a positive finite number, got {budget:g}")
+        raise ConfigError(f"[instance] budget must be a positive finite number, "
+                          f"got {budget:g}")
     value = parse_value(cp.get("instance", "value"), len(dists))
 
     try:
@@ -353,7 +354,7 @@ def parse_config(path: str) -> ExperimentConfig:
     cfg.n_orders = _int(cp, "mechanism", "n_orders", cfg.n_orders)
     cfg.trials = _int(cp, "harness", "trials", cfg.trials)
     cfg.seed = _int(cp, "harness", "seed", cfg.seed)
-    cfg.noisy = _bool(cp.get("solver", "noisy", fallback="false"), "noisy")
+    cfg.noisy = _bool(cp.get("solver", "noisy", fallback="false"), "[solver] noisy")
     policy = MECHANISM_ORDERS[cfg.mechanism_kind]
     order = cp.get("mechanism", "order", fallback=policy).strip().lower()
     if order != policy:
@@ -364,7 +365,7 @@ def parse_config(path: str) -> ExperimentConfig:
         try:
             cfg.epsilon = float(eps_text)
         except ValueError as exc:
-            raise ConfigError(f"bad epsilon: {exc}") from None
+            raise ConfigError(f"[mechanism] epsilon: {exc}") from None
         if not 0.0 < cfg.epsilon < 0.5:
             raise ConfigError("[mechanism] epsilon must lie in (0, 1/2)")
     cfg.out = cp.get("harness", "out", fallback=cfg.out)

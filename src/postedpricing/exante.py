@@ -4,9 +4,10 @@ an expected-spend budget.
 Three routes, by value-function shape:
   * additive   -- Lagrangian relaxation of the budget constraint: the
                   multiplier is the smallest float whose spend fits the
-                  budget, found exactly in a few vectorised rounds (see
-                  solve_additive), then a water-filling top-up makes what
-                  the menu pays bind the budget;
+                  budget, found exactly by a search over float bit patterns
+                  that evaluates 63 multipliers a round (see
+                  _search_multiplier), then a water-filling top-up makes
+                  what the menu pays bind the budget;
   * symmetric  -- a single shared quantile found by inverting the shared
                   (ironed) cost curve at spend B/n;
   * submodular -- a reduction to cardinality-constrained greedy over equal
@@ -80,118 +81,57 @@ def _curve_quantile(dist, lo, hi, target: float, tol: float) -> float:
     return q
 
 
-def _counts_and_spend(hulls, values, lams, c_lo, c_hi):
-    """Per agent, the number of hull segments whose marginal cost is at most
-    v_i / lam at each multiplier of `lams` (none for agents of zero value),
-    as an (n, len(lams)) array, and the expected spend at each multiplier
-    summed in agent order, one agent's row at a time.  Every multiplier lies
-    where agent i's count is known to lie in c_hi[i] .. c_lo[i]; an agent
-    whose two bounds agree adds the same hull value to every column."""
-    counts = np.empty((len(hulls), len(lams)), dtype=np.intp)
-    spend = np.zeros(len(lams))
-    ratios = np.divide.outer(values, lams)
-    for i, (h, a, b) in enumerate(zip(hulls, c_hi.tolist(), c_lo.tolist())):
-        if a == b:
-            counts[i] = a
-            spend += h.hull[a]
-        else:
-            counts[i] = c = h.slopes.searchsorted(ratios[i], side="right")
-            spend += h.hull.take(c)
-    return counts, spend
-
-
-def _inclusion_bounds(hulls, values, c_lo, c_hi, lo, hi):
-    """The segments that flip between multipliers lo and hi (agent i's
-    c_hi[i] .. c_lo[i] - 1): for each, the largest float lam in [lo, hi)
-    that takes it in, fl(v_i / lam) >= slope.  v / slope lands within an ulp
-    or two of that bound, and `nextafter` steps settle it exactly."""
-    movers = np.flatnonzero(c_lo > c_hi)
-    v = np.repeat(values[movers], (c_lo - c_hi)[movers])
-    s = np.concatenate([hulls[i].slopes[c_hi[i]:c_lo[i]] for i in movers])
-    lam = np.clip(v / s, lo, np.nextafter(hi, 0.0))
-    while True:
-        out = v / lam < s
-        if not out.any():
-            break
-        lam[out] = np.nextafter(lam[out], 0.0)
-    while True:
-        up = np.nextafter(lam, np.inf)
-        step = (up < hi) & (v / up >= s)
-        if not step.any():
-            return lam
-        lam[step] = up[step]
-
-
-_NARROW_POINTS = 63       # multipliers one round evaluates at once
-_MERGE_CAP = 1_024        # flipping segments few enough to bound one by one
+_ROUND = 63               # multipliers one search round evaluates at once
 _LAM_FLOOR = 2.0 ** -200  # the multiplier reported when every one fits
 
 
 def _search_multiplier(hulls, values, budget: float):
-    """The smallest float multiplier lam whose agent-order spend is at most
-    the budget, each agent's segment count at it, and the search's work as
-    (spend evaluations, merged segments).
+    """The smallest float multiplier lam >= _LAM_FLOOR whose agent-order
+    spend is at most the budget, each agent's segment count at it (the hull
+    segments whose marginal cost is at most v_i / lam; none for agents of
+    zero value), and the number of spend evaluations.
 
-    Spend only falls as lam grows, and it changes only where a segment
-    flips.  A bracket lo < lam <= hi grows through lam = 1, 4, 16, ...; a
-    narrowing round evaluates the spend at _NARROW_POINTS evenly spaced
-    multipliers inside it at once and keeps the pair that brackets the
-    budget.  Once at most _MERGE_CAP segments flip between lo and hi, their
-    exact inclusion bounds are the candidates: spend is constant between
-    consecutive ones, so lam is the float just above the largest candidate
-    that overspends.  Rounds of _NARROW_POINTS candidates narrow them down
-    until one round takes all that are left.  Where every lam > 0 fits
-    (agents of zero value hold spend back), lam is _LAM_FLOOR, 2^-200,
-    where halving from lam = 1 two hundred times ends.
+    Nonnegative floats sort as their int64 bit patterns, and spend only
+    falls as lam grows.  So the search keeps lo, the largest pattern known
+    to overspend, and hi, the smallest known to fit; each round evaluates
+    _ROUND evenly spaced patterns of the open bracket (or every one left)
+    and keeps the pair that brackets the budget, until the two are adjacent
+    floats: at most 11 rounds.  The first pattern tried is _LAM_FLOOR, so
+    where every lam > 0 fits (agents of zero value hold spend back) it ends
+    there.  An agent whose counts at lo and hi agree adds one hull value to
+    every column; the spend is summed in agent order, row by row.
     """
-    # the counts as lam -> 0+ and at lam = inf bound the counts everywhere
+    bits = np.array([_LAM_FLOOR, np.inf]).view(np.int64).tolist()
+    lo, hi = bits[0] - 1, bits[1]
+    # an agent's count lies between none and all of its segments (none at
+    # zero value) until probes at lo and hi narrow it; s_hi holds the hull
+    # value at c_hi
     c_lo = np.array([len(h.slopes) if v > 0.0 else 0
                      for h, v in zip(hulls, values.tolist())], dtype=np.intp)
     c_hi = np.zeros_like(c_lo)
-    lo, hi = 0.0, 1.0   # lo stays 0 until some multiplier overspends
-    evals = merged = 0
-    for _ in range(400):
-        counts, spend = _counts_and_spend(hulls, values, np.array([hi]), c_lo, c_hi)
-        evals += 1
-        if spend[0] <= budget:
-            c_hi = counts[:, 0]
-            break
-        lo, c_lo = hi, counts[:, 0]
-        hi *= 4.0
-    else:
+    s_hi = np.array([h.hull[0] for h in hulls])
+    evals = 0
+    while hi - lo > 1:
+        left = hi - lo - 1
+        k = min(left, _ROUND)
+        pats = [lo + 1 + j * left // k for j in range(k)]
+        lams = np.array(pats, dtype=np.int64).view(float)
+        counts = np.repeat(c_hi[:, None], k, axis=1)
+        table = np.repeat(s_hi[:, None], k, axis=1)
+        for i in np.flatnonzero(c_lo != c_hi).tolist():
+            h = hulls[i]
+            counts[i] = c = h.slopes.searchsorted(values[i] / lams, side="right")
+            table[i] = h.hull.take(c)
+        spend = np.add.accumulate(table, axis=0)[-1]
+        evals += k
+        over = int(np.count_nonzero(spend > budget))
+        if over:
+            lo, c_lo = pats[over - 1], counts[:, over - 1]
+        if over < k:
+            hi, c_hi, s_hi = pats[over], counts[:, over], table[:, over]
+    if hi == bits[1]:
         raise RuntimeError("could not bracket the budget multiplier")
-    cands, final = None, False
-    while True:
-        if lo == 0.0:
-            # the first round also tries the floor
-            lams = np.linspace(0.0, hi, _NARROW_POINTS + 2)[1:-1]
-            lams = np.concatenate(([_LAM_FLOOR], lams))
-        elif np.nextafter(lo, np.inf) == hi:
-            return hi, c_hi, evals, merged
-        else:
-            if cands is None and int((c_lo - c_hi).sum()) <= _MERGE_CAP:
-                bounds = _inclusion_bounds(hulls, values, c_lo, c_hi, lo, hi)
-                merged, cands = len(bounds), np.unique(bounds)
-            if cands is None:
-                lams = np.linspace(lo, hi, _NARROW_POINTS + 2)[1:-1]
-                lams = np.unique(np.clip(lams, np.nextafter(lo, np.inf),
-                                         np.nextafter(hi, 0.0)))
-            else:
-                cands = cands[(cands >= lo) & (cands < hi)]
-                final = len(cands) <= _NARROW_POINTS
-                picks = np.arange(1, _NARROW_POINTS + 1) * len(cands) // (_NARROW_POINTS + 1)
-                lams = cands if final else cands[picks]
-        counts, spend = _counts_and_spend(hulls, values, lams, c_lo, c_hi)
-        evals += len(lams)
-        k = int(np.count_nonzero(spend > budget))
-        if k:
-            lo, c_lo = float(lams[k - 1]), counts[:, k - 1]
-        if k < len(lams):
-            hi, c_hi = float(lams[k]), counts[:, k]
-        if lo == 0.0:
-            return _LAM_FLOOR, c_hi, evals, merged
-        if final:
-            return float(np.nextafter(lo, np.inf)), c_hi, evals, merged
+    return float(np.int64(hi).view(float)), c_hi, evals
 
 
 def solve_additive(dists, values, budget: float,
@@ -201,16 +141,15 @@ def solve_additive(dists, values, budget: float,
     On the ironed hulls the Lagrangian relaxation takes, per agent, every
     hull segment whose marginal cost is at most v_i / lam.  The multiplier
     lam is the smallest float at which that spend, summed in agent order,
-    fits the budget; _search_multiplier finds it exactly with a bracket, a
-    few vectorised narrowing rounds and a merge of the segments left near
-    the threshold.  The marginal agents then advance along their current
-    hull segments (splitting ties at equal spend rates) until the budget
-    binds.  On irregular inputs the marginal quantile lands inside an ironed
-    interval and is realized by a two-price lottery; a marginal agent left
-    inside a grid cell elsewhere moves along it to where its one price pays
-    the chord spend it was given (_curve_quantile).  solver_meta records
-    lam and the work done: spend evaluations, merged segments and water-fill
-    steps.
+    fits the budget; _search_multiplier finds it exactly by narrowing a
+    bracket of float bit patterns, 63 at a time.  The marginal agents then
+    advance along their current hull segments (splitting ties at equal
+    spend rates) until the budget binds.  On irregular inputs the marginal
+    quantile lands inside an ironed interval and is realized by a two-price
+    lottery; a marginal agent left inside a grid cell elsewhere moves along
+    it to where its one price pays the chord spend it was given
+    (_curve_quantile).  solver_meta records lam and the work done: spend
+    evaluations and water-fill steps.
     """
     values = np.asarray(values, dtype=float)
     if not budget > 0:
@@ -229,9 +168,9 @@ def solve_additive(dists, values, budget: float,
         q = np.ones(n)
         return _solution("additive", hulls, dists, q, np.dot(values, q),
                          {"lambda": 0.0, "budget": budget, "spend_evals": 0,
-                          "merged_segments": 0, "waterfill_steps": 0})
+                          "waterfill_steps": 0})
 
-    lam, seg, evals, merged = _search_multiplier(hulls, values, budget)
+    lam, seg, evals = _search_multiplier(hulls, values, budget)
     pos = grid[seg]
     spend_i = np.array([h.hull[c] for h, c in zip(hulls, seg)])
 
@@ -276,7 +215,7 @@ def solve_additive(dists, values, budget: float,
             q[i] = _curve_quantile(dists[i], *grid[j[i]:j[i] + 2], spend_i[i], _CURVE_TOL * scale)
     return _solution("additive", hulls, dists, q, np.dot(values, q),
                      {"lambda": lam, "budget": budget, "spend_evals": evals,
-                      "merged_segments": merged, "waterfill_steps": fill_steps})
+                      "waterfill_steps": fill_steps})
 
 
 def solve_symmetric(dist, g, budget: float, grid_size: int = DEFAULT_GRID) -> ExAnteSolution:

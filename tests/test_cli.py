@@ -607,7 +607,13 @@ def test_semicolon_comments_cut_as_configparser_cuts_them(tmp_path):
     ({"kind = additive": "kind = additive\ngrid = 1"}, (), "[solver] grid"),
     ({"kind = sequential": "kind = oblivious",
       "order = bang-per-buck": "order = worst-of-sampled\nepsilon = 0.7"}, (),
-     "[mechanism] epsilon")])
+     "[mechanism] epsilon"),
+    ({"budget = 4": "budget = four"}, (), "[instance] budget"),
+    ({"budget = 4": "budget = inf"}, (), "[instance] budget"),
+    ({"kind = sequential": "kind = oblivious",
+      "order = bang-per-buck": "order = worst-of-sampled\nepsilon = abc"}, (),
+     "[mechanism] epsilon"),
+    ({"kind = additive": "kind = additive\nnoisy = maybe"}, (), "[solver] noisy")])
 def test_out_of_range_option_exits_2(tmp_path, capsys, edits, args, key):
     text = EXAMPLE1.format(out=tmp_path)
     for old, new in edits.items():
