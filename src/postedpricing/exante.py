@@ -89,7 +89,8 @@ def _search_multiplier(hulls, values, budget: float):
     """The smallest float multiplier lam >= _LAM_FLOOR whose agent-order
     spend is at most the budget, each agent's segment count at it (the hull
     segments whose marginal cost is at most v_i / lam; none for agents of
-    zero value), and the number of spend evaluations.
+    zero value), each agent's hull spend there (a fresh array, not a view of
+    the search's last table), and the number of spend evaluations.
 
     Nonnegative floats sort as their int64 bit patterns, and spend only
     falls as lam grows.  So the search keeps lo, the largest pattern known
@@ -103,13 +104,12 @@ def _search_multiplier(hulls, values, budget: float):
     """
     bits = np.array([_LAM_FLOOR, np.inf]).view(np.int64).tolist()
     lo, hi = bits[0] - 1, bits[1]
-    # an agent's count lies between none and all of its segments (none at
-    # zero value) until probes at lo and hi narrow it; s_hi holds the hull
-    # value at c_hi
-    c_lo = np.array([len(h.slopes) if v > 0.0 else 0
-                     for h, v in zip(hulls, values.tolist())], dtype=np.intp)
+    # an agent's count lies between none and all of its segments (every hull
+    # of one grid has as many; none at zero value) until probes at lo and hi
+    # narrow it; s_hi holds the hull value at c_hi, and every hull starts at 0
+    c_lo = np.where(values > 0.0, len(hulls[0].slopes), 0)
     c_hi = np.zeros_like(c_lo)
-    s_hi = np.array([h.hull[0] for h in hulls])
+    s_hi = np.zeros(len(hulls))
     evals = 0
     while hi - lo > 1:
         left = hi - lo - 1
@@ -131,7 +131,7 @@ def _search_multiplier(hulls, values, budget: float):
             hi, c_hi, s_hi = pats[over], counts[:, over], table[:, over]
     if hi == bits[1]:
         raise RuntimeError("could not bracket the budget multiplier")
-    return float(np.int64(hi).view(float)), c_hi, evals
+    return float(np.int64(hi).view(float)), c_hi, s_hi.copy(), evals
 
 
 def solve_additive(dists, values, budget: float,
@@ -170,9 +170,8 @@ def solve_additive(dists, values, budget: float,
                          {"lambda": 0.0, "budget": budget, "spend_evals": 0,
                           "waterfill_steps": 0})
 
-    lam, seg, evals = _search_multiplier(hulls, values, budget)
+    lam, seg, spend_i, evals = _search_multiplier(hulls, values, budget)
     pos = grid[seg]
-    spend_i = np.array([h.hull[c] for h, c in zip(hulls, seg)])
 
     # water-fill the pivotal agents until the budget binds
     scale = max(1.0, budget)

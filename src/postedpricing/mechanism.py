@@ -23,8 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import (DEFAULT_GRID, PriceLotteries, ironed_curve,
-                            two_price_lottery)
+from .distributions import PriceLotteries
 from .exante import ExAnteSolution, solve_ex_ante, solver_kind
 from .values import AdditiveValue, ValueFunction
 
@@ -404,71 +403,69 @@ def _mean_knapsack_value(values, prices, budget: float, draws) -> float:
     return float(np.add.accumulate(np.concatenate(([0.0], totals)))[-1] / rows)
 
 
-def reduce_lottery_pairs(menu: PriceMenu, dists, values,
-                         grid_size: int = DEFAULT_GRID) -> PriceMenu:
+def reduce_lottery_pairs(menu: PriceMenu, values) -> PriceMenu:
     """Shift quantile mass between lottery pairs until at most one remains.
 
-    While two randomized agents remain, quantile mass moves from the agent
-    with the higher hull slope per unit value to the lower one at equal spend
-    rates, which keeps the total expected spend fixed and pins at least one
-    of them to an ironed-interval endpoint (where its lottery degenerates).
-    The objective never decreases.
+    A randomized agent's lottery pays linearly along its own chord, at rate
+    r_i = (q_hi p_hi - q_lo p_lo) / (q_hi - q_lo) per unit of quantile.
+    While two randomized agents remain, mass moves from the agent with the
+    highest r_i / v_i to the one with the lowest at equal spend, until one
+    of them reaches an end of its lottery, which then offers that end's
+    single price.  Only the menu is read: what its lotteries pay is kept and
+    the objective never decreases.
     """
     values = np.asarray(values, dtype=float)
     if len(values) != menu.n:
         raise ValueError("one value per agent required")
-    hulls = [ironed_curve(d, grid_size) for d in dists]
     q = np.array(menu.quantiles, dtype=float)
     lots = menu.lotteries
-
-    def slope_at(i):
-        h = hulls[i]
-        seg = min(int(np.searchsorted(h.quantiles, q[i], side="right")) - 1,
-                  len(h.slopes) - 1)
-        return float(h.slopes[max(seg, 0)])
-
+    p_lo, p_hi, a, b = lots.price_lo, lots.price_hi, lots.q_lo, lots.q_hi
     randomized = list(menu.randomized_agents)
-    while len(randomized) >= 2:
-        rates = sorted((slope_at(i) / values[i] if values[i] > 0 else math.inf, i)
-                       for i in randomized)
-        lo_i, hi_i = rates[0][1], rates[-1][1]
-        b_lo, a_hi, b_hi = lots.q_hi[lo_i], lots.q_lo[hi_i], lots.q_hi[hi_i]
-        s_lo, s_hi = slope_at(lo_i), slope_at(hi_i)
-        if s_hi <= 0.0:
-            # a free segment: fill it outright, no spend change
-            q[hi_i] = b_hi
-        else:
-            room_up = b_lo - q[lo_i]
-            room_dn = (q[hi_i] - a_hi) * s_hi / s_lo if s_lo > 0 else math.inf
-            dq = min(room_up, room_dn)
-            q[lo_i] += dq
-            q[hi_i] -= dq * s_lo / s_hi
-            if abs(q[lo_i] - b_lo) < 1e-12:
-                q[lo_i] = b_lo
-            if abs(q[hi_i] - a_hi) < 1e-12:
-                q[hi_i] = a_hi
-        lots = lots.with_rows({i: two_price_lottery(hulls[i], dists[i], float(q[i]))
-                               for i in (lo_i, hi_i)})
-        degenerate = lots.degenerate
-        randomized = [i for i in randomized if q[i] > 0 and not degenerate[i]]
+    for i in randomized:
+        if a[i] == b[i]:
+            raise ValueError(f"agent {i}'s lottery has no chord: q_lo = q_hi")
+    rate = {i: (b[i] * p_hi[i] - a[i] * p_lo[i]) / (b[i] - a[i]) for i in randomized}
 
-    return replace(menu, lotteries=lots, quantiles=q)
+    moved = set()
+    while len(randomized) >= 2:
+        order = sorted((rate[i] / values[i] if values[i] > 0 else math.inf, i)
+                       for i in randomized)
+        lo_i, hi_i = order[0][1], order[-1][1]
+        room_up = b[lo_i] - q[lo_i]
+        room_dn = (q[hi_i] - a[hi_i]) * rate[hi_i] / rate[lo_i]
+        # the agent with less room reaches its end; the other is held on its
+        # chord, which rounding could carry an ulp past an end when the rooms tie
+        if room_up <= room_dn:
+            q[lo_i], q[hi_i] = b[lo_i], max(q[hi_i] - room_up * rate[lo_i] / rate[hi_i], a[hi_i])
+        else:
+            q[lo_i], q[hi_i] = min(q[lo_i] + room_dn, b[lo_i]), a[hi_i]
+        moved.update((lo_i, hi_i))
+        randomized = [i for i in randomized if a[i] < q[i] < b[i]]
+
+    rows = {}
+    for i in moved:  # an agent at an end of its chord offers that end's price
+        p = p_lo[i] if q[i] == a[i] else p_hi[i]
+        rows[i] = ((p_lo[i], p_hi[i], (b[i] - q[i]) / (b[i] - a[i]), a[i], b[i])
+                   if a[i] < q[i] < b[i] else (p, p, 1.0, q[i], q[i]))
+    return replace(menu, lotteries=lots.with_rows(rows), quantiles=q)
 
 
 def derandomize_additive(menu: PriceMenu, dists, values, budget: float,
-                         samples: int = 10_000, seed=None,
-                         grid_size: int = DEFAULT_GRID) -> PriceMenu:
+                         samples: int = 10_000, seed=None) -> PriceMenu:
     """Turn a lottery menu into a deterministic one without losing value.
 
-    Runs the spend-preserving pairwise reduction, then the last randomized
-    agent keeps whichever of its two prices wins a sampled
-    fractional-knapsack comparison against the other agents' acceptance
-    draws.
+    Runs the spend-preserving pairwise reduction (reduce_lottery_pairs), then
+    the last randomized agent keeps whichever of its two prices wins a
+    sampled fractional-knapsack comparison against the other agents'
+    acceptance draws.  Only the menu is read; dists must hold one prior per
+    agent.
     """
     values = np.asarray(values, dtype=float)
     if samples < 1:
         raise ValueError("samples must be positive")
-    reduced = reduce_lottery_pairs(menu, dists, values, grid_size=grid_size)
+    if len(dists) != menu.n:
+        raise ValueError("one distribution per agent required")
+    reduced = reduce_lottery_pairs(menu, values)
     randomized = list(reduced.randomized_agents)
     q = np.array(reduced.quantiles, dtype=float)
     lots = reduced.lotteries

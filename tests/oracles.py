@@ -533,8 +533,10 @@ def _slope_at(h, q):
 
 
 def reduce_lottery_pairs_per_agent(lots, quantiles, dists, values, grid_size=DEFAULT_GRID):
-    """mechanism.reduce_lottery_pairs on a list of PriceLottery objects, one
-    rebuilt per moved agent: (lotteries, quantiles)."""
+    """The hull-slope route that mechanism.reduce_lottery_pairs replaced, on a
+    list of PriceLottery objects: mass moves at the slopes of each prior's
+    hull re-ironed at grid_size, and each moved agent's lottery is rebuilt
+    from that hull: (lotteries, quantiles)."""
     from postedpricing import ironed_curve
 
     values = np.asarray(values, dtype=float)
@@ -566,14 +568,48 @@ def reduce_lottery_pairs_per_agent(lots, quantiles, dists, values, grid_size=DEF
     return lots, q
 
 
-def derandomize_additive_per_agent(lots, quantiles, dists, values, budget, samples=10_000,
-                                   seed=None, grid_size=DEFAULT_GRID):
+def reduce_lottery_pairs_chord_per_agent(lots, quantiles, values):
+    """mechanism.reduce_lottery_pairs on a list of PriceLottery objects, one
+    rebuilt per moved agent from its own chord: (lotteries, quantiles)."""
+    values = [float(v) for v in values]
+    q = [float(x) for x in quantiles]
+    lots = list(lots)
+    randomized = [i for i, lot in enumerate(lots) if q[i] > 0 and not lot.degenerate]
+    rate = {i: (lots[i].q_hi * lots[i].price_hi - lots[i].q_lo * lots[i].price_lo)
+               / (lots[i].q_hi - lots[i].q_lo) for i in randomized}
+    while len(randomized) >= 2:
+        rates = sorted((rate[i] / values[i] if values[i] > 0 else math.inf, i)
+                       for i in randomized)
+        lo_i, hi_i = rates[0][1], rates[-1][1]
+        up = lots[lo_i].q_hi - q[lo_i]
+        dn = (q[hi_i] - lots[hi_i].q_lo) * rate[hi_i] / rate[lo_i]
+        if up <= dn:
+            q[lo_i] = lots[lo_i].q_hi
+            q[hi_i] = max(q[hi_i] - up * rate[lo_i] / rate[hi_i], lots[hi_i].q_lo)
+        else:
+            q[lo_i] = min(q[lo_i] + dn, lots[lo_i].q_hi)
+            q[hi_i] = lots[hi_i].q_lo
+        for i in (lo_i, hi_i):
+            lot = lots[i]
+            if lot.q_lo < q[i] < lot.q_hi:
+                lots[i] = PriceLottery(lot.price_lo, lot.price_hi,
+                                       (lot.q_hi - q[i]) / (lot.q_hi - lot.q_lo),
+                                       lot.q_lo, lot.q_hi)
+            else:
+                p = lot.price_lo if q[i] == lot.q_lo else lot.price_hi
+                lots[i] = PriceLottery(p, p, 1.0, q[i], q[i])
+        randomized = [i for i in randomized if lots[i].q_lo < q[i] < lots[i].q_hi]
+    return lots, np.array(q)
+
+
+def derandomize_additive_per_agent(lots, quantiles, values, budget, samples=10_000,
+                                   seed=None):
     """mechanism.derandomize_additive on a list of PriceLottery objects:
     (lotteries, quantiles)."""
     from postedpricing.mechanism import _mean_knapsack_value
 
     values = np.asarray(values, dtype=float)
-    lots, q = reduce_lottery_pairs_per_agent(lots, quantiles, dists, values, grid_size)
+    lots, q = reduce_lottery_pairs_chord_per_agent(lots, quantiles, values)
     randomized = [i for i, lot in enumerate(lots) if q[i] > 0 and not lot.degenerate]
     if randomized:
         i = randomized[0]

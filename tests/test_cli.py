@@ -800,3 +800,88 @@ def test_spend_binding_sweep_of_fresh_markets_in_one_process(tmp_path, capsys):
             spend = math.fsum(float(r["expected_spend"]) for r in rows)
             assert abs(spend - budget) <= 1e-6 * budget, (market, share)
     capsys.readouterr()
+
+
+ERROR_CONFIG = """
+[instance]
+distributions = {dists}
+value = {value}
+budget = 1
+
+[harness]
+out = {out}
+"""
+
+
+@pytest.mark.parametrize("dists, value, message", [
+    ("uniform", "additive(constant=1)", "cannot parse 'uniform': expected name(args)"),
+    ("2 * uniform(a, 1)", "additive(constant=1)", "bad numeric argument in uniform"),
+    ("0 * uniform(0, 1)", "additive(constant=1)", "replication count must be at least 1"),
+    ("", "additive(constant=1)", "no distributions given"),
+    ("2 * uniform(0, 1)", "additive(constant=abc)", "bad constant value"),
+    ("2 * uniform(0, 1)", "linear([1, 2])", "unknown value-function kind 'linear'"),
+    # the text of a coverage file, for two agents
+    ("2 * uniform(0, 1)", "e1 e2:1\ne2:1\n", "1: expected element:weight, got 'e1'"),
+    ("2 * uniform(0, 1)", "e1:x\ne2:1\n", "1: bad weight in 'e1:x'"),
+    ("2 * uniform(0, 1)", "e1:1\ne1:2\n", "2: conflicting weight for 'e1'"),
+    ("2 * uniform(0, 1)", "e1:1\n", "coverage file defines 1 agents, instance has 2"),
+], ids=["call", "numeric-argument", "replication", "no-distributions", "constant",
+        "value-kind", "coverage-no-colon", "coverage-bad-weight",
+        "coverage-conflicting-weight", "coverage-agent-count"])
+def test_config_error_paths_exit_2(tmp_path, capsys, dists, value, message):
+    if ":" in value:
+        (tmp_path / "cover.txt").write_text(value)
+        value = f"coverage({tmp_path / 'cover.txt'})"
+    path = _write_config(tmp_path, ERROR_CONFIG.format(dists=dists, value=value,
+                                                       out=tmp_path / "o"))
+    assert main(["solve", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (EXAMPLE1.replace("budget = 4\n", ""), "[instance] is missing 'budget'"),
+    ("budget = 4\n" + EXAMPLE1, "cannot parse "),
+], ids=["missing-budget", "no-section-header"])
+def test_config_file_error_paths_exit_2(tmp_path, capsys, text, message):
+    path = _write_config(tmp_path, text.format(out=tmp_path / "o"))
+    assert main(["solve", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("k, message", [("1, x", "bad k list: "), (" , ", "empty k list")])
+def test_bounds_k_list_errors_exit_2(tmp_path, capsys, k, message):
+    assert main(["bounds", "--k", k, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_seed_flag_writes_what_the_config_seed_writes(tmp_path):
+    seven = _write_config(tmp_path, EXAMPLE1.format(out=tmp_path / "seven"), "seven.ini")
+    five = _write_config(tmp_path, EXAMPLE1.replace("seed = 7", "seed = 5")
+                         .format(out=tmp_path / "five"), "five.ini")
+    assert main(["simulate", "--config", five]) == 0
+    assert main(["simulate", "--config", seven]) == 0
+    assert main(["simulate", "--config", seven, "--seed", "5",
+                 "--out", str(tmp_path / "flag")]) == 0
+    report = "report.csv"
+    assert ((tmp_path / "flag" / report).read_bytes()
+            == (tmp_path / "five" / report).read_bytes()
+            != (tmp_path / "seven" / report).read_bytes())
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch, command):
+    from postedpricing import exante
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("budget water-fill failed to converge")
+
+    monkeypatch.setattr(exante, "solve_additive", fail)
+    path = _write_config(tmp_path, EXAMPLE1.format(out=tmp_path / "o"))
+    assert main([command, "--config", path]) == 3
+    assert capsys.readouterr().err == ("numeric failure: budget water-fill failed "
+                                       "to converge\n")

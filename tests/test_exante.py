@@ -132,17 +132,21 @@ def test_multiplier_search_matches_bisection(grid):
     # the bit-pattern search and the bisection it replaced end on the same
     # float multiplier with the same segment counts, at the every-lambda-fits
     # floor and where the bracket closes to adjacent floats, in at most 11
-    # rounds of 63 evaluations however tied the slopes are
+    # rounds of 63 evaluations however tied the slopes are; the spend row it
+    # returns is each agent's hull value at its count, in an array of its own
     lams = set()
     for label, dists, values, shares in _search_markets(grid):
         hulls = [ironed_curve(d, grid) for d in dists]
         full = sum(h.total_spend for h in hulls)
         for share in shares:
             budget = share * full
-            lam, counts, evals = _search_multiplier(hulls, values, budget)
+            lam, counts, spend, evals = _search_multiplier(hulls, values, budget)
             ref_lam, ref_counts = bisect_multiplier(hulls, values, budget)
             assert lam.hex() == ref_lam.hex(), (label, share)
             assert counts.tolist() == ref_counts, (label, share)
+            assert spend.tobytes() == np.array([h.hull[c] for h, c in
+                                                zip(hulls, ref_counts)]).tobytes()
+            assert spend.base is None, (label, share)
             assert evals <= 11 * 63, (label, share)
             lams.add(lam)
     assert 2.0 ** -200 in lams

@@ -19,10 +19,11 @@ from postedpricing.mechanism import (_mean_knapsack_value, correlation_gap_bound
                                      overflow_ceiling, policy_orders)
 
 from oracles import (PriceLottery, degenerate_lottery, derandomize_additive_per_agent,
-                     fractional_knapsack_value, hull_at, integral_knapsack_value,
+                     fractional_knapsack_value, integral_knapsack_value,
                      irregular_priors, lottery_columns, lottery_objects, lottery_quantile,
                      lp_vertex_fractional, mean_knapsack_value_rows, mechanism_expectation,
-                     menu_of, reduce_lottery_pairs_per_agent, two_price_lottery)
+                     menu_of, reduce_lottery_pairs_chord_per_agent,
+                     reduce_lottery_pairs_per_agent, two_price_lottery)
 
 U01 = Uniform(0, 1)
 
@@ -321,13 +322,13 @@ def test_reduce_and_derandomize_match_the_per_agent_route_bitwise(values, third)
         dists += dists[:1]
         menu = menu_of(lots, [lottery_quantile(lot) for lot in lots])
     values = values[:menu.n]
-    out = reduce_lottery_pairs(menu, dists, values)
-    ref_lots, ref_q = reduce_lottery_pairs_per_agent(lots, menu.quantiles, dists, values)
+    out = reduce_lottery_pairs(menu, values)
+    ref_lots, ref_q = reduce_lottery_pairs_chord_per_agent(lots, menu.quantiles, values)
     assert lottery_columns(out.lotteries) == lottery_columns(ref_lots)
     assert out.quantiles.tobytes() == ref_q.tobytes()
     for budget in (0.4, 1.2):
         out = derandomize_additive(menu, dists, values, budget, samples=2000, seed=9)
-        ref_lots, ref_q = derandomize_additive_per_agent(lots, menu.quantiles, dists, values,
+        ref_lots, ref_q = derandomize_additive_per_agent(lots, menu.quantiles, values,
                                                          budget, samples=2000, seed=9)
         assert lottery_columns(out.lotteries) == lottery_columns(ref_lots)
         assert out.quantiles.tobytes() == ref_q.tobytes()
@@ -341,13 +342,90 @@ def test_derandomize_passthrough_without_lotteries():
     assert out.lotteries.price_lo.tolist() == [0.4, 0.6]
 
 
+def _menu_spend(menu):
+    return float(sum(menu.lotteries.expected_spend.tolist()))
+
+
 def test_reduce_lottery_pairs_preserves_spend():
-    menu, dists, ics = _two_lottery_menu()
-    before = sum(hull_at(ic, q) for ic, q in zip(ics, menu.quantiles))
-    out = reduce_lottery_pairs(menu, dists, [1.0, 1.3])
-    after = sum(hull_at(ic, q) for ic, q in zip(ics, out.quantiles))
-    assert after == pytest.approx(before, abs=1e-9)
+    # what the menu's own lotteries pay, not what a re-ironed hull says
+    menu, _, _ = _two_lottery_menu()
+    out = reduce_lottery_pairs(menu, [1.0, 1.3])
+    assert abs(_menu_spend(out) - _menu_spend(menu)) <= 1e-12 * _menu_spend(menu)
     assert len(out.randomized_agents) <= 1
+
+
+def _tie_market_menus(grid, seeds=range(10), copies=2):
+    """Menus with at least two lotteries that solve_additive gives at this
+    grid: each of 6 irregular priors held by `copies` agents of equal value,
+    so the water-fill splits ties inside ironed intervals."""
+    for seed in seeds:
+        dists = irregular_priors(seed, 6) * copies
+        values = np.tile(np.random.default_rng(seed).uniform(0.5, 2.0, 6).round(2), copies)
+        full = sum(ironed_curve(d, grid).total_spend for d in dists)
+        for frac in (0.2, 0.35, 0.5, 0.65, 0.8):
+            budget = float(frac * full)
+            menu = menu_from_solution(solve_additive(dists, values, budget, grid_size=grid))
+            if len(menu.randomized_agents) >= 2:
+                yield dists, values, budget, menu
+
+
+@pytest.mark.parametrize("grid", [101, 1001])
+def test_reduce_keeps_the_spend_of_menus_solved_off_the_default_grid(grid):
+    # the reduction reads only the menu, so a menu solved at any grid keeps
+    # what its lotteries pay; moving mass at the slopes of hulls re-ironed
+    # at the default grid moved it by up to 2.8e-3 of itself
+    menus = list(_tie_market_menus(grid))
+    assert len(menus) >= 5
+    for dists, values, budget, menu in menus:
+        out = reduce_lottery_pairs(menu, values)
+        assert abs(_menu_spend(out) - _menu_spend(menu)) <= 1e-12 * _menu_spend(menu)
+        assert len(out.randomized_agents) <= 1
+        assert np.dot(values, out.quantiles) >= np.dot(values, menu.quantiles) * (1 - 1e-12)
+        derand = derandomize_additive(menu, dists, values, budget)
+        assert not derand.has_lotteries
+        # derandomization moves only the agent the reduction left randomized
+        kept = np.ones(menu.n, dtype=bool)
+        kept[list(out.randomized_agents)] = False
+        assert derand.quantiles[kept].tobytes() == out.quantiles[kept].tobytes()
+        assert derand.lotteries.expected_spend[kept].tobytes() == \
+            out.lotteries.expected_spend[kept].tobytes()
+
+
+@pytest.mark.parametrize("grid, copies, seeds", [(101, 2, range(10)), (1001, 2, range(10)),
+                                                (10001, 2, range(3)), (1001, 3, range(6)),
+                                                (1001, 4, range(6))])
+def test_reduce_matches_the_hull_slope_route_at_the_solve_grid(grid, copies, seeds):
+    # at the grid the menu was solved at, the reference's hull slopes are its
+    # lotteries' chords up to rounding, so the objective and spend agree; with
+    # two copies in lotteries the same agent stays randomized, while with
+    # three or four exact copies which one stays rests on the reference's
+    # rounding of equal slopes
+    menus = list(_tie_market_menus(grid, seeds, copies))
+    assert copies == 2 or any(len(menu.randomized_agents) > 2 for *_, menu in menus)
+    for dists, values, _, menu in menus:
+        out = reduce_lottery_pairs(menu, values)
+        ref_lots, ref_q = reduce_lottery_pairs_per_agent(lottery_objects(menu.lotteries),
+                                                         menu.quantiles, dists, values, grid)
+        ref_rand = tuple(i for i, lot in enumerate(ref_lots)
+                         if ref_q[i] > 0 and not lot.degenerate)
+        assert len(out.randomized_agents) == len(ref_rand) <= 1
+        assert copies > 2 or out.randomized_agents == ref_rand
+        ref_obj = float(np.dot(values, ref_q))
+        assert abs(float(np.dot(values, out.quantiles)) - ref_obj) <= 1e-12 * ref_obj
+        ref_spend = float(sum(lot.expected_spend for lot in ref_lots))
+        assert abs(_menu_spend(out) - ref_spend) <= 1e-12 * ref_spend
+
+
+def test_reduce_rejects_a_lottery_without_a_chord():
+    lots = [PriceLottery(0.2, 0.3, 0.5, 0.4, 0.6), PriceLottery(0.2, 0.3, 0.5, 0.5, 0.5)]
+    with pytest.raises(ValueError, match="agent 1's lottery has no chord"):
+        reduce_lottery_pairs(menu_of(lots, [0.5, 0.5]), [1.0, 1.0])
+
+
+def test_derandomize_rejects_a_prior_count_that_is_not_the_agent_count():
+    menu, dists, _ = _two_lottery_menu()
+    with pytest.raises(ValueError, match="one distribution per agent"):
+        derandomize_additive(menu, dists[:1], [1.0, 1.3], budget=1.2)
 
 
 def test_derandomize_two_lottery_menu_is_deterministic():

@@ -9,6 +9,7 @@ public names and reads attributes of their results; a deletion would break
 the benchmark's set-up, so they are read from its source and looked up here.
 """
 
+import hashlib
 import importlib.util
 import re
 import sys
@@ -54,6 +55,32 @@ def test_design_sweep_check_passes(seed, op, tmp_path, monkeypatch):
     prepared = sweep.prepare(op)
     result = sweep.check(prepared, sweep.run(prepared))
     assert result.ok, result.why
+
+
+def _digest(workload, ops):
+    """perfbench/child.py's run digest: sha256 over the digest bytes of the
+    first ops, each checked."""
+    h = hashlib.sha256()
+    for op in ops:
+        prepared = workload.prepare(op)
+        result = workload.check(prepared, workload.run(prepared))
+        workload.cleanup(prepared)
+        assert result.ok, (op, result.why)
+        h.update(result.digest_bytes)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name, digest", [("design-sweep", "4786499ad9458c1d"),
+                                          ("expost-mc", "fdc0b5a97e40cc83"),
+                                          ("oblivious-cli", "d19f47c73132ff31")])
+def test_workload_setup_and_digest_ops_pass(name, digest, tmp_path, monkeypatch):
+    # set-up and ops call the package through its signatures (expost-mc's
+    # set-up passes derandomize_additive its priors by position), so a
+    # signature change fails here, not only under the benchmark; the digests
+    # are seed 7's
+    workload = _load_workloads(monkeypatch).WORKLOADS[name](7, str(tmp_path))
+    workload.setup()
+    assert _digest(workload, range(workload.digest_ops))[:16] == digest
 
 
 def test_tracer_installs_and_uninstalls_on_the_package():
