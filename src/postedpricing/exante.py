@@ -6,8 +6,9 @@ Three routes, by value-function shape:
                   multiplier is the smallest float whose spend fits the
                   budget, found exactly by a search over float bit patterns
                   that evaluates 63 multipliers a round (see
-                  _search_multiplier), then a water-filling top-up makes
-                  what the menu pays bind the budget;
+                  _search_multiplier), then one split of what is left
+                  among the agents tied at it makes what the menu pays
+                  bind the budget;
   * symmetric  -- a single shared quantile found by inverting the shared
                   (ironed) cost curve at spend B/n;
   * submodular -- a reduction to cardinality-constrained greedy over equal
@@ -142,24 +143,26 @@ def solve_additive(dists, values, budget: float,
     hull segment whose marginal cost is at most v_i / lam.  The multiplier
     lam is the smallest float at which that spend, summed in agent order,
     fits the budget; _search_multiplier finds it exactly by narrowing a
-    bracket of float bit patterns, 63 at a time.  The marginal agents then
-    advance along their current hull segments (splitting ties at equal
-    spend rates) until the budget binds.  On irregular inputs the marginal
-    quantile lands inside an ironed interval and is realized by a two-price
-    lottery; a marginal agent left inside a grid cell elsewhere moves along
-    it to where its one price pays the chord spend it was given
+    bracket of float bit patterns, 63 at a time.  The pivotal agents, whose
+    next slope-to-value ratio is within 1e-12 of the least, then split what
+    is left in one pass at one level of spend: an agent whose cap (where its
+    ratio leaves that tie) is at or below the level lands on the cap's grid
+    point, and every other one advances the level along its hull segment.
+    On irregular inputs a pivotal quantile inside an ironed interval is
+    realized by a two-price lottery; one left inside a grid cell elsewhere
+    moves along it to where its one price pays the chord spend it was given
     (_curve_quantile).  solver_meta records lam and the work done: spend
-    evaluations and water-fill steps.
+    evaluations and pivotal agents.
     """
     values = np.asarray(values, dtype=float)
     if not budget > 0:
         raise ValueError("budget must be positive")
     if not np.all(values >= 0):
         raise ValueError("agent values must be nonnegative")
-    hulls = [ironed_curve(d, grid_size) for d in dists]
-    n = len(hulls)
+    n = len(dists)
     if len(values) != n:
         raise ValueError("one value per distribution required")
+    hulls = [ironed_curve(d, grid_size) for d in dists]
     grid = hulls[0].quantiles
     nseg = len(grid) - 1
 
@@ -168,53 +171,45 @@ def solve_additive(dists, values, budget: float,
         q = np.ones(n)
         return _solution("additive", hulls, dists, q, np.dot(values, q),
                          {"lambda": 0.0, "budget": budget, "spend_evals": 0,
-                          "waterfill_steps": 0})
+                          "pivotal_agents": 0})
 
     lam, seg, spend_i, evals = _search_multiplier(hulls, values, budget)
-    pos = grid[seg]
-
-    # water-fill the pivotal agents until the budget binds
+    q = grid[seg]
     scale = max(1.0, budget)
-    for fill_steps in range(200_000):
-        remaining = budget - spend_i.sum()
-        if remaining <= _BIND_TOL * scale:
-            break
-        active = [i for i in range(n) if seg[i] < nseg and values[i] > 0]
-        if not active:
-            break
-        # the multiplier takes every zero-slope segment of a valued agent, and
-        # a step only moves onto a larger slope, so every slope here is > 0
-        ratios = np.array([hulls[i].slopes[seg[i]] / values[i] for i in active])
-        r_star = ratios.min()
-        group = [i for i, r in zip(active, ratios) if r <= r_star + 1e-12 * (1.0 + r_star)]
-        # each pivotal agent's run of equal slopes ends where a larger one starts
-        ends = {i: int(hulls[i].slopes.searchsorted(hulls[i].slopes[seg[i]], side="right"))
-                for i in group}
-        caps = np.array([hulls[i].hull[ends[i]] - spend_i[i] for i in group])
-        share = remaining / len(group)
-        step = min(share, caps.min())
-        if step <= 0:
-            break
-        for i in group:
-            h, end = hulls[i], ends[i]
-            spend_i[i] += step
-            if spend_i[i] >= h.hull[end] - 1e-15 * scale:
-                spend_i[i] = float(h.hull[end])
-                seg[i] = end
-                pos[i] = grid[end]
-            else:
-                pos[i] += step / h.slopes[seg[i]]
-    else:
-        raise RuntimeError("budget water-fill failed to converge")
-
-    q = np.clip(pos, 0.0, 1.0)
-    j = grid.searchsorted(q, side="right") - 1
-    for i in np.flatnonzero(q != grid[j]).tolist():
-        if hulls[i].interval_containing(q[i]) is None:
-            q[i] = _curve_quantile(dists[i], *grid[j[i]:j[i] + 2], spend_i[i], _CURVE_TOL * scale)
+    left = budget - spend_i.sum()
+    # the pivotal agents tie at the least next slope-to-value ratio (each is
+    # > 0: the multiplier takes every zero-slope segment of a valued agent),
+    # and each may spend up to where its ratio leaves the tie, at least to
+    # the end of its current segment, which tie * v_i can round below
+    active = ([i for i in range(n) if seg[i] < nseg and values[i] > 0]
+              if left > _BIND_TOL * scale else [])
+    ratios = np.array([hulls[i].slopes[seg[i]] / values[i] for i in active])
+    r_star = ratios.min(initial=np.inf)
+    tie = r_star + 1e-12 * (1.0 + r_star)
+    group = [i for i, r in zip(active, ratios) if r <= tie]
+    ends = [max(int(hulls[i].slopes.searchsorted(tie * values[i], side="right")), seg[i] + 1)
+            for i in group]
+    caps = np.array([hulls[i].hull[e] - spend_i[i] for i, e in zip(group, ends)])
+    # one level of spend splits what is left: at level srt[j] the members
+    # spend below[j] + srt[j]·(m - j), so the k caps at levels that fit are
+    # spent whole and the other m - k members share the rest equally
+    m = len(group)
+    srt = np.sort(caps)
+    below = np.concatenate(([0.0], np.cumsum(srt)))
+    k = int((below[:-1] + srt * np.arange(m, 0, -1)).searchsorted(left, side="right"))
+    level = (left - below[k]) / (m - k) if k < m else np.inf
+    for i, e, cap in zip(group, ends, caps.tolist()):
+        h, s = hulls[i], seg[i]
+        if cap <= level:
+            q[i] = grid[e]
+            continue
+        q[i] += level / h.slopes[s]
+        if grid[s] < q[i] < grid[s + 1] and h.interval_containing(q[i]) is None:
+            q[i] = _curve_quantile(dists[i], *grid[s:s + 2], spend_i[i] + level,
+                                   _CURVE_TOL * scale)
     return _solution("additive", hulls, dists, q, np.dot(values, q),
                      {"lambda": lam, "budget": budget, "spend_evals": evals,
-                      "waterfill_steps": fill_steps})
+                      "pivotal_agents": m})
 
 
 def solve_symmetric(dist, g, budget: float, grid_size: int = DEFAULT_GRID) -> ExAnteSolution:

@@ -56,7 +56,8 @@ class PriceMenu:
         lots = self.lotteries
         if q.shape != (len(lots),):
             raise ValueError("one lottery per agent required")
-        if np.any((q > 0) & ((lots.price_lo <= 0.0) | (lots.price_hi <= 0.0))):
+        offered = np.array([lots.price_lo, lots.price_hi])[:, q > 0]
+        if not np.all((0.0 < offered) & (offered < np.inf)):  # NaN fails too
             raise ValueError("prices must be positive wherever the quantile is positive")
         q.flags.writeable = False
         object.__setattr__(self, "quantiles", q)

@@ -18,7 +18,7 @@ import numpy as np
 
 from postedpricing.config import ConfigError, _unread_keys
 from postedpricing.distributions import (DEFAULT_GRID, PiecewiseLinearCDF,
-                                         TruncatedExponential, Uniform)
+                                         TruncatedExponential, Uniform, ironed_curve)
 from postedpricing.mechanism import MECHANISM_ORDERS
 from postedpricing.values import (AdditiveValue, CoverageValue, SymmetricValue,
                                   ValueFunction)
@@ -64,8 +64,6 @@ def chord_hull_upper(x, y):
 
 def grid_oracle_additive(dists, values, budget, grid_n=200):
     """Maximize sum v_i q_i over a coarse quantile grid s.t. sum q F^{-1}(q) <= B."""
-    from postedpricing import ironed_curve
-
     q = ironed_curve(dists[0], grid_n).quantiles
     spends = [cost_curve(d, grid_n) for d in dists]
     values = np.asarray(values, dtype=float)
@@ -835,6 +833,66 @@ def bisect_multiplier(hulls, values, budget):
         else:
             lam_hi = mid
     return lam_hi, lagrangian_segments(hulls, values, lam_hi)[0]
+
+
+def solve_additive_stepwise(dists, values, budget, grid_size=DEFAULT_GRID):
+    """exante.solve_additive as it was before the one-pass split of its
+    pivotal agents: after the multiplier search, a loop of water-fill steps.
+    Each step re-scans the agents, re-sums what is left of the budget, takes
+    the tie group at the least next slope-to-value ratio, caps each member at
+    the end of its run of equal slopes, moves every member by the smaller of
+    the equal share and the least cap, and snaps a member within 1e-15·scale
+    of its cap onto it.  Returns the solution and the number of steps."""
+    from postedpricing.exante import (_BIND_TOL, _CURVE_TOL, _curve_quantile,
+                                      _search_multiplier, _solution)
+
+    values = np.asarray(values, dtype=float)
+    hulls = [ironed_curve(d, grid_size) for d in dists]
+    n = len(hulls)
+    grid = hulls[0].quantiles
+    nseg = len(grid) - 1
+    if sum(h.total_spend for h in hulls) <= budget + _BIND_TOL * max(1.0, budget):
+        q = np.ones(n)
+        return _solution("additive", hulls, dists, q, np.dot(values, q), {}), 0
+
+    lam, seg, spend_i, evals = _search_multiplier(hulls, values, budget)
+    pos = grid[seg]
+    scale = max(1.0, budget)
+    for fill_steps in range(200_000):
+        remaining = budget - spend_i.sum()
+        if remaining <= _BIND_TOL * scale:
+            break
+        active = [i for i in range(n) if seg[i] < nseg and values[i] > 0]
+        if not active:
+            break
+        ratios = np.array([hulls[i].slopes[seg[i]] / values[i] for i in active])
+        r_star = ratios.min()
+        group = [i for i, r in zip(active, ratios) if r <= r_star + 1e-12 * (1.0 + r_star)]
+        ends = {i: int(hulls[i].slopes.searchsorted(hulls[i].slopes[seg[i]], side="right"))
+                for i in group}
+        caps = np.array([hulls[i].hull[ends[i]] - spend_i[i] for i in group])
+        step = min(remaining / len(group), caps.min())
+        if step <= 0:
+            break
+        for i in group:
+            h, end = hulls[i], ends[i]
+            spend_i[i] += step
+            if spend_i[i] >= h.hull[end] - 1e-15 * scale:
+                spend_i[i] = float(h.hull[end])
+                seg[i] = end
+                pos[i] = grid[end]
+            else:
+                pos[i] += step / h.slopes[seg[i]]
+    else:
+        raise RuntimeError("budget water-fill failed to converge")
+
+    q = np.clip(pos, 0.0, 1.0)
+    j = grid.searchsorted(q, side="right") - 1
+    for i in np.flatnonzero(q != grid[j]).tolist():
+        if hulls[i].interval_containing(q[i]) is None:
+            q[i] = _curve_quantile(dists[i], *grid[j[i]:j[i] + 2], spend_i[i], _CURVE_TOL * scale)
+    return (_solution("additive", hulls, dists, q, np.dot(values, q), {"lambda": lam}),
+            fill_steps)
 
 
 def masked_inverse_cdf(dist, q):

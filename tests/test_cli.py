@@ -279,6 +279,16 @@ def test_out_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch, command):
     assert afile.read_text() == "keep"
 
 
+def test_unwritable_output_file_exits_2(tmp_path, capsys):
+    # the out directory exists, but its solution.csv is a directory
+    target = tmp_path / "o" / "solution.csv"
+    target.mkdir(parents=True)
+    path = _write_config(tmp_path, EXAMPLE1.format(out=tmp_path / "o"))
+    assert main(["solve", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {target}: ")
+    assert target.is_dir() and not any(target.iterdir())
+
+
 NON_FINITE = """
 [instance]
 distributions = {dists}
@@ -878,10 +888,10 @@ def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch, command):
     from postedpricing import exante
 
     def fail(*args, **kwargs):
-        raise RuntimeError("budget water-fill failed to converge")
+        raise RuntimeError("could not bracket the budget multiplier")
 
     monkeypatch.setattr(exante, "solve_additive", fail)
     path = _write_config(tmp_path, EXAMPLE1.format(out=tmp_path / "o"))
     assert main([command, "--config", path]) == 3
-    assert capsys.readouterr().err == ("numeric failure: budget water-fill failed "
-                                       "to converge\n")
+    assert capsys.readouterr().err == ("numeric failure: could not bracket the budget "
+                                       "multiplier\n")

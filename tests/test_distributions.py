@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -636,3 +637,19 @@ def test_piecewise_validation():
         PiecewiseLinearCDF(((0.0, 0.0), (0.5, 0.7), (0.5, 0.9), (1.0, 1.0)))
     with pytest.raises(ValueError):
         PiecewiseLinearCDF(((0.0, 0.0), (0.5, 0.9), (1.0, 0.8)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Uniform(1.0, 1.0), "uniform support must be finite with lo < hi"),
+    (lambda: Uniform(-0.5, 1.0), "costs must be nonnegative"),
+    (lambda: PiecewiseLinearCDF(((0.0, 0.0),)), "need at least two breakpoints"),
+    (lambda: PiecewiseLinearCDF(((-0.5, 0.0), (1.0, 1.0))), "costs must be nonnegative"),
+    (lambda: empirical_from_sample([0.5, 0.5]), "need at least two distinct sample values"),
+    (lambda: empirical_from_sample([-0.5, 0.5]), "costs must be nonnegative"),
+    (lambda: two_price_lottery(ironed_curve(Uniform(0, 1), 11), Uniform(0, 1), 1.5),
+     "quantile must lie in [0, 1]"),
+], ids=["uniform-support", "uniform-negative", "pwcdf-one-point", "pwcdf-negative",
+        "empirical-one-value", "empirical-negative", "lottery-quantile"])
+def test_bad_input_raises_its_own_message(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()

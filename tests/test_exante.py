@@ -14,7 +14,7 @@ from postedpricing.exante import SOLVER_KINDS, _search_multiplier
 
 from oracles import (bisect_multiplier, brute_multilinear, discretize_loop,
                      grid_oracle_additive, hull_at, interp_spend_sum, irregular_priors,
-                     lottery_columns, two_price_lottery)
+                     lottery_columns, solve_additive_stepwise, two_price_lottery)
 
 U01 = Uniform(0, 1)
 
@@ -41,7 +41,7 @@ def test_water_fill_stops_when_no_valued_agent_can_grow():
     sol = solve_additive([U01, Uniform(0, 2)], [1.0, 0.0], 1.5)
     assert sol.quantiles.tolist() == [1.0, 0.0]
     assert sol.solver_meta["lambda"] == 2.0 ** -200
-    assert sol.solver_meta["waterfill_steps"] == 0
+    assert sol.solver_meta["pivotal_agents"] == 0
     assert sol.expected_spend == 1.0
 
 
@@ -86,7 +86,8 @@ PINNED_IRREGULAR_SOLVES = [
 def test_solve_additive_bits_pinned_on_irregular_market(share, quantiles_sha256,
                                                         spend_hex, lambda_hex, lotteries):
     # 16 irregular priors, each held by two agents of equal value, so the
-    # water-fill splits ties and can stop inside an ironed interval
+    # pivotal split shares the budget among ties and can stop inside an
+    # ironed interval
     dists = irregular_priors(2015, 16) * 2
     values = np.tile(np.random.default_rng(2015).uniform(0.5, 2.0, 16).round(2), 2)
     budget = share * sum(ironed_curve(d).total_spend for d in dists)
@@ -159,9 +160,78 @@ def test_solve_additive_records_its_work_as_counts():
     binding, slack = (solve_additive(dists, values, share * full).solver_meta
                       for share in (0.3, 2.0))
     for meta in (binding, slack):
-        for key in ("spend_evals", "waterfill_steps"):
+        for key in ("spend_evals", "pivotal_agents"):
             assert type(meta[key]) is int and meta[key] >= 0
     assert binding["spend_evals"] > 0 and slack["spend_evals"] == 0
+
+
+def _solution_bytes(sol):
+    return sol.quantiles.tobytes(), lottery_columns(sol.lotteries), sol.expected_spend.hex()
+
+
+def test_one_pass_split_matches_the_stepwise_water_fill_bitwise():
+    # design-sweep-shaped markets (32 distinct irregular priors, 8 budgets
+    # as shares of the summed support tops), the pinned 2-copy tie market
+    # and a 3-copy one: the stepwise reference takes one step on each, and
+    # the one-pass split lands on its bits
+    markets = []
+    for seed in (7, 11):
+        rng = np.random.default_rng(seed)
+        dists = irregular_priors(seed, 32)
+        tops = sum(d.support_hi for d in dists)
+        markets += [(dists, rng.uniform(0.5, 2.0, 32), frac * tops)
+                    for frac in (0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.75, 0.9)]
+    for copies, seed, n in ((2, 2015, 16), (3, 5, 6)):
+        dists = irregular_priors(seed, n) * copies
+        values = np.tile(np.random.default_rng(seed).uniform(0.5, 2.0, n).round(2), copies)
+        full = sum(ironed_curve(d).total_spend for d in dists)
+        markets += [(dists, values, share * full) for share in (0.1, 0.2, 0.65)]
+    for dists, values, budget in markets:
+        ref, steps = solve_additive_stepwise(dists, values, budget)
+        sol = solve_additive(dists, values, budget)
+        assert steps == 1
+        assert sol.solver_meta["pivotal_agents"] >= 1
+        assert _solution_bytes(sol) == _solution_bytes(ref)
+
+
+def test_one_pass_split_matches_the_stepwise_water_fill_on_scaled_copies():
+    # U(0, c) with value c ties every agent's ratio in real arithmetic, so
+    # members reach the ends of their segments apart by rounding and the
+    # reference takes more steps, re-summing the spend between them
+    rng = np.random.default_rng(29)
+    steps_seen = set()
+    for _ in range(40):
+        c = rng.choice([0.001, 0.5, 1.0, 2.0, 3.0, 7.0], int(rng.integers(2, 8)))
+        dists = [Uniform(0.0, float(x)) for x in c]
+        budget = float(rng.uniform(0.05, 0.95)) * sum(ironed_curve(d).total_spend
+                                                      for d in dists)
+        ref, steps = solve_additive_stepwise(dists, c, budget)
+        sol = solve_additive(dists, c, budget)
+        steps_seen.add(steps)
+        assert sol.lotteries.degenerate.tolist() == ref.lotteries.degenerate.tolist()
+        assert np.abs(sol.quantiles - ref.quantiles).max() <= 1e-12
+        assert sol.expected_spend == pytest.approx(ref.expected_spend, rel=1e-15, abs=0)
+        assert sol.objective == pytest.approx(ref.objective, rel=1e-15, abs=0)
+    assert max(steps_seen) >= 2
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: solve_additive([U01] * 2, [1.0], 1.0), "one value per distribution required"),
+    (lambda: discretize([U01], 1.0, 0), "m must be at least 1"),
+    (lambda: greedy_submodular([U01] * 2, AdditiveValue((1.0,)), 1.0),
+     "value function and distribution count disagree"),
+], ids=["additive-values", "discretize-m", "greedy-values"])
+def test_bad_input_raises_its_own_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_solve_additive_checks_the_value_count_before_ironing(monkeypatch):
+    from postedpricing import exante
+
+    monkeypatch.setattr(exante, "ironed_curve", None)  # ironing would fail loudly
+    with pytest.raises(ValueError, match="one value per distribution"):
+        solve_additive([U01] * 3, [1.0, 1.0], 1.0)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -357,7 +358,7 @@ def test_reduce_lottery_pairs_preserves_spend():
 def _tie_market_menus(grid, seeds=range(10), copies=2):
     """Menus with at least two lotteries that solve_additive gives at this
     grid: each of 6 irregular priors held by `copies` agents of equal value,
-    so the water-fill splits ties inside ironed intervals."""
+    so the pivotal split lands tied agents inside ironed intervals."""
     for seed in seeds:
         dists = irregular_priors(seed, 6) * copies
         values = np.tile(np.random.default_rng(seed).uniform(0.5, 2.0, 6).round(2), copies)
@@ -662,3 +663,35 @@ def test_run_outcome_consistency(seed):
             if i in out.offers_made and costs[i] <= out.realized_prices[i]:
                 assert i in out.selected
         assert out.value == pytest.approx(vf.evaluate(out.selected))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_menu_rejects_a_non_finite_price_where_the_quantile_is_positive(bad):
+    # a NaN price compares False with everything, so the agent would pass
+    # the check and then never be offered
+    for lots in (_lotteries(price_lo=(0.4, bad), price_hi=(0.6, bad)),
+                 _lotteries(price_hi=(bad, 0.5))):
+        with pytest.raises(ValueError, match="prices must be positive"):
+            PriceMenu(lotteries=lots, quantiles=np.array([0.5, 0.5]))
+    # an agent of quantile 0 is never offered, whatever its price
+    PriceMenu(lotteries=_lotteries(price_lo=(0.4, bad), price_hi=(0.6, bad)),
+              quantiles=np.array([0.5, 0.0]))
+
+
+_FIXED_MENU = PriceMenu(lotteries=_lotteries(), quantiles=np.array([0.5, 0.5]),
+                        ordering_policy="fixed")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: market_size(_FIXED_MENU, 0.0), "market size must be positive"),
+    (lambda: policy_orders("bang-per-buck", _FIXED_MENU, SymmetricValue((0.0, 1.0, 2.0)),
+                           np.full((2, 3), 0.5)),
+     "bang-per-buck ordering requires additive values"),
+    (lambda: run(_FIXED_MENU, AdditiveValue((1.0, 1.0)), [0.1], 1.0),
+     "one cost per agent required"),
+    (lambda: run(_FIXED_MENU, AdditiveValue((1.0, 1.0)), [0.1, 0.2], 1.0, order=[0, 0]),
+     "order must be a permutation of all agents"),
+], ids=["market-size", "bang-per-buck-values", "cost-count", "order-permutation"])
+def test_bad_input_raises_its_own_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -675,3 +676,14 @@ def test_sequential_dominates_oblivious_across_market_sizes():
     for row in bounds_table(ks):
         assert row.oblivious is not None
         assert row.sequential > row.oblivious
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Instance([Uniform(0, 1)], AdditiveValue((1.0, 1.0)), 1.0),
+     "one distribution per agent required"),
+    (lambda: Instance((), AdditiveValue(()), 1.0), "need at least one agent"),
+    (lambda: correlation_gap_experiment(3, 2), "need n >= k >= 1"),
+], ids=["instance-count", "instance-empty", "gap-sizes"])
+def test_bad_input_raises_its_own_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

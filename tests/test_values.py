@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -327,3 +329,20 @@ def test_validation():
         CoverageValue((1.0,), ((0, 3),))
     with pytest.raises(ValueError):
         AdditiveValue((1.0, 1.0)).multilinear([0.5])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: AdditiveValue((1.0, 1.0)).marginal_estimate([0.5, 0.5], [0], [0.1], samples=0),
+     ValueError, "samples must be positive"),
+    (lambda: SymmetricValue((0.0,)), ValueError, "g must cover sizes 0..n with n >= 1"),
+    (lambda: concave_hull_sizes(AdditiveValue((1.0,))),
+     TypeError, "size hulls are defined for symmetric value functions"),
+    (lambda: concave_closure_symmetric(AdditiveValue((1.0,)), 0.5),
+     TypeError, "symmetric closure requires a symmetric value function"),
+    (lambda: concave_closure_symmetric(SymmetricValue((0.0, 1.0)), 1.5),
+     ValueError, "quantile must lie in [0, 1]"),
+], ids=["samples", "g-too-short", "hull-not-symmetric", "closure-not-symmetric",
+        "closure-quantile"])
+def test_bad_input_raises_its_own_error(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
