@@ -453,7 +453,8 @@ def iron(q: np.ndarray, P: np.ndarray) -> IronedCurve:
     """Lower convex hull of the cost curve P tabulated at grid quantiles q,
     with ironed-interval bookkeeping."""
     verts = _lower_hull_vertices(q, P)
-    if len(verts) == len(q):
+    convex = len(verts) == len(q)
+    if convex:
         # a convex table is its own hull: np.interp at its own knots
         # returns them exactly
         hull = P.copy()
@@ -461,18 +462,27 @@ def iron(q: np.ndarray, P: np.ndarray) -> IronedCurve:
         hull = np.interp(q, q[verts], P[verts])
         hull = np.minimum(hull, P)  # guard interpolation round-off
     slopes = np.diff(hull) / np.diff(q)
-    slopes = np.maximum.accumulate(slopes)  # enforce convexity against jitter
-    scale = max(1.0, float(P[-1]))
-    below = hull < P - CONTACT_TOL * scale
-    # a run of below-points opens after a +1 step and closes at the point
-    # after a -1 step; the grid endpoints always touch, so every run does both
-    step = np.diff(below.astype(np.int8))
-    opens = q[np.flatnonzero(step == 1)].tolist()
-    closes = q[np.flatnonzero(step == -1) + 1].tolist()
+    # enforce convexity against jitter.  Slopes that already rise are their
+    # own running max, bit for bit, and skip it, unless a -0.0 may sit by a
+    # +0.0 (they compare equal, and the running max may keep either): a
+    # positive first slope or no sign bit rules that out
+    if not ((slopes[1:] >= slopes[:-1]).all()
+            and (slopes[0] > 0.0 or not np.signbit(slopes).any())):
+        slopes = np.maximum.accumulate(slopes)
+    if convex:
+        intervals = ()  # the hull is the table, so it touches everywhere
+    else:
+        scale = max(1.0, float(P[-1]))
+        below = hull < P - CONTACT_TOL * scale
+        # a run of below-points opens after a +1 step and closes at the point
+        # after a -1 step; the grid endpoints always touch, so every run does both
+        step = np.diff(below.astype(np.int8))
+        opens = q[np.flatnonzero(step == 1)].tolist()
+        closes = q[np.flatnonzero(step == -1) + 1].tolist()
+        intervals = tuple(zip(opens, closes))
     hull.flags.writeable = False
     slopes.flags.writeable = False
-    return IronedCurve(quantiles=q, hull=hull, slopes=slopes,
-                       intervals=tuple(zip(opens, closes)))
+    return IronedCurve(quantiles=q, hull=hull, slopes=slopes, intervals=intervals)
 
 
 @lru_cache(maxsize=4)

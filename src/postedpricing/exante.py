@@ -18,9 +18,10 @@ solver_kind picks the route for an instance and solve_ex_ante runs it; every
 caller that solves by shape goes through that pair.  An entry point (a
 parsed config, mechanism_menu) resolves 'auto' once and passes the concrete
 kind down, which solve_ex_ante checks fits.  Greedy asks the value function
-for its step gains (ValueFunction.marginal_gains): exact for additive,
-symmetric and coverage values; a black-box oracle samples them, `samples`
-draws per greedy step shared by every candidate of the step.  All three
+for its step gains (ValueFunction._gains, unchecked, since greedy builds its
+marginals itself): exact for additive, symmetric and coverage values; a
+black-box oracle samples them, `samples` draws per greedy step shared by
+every candidate of the step.  All three
 solvers return through one constructor that stacks each agent's
 two_price_lottery row into one PriceLotteries table, sums what those
 lotteries pay in agent order and names the solver in solver_meta['solver'].
@@ -263,12 +264,16 @@ def greedy_submodular(dists, vf: ValueFunction, budget: float, m: int | None = N
                       grid_size: int = DEFAULT_GRID) -> ExAnteSolution:
     """Greedy over equal-spend quantile increments for submodular objectives.
 
-    Each of the m steps scores every agent's next increment with one
-    vf.marginal_gains call (exact, except for a black-box oracle, which takes
-    `samples` draws per step, shared by every candidate, and records them in
-    solver_meta['samples']) and adds the largest, breaking ties by lowest
-    agent index.  Within one agent,
-    increments are taken in order since they shrink along the convex hull.
+    Each of the m steps scores every agent's next increment with one call of
+    the value function's gains (exact, except for a black-box oracle, which
+    takes `samples` draws per step, shared by every candidate, and records
+    them in solver_meta['samples']) and adds the largest, breaking ties by
+    lowest agent index.  Within one agent, increments are taken in order
+    since they shrink along the convex hull.
+
+    The loop calls vf._gains, not the checked vf.marginal_gains, so it checks
+    nothing per step: q starts at zeros and each step sets one entry to
+    min(q + delta, 1) with delta >= 0, so q stays n marginals in [0, 1].
     """
     n = len(dists)
     if vf.n != n:
@@ -287,25 +292,27 @@ def greedy_submodular(dists, vf: ValueFunction, budget: float, m: int | None = N
     hulls = [ironed_curve(d, grid_size) for d in dists]
     marg_rng = np.random.default_rng(marg_ss)
 
-    # a zero column past the last increment ends an agent's run
-    deltas = np.column_stack((increments, np.zeros(n)))
+    # each agent's increments as floats, with a zero past the last one to
+    # end its run; dq holds every agent's next increment
+    steps = [row + [0.0] for row in increments.tolist()]
+    dq = increments[:, 0].copy()
     q = np.zeros(n)
-    next_j = np.zeros(n, dtype=int)
+    next_j = [0] * n
     selection = []
     for _ in range(m):
-        gains = vf.marginal_gains(q, deltas[np.arange(n), next_j],
-                                  samples=samples, seed=marg_rng)
+        gains = vf._gains(q, dq, samples, marg_rng)
         best = int(np.argmax(gains))
         if gains[best] <= 0.0:
             break
         j = next_j[best]
-        q[best] = min(q[best] + float(deltas[best, j]), 1.0)
-        next_j[best] += 1
-        selection.append((best, int(j)))
+        q[best] = min(q[best] + steps[best][j], 1.0)
+        next_j[best] = j + 1
+        dq[best] = steps[best][j + 1]
+        selection.append((best, j))
 
     objective = vf.multilinear(q, samples=samples, seed=np.random.default_rng(obj_ss))[0]
     meta = {"m": m, "noisy": noisy, "selection_order": tuple(selection), "budget": budget}
-    if type(vf).marginal_gains is ValueFunction.marginal_gains:
+    if type(vf)._gains is ValueFunction._gains:
         meta["samples"] = samples  # only the base route samples its gains
     return _solution("greedy", hulls, dists, q, objective, meta)
 

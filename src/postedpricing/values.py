@@ -6,7 +6,9 @@ black-box callbacks.  The independent-inclusion extension (expected value of
 a random set with independent marginals) is exact for additive, symmetric and
 coverage values and Monte Carlo sampled for black-box oracles; so is
 marginal_gains, the gain in that extension from raising each agent's marginal
-on its own.
+on its own.  marginal_gains is defined once, on the base class: it checks
+the marginals and hands them to the class's private _gains, which greedy
+calls directly on the marginals it builds itself.
 
 Value functions are immutable; sampling takes explicit seeds so concurrent
 callers never share RNG state.
@@ -88,10 +90,15 @@ class ValueFunction:
     def marginal_gains(self, q, dq, samples: int = 10_000, seed=None) -> np.ndarray:
         """V(q + dq[i] * e_i) - V(q) for every agent i; 0 where dq[i] is 0.
 
-        Sampled here: one marginal_estimate over the raised agents, so a step
-        takes one (samples, n) draw shared by every candidate, and none when
-        nothing is raised.
+        The one public entry for every class: q is checked here (n marginals
+        in [0, 1]), then _gains computes the class's gains.
         """
+        return self._gains(_check_quantiles(q, self.n), dq, samples, seed)
+
+    def _gains(self, q, dq, samples, seed) -> np.ndarray:
+        """marginal_gains on a checked q, sampled here: one marginal_estimate
+        over the raised agents, so a step takes one (samples, n) draw shared
+        by every candidate, and none when nothing is raised."""
         dq = np.asarray(dq, dtype=float)
         gains = np.zeros(self.n)
         raised = np.flatnonzero(dq)
@@ -132,7 +139,7 @@ class AdditiveValue(ValueFunction):
         q = _check_quantiles(q, self.n)
         return float(np.dot(self.as_array(), q)), 0.0
 
-    def marginal_gains(self, q, dq, samples: int = 10_000, seed=None):
+    def _gains(self, q, dq, samples, seed):
         return self.as_array() * np.asarray(dq, dtype=float)
 
     def _evaluate_rows(self, rows):
@@ -191,8 +198,7 @@ class SymmetricValue(ValueFunction):
         dist = self.size_distribution(q)
         return float(np.dot(dist, np.asarray(self.g))), 0.0
 
-    def marginal_gains(self, q, dq, samples: int = 10_000, seed=None):
-        q = _check_quantiles(q, self.n)
+    def _gains(self, q, dq, samples, seed):
         base = self.multilinear(q)[0]
         gains = np.zeros(self.n)
         for i in np.flatnonzero(dq):
@@ -219,13 +225,15 @@ class CoverageValue(ValueFunction):
         for cov in self.covers:
             if cov and (min(cov) < 0 or max(cov) >= len(w)):
                 raise ValueError("covered element index out of range")
-        # the (n, universe) element-incidence matrix as read-only 0/1 floats;
-        # not a field, so equality, hash and repr ignore it
+        # the (n, universe) element-incidence matrix as read-only 0/1 floats,
+        # its nonzero mask and the weights as an array; not fields, so
+        # equality, hash and repr ignore them
         A = np.zeros((self.n, len(w)))
         for i, cov in enumerate(self.covers):
             A[i, list(cov)] = 1.0
-        A.flags.writeable = False
-        object.__setattr__(self, "_incidence", A)
+        for name, arr in (("_incidence", A), ("_covered_by", A > 0), ("_weights", np.array(w))):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self):
@@ -244,29 +252,29 @@ class CoverageValue(ValueFunction):
         # sits in, as it does under a matrix product's blocking
         covered = (self._incidence.T @ np.transpose(rows).astype(float)) > 0
         total = np.zeros(len(rows))
-        for term in covered * np.asarray(self.weights)[:, None]:
+        for term in covered * self._weights[:, None]:
             total += term
         return total
 
-    def _missed(self, q):
+    def _missed(self, free):
         """Per element, the chance that no covering agent is in the set: the
-        product of (1 - q_j) over the agents j that cover it."""
-        return np.where(self._incidence > 0, (1.0 - q)[:, None], 1.0).prod(axis=0)
+        product of free_j = 1 - q_j over the agents j that cover it."""
+        return np.where(self._covered_by, free[:, None], 1.0).prod(axis=0)
 
     def multilinear(self, q, samples: int = 10_000, seed=None):
         q = _check_quantiles(q, self.n)
-        return float(np.dot(np.asarray(self.weights), 1.0 - self._missed(q))), 0.0
+        return float(np.dot(self._weights, 1.0 - self._missed(1.0 - q))), 0.0
 
-    def marginal_gains(self, q, dq, samples: int = 10_000, seed=None):
+    def _gains(self, q, dq, samples, seed):
         """Exact: V is linear in each q_i, so raising q_i by dq[i] (capped at
         1) gains that step times the sum over i's elements of w_e times the
         product of (1 - q_j) over e's other covering agents.  Dividing i's own
         factor out of the full product keeps a zero from an agent at q_j = 1;
         an agent at q_i = 1 has step 0, so it divides by 1 instead."""
-        q = _check_quantiles(q, self.n)
-        step = np.minimum(np.asarray(dq, dtype=float), 1.0 - q)
-        own = np.where(q < 1.0, 1.0 - q, 1.0)
-        weighted = np.asarray(self.weights) * self._missed(q)
+        free = 1.0 - q
+        step = np.minimum(np.asarray(dq, dtype=float), free)
+        own = np.where(q < 1.0, free, 1.0)
+        weighted = self._weights * self._missed(free)
         return step * (self._incidence @ weighted) / own
 
 

@@ -423,6 +423,26 @@ def ironed_intervals_scan(q, below):
     return tuple(intervals)
 
 
+def iron_scan(q, P):
+    """distributions.iron as it was before convex tables skipped work: the
+    running max over every table's slopes, and the ironed-interval scan over
+    every table, the convex ones too."""
+    from postedpricing.distributions import CONTACT_TOL, IronedCurve, _lower_hull_vertices
+
+    verts = _lower_hull_vertices(q, P)
+    if len(verts) == len(q):
+        hull = P.copy()
+    else:
+        hull = np.minimum(np.interp(q, q[verts], P[verts]), P)
+    slopes = np.maximum.accumulate(np.diff(hull) / np.diff(q))
+    below = hull < P - CONTACT_TOL * max(1.0, float(P[-1]))
+    step = np.diff(below.astype(np.int8))
+    opens = q[np.flatnonzero(step == 1)].tolist()
+    closes = q[np.flatnonzero(step == -1) + 1].tolist()
+    return IronedCurve(quantiles=q, hull=hull, slopes=slopes,
+                       intervals=tuple(zip(opens, closes)))
+
+
 def cost_curve(dist, grid_size=DEFAULT_GRID):
     """The cost curve q * F^{-1}(q) at the grid quantiles of
     ironed_curve(dist, grid_size), with spend 0 at q = 0."""
@@ -634,7 +654,7 @@ class SampledCoverageValue(CoverageValue):
     marginal read off the incidence matrix."""
 
     multilinear = ValueFunction.multilinear
-    marginal_gains = ValueFunction.marginal_gains
+    _gains = ValueFunction._gains
 
     def _row_marginals(self, rows, i):
         A = self._incidence
@@ -794,6 +814,42 @@ def discretize_loop(dists, budget, m, noisy=False, seed=None):
     if noisy:
         return exact * (1.0 - rng.random((n, m)) / n ** 3)
     return exact
+
+
+def greedy_submodular_per_step(dists, vf, budget, m=None, samples=10_000, seed=None,
+                               noisy=False, grid_size=DEFAULT_GRID):
+    """exante.greedy_submodular as it was before it called the unchecked
+    gains: each step calls the checked, public vf.marginal_gains on a fresh
+    gather of every agent's next increment from an (n, m + 1) table."""
+    from postedpricing.exante import _solution, discretize
+
+    n = len(dists)
+    if m is None:
+        m = n * n
+    noise_ss, marg_ss, obj_ss = np.random.SeedSequence(seed).spawn(3)
+    increments = discretize(dists, budget, m, noisy=noisy,
+                            seed=np.random.default_rng(noise_ss), grid_size=grid_size)
+    hulls = [ironed_curve(d, grid_size) for d in dists]
+    marg_rng = np.random.default_rng(marg_ss)
+    deltas = np.column_stack((increments, np.zeros(n)))
+    q = np.zeros(n)
+    next_j = np.zeros(n, dtype=int)
+    selection = []
+    for _ in range(m):
+        gains = vf.marginal_gains(q, deltas[np.arange(n), next_j],
+                                  samples=samples, seed=marg_rng)
+        best = int(np.argmax(gains))
+        if gains[best] <= 0.0:
+            break
+        j = next_j[best]
+        q[best] = min(q[best] + float(deltas[best, j]), 1.0)
+        next_j[best] += 1
+        selection.append((best, int(j)))
+    objective = vf.multilinear(q, samples=samples, seed=np.random.default_rng(obj_ss))[0]
+    meta = {"m": m, "noisy": noisy, "selection_order": tuple(selection), "budget": budget}
+    if type(vf)._gains is ValueFunction._gains:
+        meta["samples"] = samples
+    return _solution("greedy", hulls, dists, q, objective, meta)
 
 
 def lagrangian_segments(hulls, values, lam):

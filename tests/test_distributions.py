@@ -16,7 +16,7 @@ from postedpricing.distributions import (CONTACT_TOL, DEFAULT_GRID,
 
 from oracles import (PriceLottery, chord_hull_lower, cost_curve,
                      finite_difference_virtual_cost, hull_at, interp_hull,
-                     ironed_intervals_scan, irregular_priors, lottery_quantile,
+                     iron_scan, ironed_intervals_scan, irregular_priors, lottery_quantile,
                      masked_inverse_cdf, monotone_chain_scalars)
 
 
@@ -185,7 +185,16 @@ def test_iron_convex_curve_is_identity():
     assert np.all(np.diff(ic.slopes) >= -1e-12)
 
 
-@pytest.mark.parametrize("grid", [2, 3, 101, DEFAULT_GRID])
+def _assert_irons_alike(q, P):
+    """iron(q, P) equals the scan reference bit for bit; returns it."""
+    ic, ref = iron(q, P), iron_scan(q, P)
+    assert _bits(ic.hull) == _bits(ref.hull)
+    assert _bits(ic.slopes) == _bits(ref.slopes)
+    assert ic.intervals == ref.intervals
+    return ic
+
+
+@pytest.mark.parametrize("grid", [2, 3, 101, 1_001, DEFAULT_GRID])
 @pytest.mark.parametrize("d", [Uniform(0, 1), Uniform(0.2, 1.7),
                                TruncatedExponential(2.0, 0.1, 1.3),
                                TruncatedExponential(0.5, 0.0, 1.0)])
@@ -193,11 +202,37 @@ def test_iron_takes_a_convex_table_as_its_hull_bitwise(d, grid):
     q = np.linspace(0.0, 1.0, grid)
     P = cost_curve(d, grid)
     assert len(_lower_hull_vertices(q, P)) == grid  # the table is convex
-    ic = iron(q, P)
+    ic = _assert_irons_alike(q, P)
     assert _bits(ic.hull) == _bits(interp_hull(q, P)) == _bits(P)
     assert _bits(ironed_curve(d, grid).hull) == _bits(ic.hull)
     assert ic.intervals == ()
     assert P.flags.writeable and not np.shares_memory(ic.hull, P)
+
+
+@pytest.mark.parametrize("grid", [101, 1_001, DEFAULT_GRID])
+@pytest.mark.parametrize("d", irregular_priors(3, 4))
+def test_iron_matches_the_scan_reference_on_irregular_priors(d, grid):
+    q = np.linspace(0.0, 1.0, grid)
+    _assert_irons_alike(q, cost_curve(d, grid))
+
+
+_Q21 = np.linspace(0.0, 1.0, 21)
+
+
+@pytest.mark.parametrize("q, P", [
+    # a line: the interpolated hull's float slopes dip by one ulp
+    (_Q21, _Q21 * 1.1),
+    # a run of zero slopes, then a run of equal ones
+    (np.linspace(0.0, 1.0, 8), np.array([0.0, 0.0, 0.0, 0.0, 0.25, 0.5, 0.75, 1.25])),
+    # a -0.0 slope after a +0.0 one, and one before it
+    (np.linspace(0.0, 1.0, 6), np.array([0.0, 0.0, -0.0, 0.0, 0.5, 1.0])),
+    (np.linspace(0.0, 1.0, 6), np.array([0.0, -0.0, -0.0, 0.25, 0.5, 1.0])),
+], ids=["ulp-dip", "zero-and-equal-runs", "zero-then-minus-zero", "minus-zero-first"])
+def test_iron_keeps_the_running_max_bits_on_crafted_slopes(q, P):
+    raw = np.diff(_assert_irons_alike(q, P).hull) / np.diff(q)
+    # each table reaches a case the skipped running max must get right
+    assert (np.any(raw[1:] < raw[:-1]) or np.signbit(raw).any()
+            or np.any((raw[1:] == raw[:-1]) & (raw[1:] > 0)))
 
 
 def test_iron_endpoints_pinned():

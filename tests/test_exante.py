@@ -8,13 +8,14 @@ from postedpricing import (AdditiveValue, CoverageValue, OracleValue,
                            PiecewiseLinearCDF, SymmetricValue,
                            TruncatedExponential, Uniform, ValueFunction,
                            discretize, greedy_submodular, ironed_curve,
-                           solve_additive, solve_ex_ante, solve_symmetric,
-                           solver_kind)
+                           mechanism_menu, solve_additive, solve_ex_ante,
+                           solve_symmetric, solver_kind)
 from postedpricing.exante import SOLVER_KINDS, _search_multiplier
 
 from oracles import (bisect_multiplier, brute_multilinear, discretize_loop,
-                     grid_oracle_additive, hull_at, interp_spend_sum, irregular_priors,
-                     lottery_columns, solve_additive_stepwise, two_price_lottery)
+                     greedy_submodular_per_step, grid_oracle_additive, hull_at,
+                     interp_spend_sum, irregular_priors, lottery_columns,
+                     solve_additive_stepwise, two_price_lottery)
 
 U01 = Uniform(0, 1)
 
@@ -457,6 +458,65 @@ def test_greedy_coverage_gains_are_exact(monkeypatch):
     # the seed only reaches the (here absent) noise, so it moves nothing
     again = greedy_submodular(dists, vf, 1.5, m=25, seed=4)
     assert again.quantiles.tolist() == sol.quantiles.tolist()
+
+
+def _coverage_market(seed):
+    """A weighted-coverage market shaped like perfbench's oblivious-cli op:
+    10 agents over 30 elements, uniform(0, h) priors with h in [0.9, 1.1],
+    every element owned by one agent and each agent covering 2-5 more."""
+    rng = np.random.default_rng(seed)
+    his = rng.uniform(0.9, 1.1, 10)
+    weights = tuple(rng.uniform(0.5, 2.0, 30))
+    covers = [set() for _ in range(10)]
+    for e, owner in enumerate(rng.integers(10, size=30)):
+        covers[owner].add(e)
+    for cov in covers:
+        cov.update(rng.choice(30, size=int(rng.integers(2, 6)), replace=False).tolist())
+    return [Uniform(0, h) for h in his], CoverageValue(weights, tuple(map(tuple, covers))), his
+
+
+def _greedy_markets():
+    """(dists, value function, budget, greedy options) params for the greedy
+    reference check."""
+    out = []
+    for seed in range(20):
+        dists, vf, his = _coverage_market(seed)
+        budget = 0.6 * float(his.sum())
+        eps = mechanism_menu(dists, vf, budget, "oblivious", seed=seed)[0].epsilon
+        out.append(pytest.param(dists, vf, budget, {"seed": seed}, id=f"coverage-{seed}-full"))
+        out.append(pytest.param(dists, vf, (1.0 - eps) * budget, {"seed": seed},
+                                id=f"coverage-{seed}-shrunk"))
+    # duplicate covers over equal priors tie exactly; greedy takes the lowest index
+    tied = CoverageValue((1.0, 2.0, 0.5, 1.5), ((0, 1), (0, 1), (2,), (2,), (1, 3), (1, 3)))
+    out.append(pytest.param([U01] * 6, tied, 1.2, {"m": 24}, id="coverage-tied"))
+    out.append(pytest.param([U01] * 4, CoverageValue((1.0, 1.0), ((0, 1),) * 4), 0.9, {},
+                            id="coverage-tied-all"))
+    rng = np.random.default_rng(31)
+    dists = [Uniform(0.0, float(h)) for h in rng.uniform(0.4, 1.5, 6)]
+    out.append(pytest.param(dists, AdditiveValue(tuple(rng.uniform(0.5, 2.0, 6))), 1.1, {},
+                            id="additive"))
+    out.append(pytest.param(dists, AdditiveValue(tuple(rng.uniform(0.5, 2.0, 6))), 1.4,
+                            {"noisy": True, "seed": 3}, id="additive-noisy"))
+    out.append(pytest.param([U01, Uniform(0, 0.7), Uniform(0.1, 1.2), Uniform(0, 1.3)],
+                            SymmetricValue((0.0, 1.0, 1.7, 2.1, 2.2)), 1.0, {"m": 20},
+                            id="symmetric"))
+    cover = CoverageValue((1.0, 0.5, 2.0, 1.0), ((0,), (0, 1), (1, 2), (3,)))
+    out.append(pytest.param([U01, Uniform(0, 0.8), Uniform(0.1, 1.1), U01],
+                            OracleValue(4, cover.evaluate), 0.9,
+                            {"m": 12, "samples": 300, "seed": 11}, id="oracle-sampled"))
+    return out
+
+
+@pytest.mark.parametrize("dists, vf, budget, opts", _greedy_markets())
+def test_greedy_matches_its_per_step_reference_bitwise(dists, vf, budget, opts):
+    sol = greedy_submodular(dists, vf, budget, **opts)
+    ref = greedy_submodular_per_step(dists, vf, budget, **opts)
+    assert sol.solver_meta == ref.solver_meta  # selection order, samples, ...
+    assert sol.quantiles.tobytes() == ref.quantiles.tobytes()
+    assert float(sol.objective).hex() == float(ref.objective).hex()
+    assert float(sol.expected_spend).hex() == float(ref.expected_spend).hex()
+    assert lottery_columns(sol.lotteries) == lottery_columns(ref.lotteries)
+    assert len(sol.solver_meta["selection_order"]) > 1
 
 
 def test_greedy_requires_enough_increments():

@@ -105,6 +105,23 @@ def test_marginal_gains_sampled_share_one_draw_per_step():
             == marginal_gains_per_candidate(v, q, one, 500, np.random.default_rng(9)).tolist())
 
 
+@pytest.mark.parametrize("vf", [
+    AdditiveValue((1.0, 2.0)),
+    SymmetricValue((0.0, 1.0, 1.5)),
+    CoverageValue((1.0, 0.5), ((0,), (0, 1))),
+    OracleValue(2, CoverageValue((1.0, 0.5), ((0,), (0, 1))).evaluate),
+], ids=["additive", "symmetric", "coverage", "oracle"])
+@pytest.mark.parametrize("q, dq, message", [
+    ([5.0, -3.0], [0.1, 0.1], "must lie in"),
+    ([5.0, -3.0], [0.0, 0.0], "must lie in"),
+    ([0.2, 0.3, 0.4], [0.1, 0.1], "expected 2 marginals"),
+    ([0.2, 0.3, 0.4], [0.0, 0.0], "expected 2 marginals"),
+], ids=["out-of-range", "out-of-range-unraised", "too-many", "too-many-unraised"])
+def test_marginal_gains_checks_the_marginals_of_every_class(vf, q, dq, message):
+    with pytest.raises(ValueError, match=message):
+        vf.marginal_gains(q, dq, samples=100, seed=0)
+
+
 def test_marginal_gains_draws_nothing_when_nothing_is_raised():
     v = OracleValue(2, CoverageValue((1.0, 0.5), ((0,), (0, 1))).evaluate)
     rng = np.random.default_rng(4)
