@@ -7,11 +7,13 @@ labelled with unless the caller names another.  Each batch of trials gets
 its prices from mechanism.realize_prices and its orders from
 mechanism.policy_orders, and walks every order with the one budgeted walk,
 mechanism.select_within_budget, which steps through the order positions
-vectorised across the trials.  Orders after the first walk only the trials
-whose budget can bind: where the accepted prices sum to at most
-(1 - SETTLED_SLACK) B, no order's running sum can pass B, so every order
-hires every accepter and the first order's value and spend stand, bit for
-bit.  Costs, prices, orders and hire masks are held
+vectorised across the trials: a shared order reads each agent's rows in
+place, per-trial orders are gathered once, and a wide batch keeps each
+trial's spend by a bit select with no branch per trial.  Orders after the
+first walk only the trials whose budget can bind: where the accepted prices
+sum to at most (1 - SETTLED_SLACK) B, no order's running sum can pass B, so
+every order hires every accepter and the first order's value and spend
+stand, bit for bit.  Costs, prices, orders and hire masks are held
 agent-major, (n, trials), from the first draw to the walk; value functions
 read the hires as (trials, n) rows.  mechanism.run is one trial of this path.
 approximation_report runs a mechanism kind ('sequential' or 'oblivious') and

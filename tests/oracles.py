@@ -179,6 +179,46 @@ def select_within_budget_masks(prices, accepts, order, budget):
     return selected, offered, spent
 
 
+def select_within_budget_where(prices, accepts, order, budget: float):
+    """mechanism.select_within_budget as it was before it read a shared
+    order's rows in place and kept its spends without np.where: it gathers
+    every order position's row (a flat gather for per-trial orders) and
+    keeps each trial's spend with np.where, which branches on every trial.
+
+    prices (NaN marks agents that are never offered) and accepts are
+    (n, trials) batches, one row per agent.  order is one sequence of agent
+    indices shared by every trial, or an (n, trials) array with one order per
+    column.  Returns (offered, spent): the (n, trials) mask of agents offered
+    their price and each trial's spend.  A trial hires offered & accepts.
+
+    Skipped (over-budget) agents are discarded permanently.  The walk steps
+    through the order positions, vectorised across trials; each trial adds
+    its own prices in its own order and keeps a sum only when it stays at
+    most the budget, so the bound is exact in floats.
+    """
+    prices = np.asarray(prices, dtype=float)
+    accepts = np.asarray(accepts, dtype=bool)
+    order = np.asarray(order, dtype=np.intp)
+    trials = prices.shape[1]
+    offered = np.zeros(prices.shape, dtype=bool)
+    out = offered
+    if order.ndim == 2:
+        # one order per trial: index the flattened batches, which numpy
+        # gathers and scatters faster than through a pair of index arrays
+        order = order * trials + np.arange(trials)
+        prices, accepts, out = prices.ravel(), accepts.ravel(), offered.ravel()
+    # row j of the gathered batches holds every trial's j-th agent in its order
+    pos_prices, pos_accepts = prices[order], accepts[order]
+    spent = np.zeros(trials)
+    pos_offered = np.empty(pos_prices.shape, dtype=bool)
+    for p, acc, off in zip(pos_prices, pos_accepts, pos_offered):
+        new_spent = spent + p
+        np.less_equal(new_spent, budget, out=off)  # False for NaN: never offered
+        spent = np.where(off & acc, new_spent, spent)
+    out[order] = pos_offered
+    return offered, spent
+
+
 def realize_prices_trial_major(menu, rng, trials):
     """mechanism.realize_prices as it was while batches were trial-major: a
     (trials, n) batch, one column per agent, from the same draws."""

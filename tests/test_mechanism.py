@@ -691,7 +691,17 @@ _FIXED_MENU = PriceMenu(lotteries=_lotteries(), quantiles=np.array([0.5, 0.5]),
      "one cost per agent required"),
     (lambda: run(_FIXED_MENU, AdditiveValue((1.0, 1.0)), [0.1, 0.2], 1.0, order=[0, 0]),
      "order must be a permutation of all agents"),
-], ids=["market-size", "bang-per-buck-values", "cost-count", "order-permutation"])
+    (lambda: select_within_budget(np.full((3, 4), 0.4), np.ones((3, 1), bool), [0, 1, 2], 1.0),
+     "accepts must have the shape of prices"),
+    (lambda: select_within_budget(np.full((3, 4), 0.4), np.ones((3, 4), bool), [0, 1], 1.0),
+     "order must be a permutation of all agents"),
+    (lambda: select_within_budget(np.full((3, 4), 0.4), np.ones((3, 4), bool), [0, 0, 0], 1.0),
+     "order must be a permutation of all agents"),
+    (lambda: select_within_budget(np.full((3, 4), 0.4), np.ones((3, 4), bool),
+                                  np.zeros((3, 1), int), 1.0),
+     "a per-trial order must have the shape of prices"),
+], ids=["market-size", "bang-per-buck-values", "cost-count", "order-permutation",
+        "walk-accepts-shape", "walk-order-short", "walk-order-repeats", "walk-order-shape"])
 def test_bad_input_raises_its_own_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -22,7 +23,8 @@ from oracles import (PriceLottery, binom_tail_gt, coverage_rows_product, degener
                      exact_worst_order_values, hull_at, irregular_priors, lottery_quantile,
                      mechanism_expectation, menu_of, overflow_probability_full_matrix,
                      policy_orders_trial_major, realize_prices_trial_major, reference_walk,
-                     select_within_budget_masks, simulate_runs_all_orders,
+                     select_within_budget_masks, select_within_budget_where,
+                     simulate_runs_all_orders,
                      two_price_lottery)
 
 U01 = Uniform(0, 1)
@@ -158,6 +160,55 @@ def test_walk_matches_the_three_output_walk(seed):
         assert offered.dtype == bool and np.array_equal(offered, ref_offered.T)
         assert np.array_equal(offered & accepts, ref_selected.T)
         assert spent.tobytes() == ref_spent.tobytes()
+
+
+def _walk_case(case, n, width, rng):
+    """prices, accepts and budget of one walk case over an (n, width) batch."""
+    if case == "sym":  # equal prices at acceptance 1/2
+        return np.full((n, width), 0.3), rng.random((n, width)) < 0.5, 0.25 * n * 0.3
+    # dyadic prices add exactly, so some trials land the spend on the budget
+    prices = rng.choice([0.25, 0.5, 0.75], size=(n, width))
+    accepts = rng.random((n, width)) < 0.6
+    if case == "nan-rows":  # agents never offered in any trial
+        prices[rng.random(n) < 0.3] = np.nan
+    elif case == "nan-scattered":
+        prices[rng.random((n, width)) < 0.2] = np.nan
+    return prices, accepts, 0.0 if case == "budget-0" else 0.5 * max(1, n // 3)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-trial"])
+@pytest.mark.parametrize("n", [1, 10, 32, 64])
+@pytest.mark.parametrize("width", [1, 7, 300, 4_999, 20_000])
+def test_walk_matches_the_where_walk(width, n, shared):
+    # the walk against the np.where walk it replaced, bit for bit, on both
+    # sides of mechanism._BIT_SELECT_WIDTH; no input is written
+    rng = np.random.default_rng([width, n, int(shared)])
+    for case in ("sym", "dyadic", "nan-rows", "nan-scattered", "budget-0"):
+        prices, accepts, budget = _walk_case(case, n, width, rng)
+        order = rng.permutation(n) if shared else np.argsort(rng.random((n, width)), axis=0)
+        inputs = [a.copy() for a in (prices, accepts, order)]
+        offered, spent = select_within_budget(prices, accepts, order, budget)
+        ref_offered, ref_spent = select_within_budget_where(prices, accepts, order, budget)
+        assert offered.dtype == bool and np.array_equal(offered, ref_offered), case
+        assert spent.tobytes() == ref_spent.tobytes(), case
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((prices, accepts, order), inputs))
+        if case == "dyadic" and width >= 300:
+            assert np.any(spent == budget)
+
+
+def test_shared_order_walk_reads_the_batch_in_place():
+    # gathering the batch in its order would allocate its whole size again
+    rng = np.random.default_rng(31)
+    prices = np.full((64, 20_000), 0.3)
+    accepts = rng.random(prices.shape) < 0.5
+    order = rng.permutation(64)
+    tracemalloc.start()
+    try:
+        select_within_budget(prices, accepts, order, 0.25 * 64 * 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < prices.nbytes
 
 
 def _reference_bang_per_buck(values, prices):
