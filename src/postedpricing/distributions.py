@@ -53,7 +53,14 @@ class CostDistribution:
         raise NotImplementedError
 
     def sample(self, rng, size=None):
-        """Draw costs by inverse-transform sampling."""
+        """Draw costs by inverse-transform sampling.
+
+        simulate_runs calls this once per agent per batch of trials, in agent
+        index order, on one shared cost stream, so a subclass may override it
+        (e.g. with antithetic draws) and its results stay reproducible: each
+        call may take any number of draws from rng, and no other code draws
+        costs from that stream in between.
+        """
         return self.inverse_cdf(rng.random(size))
 
     def _clamp(self, c):

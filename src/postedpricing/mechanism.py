@@ -178,7 +178,8 @@ def select_within_budget(prices, accepts, order, budget: float):
         # index the flattened batches, which numpy gathers and scatters faster
         # than through a pair of index arrays; row j of the gathered batches
         # holds every trial's j-th agent in its order
-        order = order * trials + np.arange(trials)
+        order = order * trials
+        order += np.arange(trials)
         pos_offered = np.empty(order.shape, dtype=bool)
         rows = zip(prices.ravel()[order], accepts.ravel()[order], pos_offered)
     else:
@@ -214,12 +215,12 @@ def realize_prices(menu: PriceMenu, rng, trials: int) -> np.ndarray:
 
     Each agent with a non-degenerate lottery takes one rng.random(trials)
     draw, in index order, and gets its low price where the draw is below
-    prob_lo; every other agent draws nothing.
+    prob_lo; every other agent draws nothing.  The batch is written once:
+    every agent's fixed price (or NaN) across its row, then the lottery rows.
     """
     lots = menu.lotteries
-    prices = np.full((menu.n, trials), np.nan)
-    fixed = (menu.quantiles > 0) & lots.degenerate
-    prices[fixed] = lots.price_lo[fixed, None]
+    prices = np.empty((menu.n, trials))
+    prices[...] = np.where((menu.quantiles > 0) & lots.degenerate, lots.price_lo, np.nan)[:, None]
     for i in menu.randomized_agents:
         u = rng.random(trials)
         prices[i] = np.where(u < lots.prob_lo[i], lots.price_lo[i], lots.price_hi[i])

@@ -13,9 +13,12 @@ trial's spend by a bit select with no branch per trial.  Orders after the
 first walk only the trials whose budget can bind: where the accepted prices
 sum to at most (1 - SETTLED_SLACK) B, no order's running sum can pass B, so
 every order hires every accepter and the first order's value and spend
-stand, bit for bit.  Costs, prices, orders and hire masks are held
-agent-major, (n, trials), from the first draw to the walk; value functions
-read the hires as (trials, n) rows.  mechanism.run is one trial of this path.
+stand, bit for bit.  Prices, accept masks, orders and hire masks are held
+agent-major, (n, trials), from the price realization to the walk; value
+functions read the hires as (trials, n) rows.  No cost matrix is kept: each
+agent's prior draws its batch of costs with its own sample, called once per
+batch in agent index order, and the draw is compared with the agent's price
+row straight into its accept row.  mechanism.run is one trial of this path.
 approximation_report runs a mechanism kind ('sequential' or 'oblivious') and
 labels its row with mechanism.mechanism_variant.  csv_text is the one CSV
 writer.
@@ -124,9 +127,14 @@ class ExperimentReport:
 # Monte Carlo execution
 # ---------------------------------------------------------------------------
 
-def _draw_costs(dists, rng, trials):
-    """An (n, trials) batch of costs, one row per agent, drawn in index order."""
-    return np.stack([d.sample(rng, trials) for d in dists])
+def _draw_accepts(dists, rng, prices):
+    """The (n, trials) accept mask of a batch of realized prices: each
+    agent's prior, in index order, draws its costs with its own sample, which
+    are compared with its price row in place (False where it is NaN)."""
+    accepts = np.empty(prices.shape, dtype=bool)
+    for d, p, acc in zip(dists, prices, accepts):
+        np.less_equal(d.sample(rng, prices.shape[1]), p, out=acc)
+    return accepts
 
 
 # A trial whose accepted prices sum to S <= (1 - SETTLED_SLACK) * B in floats
@@ -142,6 +150,21 @@ def _draw_costs(dists, rng, trials):
 # 2k * u <= SETTLED_SLACK, that is for k up to about 4.5e6 agents.  A larger
 # slack only walks more trials; it never changes a bit.
 SETTLED_SLACK = 1e-9
+
+
+def _accepted_spend(prices, accepts):
+    """Each trial's sum of accepted prices, added one agent row at a time.
+
+    A row's accepted prices are its price bits times its accept mask, as
+    int64: a price where the agent accepts, else the bits of +0.0, so a
+    never-offered agent's NaN adds nothing.
+    """
+    total = np.zeros(prices.shape[1])
+    bits = np.empty(prices.shape[1], dtype=np.int64)
+    for p, acc in zip(prices.view(np.int64), accepts):
+        np.multiply(p, acc, out=bits)
+        total += bits.view(np.float64)
+    return total
 
 
 def _keep_lowest(orders, prices, accepts, budget, vf, v, s):
@@ -188,14 +211,13 @@ def simulate_runs(menu: PriceMenu, instance: Instance, order_policy: str | None 
     spends_out = np.empty(trials)
     for done in range(0, trials, TRIAL_CHUNK):
         t = min(TRIAL_CHUNK, trials - done)
-        costs = _draw_costs(instance.dists, cost_rng, t)
         prices = realize_prices(menu, lot_rng, t)
-        accepts = costs <= prices  # False where the price is NaN (never offered)
+        accepts = _draw_accepts(instance.dists, cost_rng, prices)
         first, *later = policy_orders(order_policy, menu, vf, prices, order_rng, sampled)
         v = np.full(t, np.inf)
         s = np.zeros(t)
         _keep_lowest([first], prices, accepts, budget, vf, v, s)
-        live = np.flatnonzero(~(np.where(accepts, prices, 0.0).sum(axis=0) <= settled_at)) \
+        live = np.flatnonzero(~(_accepted_spend(prices, accepts) <= settled_at)) \
             if later else ()
         if len(live):
             if len(live) < t:  # gather the unsettled trials, unless that is all of them
@@ -206,6 +228,7 @@ def simulate_runs(menu: PriceMenu, instance: Instance, order_policy: str | None 
             v[live], s[live] = lv, ls
         values_out[done:done + t] = v
         spends_out[done:done + t] = s
+        del prices, accepts, first, later  # free this batch before the next is built
     return values_out, spends_out
 
 

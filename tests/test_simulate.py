@@ -6,8 +6,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from postedpricing import (AdditiveValue, CoverageValue, Instance, OracleValue,
-                           PiecewiseLinearCDF, SymmetricValue, Uniform,
+from postedpricing import (AdditiveValue, CostDistribution, CoverageValue, Instance,
+                           OracleValue, PiecewiseLinearCDF, SymmetricValue, Uniform,
                            approximation_report, bang_per_buck_order, bounds_table,
                            build_oblivious, correlation_gap_experiment,
                            ex_ante_bound, ironed_curve,
@@ -386,6 +386,55 @@ def test_later_orders_walk_only_the_unsettled_trials(monkeypatch):
     assert mixed[0] == 4_999 and len(mixed) == 4 and len(set(mixed[1:])) == 1
     assert 1_000 < mixed[1] < 4_000
     assert loose == [4_999]
+
+
+class _AntitheticDraws(CostDistribution):
+    """A prior whose own sample pairs each uniform u with 1 - u, so it takes
+    half as many draws from the stream as the inverse-transform default."""
+
+    def __init__(self, base):
+        self.base = base
+        self.support_lo, self.support_hi = base.support_lo, base.support_hi
+
+    def inverse_cdf(self, q):
+        return self.base.inverse_cdf(q)
+
+    def sample(self, rng, size=None):
+        u = rng.random((size + 1) // 2)
+        return self.base.inverse_cdf(np.concatenate((u, 1.0 - u))[:size])
+
+
+@pytest.mark.parametrize("policy", ORDER_POLICIES)
+def test_priors_that_override_sample_keep_their_own_draws(policy):
+    # every third agent draws antithetic costs; over three batches each
+    # prior's own sample is called once per batch, in agent order, as the
+    # stacked-cost route calls it
+    menu, inst = _orders_market("additive", True, 6.0)
+    dists = tuple(_AntitheticDraws(d) if i % 3 == 0 else d for i, d in enumerate(inst.dists))
+    inst = Instance(dists=dists, value=inst.value, budget=inst.budget)
+    got = simulate_runs(menu, inst, policy, 45_000, 9, n_orders=3)
+    want = simulate_runs_all_orders(menu, inst, policy, 45_000, 9, n_orders=3)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("policy", ["fixed", "worst-of-sampled"])
+def test_a_batch_holds_no_cost_matrix(policy):
+    # costs are compared row by row into the accept mask, so a lottery-free
+    # batch at n = 64 peaks below two (n, trials) float64 arrays: the prices,
+    # the accept, offer and hire masks and, where about half of the trials
+    # are settled, the gathered prices of the rest
+    n, trials = 64, 20_000
+    menu = menu_of([degenerate_lottery(U01, 0.5)] * n, np.full(n, 0.5))
+    inst = Instance(dists=(U01,) * n, value=SymmetricValue(tuple(s ** 0.8 for s in range(n + 1))),
+                    budget=0.5 * n * 0.5)
+    tracemalloc.start()
+    try:
+        simulate_runs(menu, inst, policy, trials, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * trials * 8
 
 
 def _boundary_market(value):
