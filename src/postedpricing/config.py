@@ -44,7 +44,7 @@ from .distributions import (DEFAULT_GRID, PiecewiseLinearCDF,
                             empirical_from_sample)
 from .exante import solver_kind
 from .mechanism import MECHANISM_ORDERS, mechanism_variant
-from .simulate import DEFAULT_TRIALS
+from .simulate import DEFAULT_ORDERS, DEFAULT_TRIALS
 from .values import AdditiveValue, CoverageValue, SymmetricValue
 
 
@@ -266,7 +266,7 @@ class ExperimentConfig:
     noisy: bool = False
     mechanism_kind: str = "sequential"
     epsilon: float | None = None
-    n_orders: int = 20
+    n_orders: int = DEFAULT_ORDERS
     trials: int = DEFAULT_TRIALS
     seed: int = 0
     out: str = "out"

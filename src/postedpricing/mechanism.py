@@ -116,28 +116,18 @@ def menu_from_solution(sol: ExAnteSolution, ordering_policy: str = "external",
 def bang_per_buck_order(values, prices):
     """Agents sorted by value over price, descending; ties by agent index.
 
-    Agents priced NaN (never offered, as realize_prices marks them) go last,
-    in index order.  One column of n prices gives one order; an (n, trials)
-    batch of prices gives an (n, trials) array holding each column's order.
+    Agents priced NaN (never offered, as realize_prices marks them) have a
+    NaN ratio, which sorts last: they go last, in index order.  One column
+    of n prices gives one order; an (n, trials) batch of prices gives an
+    (n, trials) array holding each column's order.
     """
     values = np.asarray(values, dtype=float)
     prices = np.asarray(prices, dtype=float)
     if prices.ndim == 2:
         values = values[:, None]
-    active = ~np.isnan(prices)
-    if (active & (prices <= 0)).any():
+    if (prices <= 0).any():  # False for NaN
         raise ValueError("zero price offered to an agent")
-    ratio = np.divide(-values, prices, out=np.zeros(prices.shape), where=active)
-    return np.lexsort((ratio, ~active), axis=0)  # stable: ties keep index order
-
-
-# From this many trials on, the walk keeps each trial's spend by a
-# branch-free bit select, and below it by one masked copy: that branches on
-# every trial, which a random hire mask mispredicts, but it is one numpy call
-# a position against three.  On equal-price batches at acceptance 1/2 the
-# two cost the same near 512 trials at n = 32 and 64 (shared and per-trial
-# orders), and near 1,024 at n = 10.
-_BIT_SELECT_WIDTH = 512
+    return np.argsort(-values / prices, axis=0, kind="stable")  # ties keep index order
 
 
 def select_within_budget(prices, accepts, order, budget: float):
@@ -145,29 +135,32 @@ def select_within_budget(prices, accepts, order, budget: float):
 
     prices (NaN marks agents that are never offered) and accepts are
     (n, trials) batches, one row per agent.  order is one sequence of agent
-    indices shared by every trial, or an (n, trials) array with one order per
-    column.  Returns (offered, spent): the (n, trials) mask of agents offered
-    their price and each trial's spend.  A trial hires offered & accepts.
-    prices, accepts and order are never written.
+    indices shared by every trial, or an (n, trials) integer array with one
+    order per column.  Returns (offered, spent): the (n, trials) mask of
+    agents offered their price and each trial's spend.  A trial hires
+    offered & accepts.  prices, accepts and order are never written.
 
     Skipped (over-budget) agents are discarded permanently.  The walk steps
     through the order positions, vectorised across trials; each trial adds
     its own prices in its own order and keeps a sum only when it stays at
     most the budget, so the bound is exact in floats.  A shared order reads
     each agent's rows in place; per-trial orders gather every position's row
-    once, through the flattened batches.  A hiring trial takes the new sum's
-    bits, any other keeps its spend's: from _BIT_SELECT_WIDTH trials on, by
-    xor-ing the int64 views (no branch per trial, whatever the hire mask),
-    and below it by np.copyto under the mask.
+    once, through the flattened batches.  Each position zeroes the new sums
+    of the trials that do not hire and takes the larger of spend and sum
+    (np.fmax), with no branch per trial: a hiring trial's sum is at least its
+    spend, and any other trial's product is +0.0, or NaN where the price is
+    NaN or the sum overflowed, which np.fmax never takes.  That needs every
+    price to be at least 0 or NaN, as every menu's realized prices are; it
+    is not checked, since that would cost a pass over the batch.
 
     Raises ValueError when accepts is not prices' shape, when a per-trial
-    order is not prices' shape, or when a shared order is not a permutation
-    of range(n).  Each column of a per-trial order is not checked, since
-    that would cost a pass over the batch.
+    order is not an integer array of prices' shape, or when a shared order
+    is not a permutation of range(n).  Each column of a per-trial order is
+    not checked either.
     """
     prices = np.asarray(prices, dtype=float)
     accepts = np.asarray(accepts, dtype=bool)
-    order = np.asarray(order, dtype=np.intp)
+    order = np.asarray(order)
     if accepts.shape != prices.shape:
         raise ValueError("accepts must have the shape of prices")
     n, trials = prices.shape
@@ -175,35 +168,29 @@ def select_within_budget(prices, accepts, order, budget: float):
     if order.ndim == 2:
         if order.shape != prices.shape:
             raise ValueError("a per-trial order must have the shape of prices")
+        if order.dtype.kind not in "iu":
+            raise ValueError("a per-trial order must hold integer agent indices")
         # index the flattened batches, which numpy gathers and scatters faster
         # than through a pair of index arrays; row j of the gathered batches
         # holds every trial's j-th agent in its order
-        order = order * trials
+        order = order.astype(np.intp, copy=False) * trials
         order += np.arange(trials)
         pos_offered = np.empty(order.shape, dtype=bool)
         rows = zip(prices.ravel()[order], accepts.ravel()[order], pos_offered)
     else:
-        agents = order.tolist()
+        agents = order.tolist()  # checked by value, so 0.5 is not cast to 0
         if order.shape != (n,) or sorted(agents) != list(range(n)):
             raise ValueError("order must be a permutation of all agents")
-        rows = ((prices[i], accepts[i], offered[i]) for i in agents)
+        rows = ((prices[i], accepts[i], offered[i]) for i in map(int, agents))
     spent = np.zeros(trials)
     new = np.empty(trials)
     hire = np.empty(trials, dtype=bool)
-    bit_select = trials >= _BIT_SELECT_WIDTH
-    if bit_select:
-        spent_bits, new_bits = spent.view(np.int64), new.view(np.int64)
-        diff = np.empty(trials, dtype=np.int64)
     for p, acc, off in rows:
         np.add(spent, p, out=new)
         np.less_equal(new, budget, out=off)  # False for NaN: never offered
         np.logical_and(off, acc, out=hire)
-        if bit_select:
-            np.bitwise_xor(spent_bits, new_bits, out=diff)
-            np.multiply(diff, hire, out=diff)
-            np.bitwise_xor(spent_bits, diff, out=spent_bits)
-        else:
-            np.copyto(spent, new, where=hire)
+        np.multiply(new, hire, out=new)
+        np.fmax(spent, new, out=spent)
     if order.ndim == 2:
         offered.ravel()[order] = pos_offered
     return offered, spent
@@ -233,11 +220,13 @@ def policy_orders(policy: str, menu: PriceMenu, vf: ValueFunction, prices,
 
     One order for 'bang-per-buck', 'fixed' and 'uniform-random' (whose
     per-trial permutations rng draws); for 'worst-of-sampled', the sampled
-    orders, then each trial's descending-price and ascending bang-per-buck
-    orders (never-offered prices count as 0, ties keep index order).  An
-    order is 1-D (shared by every trial) or (n, trials), one order per
-    column.  Without lotteries every trial holds the same prices, so
-    per-trial orders come from trial 0.
+    orders, then each trial's descending-price order and, for additive
+    values, its ascending value-per-price order (bang_per_buck_order of the
+    negated values: never-offered agents last), else its ascending-price
+    order; a price order counts never-offered prices as 0, and ties keep
+    index order.  An order is 1-D (shared by every trial) or (n, trials),
+    one order per column.  Without lotteries every trial holds the same
+    prices, so per-trial orders come from trial 0.
     """
     if policy not in ORDER_POLICIES:  # an external menu needs one named
         raise ValueError(f"cannot run in order {policy!r}; expected one of "
@@ -259,12 +248,9 @@ def policy_orders(policy: str, menu: PriceMenu, vf: ValueFunction, prices,
         orders = [bang_per_buck_order(vf.as_array(), prices)]
     else:
         filled = np.where(np.isnan(prices), 0.0, prices)
-        key = filled
-        if additive:
-            key = np.divide(vf.as_array()[:, None], filled,
-                            out=np.full(filled.shape, np.inf), where=filled > 0)
-        orders = [np.argsort(-filled, axis=0, kind="stable"),
-                  np.argsort(key, axis=0, kind="stable")]
+        ascending = bang_per_buck_order(-vf.as_array(), prices) if additive \
+            else np.argsort(filled, axis=0, kind="stable")
+        orders = [np.argsort(-filled, axis=0, kind="stable"), ascending]
     return list(sampled) + [o[:, 0] if shared else o for o in orders]
 
 
@@ -280,11 +266,7 @@ def run(menu: PriceMenu, value_fn: ValueFunction, costs, budget: float,
     costs = np.asarray(costs, dtype=float)
     if costs.shape != (menu.n,):
         raise ValueError("one cost per agent required")
-    if order is not None:
-        order = tuple(order)
-        if sorted(order) != list(range(menu.n)):
-            raise ValueError("order must be a permutation of all agents")
-    elif menu.ordering_policy not in ("bang-per-buck", "fixed"):
+    if order is None and menu.ordering_policy not in ("bang-per-buck", "fixed"):
         raise ValueError(f"a {menu.ordering_policy!r} menu needs an explicit order "
                          f"here; simulate_runs runs every order policy")
     rng = np.random.default_rng(rng)

@@ -8,8 +8,8 @@ its prices from mechanism.realize_prices and its orders from
 mechanism.policy_orders, and walks every order with the one budgeted walk,
 mechanism.select_within_budget, which steps through the order positions
 vectorised across the trials: a shared order reads each agent's rows in
-place, per-trial orders are gathered once, and a wide batch keeps each
-trial's spend by a bit select with no branch per trial.  Orders after the
+place, per-trial orders are gathered once, and each trial's spend is kept
+by one float update with no branch per trial.  Orders after the
 first walk only the trials whose budget can bind: where the accepted prices
 sum to at most (1 - SETTLED_SLACK) B, no order's running sum can pass B, so
 every order hires every accepter and the first order's value and spend
@@ -41,6 +41,8 @@ from .mechanism import (PriceMenu, SmallMarketError, choose_epsilon,
 from .values import SymmetricValue, ValueFunction, concave_closure_symmetric
 
 DEFAULT_TRIALS = 100_000
+# sampled permutations a worst-of-sampled run walks besides its two heuristics
+DEFAULT_ORDERS = 20
 # Trials per batch.  It fixes which random draws each trial gets, so it is
 # part of the determinism promise, not a tuning knob.
 TRIAL_CHUNK = 20_000
@@ -179,7 +181,7 @@ def _keep_lowest(orders, prices, accepts, budget, vf, v, s):
 
 
 def simulate_runs(menu: PriceMenu, instance: Instance, order_policy: str | None = None,
-                  trials: int = DEFAULT_TRIALS, seed=None, n_orders: int = 20):
+                  trials: int = DEFAULT_TRIALS, seed=None, n_orders: int = DEFAULT_ORDERS):
     """Realized mechanism values and spends over independent cost draws.
 
     order_policy None runs the menu's own.  Trials run in batches of
@@ -235,7 +237,7 @@ def simulate_runs(menu: PriceMenu, instance: Instance, order_policy: str | None 
 def monte_carlo_value(menu: PriceMenu, instance: Instance,
                       order_policy: str | None = None,
                       trials: int = DEFAULT_TRIALS, seed=None,
-                      n_orders: int = 20) -> MCResult:
+                      n_orders: int = DEFAULT_ORDERS) -> MCResult:
     """Mean realized mechanism value with its standard error (see simulate_runs)."""
     values, _ = simulate_runs(menu, instance, order_policy, trials, seed, n_orders)
     mean = float(values.mean())
@@ -337,7 +339,7 @@ def bounds_table(k_values) -> list:
 
 def approximation_report(instance: Instance, mechanism: str,
                          trials: int = DEFAULT_TRIALS, seed: int = 0,
-                         epsilon: float | None = None, n_orders: int = 20,
+                         epsilon: float | None = None, n_orders: int = DEFAULT_ORDERS,
                          grid_size: int = DEFAULT_GRID,
                          kind: str = "auto", **greedy_opts) -> ExperimentReport:
     """Run a mechanism kind and compare it to its ex ante benchmark.

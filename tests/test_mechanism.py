@@ -278,6 +278,10 @@ def test_selection_monotone_in_accepting_set(seed):
     small = big & (rng.random(n) < 0.7)
     off_big, _ = select_within_budget(prices[:, None], big[:, None], order, budget)
     off_small, _ = select_within_budget(prices[:, None], small[:, None], order, budget)
+    # an order of whole floats walks as its integers do
+    off_float, _ = select_within_budget(prices[:, None], big[:, None],
+                                        np.array(order, dtype=float), budget)
+    assert np.array_equal(off_float, off_big)
     sel_big, sel_small = off_big[:, 0] & big, off_small[:, 0] & small
     for i in range(n):
         if sel_big[i] and small[i]:
@@ -691,6 +695,8 @@ _FIXED_MENU = PriceMenu(lotteries=_lotteries(), quantiles=np.array([0.5, 0.5]),
      "one cost per agent required"),
     (lambda: run(_FIXED_MENU, AdditiveValue((1.0, 1.0)), [0.1, 0.2], 1.0, order=[0, 0]),
      "order must be a permutation of all agents"),
+    (lambda: run(_FIXED_MENU, AdditiveValue((1.0, 1.0)), [0.1, 0.2], 1.0, order=[0.5, 1.5]),
+     "order must be a permutation of all agents"),
     (lambda: select_within_budget(np.full((3, 4), 0.4), np.ones((3, 1), bool), [0, 1, 2], 1.0),
      "accepts must have the shape of prices"),
     (lambda: select_within_budget(np.full((3, 4), 0.4), np.ones((3, 4), bool), [0, 1], 1.0),
@@ -698,10 +704,17 @@ _FIXED_MENU = PriceMenu(lotteries=_lotteries(), quantiles=np.array([0.5, 0.5]),
     (lambda: select_within_budget(np.full((3, 4), 0.4), np.ones((3, 4), bool), [0, 0, 0], 1.0),
      "order must be a permutation of all agents"),
     (lambda: select_within_budget(np.full((3, 4), 0.4), np.ones((3, 4), bool),
+                                  [0.5, 1.5, 2.7], 1.0),
+     "order must be a permutation of all agents"),
+    (lambda: select_within_budget(np.full((3, 4), 0.4), np.ones((3, 4), bool),
                                   np.zeros((3, 1), int), 1.0),
      "a per-trial order must have the shape of prices"),
+    (lambda: select_within_budget(np.full((3, 4), 0.4), np.ones((3, 4), bool),
+                                  np.zeros((3, 4)), 1.0),
+     "a per-trial order must hold integer agent indices"),
 ], ids=["market-size", "bang-per-buck-values", "cost-count", "order-permutation",
-        "walk-accepts-shape", "walk-order-short", "walk-order-repeats", "walk-order-shape"])
+        "order-float", "walk-accepts-shape", "walk-order-short", "walk-order-repeats",
+        "walk-order-float", "walk-order-shape", "walk-order-per-trial-float"])
 def test_bad_input_raises_its_own_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

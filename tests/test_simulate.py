@@ -173,17 +173,29 @@ def _walk_case(case, n, width, rng):
         prices[rng.random(n) < 0.3] = np.nan
     elif case == "nan-scattered":
         prices[rng.random((n, width)) < 0.2] = np.nan
+    elif case == "signed-zeros":  # hires that leave the spend's bits as they are
+        prices[rng.random((n, width)) < 0.4] = 0.0
+        prices[rng.random((n, width)) < 0.4] = -0.0
+    elif case == "below-half-ulp":  # 1e-17 < ulp(0.25) / 2: a hire adds nothing
+        prices[rng.random((n, width)) < 0.5] = 1e-17
+    elif case == "overflow":  # two of these sum to inf, which never fits
+        prices = rng.choice([1e308, 1.5e308], size=(n, width))
+        return prices, accepts, 1.7e308
     return prices, accepts, 0.0 if case == "budget-0" else 0.5 * max(1, n // 3)
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-trial"])
 @pytest.mark.parametrize("n", [1, 10, 32, 64])
 @pytest.mark.parametrize("width", [1, 7, 300, 4_999, 20_000])
+# the overflow case's sums reach inf, and inf times a False hire is NaN
+@pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning",
+                            "ignore:invalid value encountered in multiply:RuntimeWarning")
 def test_walk_matches_the_where_walk(width, n, shared):
-    # the walk against the np.where walk it replaced, bit for bit, on both
-    # sides of mechanism._BIT_SELECT_WIDTH; no input is written
+    # the walk against the np.where walk it replaced, bit for bit; no input
+    # is written
     rng = np.random.default_rng([width, n, int(shared)])
-    for case in ("sym", "dyadic", "nan-rows", "nan-scattered", "budget-0"):
+    for case in ("sym", "dyadic", "nan-rows", "nan-scattered", "budget-0",
+                 "signed-zeros", "below-half-ulp", "overflow"):
         prices, accepts, budget = _walk_case(case, n, width, rng)
         order = rng.permutation(n) if shared else np.argsort(rng.random((n, width)), axis=0)
         inputs = [a.copy() for a in (prices, accepts, order)]
@@ -271,7 +283,7 @@ def test_agent_major_path_matches_the_trial_major_oracle(n, lotteries):
     assert np.isnan(prices).any() == (n >= 2)
     accepts = rng.uniform(0.0, 1.5, (n, trials)) <= prices
     sampled = [rng.permutation(n) for _ in range(3)]
-    additive = AdditiveValue(rng.choice([0.5, 1.0, 2.0], n))  # ratio ties
+    additive = AdditiveValue(rng.choice([0.0, 0.5, 1.0, 2.0], n))  # ratio ties
     symmetric = SymmetricValue(tuple(float(s) ** 0.5 for s in range(n + 1)))
     shapes = set()
     for vf in (additive, symmetric):
