@@ -10,18 +10,18 @@ mechanism.select_within_budget, which steps through the order positions
 vectorised across the trials: a shared order reads each agent's rows in
 place, per-trial orders are gathered once, and each trial's spend is kept
 by one float update with no branch per trial.  Orders after the
-first walk only the trials whose budget can bind: where the accepted prices
-sum to at most (1 - SETTLED_SLACK) B, no order's running sum can pass B, so
-every order hires every accepter and the first order's value and spend
-stand, bit for bit.  Prices, accept masks, orders and hire masks are held
-agent-major, (n, trials), from the price realization to the walk; value
-functions read the hires as (trials, n) rows.  No cost matrix is kept: each
-agent's prior draws its batch of costs with its own sample, called once per
-batch in agent index order, and the draw is compared with the agent's price
-row straight into its accept row.  mechanism.run is one trial of this path.
-approximation_report runs a mechanism kind ('sequential' or 'oblivious') and
-labels its row with mechanism.mechanism_variant.  csv_text is the one CSV
-writer.
+first walk only the trials whose budget can bind: where the first order
+hired every accepter and spent at most (1 - SETTLED_SLACK) B, no order's
+running sum can pass B, so every order hires every accepter and the first
+order's value and spend stand, bit for bit.  Prices, accept masks, orders
+and hire masks are held agent-major, (n, trials), from the price
+realization to the value functions, which evaluate the hire mask as it is.
+No cost matrix is kept: each agent's prior draws its batch of costs with its
+own sample, called once per batch in agent index order, and the draw is
+compared with the agent's price row straight into its accept row.
+mechanism.run is one trial of this path.  approximation_report runs a
+mechanism kind ('sequential' or 'oblivious') and labels its row with
+mechanism.mechanism_variant.  csv_text is the one CSV writer.
 """
 
 from __future__ import annotations
@@ -139,45 +139,20 @@ def _draw_accepts(dists, rng, prices):
     return accepts
 
 
-# A trial whose accepted prices sum to S <= (1 - SETTLED_SLACK) * B in floats
-# is settled: every order hires all of its accepters.  Why: a walk adds an
-# accepter's price p to the spend of its earlier hires and hires it when that
-# sum is at most B (what it offers a non-accepter hires nobody).  So each sum
-# a walk tests is a float sum, in some order, of a subset of the trial's k
-# accepted prices, all positive.  With u = 2**-53, such a sum is at most
-# (1 + u)**(k - 1) times the exact total T of the accepted prices, and the
-# computed S is at least T / (1 + u)**(k - 1) in any summation order; the
+# A trial whose first walk hired every accepter and spent S <= (1 -
+# SETTLED_SLACK) * B in floats is settled: every order hires all of its
+# accepters.  Why: a walk adds an accepter's price p to the spend of its
+# earlier hires and hires it when that sum is at most B (what it offers a
+# non-accepter hires nobody).  So each sum a walk tests is a float sum, in
+# some order, of a subset of the trial's k accepted prices, all positive, and
+# S is such a sum of all k of them, in the first walk's order.  With
+# u = 2**-53, a tested sum is at most (1 + u)**(k - 1) times the exact total
+# T of the accepted prices, and S is at least T / (1 + u)**(k - 1); the
 # threshold's two roundings add (1 + u)**2.  Every tested sum is therefore
 # at most (1 + u)**(2k) * (1 - SETTLED_SLACK) * B <= B whenever
 # 2k * u <= SETTLED_SLACK, that is for k up to about 4.5e6 agents.  A larger
 # slack only walks more trials; it never changes a bit.
 SETTLED_SLACK = 1e-9
-
-
-def _accepted_spend(prices, accepts):
-    """Each trial's sum of accepted prices, added one agent row at a time.
-
-    A row's accepted prices are its price bits times its accept mask, as
-    int64: a price where the agent accepts, else the bits of +0.0, so a
-    never-offered agent's NaN adds nothing.
-    """
-    total = np.zeros(prices.shape[1])
-    bits = np.empty(prices.shape[1], dtype=np.int64)
-    for p, acc in zip(prices.view(np.int64), accepts):
-        np.multiply(p, acc, out=bits)
-        total += bits.view(np.float64)
-    return total
-
-
-def _keep_lowest(orders, prices, accepts, budget, vf, v, s):
-    """Walk each order over the (n, trials) batch; where a trial's value is
-    below v, write it and its spend into v and s (the first order on ties)."""
-    for order in orders:
-        offered, spent = select_within_budget(prices, accepts, order, budget)
-        cv = vf._evaluate_rows((offered & accepts).T)
-        better = cv < v
-        v[better] = cv[better]
-        s[better] = spent[better]
 
 
 def simulate_runs(menu: PriceMenu, instance: Instance, order_policy: str | None = None,
@@ -190,11 +165,12 @@ def simulate_runs(menu: PriceMenu, instance: Instance, order_policy: str | None 
     worst of n_orders sampled permutations and the two per-trial heuristics,
     as an adversarial-order proxy.  The first order walks every trial of a
     batch.  The later ones walk only the trials that are not settled: where
-    the accepted prices sum to at most (1 - SETTLED_SLACK) B, every order
-    hires every accepter (see SETTLED_SLACK), so each gives the first order's
-    set and value, and the first order's spend stands.  Value functions
-    evaluate each row on its own, so the result is that of walking every
-    order over every trial, bit for bit.
+    the first order hired every accepter and spent at most
+    (1 - SETTLED_SLACK) B, every order hires every accepter (see
+    SETTLED_SLACK), so each gives the first order's set and value, and the
+    first order's spend stands.  Value functions evaluate each trial on its
+    own, so the result is that of walking every order over every trial, bit
+    for bit.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -216,18 +192,25 @@ def simulate_runs(menu: PriceMenu, instance: Instance, order_policy: str | None 
         prices = realize_prices(menu, lot_rng, t)
         accepts = _draw_accepts(instance.dists, cost_rng, prices)
         first, *later = policy_orders(order_policy, menu, vf, prices, order_rng, sampled)
-        v = np.full(t, np.inf)
-        s = np.zeros(t)
-        _keep_lowest([first], prices, accepts, budget, vf, v, s)
-        live = np.flatnonzero(~(_accepted_spend(prices, accepts) <= settled_at)) \
+        hires, s = select_within_budget(prices, accepts, first, budget)
+        hires &= accepts
+        v = vf._evaluate_hires(hires)
+        live = np.flatnonzero(~((hires == accepts).all(axis=0) & (s <= settled_at))) \
             if later else ()
+        del hires  # free the first walk's mask before the unsettled trials are gathered
         if len(live):
             if len(live) < t:  # gather the unsettled trials, unless that is all of them
                 prices, accepts = prices[:, live], accepts[:, live]
                 later = [o[:, live] if o.ndim == 2 else o for o in later]
             lv, ls = v[live], s[live]
-            _keep_lowest(later, prices, accepts, budget, vf, lv, ls)
+            for order in later:
+                offered, spent = select_within_budget(prices, accepts, order, budget)
+                cv = vf._evaluate_hires(offered & accepts)
+                better = cv < lv
+                lv[better] = cv[better]
+                ls[better] = spent[better]
             v[live], s[live] = lv, ls
+            del offered, spent, cv, better  # the last walk's arrays go with the batch
         values_out[done:done + t] = v
         spends_out[done:done + t] = s
         del prices, accepts, first, later  # free this batch before the next is built

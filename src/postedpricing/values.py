@@ -8,7 +8,10 @@ coverage values and Monte Carlo sampled for black-box oracles; so is
 marginal_gains, the gain in that extension from raising each agent's marginal
 on its own.  marginal_gains is defined once, on the base class: it checks
 the marginals and hands them to the class's private _gains, which greedy
-calls directly on the marginals it builds itself.
+calls directly on the marginals it builds itself.  A batch of sets is
+evaluated from an agent-major (n, trials) boolean mask, the layout
+simulate_runs walks in, and each trial gets evaluate's value bit for bit:
+sums run over agents or elements in index order.
 
 Value functions are immutable; sampling takes explicit seeds so concurrent
 callers never share RNG state.
@@ -22,6 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import _clip, _lower_hull_vertices
+
+
+def _sum_in_order(terms) -> float:
+    """A left-to-right float sum from 0.0, as the batch evaluators add (their
+    extra +0.0 terms move no bit).  sum() compensates float sums from Python
+    3.12 on, so it could differ in the last bits."""
+    total = 0.0
+    for x in terms:
+        total += x
+    return total
 
 
 def _check_quantiles(q, n):
@@ -53,15 +66,16 @@ class ValueFunction:
             raise ValueError("this value function requires samples > 0")
         rng = np.random.default_rng(seed)
         draws = rng.random((samples, self.n)) < q
-        vals = self._evaluate_rows(draws)
+        vals = self._evaluate_hires(draws.T)
         stderr = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else float("nan")
         return float(np.mean(vals)), stderr
 
-    def _evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The value of each boolean row of a (rows, n) batch.  A row's bits
-        must not depend on the rest of the batch: simulate_runs evaluates
-        the same trial in batches of different sizes."""
-        return np.array([self.evaluate(np.flatnonzero(r)) for r in rows], dtype=float)
+    def _evaluate_hires(self, hires: np.ndarray) -> np.ndarray:
+        """The value of each column of an agent-major (n, trials) boolean
+        mask, as evaluate gives it, bit for bit.  A column's bits must not
+        depend on the rest of the batch: simulate_runs evaluates the same
+        trial in batches of different sizes."""
+        return np.array([self.evaluate(np.flatnonzero(c)) for c in hires.T], dtype=float)
 
     def marginal_estimate(self, q, agents, dq, samples: int = 10_000, seed=None) -> np.ndarray:
         """Sampled V(q + dq[k] * e_agents[k]) - V(q) for each k.
@@ -133,7 +147,7 @@ class AdditiveValue(ValueFunction):
         return np.asarray(self.values, dtype=float)
 
     def evaluate(self, subset) -> float:
-        return float(sum(self.values[i] for i in set(subset)))
+        return _sum_in_order(self.values[i] for i in sorted(set(subset)))
 
     def multilinear(self, q, samples: int = 10_000, seed=None):
         q = _check_quantiles(q, self.n)
@@ -142,11 +156,11 @@ class AdditiveValue(ValueFunction):
     def _gains(self, q, dq, samples, seed):
         return self.as_array() * np.asarray(dq, dtype=float)
 
-    def _evaluate_rows(self, rows):
+    def _evaluate_hires(self, hires):
         # agent by agent in index order, as a left-to-right sum
-        total = np.zeros(len(rows))
-        for v, col in zip(self.values, np.ascontiguousarray(np.transpose(rows))):
-            total += np.where(col, v, 0.0)
+        total = np.zeros(hires.shape[1])
+        for v, row in zip(self.values, hires):
+            total += np.where(row, v, 0.0)
         return total
 
 
@@ -180,8 +194,8 @@ class SymmetricValue(ValueFunction):
     def evaluate(self, subset) -> float:
         return self.g[len(set(subset))]
 
-    def _evaluate_rows(self, rows):
-        return np.asarray(self.g)[np.count_nonzero(rows, axis=1)]
+    def _evaluate_hires(self, hires):
+        return np.asarray(self.g)[np.count_nonzero(hires, axis=0)]
 
     def size_distribution(self, q) -> np.ndarray:
         """Exact distribution of |S| under independent inclusion (DP)."""
@@ -243,15 +257,15 @@ class CoverageValue(ValueFunction):
         covered = set()
         for i in set(subset):
             covered.update(self.covers[i])
-        return float(sum(self.weights[e] for e in covered))
+        return _sum_in_order(self.weights[e] for e in sorted(covered))
 
-    def _evaluate_rows(self, rows):
+    def _evaluate_hires(self, hires):
         # the covered counts are small integers, exact in any summation order;
         # the weights are then added element by element in index order, as a
-        # left-to-right sum, so a row's value does not depend on the batch it
-        # sits in, as it does under a matrix product's blocking
-        covered = (self._incidence.T @ np.transpose(rows).astype(float)) > 0
-        total = np.zeros(len(rows))
+        # left-to-right sum, so a trial's value does not depend on the batch
+        # it sits in, as it does under a matrix product's blocking
+        covered = (self._incidence.T @ hires.astype(float)) > 0
+        total = np.zeros(hires.shape[1])
         for term in covered * self._weights[:, None]:
             total += term
         return total

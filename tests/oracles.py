@@ -371,7 +371,7 @@ def simulate_runs_all_orders(menu, instance, order_policy=None, trials=100_000, 
         s = np.zeros(t)
         for order in policy_orders(order_policy, menu, vf, prices, order_rng, sampled):
             offered, spent = select_within_budget(prices, accepts, order, instance.budget)
-            cv = vf._evaluate_rows((offered & accepts).T)
+            cv = vf._evaluate_hires(offered & accepts)
             better = cv < v
             v[better] = cv[better]
             s[better] = spent[better]
@@ -380,11 +380,11 @@ def simulate_runs_all_orders(menu, instance, order_policy=None, trials=100_000, 
     return values_out, spends_out
 
 
-def exact_worst_order_values(menu, instance, trials, seed=None):
-    """Each trial's lowest value over all n! orders, on the costs and realized
-    prices simulate_runs draws for (trials <= one batch, seed): every
-    permutation walked position by position, an agent hired where it accepts
-    and its price fits what is left of the budget."""
+def _worst_over_orders(menu, instance, trials, seed, orders):
+    """Each trial's lowest value over the given orders, on the costs and
+    realized prices simulate_runs draws for (trials <= one batch, seed):
+    every order walked position by position, an agent hired where it
+    accepts and its price fits what is left of the budget."""
     from postedpricing.mechanism import realize_prices
 
     cost_rng, lot_rng, _ = (np.random.default_rng(c)
@@ -393,15 +393,34 @@ def exact_worst_order_values(menu, instance, trials, seed=None):
     prices = realize_prices(menu, lot_rng, trials)
     accepts = costs <= prices
     worst = np.full(trials, np.inf)
-    for perm in permutations(range(instance.n)):
+    for order in orders:
         spent = np.zeros(trials)
-        hired = np.zeros((trials, instance.n), dtype=bool)
-        for i in perm:
+        hired = np.zeros((instance.n, trials), dtype=bool)
+        for i in order:
             total = spent + prices[i]
-            hired[:, i] = take = accepts[i] & (total <= instance.budget)
+            hired[i] = take = accepts[i] & (total <= instance.budget)
             spent = np.where(take, total, spent)
-        worst = np.minimum(worst, instance.value._evaluate_rows(hired))
+        worst = np.minimum(worst, instance.value._evaluate_hires(hired))
     return worst
+
+
+def exact_worst_order_values(menu, instance, trials, seed=None):
+    """Each trial's lowest value over all n! orders (see _worst_over_orders)."""
+    return _worst_over_orders(menu, instance, trials, seed, permutations(range(instance.n)))
+
+
+def subset_first_worst_order_values(menu, instance, trials, seed=None):
+    """exact_worst_order_values over 2**n orders instead of n!: for each subset
+    S, the order that offers S first and then everyone else, both in index
+    order.  Where an order hires H, offering H first hires all of H (its
+    partial sums are at most its total, which fits) and then no one else
+    (every other accepter was too dear for a part of H already), so the
+    lowest value is the same as over all n! orders, up to rounding in the
+    spend sums."""
+    n = instance.n
+    orders = ([i for i in range(n) if mask >> i & 1] + [i for i in range(n) if not mask >> i & 1]
+              for mask in range(1 << n))
+    return _worst_over_orders(menu, instance, trials, seed, orders)
 
 
 def finite_difference_virtual_cost(dist, c, h=1e-6):
@@ -706,9 +725,9 @@ class SampledCoverageValue(CoverageValue):
 
 
 def coverage_rows_product(vf, rows):
-    """CoverageValue._evaluate_rows as a matrix product of the covered mask
-    and the weights, whose sum order depends on where a row sits in the
-    batch."""
+    """CoverageValue._evaluate_hires on the (trials, n) rows of a mask, as a
+    matrix product of the covered mask and the weights, whose sum order
+    depends on where a row sits in the batch."""
     covered = (rows.astype(float) @ vf._incidence) > 0
     return covered @ np.asarray(vf.weights)
 

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from postedpricing import (AdditiveValue, Instance, PiecewiseLinearCDF,
+from postedpricing import (AdditiveValue, CoverageValue, Instance, PiecewiseLinearCDF,
                            PriceLotteries, PriceMenu, SymmetricValue, Uniform,
                            bang_per_buck_order, build_oblivious,
                            choose_epsilon, derandomize_additive,
@@ -118,17 +118,25 @@ def test_run_matches_simulate_runs_single_trial(policy):
     lots = (degenerate_lottery(U01, 0.6), lottery, degenerate_lottery(U01, 0.0))
     menu = menu_of(lots, np.array([0.6, lottery_quantile(lottery), 0.0]),
                    ordering_policy=policy)
-    inst = Instance(dists=(U01, d, U01), value=AdditiveValue((1.0, 2.0, 1.5)),
-                    budget=1.0)
-    for seed in range(20):
-        cost_seq, lot_seq, _ = np.random.SeedSequence(seed).spawn(3)
-        cost_rng = np.random.default_rng(cost_seq)
-        costs = [float(di.sample(cost_rng, 1)[0]) for di in inst.dists]
-        out = run(menu, inst.value, costs, inst.budget,
-                  rng=np.random.default_rng(lot_seq))
-        values, spends = simulate_runs(menu, inst, trials=1, seed=seed)
-        assert out.value == pytest.approx(values[0], rel=1e-12, abs=0.0)
-        assert out.total_spend == spends[0]
+    vfs = [AdditiveValue((1.0, 2.0, 1.5))]
+    if policy == "fixed":
+        # 20 of 200 unevenly weighted elements per agent: a covered set's
+        # weights sum to other bits in set iteration order than in index order
+        rng = np.random.default_rng(0)
+        vfs.append(CoverageValue(rng.lognormal(0.0, 2.0, 200),
+                                 [tuple(rng.choice(200, 20, replace=False).tolist())
+                                  for _ in range(3)]))
+    for vf in vfs:
+        inst = Instance(dists=(U01, d, U01), value=vf, budget=1.0)
+        for seed in range(20):
+            cost_seq, lot_seq, _ = np.random.SeedSequence(seed).spawn(3)
+            cost_rng = np.random.default_rng(cost_seq)
+            costs = [float(di.sample(cost_rng, 1)[0]) for di in inst.dists]
+            out = run(menu, inst.value, costs, inst.budget,
+                      rng=np.random.default_rng(lot_seq))
+            values, spends = simulate_runs(menu, inst, trials=1, seed=seed)
+            assert out.value == values[0]
+            assert out.total_spend == spends[0]
 
 
 def test_bang_per_buck_order_examples():

@@ -24,7 +24,7 @@ from oracles import (PriceLottery, binom_tail_gt, coverage_rows_product, degener
                      mechanism_expectation, menu_of, overflow_probability_full_matrix,
                      policy_orders_trial_major, realize_prices_trial_major, reference_walk,
                      select_within_budget_masks, select_within_budget_where,
-                     simulate_runs_all_orders,
+                     simulate_runs_all_orders, subset_first_worst_order_values,
                      two_price_lottery)
 
 U01 = Uniform(0, 1)
@@ -482,10 +482,57 @@ def test_orders_that_overflow_by_rounding_are_walked(vf):
     assert np.all(got_v[all_in] < fixed_v[all_in])
 
 
+def test_trials_whose_first_order_skips_an_accepter_are_walked(monkeypatch):
+    # prices 0.3 and 0.8 against a budget of 1: where both accept, the first
+    # sampled order at this seed, (0, 1), hires the cheap one and skips the
+    # dear one, spending far below the budget.  Those trials are not
+    # settled: the later orders walk them, and the descending-price order
+    # hires the dear agent alone, of lower value.
+    from postedpricing import simulate
+
+    first = np.random.default_rng(np.random.SeedSequence(1).spawn(3)[2]).permutation(2)
+    assert first.tolist() == [0, 1]
+    menu = menu_of([degenerate_lottery(U01, 0.3), degenerate_lottery(U01, 0.8)],
+                   [0.3, 0.8], ordering_policy="worst-of-sampled")
+    inst = Instance(dists=(U01, U01), value=AdditiveValue((1.0, 0.5)), budget=1.0)
+    widths = []
+
+    def walk(prices, accepts, order, budget):
+        widths.append(prices.shape[1])
+        return select_within_budget(prices, accepts, order, budget)
+
+    monkeypatch.setattr(simulate, "select_within_budget", walk)
+    got_v, got_s = simulate_runs(menu, inst, trials=2_000, seed=1, n_orders=3)
+    want_v, want_s = simulate_runs_all_orders(menu, inst, trials=2_000, seed=1, n_orders=3)
+    assert got_v.tobytes() == want_v.tobytes() and got_s.tobytes() == want_s.tobytes()
+    # index order hires the cheap agent alone where both accept
+    fixed_v, fixed_s = simulate_runs(menu, inst, "fixed", trials=2_000, seed=1)
+    both = got_v < fixed_v
+    assert 0.15 < both.mean() < 0.35
+    assert np.all(fixed_s[both] == 0.3) and np.all(got_s[both] == 0.8)
+    assert widths[:5] == [2_000] + [int(both.sum())] * 4
+
+
 # worst-of-sampled's mean over the exact worst order's mean, less 1, at the
 # default 20 orders: the largest gaps on 25 seeded markets per n = 4 ... 7
 # were 0.18% (additive) and 12% (coverage), both at n = 7
 WORST_ORDER_GAP = {"additive": 0.005, "coverage": 0.15}
+
+
+def _worst_order_markets(n):
+    """(kind, menu, instance) of an additive and a coverage market of n
+    Uniform(0, h) agents at budget 0.3 n.  The additive menu is priced for
+    its values at 0.7 of the budget, the coverage one for equal values at
+    the whole budget."""
+    rng = np.random.default_rng(700 + n)
+    dists = tuple(Uniform(0.0, float(h)) for h in rng.uniform(0.6, 1.4, n))
+    budget = 0.3 * n
+    additive, coverage = AdditiveValue(rng.uniform(0.5, 2.0, n)), _random_coverage(rng, n, 12)
+    for kind, vf, weights, share in (("additive", additive, additive.as_array(), 0.7),
+                                     ("coverage", coverage, np.ones(n), 1.0)):
+        menu = menu_from_solution(solve_additive(dists, weights, share * budget),
+                                  "worst-of-sampled")
+        yield kind, menu, Instance(dists=dists, value=vf, budget=budget)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -494,23 +541,31 @@ def test_worst_of_sampled_is_never_below_the_exact_worst_order(n):
     # bounds worst-of-sampled from below, per trial, and its mean from 20
     # orders sits within WORST_ORDER_GAP of the exact one; the two
     # heuristics alone sit above it in some trials of some market.  The
-    # additive menu is priced for its values at 0.7 of the budget, the
-    # coverage one for equal values at the whole budget.
-    rng = np.random.default_rng(700 + n)
-    dists = tuple(Uniform(0.0, float(h)) for h in rng.uniform(0.6, 1.4, n))
-    budget = 0.3 * n
-    additive, coverage = AdditiveValue(rng.uniform(0.5, 2.0, n)), _random_coverage(rng, n, 12)
+    # 2**n subset-first orders give the same lowest values.
     above = []
-    for kind, vf, weights, share in (("additive", additive, additive.as_array(), 0.7),
-                                     ("coverage", coverage, np.ones(n), 1.0)):
-        inst = Instance(dists=dists, value=vf, budget=budget)
-        menu = menu_from_solution(solve_additive(dists, weights, share * budget),
-                                  "worst-of-sampled")
+    for kind, menu, inst in _worst_order_markets(n):
         exact = exact_worst_order_values(menu, inst, 300, seed=n)
+        assert subset_first_worst_order_values(menu, inst, 300, seed=n).tobytes() \
+            == exact.tobytes()
         heuristics, _ = simulate_runs(menu, inst, trials=300, seed=n, n_orders=0)
         sampled, _ = simulate_runs(menu, inst, trials=300, seed=n)
         assert np.all(sampled >= exact) and np.all(heuristics >= sampled)
         assert sampled.mean() <= (1.0 + WORST_ORDER_GAP[kind]) * exact.mean()
+        above.append(np.any(heuristics > exact))
+    assert any(above)
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_worst_of_sampled_is_never_below_the_subset_first_worst_order(n):
+    # past n = 7, where n! orders take too long, the 2**n subset-first orders
+    # give the exact worst order: it bounds worst-of-sampled from below, per
+    # trial, and the heuristics alone sit above it in some trials
+    above = []
+    for _, menu, inst in _worst_order_markets(n):
+        exact = subset_first_worst_order_values(menu, inst, 300, seed=n)
+        heuristics, _ = simulate_runs(menu, inst, trials=300, seed=n, n_orders=0)
+        sampled, _ = simulate_runs(menu, inst, trials=300, seed=n)
+        assert np.all(sampled >= exact) and np.all(heuristics >= sampled)
         above.append(np.any(heuristics > exact))
     assert any(above)
 
@@ -520,30 +575,30 @@ EVALUATE_ROWS_VALUES = pytest.mark.parametrize("vf", [
     SymmetricValue((0.0, 1.0, 1.7, 2.2, 2.5, 2.7, 2.8, 2.85, 2.9)),
     CoverageValue((0.3, 1.1, 0.7, 2.0, 0.1),
                   ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1,), (), (0, 2, 4))),
+    _random_coverage(np.random.default_rng(22), 10, 200),
     OracleValue(8, lambda s: math.sqrt(sum(i + 1 for i in s)))],
-    ids=["additive", "symmetric", "coverage", "oracle"])
+    ids=["additive", "symmetric", "coverage", "coverage-200", "oracle"])
 
 
 @EVALUATE_ROWS_VALUES
 def test_evaluate_rows_matches_evaluate(vf):
-    rows = np.random.default_rng(23).random((300, vf.n)) < 0.5
-    got = vf._evaluate_rows(rows)
-    want = np.array([vf.evaluate(np.flatnonzero(row)) for row in rows])
-    if isinstance(vf, SymmetricValue):
-        assert np.array_equal(got, want)
-    else:
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    # a batch gives each trial evaluate's value bit for bit, so run() and
+    # simulate_runs read the same value off the same hires
+    hires = np.random.default_rng(23).random((vf.n, 300)) < 0.5
+    got = vf._evaluate_hires(hires)
+    want = np.array([vf.evaluate(np.flatnonzero(h)) for h in hires.T])
+    assert got.tobytes() == want.tobytes()
 
 
 @EVALUATE_ROWS_VALUES
 def test_evaluate_rows_reads_transposed_masks_bit_for_bit(vf):
-    # simulate_runs hands the hires over as the (trials, n) transpose of an
-    # agent-major mask; a contiguous copy must give the same bytes
+    # the sampled multilinear extension hands its (samples, n) draw over as
+    # a transposed view; a contiguous copy must give the same bytes
     rng = np.random.default_rng(24)
     for _ in range(20):
-        mask = rng.random((vf.n, 500)) < rng.uniform(0.1, 0.9)
-        got = vf._evaluate_rows(mask.T)
-        assert got.tobytes() == vf._evaluate_rows(np.ascontiguousarray(mask.T)).tobytes()
+        draw = rng.random((500, vf.n)) < rng.uniform(0.1, 0.9)
+        got = vf._evaluate_hires(draw.T)
+        assert got.tobytes() == vf._evaluate_hires(np.ascontiguousarray(draw.T)).tobytes()
 
 
 @pytest.mark.parametrize("vf", [
@@ -556,17 +611,17 @@ def test_evaluate_rows_reads_transposed_masks_bit_for_bit(vf):
     ids=["additive", "symmetric", "coverage-30", "coverage-300", "coverage-9000", "oracle"])
 def test_evaluate_rows_is_row_independent(vf):
     # simulate_runs evaluates later orders on the unsettled trials alone, so
-    # a row must get the same bytes in any batch: alone, in sub-batches of 2,
-    # 3 or 7 rows, and in a permuted batch
+    # a trial must get the same bytes in any batch: alone, in sub-batches of
+    # 2, 3 or 7 trials, and in a permuted batch
     rng = np.random.default_rng(30)
     trials = 60 if len(getattr(vf, "weights", ())) > 1_000 else 400
-    rows = (rng.random((vf.n, trials)) < rng.uniform(0.1, 0.9, (1, trials))).T
-    full = vf._evaluate_rows(rows)
+    hires = rng.random((vf.n, trials)) < rng.uniform(0.1, 0.9, (1, trials))
+    full = vf._evaluate_hires(hires)
     for size in (1, 2, 3, 7):
-        parts = [vf._evaluate_rows(rows[at:at + size]) for at in range(0, trials, size)]
+        parts = [vf._evaluate_hires(hires[:, at:at + size]) for at in range(0, trials, size)]
         assert np.concatenate(parts).tobytes() == full.tobytes(), size
     perm = rng.permutation(trials)
-    assert vf._evaluate_rows(rows[perm]).tobytes() == full[perm].tobytes()
+    assert vf._evaluate_hires(hires[:, perm]).tobytes() == full[perm].tobytes()
 
 
 def test_coverage_evaluate_rows_reads_transposed_masks_bit_for_bit():
@@ -578,13 +633,13 @@ def test_coverage_evaluate_rows_reads_transposed_masks_bit_for_bit():
         vf = CoverageValue(rng.lognormal(0.0, 2.0, m),
                            [tuple(np.flatnonzero(rng.random(m) < rng.uniform(0.02, 0.5)))
                             for _ in range(n)])
-        mask = rng.random((n, int(rng.integers(1, 400)))) < rng.uniform(0.05, 0.95)
-        got = vf._evaluate_rows(mask.T)
-        assert got.tobytes() == vf._evaluate_rows(np.ascontiguousarray(mask.T)).tobytes()
+        draw = rng.random((int(rng.integers(1, 400)), n)) < rng.uniform(0.05, 0.95)
+        got = vf._evaluate_hires(draw.T)
+        assert got.tobytes() == vf._evaluate_hires(np.ascontiguousarray(draw.T)).tobytes()
         # the matrix product sums in another order: each route's m - 1
         # additions may each round by half an ulp of a sum of at most sum(w)
         tol = m * np.finfo(float).eps * sum(vf.weights)
-        assert np.all(np.abs(got - coverage_rows_product(vf, mask.T)) <= tol)
+        assert np.all(np.abs(got - coverage_rows_product(vf, draw)) <= tol)
 
 
 def test_ex_ante_bound_examples():
